@@ -7,8 +7,9 @@
 //! per-block granularity and the prune verdict lags the adder tree.
 
 use ir_bench::{bench_workload, parallel_sweep, threads_from_env, Table};
-use ir_fpga::hdc::{run_pair_fast_packed, HdcConfig};
-use ir_genome::{PackedSequence, Qual};
+use ir_core::batch::{CandidateBlock, SweepRead};
+use ir_core::kernel;
+use ir_fpga::hdc::{run_read_sweep, HdcConfig};
 
 fn main() {
     let threads = threads_from_env();
@@ -18,21 +19,19 @@ fn main() {
     let generator = bench_workload(1.0); // scale unused for direct target sampling
     let targets = generator.targets(64, 0xf18);
 
-    // Pack every (consensus, read) pair once; all six lane configurations
-    // scan the same packed words through the SWAR kernel, which produces
-    // the identical PairRun to the cycle-stepped reference.
-    let pairs: Vec<(PackedSequence, PackedSequence, &Qual)> = targets
+    // Lay out every target once — one candidate block plus its prepared
+    // reads; all six lane configurations sweep the same layout on the
+    // dispatched kernel, which produces the identical PairRun per
+    // (consensus, read) pair to the cycle-stepped reference.
+    let batches: Vec<(CandidateBlock, Vec<SweepRead>)> = targets
         .iter()
-        .flat_map(|target| {
-            (0..target.num_consensuses()).flat_map(move |i| {
-                (0..target.num_reads()).map(move |j| {
-                    (
-                        PackedSequence::from(target.consensus(i)),
-                        PackedSequence::from(target.read(j).bases()),
-                        target.read(j).quals(),
-                    )
-                })
-            })
+        .map(|target| {
+            let reads = target
+                .reads()
+                .iter()
+                .map(|read| SweepRead::new(read.bases().bases(), read.quals()))
+                .collect();
+            (CandidateBlock::from_target(target), reads)
         })
         .collect();
 
@@ -45,10 +44,13 @@ fn main() {
         };
         let mut cycles = 0u64;
         let mut comparisons = 0u64;
-        for (cons, read, quals) in &pairs {
-            let run = run_pair_fast_packed(cons, read, quals, cfg);
-            cycles += run.cycles;
-            comparisons += run.comparisons;
+        for (block, reads) in &batches {
+            for read in reads {
+                for run in run_read_sweep(block, read, kernel::active(), cfg) {
+                    cycles += run.cycles;
+                    comparisons += run.comparisons;
+                }
+            }
         }
         (cycles, comparisons)
     });

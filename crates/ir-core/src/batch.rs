@@ -1,8 +1,8 @@
 //! Structure-of-arrays candidate sweep: one read against *all* of a
 //! target's consensus candidates in a single pass.
 //!
-//! The per-pair kernels ([`crate::calc_whd_bounded_packed`]) re-derive
-//! everything — packing, window fetches, score lookups — for every
+//! The per-pair scalar reference ([`crate::calc_whd_bounded`]) re-derives
+//! everything — window fetches, base compares, score lookups — for every
 //! (consensus, read) pair. The batch layout does that work once per
 //! target instead:
 //!
@@ -23,7 +23,7 @@
 //! crossing base — and therefore every count — is identical to the
 //! scalar reference's; the proptests below pin that bit-for-bit.
 
-use ir_genome::{base_code, Base, PackedSequence, Qual, RealignmentTarget};
+use ir_genome::{base_code, Base, Qual, RealignmentTarget};
 
 use crate::grid::MinWhd;
 use crate::kernel::{self, KernelKind};
@@ -96,11 +96,6 @@ impl CandidateBlock {
         )
     }
 
-    /// Builds the block from pre-packed sequences.
-    pub fn from_packed_rows(rows: &[PackedSequence]) -> Self {
-        Self::from_code_rows(rows.iter().map(PackedSequence::unpack_codes).collect())
-    }
-
     /// Builds the block over all of `target`'s consensuses (row 0 is the
     /// reference, like [`crate::MinWhdGrid`]).
     pub fn from_target(target: &RealignmentTarget) -> Self {
@@ -165,7 +160,7 @@ impl CandidateBlock {
     /// With `pruning`, each offset's evaluation is bounded by the
     /// candidate's running minimum, block-granular as described in the
     /// module docs; the result and every count are bit-identical to the
-    /// per-pair [`crate::calc_whd_bounded_packed`] loop.
+    /// per-pair [`crate::calc_whd_bounded`] loop.
     ///
     /// # Panics
     ///
@@ -249,15 +244,6 @@ impl SweepRead {
         Self::from_parts(bases.iter().map(|&b| base_code(b)).collect(), quals)
     }
 
-    /// Prepares a read from its packed form.
-    ///
-    /// # Panics
-    ///
-    /// As [`SweepRead::new`].
-    pub fn from_packed(read: &PackedSequence, quals: &Qual) -> Self {
-        Self::from_parts(read.unpack_codes(), quals)
-    }
-
     /// Number of real bases.
     pub fn len(&self) -> usize {
         self.len
@@ -306,7 +292,7 @@ impl SweepRead {
 /// # Panics
 ///
 /// Panics if the slice lengths differ.
-pub fn bounded_whd_codes(
+fn bounded_whd_codes(
     kind: KernelKind,
     win: &[u8],
     read: &[u8],
@@ -363,7 +349,6 @@ pub fn bounded_whd_codes(
 mod tests {
     use super::*;
     use crate::whd::calc_whd_bounded;
-    use crate::whd_packed::calc_whd_bounded_packed;
     use ir_genome::Sequence;
 
     fn seq(s: &str) -> Sequence {
@@ -378,11 +363,9 @@ mod tests {
         pruning: bool,
         ops: &mut OpCounts,
     ) -> Vec<MinWhd> {
-        let packed_read = PackedSequence::from(read);
         cands
             .iter()
             .map(|cons| {
-                let packed_cons = PackedSequence::from(cons);
                 let max_k = cons.len() - read.len();
                 let mut min = MinWhd {
                     whd: u64::MAX,
@@ -391,7 +374,7 @@ mod tests {
                 for k in 0..=max_k {
                     let bound = if pruning { min.whd } else { u64::MAX };
                     ops.whd_evaluations += 1;
-                    let out = calc_whd_bounded_packed(&packed_cons, &packed_read, quals, k, bound);
+                    let out = calc_whd_bounded(cons, read, quals, k, bound);
                     ops.base_comparisons += out.comparisons;
                     ops.qual_accumulations += out.accumulations;
                     if out.pruned {

@@ -69,7 +69,7 @@ impl MinWhdGrid {
     /// ([`crate::kernel::active`]). Every kernel is bit-for-bit the
     /// scalar [`crate::calc_whd_bounded`] (same grid, same `OpCounts`);
     /// the equivalence is pinned by the differential proptests in
-    /// [`crate::whd_packed`] and [`crate::batch`].
+    /// [`crate::batch`].
     pub fn compute(target: &RealignmentTarget, pruning: bool, ops: &mut OpCounts) -> Self {
         Self::compute_with_kernel(target, pruning, kernel::active(), ops)
     }

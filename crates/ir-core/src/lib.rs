@@ -61,11 +61,10 @@ pub mod realign;
 pub mod score;
 pub mod stats;
 pub mod whd;
-pub mod whd_packed;
 
 mod realigner;
 
-pub use batch::{bounded_whd_codes, CandidateBlock, SweepRead};
+pub use batch::{CandidateBlock, SweepRead};
 pub use consensus::{consensuses_from_reads, CandidateConsensus, IndelHypothesis};
 pub use grid::{MinWhd, MinWhdGrid};
 pub use kernel::{fold_whd, fold_whd_counted, KernelError, KernelKind};
@@ -74,4 +73,3 @@ pub use realigner::{IndelRealigner, PruningMode, RealignmentResult};
 pub use score::{score_consensuses, score_consensuses_with, select_best, SelectionRule};
 pub use stats::OpCounts;
 pub use whd::{calc_whd, calc_whd_bounded, BoundedWhd};
-pub use whd_packed::{calc_whd_bounded_packed, calc_whd_packed};

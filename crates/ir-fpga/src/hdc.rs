@@ -15,17 +15,17 @@
 //! 32-byte block — one of the accuracy-preserving costs of data
 //! parallelism this model captures.
 //!
-//! [`run_pair`] steps the model cycle by cycle and is the reference. The
-//! fast path ([`run_pair_fast_packed`], [`run_read_sweep`]) jumps the
-//! cycle accounting to each scan's outcome and evaluates the folds on the
-//! runtime-dispatched explicit-SIMD kernels ([`ir_core::kernel`]) over
-//! the structure-of-arrays batch layout ([`ir_core::batch`]) — same
-//! [`PairRun`], bit for bit, for every [`KernelKind`].
+//! [`run_pair`] steps the model cycle by cycle and is the reference.
+//! [`run_read_sweep`] is the production path: it jumps the cycle
+//! accounting to each scan's outcome and evaluates the folds on the
+//! runtime-dispatched kernels ([`ir_core::kernel`]) over the
+//! structure-of-arrays batch layout ([`ir_core::batch`]) — same
+//! [`PairRun`] per candidate, bit for bit, for every [`KernelKind`].
 
 use ir_core::batch::{CandidateBlock, SweepRead};
 use ir_core::kernel::{self, KernelKind};
 use ir_core::MinWhd;
-use ir_genome::{PackedSequence, Qual, Sequence};
+use ir_genome::{Qual, Sequence};
 
 /// Configuration of the HDC stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,69 +162,6 @@ pub fn run_pair(consensus: &Sequence, read: &Sequence, quals: &Qual, cfg: HdcCon
     }
 }
 
-/// Equivalence-preserving fast path for [`run_pair`]: same [`PairRun`],
-/// computed without stepping every modeled cycle.
-///
-/// Packs both sequences (4 bits/base) and delegates to
-/// [`run_pair_fast_packed`]; callers scanning many pairs of one target
-/// should build the batch layout once and use [`run_read_sweep`].
-///
-/// # Panics
-///
-/// As [`run_pair`].
-pub fn run_pair_fast(
-    consensus: &Sequence,
-    read: &Sequence,
-    quals: &Qual,
-    cfg: HdcConfig,
-) -> PairRun {
-    run_pair_fast_packed(
-        &PackedSequence::from(consensus),
-        &PackedSequence::from(read),
-        quals,
-        cfg,
-    )
-}
-
-/// [`run_pair_fast`] over pre-packed sequences, on the ambient
-/// ([`ir_core::kernel::active`]) kernel. Prepares a one-candidate batch
-/// per call; hot loops should prepare the batch once and use
-/// [`run_read_sweep`] instead.
-///
-/// # Panics
-///
-/// As [`run_pair`].
-pub fn run_pair_fast_packed(
-    cons: &PackedSequence,
-    read: &PackedSequence,
-    quals: &Qual,
-    cfg: HdcConfig,
-) -> PairRun {
-    run_pair_fast_packed_with(cons, read, quals, kernel::active(), cfg)
-}
-
-/// [`run_pair_fast_packed`] on an explicitly chosen kernel — what the
-/// kernel-parity suites use to cross-check every [`KernelKind`] in one
-/// process.
-///
-/// # Panics
-///
-/// As [`run_pair`], plus if `kind` cannot run on this CPU.
-pub fn run_pair_fast_packed_with(
-    cons: &PackedSequence,
-    read: &PackedSequence,
-    quals: &Qual,
-    kind: KernelKind,
-    cfg: HdcConfig,
-) -> PairRun {
-    assert!(cfg.lanes > 0, "HDC must have at least one lane");
-    assert!(read.len() <= cons.len(), "read longer than consensus");
-    assert!(quals.scores().len() >= read.len(), "missing quality scores");
-    let block = CandidateBlock::from_packed_rows(std::slice::from_ref(cons));
-    let sweep_read = SweepRead::from_packed(read, quals);
-    run_pair_codes(block.row_padded(0), block.len(0), &sweep_read, kind, cfg)
-}
-
 /// Sweeps one prepared read against every candidate of the batch — the
 /// engine behind [`crate::oracle::FunctionalOracle`]'s
 /// [`crate::unit::simulate_target_fast`] path. Element `i` of the result
@@ -271,8 +208,8 @@ pub fn run_read_sweep(
 ///   flow being identical, so are the cycle, comparison and
 ///   pruned-offset counts.
 ///
-/// The equality `run_pair_fast(..) == run_pair(..)` therefore holds
-/// unconditionally for every kernel (asserted exhaustively by the
+/// The equality `run_read_sweep(..)[i] == run_pair(candidate_i, ..)`
+/// therefore holds unconditionally for every kernel (asserted exhaustively by the
 /// differential proptest below and the kernel-parity suite).
 fn run_pair_codes(
     row: &[u8],
@@ -403,6 +340,19 @@ mod tests {
     use super::*;
     use ir_core::{calc_whd, OpCounts};
     use ir_genome::{Read, RealignmentTarget};
+
+    /// One (consensus, read) pair through the production path: a
+    /// one-row block swept once.
+    fn sweep_pair(
+        cons: &Sequence,
+        read: &Sequence,
+        quals: &Qual,
+        kind: KernelKind,
+        cfg: HdcConfig,
+    ) -> PairRun {
+        let block = CandidateBlock::from_bases_rows(&[cons.bases()]);
+        run_read_sweep(&block, &SweepRead::new(read.bases(), quals), kind, cfg)[0]
+    }
 
     fn fixture() -> (Sequence, Sequence, Qual) {
         (
@@ -551,7 +501,7 @@ mod tests {
         let (cons, read, quals) = fixture();
         for cfg in [HdcConfig::serial(), HdcConfig::data_parallel()] {
             assert_eq!(
-                run_pair_fast(&cons, &read, &quals, cfg),
+                sweep_pair(&cons, &read, &quals, kernel::active(), cfg),
                 run_pair(&cons, &read, &quals, cfg),
                 "cfg {cfg:?}"
             );
@@ -566,7 +516,6 @@ mod tests {
         let cons: Sequence = "ACGT".repeat(80).parse().unwrap();
         let read: Sequence = "TTGCA".repeat(30).parse().unwrap();
         let quals = Qual::uniform(22, read.len()).unwrap();
-        let (pc, pr) = (PackedSequence::from(&cons), PackedSequence::from(&read));
         for cfg in [
             HdcConfig::data_parallel(),
             HdcConfig {
@@ -582,7 +531,7 @@ mod tests {
             let want = run_pair(&cons, &read, &quals, cfg);
             for kind in KernelKind::available() {
                 assert_eq!(
-                    run_pair_fast_packed_with(&pc, &pr, &quals, kind, cfg),
+                    sweep_pair(&cons, &read, &quals, kind, cfg),
                     want,
                     "cfg {cfg:?} kernel {kind}"
                 );
@@ -683,10 +632,9 @@ mod tests {
                     prune_latency_blocks: latency,
                 };
                 let want = run_pair(&cons, &read, &quals, cfg);
-                let (pc, pr) = (PackedSequence::from(&cons), PackedSequence::from(&read));
                 for kind in KernelKind::available() {
                     prop_assert_eq!(
-                        run_pair_fast_packed_with(&pc, &pr, &quals, kind, cfg),
+                        sweep_pair(&cons, &read, &quals, kind, cfg),
                         want,
                         "kernel {}",
                         kind

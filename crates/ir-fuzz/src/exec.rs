@@ -6,12 +6,14 @@
 //! loop:
 //!
 //! - **kernel** — [`ir_fpga::hdc::run_pair`] (scalar reference) vs
-//!   [`ir_fpga::hdc::run_pair_fast_packed`] (the dispatched fast path) on
-//!   every (consensus, read) pair, plus every available explicit-SIMD
-//!   [`KernelKind`] (AVX2/AVX-512/NEON) differenced against the portable
-//!   SWAR kernel on the same pair. The extra backend pairs only add
-//!   mismatch checks — the corpus fingerprint hashes the scalar result
-//!   exactly as before, so every persisted case replays bitwise-unchanged.
+//!   [`ir_fpga::hdc::run_read_sweep`] (the dispatched production path,
+//!   one [`CandidateBlock`] per target, so ragged multi-row blocks are
+//!   exercised) on every (consensus, read) pair, plus every available
+//!   explicit-SIMD [`KernelKind`] (AVX2/AVX-512/NEON) sweep differenced
+//!   against the portable SWAR sweep over the same block. The extra
+//!   backend pairs only add mismatch checks — the corpus fingerprint
+//!   hashes the scalar result alone, so every persisted case replays
+//!   bitwise-unchanged.
 //! - **engine** — the event-driven core vs the legacy cycle stepper,
 //!   bitwise across the full [`SystemRun`] including telemetry; plus the
 //!   telemetry-transparency contract (enabling telemetry changes no
@@ -33,9 +35,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ir_fpga::hdc::{run_pair, run_pair_fast_packed, run_pair_fast_packed_with, HdcConfig, PairRun};
+use ir_core::batch::{CandidateBlock, SweepRead};
+use ir_core::kernel;
+use ir_fpga::hdc::{run_pair, run_read_sweep, HdcConfig, PairRun};
 use ir_fpga::{AcceleratedSystem, FaultPlan, KernelKind, ResiliencePolicy, SimBackend, SystemRun};
-use ir_genome::PackedSequence;
 use ir_serve::{
     FaultInjection, FleetConfig, FleetReport, FleetService, RealignService, Request, ServeConfig,
     ServiceReport,
@@ -148,9 +151,11 @@ fn hash_report(h: &mut Fnv, report: &ServiceReport) {
     }
 }
 
-/// Stage 1: scalar reference kernel vs the dispatched packed kernel on
-/// every (consensus, read) pair of every target, plus each explicit-SIMD
-/// kernel vs the portable SWAR kernel on the same pair.
+/// Stage 1: the layout production runs — one [`CandidateBlock`] per
+/// target, one [`run_read_sweep`] per read on the dispatched kernel —
+/// against the scalar reference [`run_pair`] element by element, plus
+/// each explicit-SIMD kernel's sweep vs the portable SWAR kernel's over
+/// the same block.
 fn kernel_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
     let simd_kinds: Vec<KernelKind> = KernelKind::available()
         .into_iter()
@@ -163,77 +168,76 @@ fn kernel_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
         prune_latency_blocks: input.prune_latency_blocks,
     };
     for (ti, target) in input.targets.iter().enumerate() {
+        let block = CandidateBlock::from_target(target);
+        let shortest = (0..block.num_candidates()).map(|i| block.len(i)).min();
+        // One sweep per read over every candidate; a read longer than
+        // some candidate has no sweep (its fitting pairs still feed the
+        // fingerprint below).
+        let mut sweeps: Vec<Option<Vec<PairRun>>> = Vec::with_capacity(target.num_reads());
+        for (ri, read) in target.reads().iter().enumerate() {
+            if shortest.is_some_and(|len| read.len() > len) {
+                sweeps.push(None);
+                continue;
+            }
+            let sweep_read = SweepRead::new(read.bases().bases(), read.quals());
+            let sweep = |kind| run_read_sweep(&block, &sweep_read, kind, cfg);
+            let Some(fast) = guarded("kernel", out, |_| sweep(kernel::active())) else {
+                return; // a panicking kernel would panic on every read
+            };
+            // SIMD-vs-SWAR backend pairs: extra checks only — the
+            // fingerprint below still hashes the scalar result alone.
+            if !simd_kinds.is_empty() {
+                if let Some(swar) = guarded("kernel", out, |_| sweep(KernelKind::Swar)) {
+                    for &kind in &simd_kinds {
+                        let Some(simd) = guarded("kernel", out, |_| sweep(kind)) else {
+                            continue;
+                        };
+                        for (ci, (simd, swar)) in simd.iter().zip(&swar).enumerate() {
+                            if simd != swar {
+                                out.push(Mismatch {
+                                    stage: "kernel",
+                                    signature: format!("kernel/simd-vs-swar/{kind}"),
+                                    detail: format!(
+                                        "target {ti} consensus {ci} read {ri}: \
+                                         {kind} {simd:?} vs swar {swar:?}"
+                                    ),
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+            sweeps.push(Some(fast));
+        }
         for (ci, cons) in target.consensuses().iter().enumerate() {
-            let packed_cons = PackedSequence::from_sequence(cons);
             for (ri, read) in target.reads().iter().enumerate() {
                 if read.len() > cons.len() {
                     continue; // no alignment offset exists for this pair
                 }
-                let slow = guarded("kernel", out, |_| {
+                let Some(slow) = guarded("kernel", out, |_| {
                     run_pair(cons, read.bases(), read.quals(), cfg)
-                });
-                let fast = guarded("kernel", out, |_| {
-                    let packed_read = PackedSequence::from_sequence(read.bases());
-                    run_pair_fast_packed(&packed_cons, &packed_read, read.quals(), cfg)
-                });
-                let (Some(slow), Some(fast)) = (slow, fast) else {
+                }) else {
                     return; // a panicking kernel would panic on every pair
                 };
-                if slow != fast {
-                    let field = if slow.min != fast.min {
-                        "min"
-                    } else if slow.cycles != fast.cycles {
-                        "cycles"
-                    } else if slow.comparisons != fast.comparisons {
-                        "comparisons"
-                    } else {
-                        "offsets_pruned"
-                    };
-                    out.push(Mismatch {
-                        stage: "kernel",
-                        signature: format!("kernel/packed-vs-scalar/{field}"),
-                        detail: format!(
-                            "target {ti} consensus {ci} read {ri}: scalar {slow:?} vs packed {fast:?}"
-                        ),
-                    });
-                }
-                // SIMD-vs-SWAR backend pairs: extra checks only — the
-                // fingerprint below still hashes the scalar result alone.
-                if !simd_kinds.is_empty() {
-                    let packed_read = PackedSequence::from_sequence(read.bases());
-                    let swar = guarded("kernel", out, |_| {
-                        run_pair_fast_packed_with(
-                            &packed_cons,
-                            &packed_read,
-                            read.quals(),
-                            KernelKind::Swar,
-                            cfg,
-                        )
-                    });
-                    if let Some(swar) = swar {
-                        for &kind in &simd_kinds {
-                            let simd = guarded("kernel", out, |_| {
-                                run_pair_fast_packed_with(
-                                    &packed_cons,
-                                    &packed_read,
-                                    read.quals(),
-                                    kind,
-                                    cfg,
-                                )
-                            });
-                            if let Some(simd) = simd {
-                                if simd != swar {
-                                    out.push(Mismatch {
-                                        stage: "kernel",
-                                        signature: format!("kernel/simd-vs-swar/{kind}"),
-                                        detail: format!(
-                                            "target {ti} consensus {ci} read {ri}: \
-                                             {kind} {simd:?} vs swar {swar:?}"
-                                        ),
-                                    });
-                                }
-                            }
-                        }
+                if let Some(fast) = sweeps[ri].as_ref().map(|sweep| sweep[ci]) {
+                    if slow != fast {
+                        let field = if slow.min != fast.min {
+                            "min"
+                        } else if slow.cycles != fast.cycles {
+                            "cycles"
+                        } else if slow.comparisons != fast.comparisons {
+                            "comparisons"
+                        } else {
+                            "offsets_pruned"
+                        };
+                        out.push(Mismatch {
+                            stage: "kernel",
+                            signature: format!("kernel/sweep-vs-scalar/{field}"),
+                            detail: format!(
+                                "target {ti} consensus {ci} read {ri}: \
+                                 scalar {slow:?} vs sweep {fast:?}"
+                            ),
+                        });
                     }
                 }
                 hash_pair_run(h, &slow);

@@ -115,6 +115,24 @@ impl Base {
     }
 }
 
+/// The non-zero byte code for a base (`A=1 … N=5`) — the value the
+/// batch layouts of `ir-core` (`CandidateBlock`, `SweepRead`) and the
+/// SIMD kernels over them compare.
+///
+/// The mapping is injective over `{A, C, G, T, N}`, so comparing codes for
+/// equality reproduces the hardware's literal byte compare (`N` vs `N`
+/// matches, `N` vs anything else mismatches), and reserving `0` lets the
+/// layouts pad rows with bytes that can never collide with a real base.
+pub const fn base_code(base: Base) -> u8 {
+    match base {
+        Base::A => 1,
+        Base::C => 2,
+        Base::G => 3,
+        Base::T => 4,
+        Base::N => 5,
+    }
+}
+
 impl TryFrom<u8> for Base {
     type Error = GenomeError;
 
@@ -224,6 +242,17 @@ mod tests {
     fn display_matches_byte() {
         assert_eq!(Base::A.to_string(), "A");
         assert_eq!(Base::N.to_string(), "N");
+    }
+
+    #[test]
+    fn base_code_is_injective_and_never_padding() {
+        let all = [Base::A, Base::C, Base::G, Base::T, Base::N];
+        for (i, &a) in all.iter().enumerate() {
+            assert_ne!(base_code(a), 0, "{a} collides with the padding code");
+            for &b in &all[i + 1..] {
+                assert_ne!(base_code(a), base_code(b), "{a} and {b} share a code");
+            }
+        }
     }
 
     #[test]

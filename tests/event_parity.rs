@@ -214,7 +214,7 @@ fn scheduling_strategy() -> impl Strategy<Value = Scheduling> {
 proptest! {
     // Each case replays full systems under 4 schedulings × 2 backends, so
     // the local default is small to keep tier-1 wall-clock flat; CI's
-    // kernel-parity job soaks this suite in release at
+    // parity-soak job soaks this suite in release at
     // IR_PROPTEST_CASES=256 (see README, "Test suite knobs").
     #![proptest_config(ProptestConfig::with_cases_env(8))]
 

@@ -1,9 +1,10 @@
-//! Differential proptests pinning the packed fast HDC path bitwise
-//! against the scalar reference (`run_pair`) under plain `cargo test` —
-//! for the ambient dispatched kernel *and* every [`KernelKind`] the host
-//! CPU can run, forced explicitly through the `_with` APIs. (The CI
-//! `kernel-dispatch` matrix additionally forces each kind process-wide
-//! via `IR_KERNEL`, which the ambient calls here pick up.)
+//! Differential proptests pinning the production HDC path
+//! ([`run_read_sweep`] over a [`CandidateBlock`]) bitwise against the
+//! scalar reference (`run_pair`) under plain `cargo test` — for the
+//! ambient dispatched kernel *and* every [`KernelKind`] the host CPU can
+//! run, each passed explicitly. (The CI `kernel-dispatch` matrix
+//! additionally forces each kind process-wide via `IR_KERNEL`, which the
+//! ambient calls here pick up.)
 //!
 //! The fast kernel has four execution shapes, selected by the config and
 //! the read geometry:
@@ -17,8 +18,9 @@
 //! Every case exercises a curated config set that covers all shapes
 //! (both presets, pruning on/off, lane counts that straddle the block
 //! boundaries) plus one randomized config, over random sequence pairs
-//! including `N` bases — the full `PairRun` (min WHD, offset, cycles,
-//! comparisons, pruned-offset count) must be identical.
+//! including `N` bases, each swept as a one-row block — the full
+//! `PairRun` (min WHD, offset, cycles, comparisons, pruned-offset count)
+//! must be identical.
 //!
 //! The batch proptests additionally pin the structure-of-arrays sweep
 //! ([`run_read_sweep`]) element-wise against per-pair scans across ragged
@@ -27,12 +29,23 @@
 //! Case counts are gated on `IR_PROPTEST_CASES` (see README).
 
 use ir_system::core::batch::{CandidateBlock, SweepRead};
-use ir_system::core::KernelKind;
-use ir_system::fpga::hdc::{
-    run_pair, run_pair_fast_packed, run_pair_fast_packed_with, run_read_sweep, HdcConfig,
-};
-use ir_system::genome::{Base, PackedSequence, Qual, Sequence};
+use ir_system::core::{kernel, KernelKind};
+use ir_system::fpga::hdc::{run_pair, run_read_sweep, HdcConfig, PairRun};
+use ir_system::genome::{Base, Qual, Sequence};
 use proptest::prelude::*;
+
+/// One (consensus, read) pair through the production path: a one-row
+/// block swept once.
+fn sweep_pair(
+    cons: &Sequence,
+    read: &Sequence,
+    quals: &Qual,
+    kind: KernelKind,
+    cfg: HdcConfig,
+) -> PairRun {
+    let block = CandidateBlock::from_bases_rows(&[cons.bases()]);
+    run_read_sweep(&block, &SweepRead::new(read.bases(), quals), kind, cfg)[0]
+}
 
 /// Maps a byte to a base, all five symbols reachable.
 fn base(code: u8) -> Base {
@@ -148,7 +161,7 @@ prop_compose! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_env(96))]
 
-    /// The packed kernel reproduces the scalar reference exactly — min
+    /// The one-row sweep reproduces the scalar reference exactly — min
     /// WHD, winning offset, cycle count, comparison count and pruned
     /// offsets — for every covered config and a fresh random config, on
     /// the ambient dispatched kernel and on every [`KernelKind`] the CPU
@@ -158,21 +171,18 @@ proptest! {
         (cons, read, quals) in pair_inputs(),
         extra_cfg in random_config()
     ) {
-        let packed_cons = PackedSequence::from(&cons);
-        let packed_read = PackedSequence::from(&read);
         let mut configs = shape_covering_configs();
         configs.push(extra_cfg);
         for cfg in configs {
             let scalar = run_pair(&cons, &read, &quals, cfg);
-            let fast = run_pair_fast_packed(&packed_cons, &packed_read, &quals, cfg);
+            let fast = sweep_pair(&cons, &read, &quals, kernel::active(), cfg);
             prop_assert_eq!(
                 scalar, fast,
                 "dispatched kernel, config {:?} on read_len {} cons_len {}",
                 cfg, read.len(), cons.len()
             );
             for kind in KernelKind::available() {
-                let forced =
-                    run_pair_fast_packed_with(&packed_cons, &packed_read, &quals, kind, cfg);
+                let forced = sweep_pair(&cons, &read, &quals, kind, cfg);
                 prop_assert_eq!(
                     scalar, forced,
                     "kernel {} config {:?} on read_len {} cons_len {}",
@@ -219,14 +229,12 @@ fn figure4_example_is_shape_invariant() {
     let cons: Sequence = "ACCTGAA".parse().unwrap();
     let read: Sequence = "TGAA".parse().unwrap();
     let quals = Qual::from_raw_scores(&[10, 20, 45, 10]).unwrap();
-    let packed_cons = PackedSequence::from(&cons);
-    let packed_read = PackedSequence::from(&read);
     for cfg in shape_covering_configs() {
         let scalar = run_pair(&cons, &read, &quals, cfg);
-        let fast = run_pair_fast_packed(&packed_cons, &packed_read, &quals, cfg);
+        let fast = sweep_pair(&cons, &read, &quals, kernel::active(), cfg);
         assert_eq!(scalar, fast, "config {cfg:?}");
         for kind in KernelKind::available() {
-            let forced = run_pair_fast_packed_with(&packed_cons, &packed_read, &quals, kind, cfg);
+            let forced = sweep_pair(&cons, &read, &quals, kind, cfg);
             assert_eq!(scalar, forced, "kernel {kind} config {cfg:?}");
         }
         // "TGAA" matches "ACCTGAA" exactly at offset 3 — the sweep's

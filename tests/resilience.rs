@@ -213,7 +213,7 @@ prop_compose! {
 
 proptest! {
     // Local default trimmed to keep tier-1 wall-clock flat; CI's
-    // kernel-parity job soaks this suite in release at
+    // parity-soak job soaks this suite in release at
     // IR_PROPTEST_CASES=256 (see README, "Test suite knobs").
     #![proptest_config(ProptestConfig::with_cases_env(64))]
 
