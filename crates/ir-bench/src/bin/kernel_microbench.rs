@@ -3,21 +3,27 @@
 //! Times the weighted-Hamming-distance sweep on the scalar reference, the
 //! portable SWAR kernel and the widest explicit-SIMD kernel the host CPU
 //! offers (`simd` — the one [`ir_core::kernel::active`] dispatches to,
-//! unless `IR_KERNEL` overrides it), in both execution modes:
+//! unless `IR_KERNEL` overrides it), in three modes:
 //!
 //! - **pair**  — per (consensus, read) pair, a one-row
 //!   [`CandidateBlock`] and [`SweepRead`] built and swept with
 //!   `run_read_sweep`: the per-pair setup cost the batch layout amortizes;
 //! - **batch** — one `run_read_sweep` over a structure-of-arrays
-//!   [`CandidateBlock`] holding all candidates, the deployed hot path.
+//!   [`CandidateBlock`] holding all candidates, the deployed hot path;
+//! - **serial-pruned** — one `run_read_sweep` under the serial
+//!   `HdcConfig` (one base per cycle, immediate pruning), the shape that
+//!   dominates the figure-9 oracle.
 //!
-//! The fixture is the adversarial dense shape (unrelated read, every lane
-//! accumulates) with pruning off, so every kernel does the identical,
-//! closed-form amount of work and the Gbase/s column measures raw fold
-//! throughput. Row keys are stable across hosts (`scalar`, `swar`,
-//! `simd`); the `isa` column records which ISA `simd` resolved to, and
-//! the snapshot records the same name as its `kernel` config field so
-//! `bench-diff` never compares Gbase/s across ISAs.
+//! `pair` and `batch` use the adversarial dense shape (unrelated read,
+//! every lane accumulates) with pruning off, so every kernel does the
+//! identical, closed-form amount of work and the Gbase/s column measures
+//! raw fold throughput. `serial-pruned` sweeps a read cut from candidate 0
+//! with a substitution every 50 bases (2%): offsets far from the true
+//! placement stop at their prune point, so its Gbase/s counts the bases
+//! the scans actually visit. Row keys are stable across hosts (`scalar`,
+//! `swar`, `simd`); the `isa` column records which ISA `simd` resolved
+//! to, and the snapshot records the same name as its `kernel` config
+//! field so `bench-diff` never compares Gbase/s across ISAs.
 
 use std::time::Instant;
 
@@ -53,7 +59,7 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
 
 fn main() {
     let active = kernel::active();
-    println!("WHD kernel microbenchmark (dense shape, pruning off)");
+    println!("WHD kernel microbenchmark (dense shape pruning off, serial shape pruned)");
     println!("active kernel: {active}");
     if let Some(diag) = kernel::active_diagnostic() {
         println!("dispatch diagnostic: {diag}");
@@ -75,6 +81,28 @@ fn main() {
     let sweep_read = SweepRead::new(read.bases(), &quals);
     // Bases compared per full sweep of one read against all candidates.
     let bases = (candidates * (m - n + 1) * n) as f64;
+
+    // Serial fixture: a read cut from the middle of candidate 0 with a
+    // substitution every 50 bases, so the sweep prunes like a real read.
+    let serial_cfg = HdcConfig::serial();
+    let start = (m - n) / 2;
+    let cut: Sequence = cons[0].bases()[start..start + n]
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| {
+            if i % 50 == 25 {
+                Base::from_index(b.index().map_or(0, |x| (x + 1) % 4))
+            } else {
+                b
+            }
+        })
+        .collect();
+    let serial_read = SweepRead::new(cut.bases(), &quals);
+    // Bases the pruned scans visit — identical for every kernel.
+    let visited: u64 = run_read_sweep(&block, &serial_read, KernelKind::Scalar, serial_cfg)
+        .iter()
+        .map(|run| run.comparisons)
+        .sum();
 
     let rows: Vec<(&str, KernelKind)> = vec![
         ("scalar", KernelKind::Scalar),
@@ -101,13 +129,20 @@ fn main() {
         if row == "simd" {
             simd_batch_ns = Some(batch_ns);
         }
-        for (mode, ns) in [("pair", pair_ns), ("batch", batch_ns)] {
+        let serial_ns = time_ns(|| {
+            std::hint::black_box(run_read_sweep(&block, &serial_read, kind, serial_cfg));
+        });
+        for (mode, ns, work) in [
+            ("pair", pair_ns, bases),
+            ("batch", batch_ns, bases),
+            ("serial-pruned", serial_ns, visited as f64),
+        ] {
             table.row(vec![
                 row.to_string(),
                 kind.name().to_string(),
                 mode.to_string(),
                 format!("{ns:.0}"),
-                format!("{:.3}", bases / ns),
+                format!("{:.3}", work / ns),
             ]);
         }
     }

@@ -14,21 +14,21 @@
 //!   scores pre-broadcast into a zero-padded lane array — and is then
 //!   swept against every candidate and offset with no per-pair setup.
 //!
-//! [`CandidateBlock::sweep`] produces one grid column per call, with the
-//! bounded/early-exit evaluation operating on whole kernel-width blocks:
-//! a block's weighted mismatch sum is folded first (via the dispatched
-//! [`crate::kernel`] primitives), the pruning bound is checked once per
-//! block, and only the block that crosses the bound is replayed per base
-//! to charge the exact comparison count. Scores are non-negative, so the
-//! crossing base — and therefore every count — is identical to the
-//! scalar reference's; the proptests below pin that bit-for-bit.
+//! [`CandidateBlock::sweep`] produces one grid column per call on the
+//! same kernel-side offset sweep the HDC model uses: with pruning,
+//! [`crate::kernel::serial_sweep`] finds each offset's exact stop base
+//! and derives every [`OpCounts`] field from it (visited bases, score
+//! accumulations up to the stop base, pruned offsets); without it, each
+//! offset folds the whole read with [`crate::kernel::fold_whd_counted`].
+//! Scores are non-negative, so the crossing base — and therefore every
+//! count — is identical to the scalar reference's; the proptests below
+//! pin that bit-for-bit.
 
 use ir_genome::{base_code, Base, Qual, RealignmentTarget};
 
 use crate::grid::MinWhd;
 use crate::kernel::{self, KernelKind};
 use crate::stats::OpCounts;
-use crate::whd::BoundedWhd;
 
 /// Row padding (and lane-array rounding) in bases: one full AVX-512
 /// vector, so the widest kernel never needs a tail inside a padded row.
@@ -158,9 +158,9 @@ impl CandidateBlock {
     /// accumulating the exact scalar-reference [`OpCounts`].
     ///
     /// With `pruning`, each offset's evaluation is bounded by the
-    /// candidate's running minimum, block-granular as described in the
-    /// module docs; the result and every count are bit-identical to the
-    /// per-pair [`crate::calc_whd_bounded`] loop.
+    /// candidate's running minimum and stops at the exact base the
+    /// scalar scan stops at; the result and every count are
+    /// bit-identical to the per-pair [`crate::calc_whd_bounded`] loop.
     ///
     /// # Panics
     ///
@@ -181,26 +181,34 @@ impl CandidateBlock {
                 assert!(n <= cons_len, "read longer than consensus");
                 let row = self.row(i);
                 let max_k = cons_len - n;
+                let evaluations = max_k as u64 + 1;
+                ops.whd_evaluations += evaluations;
+                if pruning {
+                    let sweep = kernel::serial_sweep(kind, row, cons_len, codes, scores);
+                    ops.base_comparisons += sweep.visited;
+                    ops.qual_accumulations += sweep.accumulations;
+                    ops.whd_pruned += sweep.offsets_pruned;
+                    // Completed offsets visit all `n` bases, so the
+                    // shortfall is exactly the pruned offsets' saving.
+                    ops.comparisons_saved += evaluations * n as u64 - sweep.visited;
+                    return MinWhd {
+                        whd: sweep.min_whd,
+                        offset: sweep.min_offset,
+                    };
+                }
                 let mut min = MinWhd {
                     whd: u64::MAX,
                     offset: 0,
                 };
                 for k in 0..=max_k {
-                    let bound = if pruning { min.whd } else { u64::MAX };
-                    ops.whd_evaluations += 1;
-                    let out = bounded_whd_codes(kind, &row[k..k + n], codes, scores, bound);
-                    ops.base_comparisons += out.comparisons;
-                    ops.qual_accumulations += out.accumulations;
-                    if out.pruned {
-                        ops.whd_pruned += 1;
-                        ops.comparisons_saved += n as u64 - out.comparisons;
-                    } else if out.whd < min.whd {
-                        min = MinWhd {
-                            whd: out.whd,
-                            offset: k,
-                        };
+                    let (whd, count) =
+                        kernel::fold_whd_counted(kind, &row[k..k + n], codes, scores);
+                    ops.qual_accumulations += count;
+                    if whd < min.whd {
+                        min = MinWhd { whd, offset: k };
                     }
                 }
+                ops.base_comparisons += evaluations * n as u64;
                 debug_assert_ne!(min.whd, u64::MAX, "at least offset 0 completes");
                 min
             })
@@ -278,70 +286,6 @@ impl SweepRead {
     /// The lane-array length (`len` rounded up to a [`ROW_PAD`] multiple).
     pub fn padded_len(&self) -> usize {
         self.codes.len()
-    }
-}
-
-/// [`crate::calc_whd_bounded`] over byte-code slices, block-granular:
-/// fold a kernel-width block's sum, check the bound once, and replay only
-/// the crossing block per base. Identical `BoundedWhd` (value *and*
-/// accounting) to the scalar reference for every kernel and any block
-/// width, because scores are non-negative: the first prefix position
-/// whose running sum exceeds `bound` does not depend on how the scan is
-/// chunked.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-fn bounded_whd_codes(
-    kind: KernelKind,
-    win: &[u8],
-    read: &[u8],
-    scores: &[u8],
-    bound: u64,
-) -> BoundedWhd {
-    let n = read.len();
-    assert_eq!(win.len(), n, "window/read length mismatch");
-    assert_eq!(scores.len(), n, "scores/read length mismatch");
-    let step = kind.preferred_block();
-    let mut whd = 0u64;
-    let mut accumulations = 0u64;
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + step).min(n);
-        let (sum, count) = kernel::fold_whd_counted(
-            kind,
-            &win[start..end],
-            &read[start..end],
-            &scores[start..end],
-        );
-        if whd + sum > bound {
-            // The crossing base is inside this block: replay it per base
-            // to land on the exact position the scalar scan stops at.
-            for i in start..end {
-                if win[i] != read[i] {
-                    whd += u64::from(scores[i]);
-                    accumulations += 1;
-                    if whd > bound {
-                        return BoundedWhd {
-                            whd,
-                            comparisons: (i + 1) as u64,
-                            accumulations,
-                            pruned: true,
-                        };
-                    }
-                }
-            }
-            unreachable!("a block whose sum crosses the bound stops within it");
-        }
-        whd += sum;
-        accumulations += count;
-        start = end;
-    }
-    BoundedWhd {
-        whd,
-        comparisons: n as u64,
-        accumulations,
-        pruned: false,
     }
 }
 
@@ -533,41 +477,6 @@ mod tests {
                     let col = block.sweep(&sweep_read, pruning, kind, &mut ops);
                     prop_assert_eq!(&col, &want, "{} column", kind);
                     prop_assert_eq!(ops, want_ops, "{} ops", kind);
-                }
-            }
-
-            /// The block-granular bounded fold ≡ the scalar bounded scan
-            /// for any bound, kernel and alignment.
-            #[test]
-            fn bounded_codes_equals_scalar(
-                read_len in 1usize..=70,
-                slack in 0usize..=40,
-                cons_raw in prop::collection::vec(base_strategy(), 110),
-                read_raw in prop::collection::vec(base_strategy(), 70),
-                quals_raw in prop::collection::vec(0u8..=93, 70),
-                k_frac in 0.0f64..=1.0,
-                bound in prop_oneof![0u64..=400, Just(u64::MAX)],
-            ) {
-                let cons = Sequence::from_ascii(&cons_raw[..read_len + slack]).unwrap();
-                let read = Sequence::from_ascii(&read_raw[..read_len]).unwrap();
-                let quals = Qual::from_raw_scores(&quals_raw[..read_len]).unwrap();
-                let k = (slack as f64 * k_frac) as usize;
-                let want = calc_whd_bounded(&cons, &read, &quals, k, bound);
-                let cons_codes: Vec<u8> = cons.bases().iter().map(|&b| base_code(b)).collect();
-                let read_codes: Vec<u8> = read.bases().iter().map(|&b| base_code(b)).collect();
-                for kind in KernelKind::available() {
-                    prop_assert_eq!(
-                        bounded_whd_codes(
-                            kind,
-                            &cons_codes[k..k + read_len],
-                            &read_codes,
-                            quals.scores(),
-                            bound,
-                        ),
-                        want,
-                        "{}",
-                        kind
-                    );
                 }
             }
         }

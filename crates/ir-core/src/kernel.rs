@@ -38,6 +38,11 @@
 //! AVX-512 runs the diagram 64 lanes at a time with fault-suppressing
 //! masked loads for the tail; AVX2 runs 32 lanes with a scalar tail; NEON
 //! 16 lanes; SWAR 8 lanes per `u64` with the classic has-zero-byte trick.
+//!
+//! Two whole offset sweeps live here too, so the per-ISA work inlines
+//! into the offset loop: [`serial_sweep`] (per-base pruning, where
+//! AVX-512 finds each offset's stop base with an in-register prefix sum)
+//! and [`dense_sweep`] (every offset folded in full).
 
 use std::fmt;
 use std::str::FromStr;
@@ -89,6 +94,7 @@ impl KernelKind {
                 {
                     std::arch::is_x86_feature_detected!("avx512f")
                         && std::arch::is_x86_feature_detected!("avx512bw")
+                        && std::arch::is_x86_feature_detected!("popcnt")
                 }
                 #[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
                 {
@@ -126,20 +132,6 @@ impl KernelKind {
             }
         }
         KernelKind::Swar
-    }
-
-    /// The natural chunk width (in bases) for incremental scans: the
-    /// vector width of the kernel, or one `u64`-pair for the scalar/SWAR
-    /// fallbacks. Results never depend on this — any chunking yields the
-    /// same fold — it only sets how much work an early-exit scan does per
-    /// bound check.
-    pub fn preferred_block(self) -> usize {
-        match self {
-            KernelKind::Scalar | KernelKind::Swar => 16,
-            KernelKind::Neon => 16,
-            KernelKind::Avx2 => 32,
-            KernelKind::Avx512 => 64,
-        }
     }
 
     /// The kebab-case name used by `IR_KERNEL` and displayed in
@@ -346,11 +338,11 @@ pub fn fold_whd_counted(kind: KernelKind, win: &[u8], read: &[u8], scores: &[u8]
 
 /// Bitmask of mismatching positions over a window of at most 64 bases:
 /// bit `i` is set iff `win[i] != read[i]`. The serial immediate-prune
-/// scan uses this instead of [`fold_whd`] — one vector compare yields
-/// the mismatch set, and the caller accumulates scores bit by bit in
-/// ascending position with an exact per-base bound check, which is both
-/// the pruning semantics of the per-base reference and (on realistic
-/// mostly-matching reads) far less work than folding plus replay.
+/// sweep of every kind but AVX-512 uses this instead of [`fold_whd`] —
+/// one vector compare yields the mismatch set, and the caller
+/// accumulates scores bit by bit in ascending position with an exact
+/// per-base bound check, the pruning semantics of the per-base
+/// reference.
 ///
 /// # Panics
 ///
@@ -396,6 +388,10 @@ pub struct SerialSweep {
     /// Total bases visited across every offset — the pruned scans'
     /// cycle and comparison charge.
     pub visited: u64,
+    /// Total score accumulations across every offset: the mismatches up
+    /// to and including each pruned offset's stop base, and every
+    /// mismatch of a completed offset.
+    pub accumulations: u64,
     /// Offsets abandoned by pruning.
     pub offsets_pruned: u64,
 }
@@ -408,10 +404,14 @@ pub struct SerialSweep {
 /// scalar reference.
 ///
 /// The whole sweep lives here (rather than a per-offset primitive) so
-/// the per-ISA mismatch compare inlines into the offset loop: the loop
-/// runs hundreds of offsets per pair and most stop within their first
-/// few mismatches, so per-offset dispatch overhead would dominate the
-/// actual work.
+/// the per-ISA work inlines into the offset loop, which runs hundreds of
+/// offsets per pair. Offsets do not stop early in their scan: on the
+/// figure-9 workload an offset visits about 32 bases and ~24 mismatches
+/// before it is pruned. AVX-512 therefore finds each offset's stop base
+/// in registers — a per-chunk prefix sum of the selected scores compared
+/// against the remaining budget, `tzcnt` of the crossing masks — instead
+/// of walking the mismatches one dependent add-compare-branch at a time
+/// as the other kinds do.
 ///
 /// `row` is the candidate row (commonly a padded [`CandidateBlock`]
 /// row); only `row[..row_len]` is read. `read` and `scores` must have
@@ -445,7 +445,8 @@ pub fn serial_sweep(
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
         KernelKind::Avx512 => {
             assert_available(kind);
-            // SAFETY: `assert_available` verified AVX-512F/BW at runtime.
+            // SAFETY: `assert_available` verified AVX-512F/BW and POPCNT
+            // at runtime; the asserts above bound every load (DESIGN.md §4f).
             unsafe { x86::serial_sweep_avx512(row, row_len, read, scores) }
         }
         #[cfg(target_arch = "aarch64")]
@@ -473,12 +474,7 @@ fn serial_sweep_generic(
 ) -> SerialSweep {
     let n = read.len();
     let max_k = row_len - n;
-    let mut out = SerialSweep {
-        min_whd: u64::MAX,
-        min_offset: 0,
-        visited: 0,
-        offsets_pruned: 0,
-    };
+    let mut out = SerialSweep::START;
     for k in 0..=max_k {
         let win = &row[k..k + n];
         let mut whd = 0u64;
@@ -490,6 +486,7 @@ fn serial_sweep_generic(
             while mask != 0 {
                 let idx = visited + mask.trailing_zeros() as usize;
                 whd += u64::from(scores[idx]);
+                out.accumulations += 1;
                 if whd > out.min_whd {
                     visited = idx + 1;
                     stopped = true;
@@ -502,6 +499,123 @@ fn serial_sweep_generic(
         out.visited += visited as u64;
         if stopped {
             out.offsets_pruned += 1;
+        } else if whd < out.min_whd {
+            out.min_whd = whd;
+            out.min_offset = k;
+        }
+    }
+    out
+}
+
+impl SerialSweep {
+    /// The state before offset 0: no completed offset, nothing charged.
+    const START: SerialSweep = SerialSweep {
+        min_whd: u64::MAX,
+        min_offset: 0,
+        visited: 0,
+        accumulations: 0,
+        offsets_pruned: 0,
+    };
+}
+
+/// Aggregate result of [`dense_sweep`]: every offset folded in full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DenseSweep {
+    /// Minimum WHD over all offsets.
+    pub min_whd: u64,
+    /// Offset achieving `min_whd` (first on ties).
+    pub min_offset: usize,
+    /// Offsets whose WHD exceeded the running minimum at the time they
+    /// were folded — the offsets a comparator that cannot stop the scan
+    /// in time still flags as pruned.
+    pub offsets_above_min: u64,
+}
+
+/// The dense offset sweep of one (candidate, read) pair: for each offset
+/// `k in 0..=max_k`, fold the whole padded read against
+/// `row[k..k + read_padded.len()]` and track the running minimum. The
+/// HDC shapes whose scans never stop early (no prune comparator, or a
+/// prune verdict that lands only after the last block has issued) are
+/// exactly this loop.
+///
+/// Like [`serial_sweep`], the offset loop runs inside each ISA's
+/// `#[target_feature]` scope, so the fold inlines and there is no
+/// per-offset dispatch, assertion or call. `read_padded` and
+/// `scores_padded` are the zero-padded lane arrays of
+/// [`SweepRead`](crate::batch::SweepRead): padding lanes carry score 0,
+/// so the fold over the padded length equals the fold over the read.
+///
+/// # Panics
+///
+/// Panics if `read_padded`/`scores_padded` lengths differ, if
+/// `max_k + read_padded.len() > row.len()` (a [`CandidateBlock`] padded
+/// row always has that slack), or if `kind` cannot run on this CPU.
+///
+/// [`CandidateBlock`]: crate::batch::CandidateBlock
+pub fn dense_sweep(
+    kind: KernelKind,
+    row: &[u8],
+    max_k: usize,
+    read_padded: &[u8],
+    scores_padded: &[u8],
+) -> DenseSweep {
+    assert_eq!(
+        scores_padded.len(),
+        read_padded.len(),
+        "scores/read length mismatch"
+    );
+    assert!(
+        max_k + read_padded.len() <= row.len(),
+        "padded window beyond the candidate row"
+    );
+    let (read, scores) = (read_padded, scores_padded);
+    match kind {
+        KernelKind::Scalar => dense_sweep_generic(row, max_k, read, scores, fold_scalar),
+        KernelKind::Swar => dense_sweep_generic(row, max_k, read, scores, fold_swar),
+        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+        KernelKind::Avx2 => {
+            assert_available(kind);
+            // SAFETY: `assert_available` verified AVX2 at runtime; the
+            // asserts above keep every window inside `row`.
+            unsafe { x86::dense_sweep_avx2(row, max_k, read, scores) }
+        }
+        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+        KernelKind::Avx512 => {
+            assert_available(kind);
+            // SAFETY: as above, for AVX-512F/BW.
+            unsafe { x86::dense_sweep_avx512(row, max_k, read, scores) }
+        }
+        #[cfg(target_arch = "aarch64")]
+        KernelKind::Neon => {
+            assert_available(kind);
+            // SAFETY: as above, for NEON.
+            unsafe { aarch64::dense_sweep_neon(row, max_k, read, scores) }
+        }
+        #[allow(unreachable_patterns)]
+        other => unavailable(other),
+    }
+}
+
+/// The dense offset loop shared by every ISA, monomorphized over the
+/// fold like [`serial_sweep_generic`].
+#[inline(always)]
+fn dense_sweep_generic(
+    row: &[u8],
+    max_k: usize,
+    read: &[u8],
+    scores: &[u8],
+    fold: impl Fn(&[u8], &[u8], &[u8]) -> u64,
+) -> DenseSweep {
+    let n = read.len();
+    let mut out = DenseSweep {
+        min_whd: u64::MAX,
+        min_offset: 0,
+        offsets_above_min: 0,
+    };
+    for k in 0..=max_k {
+        let whd = fold(&row[k..k + n], read, scores);
+        if whd > out.min_whd {
+            out.offsets_above_min += 1;
         } else if whd < out.min_whd {
             out.min_whd = whd;
             out.min_offset = k;
@@ -664,6 +778,7 @@ mod x86 {
     ///
     /// The CPU must support AVX2. Slice lengths must be equal (checked by
     /// the safe dispatcher).
+    #[inline]
     #[target_feature(enable = "avx2")]
     pub unsafe fn fold_avx2(win: &[u8], read: &[u8], scores: &[u8]) -> u64 {
         let n = read.len();
@@ -752,6 +867,7 @@ mod x86 {
     /// The CPU must support AVX-512F and AVX-512BW. Slice lengths must be
     /// equal (checked by the safe dispatcher). Tails use fault-suppressing
     /// masked loads, so no out-of-bounds byte is ever touched.
+    #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
     pub unsafe fn fold_avx512(win: &[u8], read: &[u8], scores: &[u8]) -> u64 {
         let n = read.len();
@@ -861,19 +977,161 @@ mod x86 {
         })
     }
 
+    /// Inclusive prefix sum over the 32 `u16` lanes of `x`, exact while
+    /// the total stays below 65,536. Two in-qword steps are plain 64-bit
+    /// shifts; the qword totals are then scanned with three whole-qword
+    /// aligns and the exclusive result is broadcast back over each
+    /// qword's four lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn prefix_sum_epu16(x: __m512i) -> __m512i {
+        let zero = _mm512_setzero_si512();
+        let x = _mm512_add_epi16(x, _mm512_slli_epi64::<16>(x));
+        let x = _mm512_add_epi16(x, _mm512_slli_epi64::<32>(x));
+        let totals = _mm512_srli_epi64::<48>(x);
+        let incl = _mm512_add_epi64(totals, _mm512_alignr_epi64::<7>(totals, zero));
+        let incl = _mm512_add_epi64(incl, _mm512_alignr_epi64::<6>(incl, zero));
+        let incl = _mm512_add_epi64(incl, _mm512_alignr_epi64::<4>(incl, zero));
+        let below = _mm512_sub_epi64(incl, totals);
+        // Copy each qword's low `u16` (the sum of the qwords below it)
+        // into all four of its lanes: bytes 0-1 of the 128-bit lane's
+        // low qword, bytes 8-9 of its high one.
+        const LO: i64 = 0x0100_0100_0100_0100;
+        const HI: i64 = 0x0908_0908_0908_0908;
+        let spread = _mm512_set_epi64(HI, LO, HI, LO, HI, LO, HI, LO);
+        _mm512_add_epi16(x, _mm512_shuffle_epi8(below, spread))
+    }
+
+    /// The first base of one ≤ 64-base chunk at which the running sum of
+    /// the selected scores `sel` (zero at matches) exceeds `budget`, or
+    /// `None` if it never does.
+    ///
+    /// `maddubs` sums adjacent byte pairs into 32 `u16` lanes, so one
+    /// 32-lane scan gives the prefix at every odd base `2j + 1`; the
+    /// prefix at the even base `2j` is that minus score `2j + 1`. The
+    /// prefix only grows, so the first crossing is the smaller of the
+    /// first even and first odd crossing. A chunk sums to at most
+    /// 64 · 255 = 16,320, so the `u16` lanes cannot overflow and a
+    /// budget of 0xFFFF or more cannot be crossed.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn crossing_base(sel: __m512i, budget: u64) -> Option<u32> {
+        if budget >= 0xFFFF {
+            return None;
+        }
+        let odd_prefix = prefix_sum_epu16(_mm512_maddubs_epi16(sel, _mm512_set1_epi8(1)));
+        let even_prefix = _mm512_sub_epi16(odd_prefix, _mm512_srli_epi16::<8>(sel));
+        let bound = _mm512_set1_epi16(budget as u16 as i16);
+        let even = _mm512_cmpgt_epu16_mask(even_prefix, bound).trailing_zeros();
+        let odd = _mm512_cmpgt_epu16_mask(odd_prefix, bound).trailing_zeros();
+        // `trailing_zeros` of an empty 32-bit mask is 32: base 64 or 65.
+        let base = (2 * even).min(2 * odd + 1);
+        (base < 64).then_some(base)
+    }
+
     /// # Safety
     ///
-    /// The CPU must support AVX-512F and AVX-512BW. Lengths checked by
-    /// the safe dispatcher.
-    #[target_feature(enable = "avx512f,avx512bw")]
+    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` and
+    /// `scores` have equal length `n`, and `n <= row_len <= row.len()`
+    /// (checked by the safe dispatcher); see DESIGN.md §4f for why every
+    /// masked load stays inside those slices.
+    ///
+    /// The crossing search: per chunk of at most 64 bases, a masked load
+    /// selects the scores at the mismatches and [`crossing_base`]
+    /// prefix-sums them in registers against the budget `min_whd - whd`
+    /// — finding the same stop base as the per-base scan, since the
+    /// running sum only grows at mismatches.
+    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
     pub unsafe fn serial_sweep_avx512(
         row: &[u8],
         row_len: usize,
         read: &[u8],
         scores: &[u8],
     ) -> super::SerialSweep {
-        super::serial_sweep_generic(row, row_len, read, scores, |w, r| unsafe {
-            mask_avx512(w, r)
+        let n = read.len();
+        // The first chunk's lanes and read codes are offset-invariant;
+        // most reads fit in one chunk.
+        let first_lanes = tail_mask(n);
+        let first_read = _mm512_maskz_loadu_epi8(first_lanes, read.as_ptr().cast());
+        let mut out = super::SerialSweep::START;
+        // An exclusive range: `0..=max_k` compiles to a slower loop.
+        for k in 0..row_len - n + 1 {
+            let (mut start, mut lanes, mut b) = (0usize, first_lanes, first_read);
+            let mut whd = 0u64;
+            let stop = loop {
+                // SAFETY: each load touches only lanes inside
+                // [start, start + 64) ∩ [0, n) of the read and scores and
+                // the same window of the row shifted by k, and
+                // k + n <= row_len <= row.len().
+                let a = _mm512_maskz_loadu_epi8(lanes, row.as_ptr().add(k + start).cast());
+                let neq = _mm512_mask_cmpneq_epi8_mask(lanes, a, b);
+                let sel = _mm512_maskz_loadu_epi8(neq, scores.as_ptr().add(start).cast());
+                // `whd <= min_whd` holds here: no earlier chunk crossed.
+                if let Some(idx) = crossing_base(sel, out.min_whd - whd) {
+                    let upto = u64::MAX >> (63 - idx);
+                    out.accumulations += u64::from((neq & upto).count_ones());
+                    break Some(start + idx as usize + 1);
+                }
+                let zero = _mm512_setzero_si512();
+                whd += _mm512_reduce_add_epi64(_mm512_sad_epu8(sel, zero)) as u64;
+                out.accumulations += u64::from(neq.count_ones());
+                start += 64;
+                if start >= n {
+                    break None;
+                }
+                lanes = tail_mask(n - start);
+                b = _mm512_maskz_loadu_epi8(lanes, read.as_ptr().add(start).cast());
+            };
+            match stop {
+                Some(visited) => {
+                    out.visited += visited as u64;
+                    out.offsets_pruned += 1;
+                }
+                None => {
+                    out.visited += n as u64;
+                    if whd < out.min_whd {
+                        out.min_whd = whd;
+                        out.min_offset = k;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Lengths checked by the safe
+    /// dispatcher.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dense_sweep_avx2(
+        row: &[u8],
+        max_k: usize,
+        read: &[u8],
+        scores: &[u8],
+    ) -> super::DenseSweep {
+        // SAFETY: the closure runs inside this function's AVX2 scope,
+        // on equal-length slices the generic loop cut from `row`.
+        super::dense_sweep_generic(row, max_k, read, scores, |w, r, s| unsafe {
+            fold_avx2(w, r, s)
+        })
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX-512BW. Lengths checked by
+    /// the safe dispatcher.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub unsafe fn dense_sweep_avx512(
+        row: &[u8],
+        max_k: usize,
+        read: &[u8],
+        scores: &[u8],
+    ) -> super::DenseSweep {
+        // SAFETY: the closure runs inside this function's AVX-512F/BW scope,
+        // on equal-length slices the generic loop cut from `row`.
+        super::dense_sweep_generic(row, max_k, read, scores, |w, r, s| unsafe {
+            fold_avx512(w, r, s)
         })
     }
 }
@@ -890,6 +1148,7 @@ mod aarch64 {
     ///
     /// The CPU must support NEON. Slice lengths must be equal (checked by
     /// the safe dispatcher).
+    #[inline]
     #[target_feature(enable = "neon")]
     pub unsafe fn fold_neon(win: &[u8], read: &[u8], scores: &[u8]) -> u64 {
         let n = read.len();
@@ -991,6 +1250,24 @@ mod aarch64 {
     ) -> super::SerialSweep {
         super::serial_sweep_generic(row, row_len, read, scores, |w, r| unsafe {
             mask_neon(w, r)
+        })
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support NEON. Lengths checked by the safe
+    /// dispatcher.
+    #[target_feature(enable = "neon")]
+    pub unsafe fn dense_sweep_neon(
+        row: &[u8],
+        max_k: usize,
+        read: &[u8],
+        scores: &[u8],
+    ) -> super::DenseSweep {
+        // SAFETY: the closure runs inside this function's NEON scope,
+        // on equal-length slices the generic loop cut from `row`.
+        super::dense_sweep_generic(row, max_k, read, scores, |w, r, s| unsafe {
+            fold_neon(w, r, s)
         })
     }
 }
@@ -1096,6 +1373,167 @@ mod tests {
         let _ = fold_whd(KernelKind::Scalar, &[1, 2], &[1], &[3]);
     }
 
+    /// The per-base serial scan written out longhand: the semantics
+    /// every [`serial_sweep`] kind must reproduce.
+    fn serial_sweep_reference(row: &[u8], read: &[u8], scores: &[u8]) -> SerialSweep {
+        let n = read.len();
+        let mut out = SerialSweep::START;
+        for k in 0..=row.len() - n {
+            let mut whd = 0u64;
+            let mut stopped = false;
+            for i in 0..n {
+                out.visited += 1;
+                if row[k + i] != read[i] {
+                    whd += u64::from(scores[i]);
+                    out.accumulations += 1;
+                    if whd > out.min_whd {
+                        stopped = true;
+                        break;
+                    }
+                }
+            }
+            if stopped {
+                out.offsets_pruned += 1;
+            } else if whd < out.min_whd {
+                out.min_whd = whd;
+                out.min_offset = k;
+            }
+        }
+        out
+    }
+
+    /// [`dense_sweep`] as a per-offset [`fold_whd`] loop.
+    fn dense_reference(row: &[u8], max_k: usize, read: &[u8], scores: &[u8]) -> DenseSweep {
+        let n = read.len();
+        let mut out = DenseSweep {
+            min_whd: u64::MAX,
+            min_offset: 0,
+            offsets_above_min: 0,
+        };
+        for k in 0..=max_k {
+            let whd = fold_whd(KernelKind::Scalar, &row[k..k + n], read, scores);
+            if whd > out.min_whd {
+                out.offsets_above_min += 1;
+            } else if whd < out.min_whd {
+                out.min_whd = whd;
+                out.min_offset = k;
+            }
+        }
+        out
+    }
+
+    /// Every available kind's serial sweep, asserted equal to the
+    /// longhand reference.
+    fn serial_all_kinds(row: &[u8], read: &[u8], scores: &[u8]) -> SerialSweep {
+        let want = serial_sweep_reference(row, read, scores);
+        for kind in KernelKind::available() {
+            assert_eq!(
+                serial_sweep(kind, row, row.len(), read, scores),
+                want,
+                "{kind}"
+            );
+        }
+        want
+    }
+
+    #[test]
+    fn serial_sweep_clamps_budgets_past_u16() {
+        // 300 bases, every score 255 and every base mismatching at every
+        // offset: each offset's WHD is 76,500 > 65,535. Every offset's
+        // first chunk therefore sees a budget no `u16` lane can hold and
+        // takes the clamp; later chunks carry the running sum into the
+        // `u16` compare.
+        let row = vec![1u8; 310];
+        let read = vec![2u8; 300];
+        let scores = vec![255u8; 300];
+        let got = serial_all_kinds(&row, &read, &scores);
+        assert_eq!(got.min_whd, 76_500);
+        assert_eq!(got.min_offset, 0);
+        // Offsets 1.. reach the minimum only at their last base and never
+        // exceed it: they tie and complete.
+        assert_eq!(got.offsets_pruned, 0);
+        assert_eq!(got.visited, 11 * 300);
+        assert_eq!(got.accumulations, 11 * 300);
+    }
+
+    #[test]
+    fn serial_sweep_tie_is_neither_pruned_nor_a_new_minimum() {
+        // Every offset mismatches only at base 2 (score 30), so offsets 1
+        // and 2 finish exactly at the running minimum.
+        let row = [1u8; 6];
+        let read = [1u8, 1, 2, 1];
+        let scores = [10u8, 10, 30, 10];
+        let got = serial_all_kinds(&row, &read, &scores);
+        assert_eq!(
+            got,
+            SerialSweep {
+                min_whd: 30,
+                min_offset: 0,
+                visited: 3 * 4,
+                accumulations: 3,
+                offsets_pruned: 0,
+            }
+        );
+    }
+
+    #[test]
+    fn serial_sweep_prunes_one_point_above_the_minimum_at_the_exact_base() {
+        // A 70-base read (two chunks) against 71 bases: two offsets.
+        // Offset 0 mismatches at base 11 (score 0) and base 69 (score
+        // 20): WHD 20. Offset 1 mismatches at base 10 (score 15) and base
+        // 68 (score 6), reaching 21 — one point above the minimum — at
+        // base 68, inside the second chunk.
+        let mut row = vec![1u8; 71];
+        row[11] = 3;
+        row[69] = 2;
+        let read = vec![1u8; 70];
+        let mut scores = vec![50u8; 70];
+        scores[10] = 15;
+        scores[11] = 0;
+        scores[68] = 6;
+        scores[69] = 20;
+        let got = serial_all_kinds(&row, &read, &scores);
+        assert_eq!(
+            got,
+            SerialSweep {
+                min_whd: 20,
+                min_offset: 0,
+                visited: 70 + 69,
+                accumulations: 2 + 2,
+                offsets_pruned: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn serial_sweep_single_offset_and_empty_read() {
+        let row = [1u8, 2, 3, 4, 5, 1, 2];
+        let read = [1u8, 2, 4, 4, 5, 2, 2];
+        let scores = [9u8, 8, 7, 6, 5, 4, 3];
+        let got = serial_all_kinds(&row, &read, &scores);
+        assert_eq!(
+            got,
+            SerialSweep {
+                min_whd: 11,
+                min_offset: 0,
+                visited: 7,
+                accumulations: 2,
+                offsets_pruned: 0,
+            }
+        );
+        let got = serial_all_kinds(&row, &[], &[]);
+        assert_eq!(
+            got,
+            SerialSweep {
+                min_whd: 0,
+                min_offset: 0,
+                visited: 0,
+                accumulations: 0,
+                offsets_pruned: 0,
+            }
+        );
+    }
+
     mod differential {
         use super::*;
         use proptest::prelude::*;
@@ -1119,6 +1557,74 @@ mod tests {
                 for kind in KernelKind::available() {
                     prop_assert_eq!(fold_whd(kind, win, read, scores), want.0, "{} sum", kind);
                     prop_assert_eq!(fold_whd_counted(kind, win, read, scores), want, "{} counted", kind);
+                }
+            }
+
+            /// Every available kernel's serial immediate-prune sweep is
+            /// the scalar sweep, counts included: reads up to 200 bases
+            /// (so the 64-base chunk carry is crossed), up to 80 offsets
+            /// of slack and the full score range. Reads are cut from the
+            /// row with sparse substitutions, so running minima — and
+            /// therefore prune budgets — span from zero to thousands.
+            #[test]
+            fn serial_sweep_matches_scalar(
+                n in 0usize..=200,
+                slack in 0usize..=80,
+                row_raw in prop::collection::vec(1u8..=5, 280),
+                scores_raw in prop::collection::vec(0u8..=255, 200),
+                cut_frac in 0.0f64..=1.0,
+                subs in prop::collection::vec((0usize..200, 1u8..=5), 0..=12),
+                pad in 0usize..=70,
+            ) {
+                let row_len = n + slack;
+                let cut = (slack as f64 * cut_frac) as usize;
+                let mut read = row_raw[cut..cut + n].to_vec();
+                for &(pos, code) in &subs {
+                    if n > 0 {
+                        read[pos % n] = code;
+                    }
+                }
+                let mut row = row_raw[..row_len].to_vec();
+                row.resize(row_len + pad, 0);
+                let scores = &scores_raw[..n];
+                let want = serial_sweep(KernelKind::Scalar, &row, row_len, &read, scores);
+                prop_assert_eq!(want, serial_sweep_reference(&row[..row_len], &read, scores));
+                for kind in KernelKind::available() {
+                    prop_assert_eq!(
+                        serial_sweep(kind, &row, row_len, &read, scores),
+                        want,
+                        "{}",
+                        kind
+                    );
+                }
+            }
+
+            /// The kernel-side dense sweep is a per-offset `fold_whd`
+            /// loop over the padded lane arrays, for every kernel.
+            #[test]
+            fn dense_sweep_matches_fold_loop(
+                n in 0usize..=200,
+                slack in 0usize..=80,
+                row_raw in prop::collection::vec(0u8..=5, 280),
+                read_raw in prop::collection::vec(1u8..=5, 200),
+                scores_raw in prop::collection::vec(0u8..=255, 200),
+            ) {
+                let n_pad = n.next_multiple_of(64);
+                let mut read = read_raw[..n].to_vec();
+                read.resize(n_pad, 0);
+                let mut scores = scores_raw[..n].to_vec();
+                scores.resize(n_pad, 0);
+                let max_k = slack;
+                let mut row = row_raw[..n + slack].to_vec();
+                row.resize(max_k + n_pad, 0);
+                let want = dense_reference(&row, max_k, &read, &scores);
+                for kind in KernelKind::available() {
+                    prop_assert_eq!(
+                        dense_sweep(kind, &row, max_k, &read, &scores),
+                        want,
+                        "{}",
+                        kind
+                    );
                 }
             }
 

@@ -183,25 +183,21 @@ pub fn run_read_sweep(
 
 /// The jump-to-outcome scan of one (candidate, read) pair over the batch
 /// layout: `row` is the candidate's zero-padded code row, `cons_len` its
-/// real length. Four shapes cover every configuration:
+/// real length. Three shapes cover every configuration:
 ///
 /// - **Serial with immediate pruning** (`lanes == 1`,
-///   `prune_latency_blocks == 0`): each kernel-width chunk folds its
-///   weighted mismatch sum in one dispatched SIMD pass; only the chunk
-///   that crosses the running minimum is replayed base-by-base to charge
-///   the exact visited count the per-base scan would. The charge is the
-///   crossing base's position, which no chunking can move.
-/// - **Drain swallows the whole read**
-///   (`nblocks ≤ prune_latency_blocks + 1`): even if block 0 trips the
-///   comparator, every block issues before the stop lands, so the scan
-///   is an unconditional full fold — no early exit at all. The fold runs
-///   whole vectors over the pre-padded lane arrays (padding lanes carry
-///   score 0, so they add nothing), with no tail handling in the loop.
-/// - **No comparator** (`pruning == false`, the HLS-style configs): the
-///   scan never stops early at any offset, so the cycle and comparison
-///   charges are closed-form (`(max_k + 1) · nblocks` and
-///   `(max_k + 1) · n`) and the whole pair reduces to the same padded
-///   dense fold.
+///   `prune_latency_blocks == 0`): [`kernel::serial_sweep`] runs the
+///   whole offset loop and charges each offset the bases up to and
+///   including its stop base — the crossing position, which no chunking
+///   can move.
+/// - **Dense** — drain swallows the whole read
+///   (`nblocks ≤ prune_latency_blocks + 1`: even if block 0 trips the
+///   comparator, every block issues before the stop lands) or there is
+///   no comparator (`pruning == false`, the HLS-style configs). No scan
+///   ever stops early, so the cycle and comparison charges are
+///   closed-form (`(max_k + 1) · nblocks` and `(max_k + 1) · n`) and
+///   [`kernel::dense_sweep`] folds every offset over the pre-padded lane
+///   arrays (padding lanes carry score 0, so they add nothing).
 /// - **Everything else**: [`run_pair`]'s block loop verbatim — same
 ///   per-block cycle charge, same prune-verdict drain — with the inner
 ///   per-base compare loop replaced by the dispatched fold. The control
@@ -236,10 +232,7 @@ fn run_pair_codes(
     let nblocks = n.div_ceil(cfg.lanes) as u64;
     if cfg.pruning && cfg.lanes == 1 && cfg.prune_latency_blocks == 0 {
         // The whole offset sweep runs inside the kernel crate so the
-        // per-ISA mismatch compare inlines into the offset loop (one
-        // vector compare per 64-base chunk, scores accumulated bit by
-        // bit in ascending position with the per-base bound check —
-        // exactly the reference scan's pruning semantics).
+        // per-ISA stop-base search inlines into the offset loop.
         let sweep = kernel::serial_sweep(kind, row, cons_len, rcodes, scores);
         min = MinWhd {
             whd: sweep.min_whd,
@@ -248,43 +241,25 @@ fn run_pair_codes(
         comparisons += sweep.visited;
         cycles += sweep.visited;
         offsets_pruned += sweep.offsets_pruned;
-    } else if cfg.pruning && nblocks <= cfg.prune_latency_blocks + 1 {
-        // Even if block 0 trips the comparator, `prune_latency_blocks`
-        // more blocks issue before the stop lands — which is all of them,
-        // so every offset folds the full read unconditionally. The
-        // padded lane arrays let the fold run whole vectors with no
-        // tail: lanes past the read end compare padding-vs-padding (or
-        // candidate code vs padding) at score 0 and contribute nothing.
-        let rp = read.codes_padded();
-        let sp = read.scores_padded();
-        let n_pad = read.padded_len();
-        for k in 0..=max_k {
-            let whd = kernel::fold_whd(kind, &row[k..k + n_pad], rp, sp);
-            comparisons += n as u64;
-            cycles += nblocks;
-            if whd > min.whd {
-                offsets_pruned += 1;
-            } else if whd < min.whd {
-                min = MinWhd { whd, offset: k };
-            }
+    } else if !cfg.pruning || nblocks <= cfg.prune_latency_blocks + 1 {
+        // No data-dependent exit at any offset: with no comparator the
+        // scan never stops, and with `nblocks ≤ prune_latency_blocks + 1`
+        // every block has issued before even block 0's prune verdict
+        // lands. Every offset folds the full read, so the counts are
+        // closed-form and one kernel-side dense sweep yields the minimum
+        // (and, for the comparator, the offsets it flags as pruned).
+        let sweep =
+            kernel::dense_sweep(kind, row, max_k, read.codes_padded(), read.scores_padded());
+        min = MinWhd {
+            whd: sweep.min_whd,
+            offset: sweep.min_offset,
+        };
+        let offsets = max_k as u64 + 1;
+        comparisons = offsets * n as u64;
+        cycles += offsets * nblocks;
+        if cfg.pruning {
+            offsets_pruned = sweep.offsets_above_min;
         }
-    } else if !cfg.pruning {
-        // With no prune comparator the block loop has no data-dependent
-        // exit at any offset: every scan folds the full read, so the
-        // counts are closed-form and only the min-WHD needs computing —
-        // the same padded dense fold as the shape above, minus the
-        // comparator bookkeeping.
-        let rp = read.codes_padded();
-        let sp = read.scores_padded();
-        let n_pad = read.padded_len();
-        for k in 0..=max_k {
-            let whd = kernel::fold_whd(kind, &row[k..k + n_pad], rp, sp);
-            if whd < min.whd {
-                min = MinWhd { whd, offset: k };
-            }
-        }
-        comparisons = (max_k as u64 + 1) * n as u64;
-        cycles += (max_k as u64 + 1) * nblocks;
     } else {
         // run_pair's block loop with the per-base compare replaced by the
         // dispatched fold; covers data-parallel, deep-drain and odd lane

@@ -583,13 +583,12 @@ fn cmd_kernel(args: &Args) -> Result<(), String> {
     }
 
     println!("WHD kernel dispatch");
-    println!("  kernel   available  block  note");
+    println!("  kernel   available  note");
     for kind in KernelKind::ALL {
         println!(
-            "  {:<8} {:<10} {:>5}  {}",
+            "  {:<8} {:<10} {}",
             kind.name(),
             if kind.is_available() { "yes" } else { "no" },
-            kind.preferred_block(),
             if kind == active { "<- active" } else { "" }
         );
     }

@@ -6,14 +6,14 @@
 //! additionally forces each kind process-wide via `IR_KERNEL`, which the
 //! ambient calls here pick up.)
 //!
-//! The fast kernel has four execution shapes, selected by the config and
+//! The fast kernel has three execution shapes, selected by the config and
 //! the read geometry:
 //!
 //! 1. serial immediate-prune (`lanes == 1 && prune_latency_blocks == 0`),
-//! 2. dense fold when the drain swallows the whole read
+//! 2. the dense sweep, when there is no comparator (`pruning == false`)
+//!    or the drain swallows the whole read
 //!    (`nblocks <= prune_latency_blocks + 1`),
-//! 3. closed-form unpruned fold (`pruning == false`),
-//! 4. the block-granular fallback for everything else.
+//! 3. the block-granular fallback for everything else.
 //!
 //! Every case exercises a curated config set that covers all shapes
 //! (both presets, pruning on/off, lane counts that straddle the block
