@@ -25,9 +25,9 @@
 //! - **serve** — the batched service vs the direct backend per response,
 //!   thread-count invariance (1 vs 2 oracle threads), and the `serve/*`
 //!   counter contract.
-//! - **fleet** — a 1-node zero-hop fleet vs the single-pool service
-//!   byte for byte, plus routing conservation and per-request payload
-//!   invariance at the input's node count (only for inputs carrying a
+//! - **fleet** — routing conservation and per-request payload
+//!   invariance at the input's node count, against the 1-node zero-hop
+//!   fleet as the single-pool reference (only for inputs carrying a
 //!   `fleet` line, so the pre-fleet corpus keeps its fingerprints).
 //!
 //! Every stage also feeds a deterministic FNV-1a fingerprint; the fuzz
@@ -521,17 +521,11 @@ fn requests(input: &FuzzInput, spec: &ServeSpec) -> Vec<Request> {
         .collect()
 }
 
-fn diff_reports_for(
-    stage: &'static str,
-    a: &ServiceReport,
-    b: &ServiceReport,
-    contract: &str,
-    out: &mut Vec<Mismatch>,
-) {
+fn diff_reports(a: &ServiceReport, b: &ServiceReport, contract: &str, out: &mut Vec<Mismatch>) {
     let mut push = |field: &str, detail: String| {
         out.push(Mismatch {
-            stage,
-            signature: format!("{stage}/{contract}/{field}"),
+            stage: "serve",
+            signature: format!("serve/{contract}/{field}"),
             detail,
         });
     };
@@ -636,7 +630,7 @@ fn serve_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
             return;
         }
     };
-    diff_reports_for("serve", &one, &two, "threads-1-vs-2", out);
+    diff_reports(&one, &two, "threads-1-vs-2", out);
     serve_invariants(&one, input.fault.is_some(), out);
 
     // Functional parity: every completed response equals the direct
@@ -668,13 +662,13 @@ fn serve_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
     hash_report(h, &one);
 }
 
-/// Stage 5: the fleet against the single pool. A 1-node zero-hop fleet
-/// must be *byte-identical* to [`RealignService`]; at the spec's node
-/// count the fleet must conserve the request stream (served ∪ shed
-/// partitions the offered ids) and keep every response's functional
-/// payload equal to the single pool's answer for that id. Fleet data is
-/// only hashed for inputs carrying a `fleet` line, so every pre-fleet
-/// corpus case keeps its fingerprint.
+/// Stage 5: the routed fleet against the single pool. The 1-node
+/// zero-hop fleet — what [`RealignService`] runs — is the single-pool
+/// reference; at the spec's node count the fleet must conserve the
+/// request stream (served ∪ shed partitions the offered ids) and keep
+/// every response's functional payload equal to the single pool's answer
+/// for that id. Fleet data is only hashed for inputs carrying a `fleet`
+/// line, so every pre-fleet corpus case keeps its fingerprint.
 fn fleet_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
     let Some(fspec) = &input.fleet else { return };
     let Some(spec) = &input.serve else { return };
@@ -689,16 +683,9 @@ fn fleet_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
         })?;
         fleet.run(requests(input, spec))
     };
-    let single = guarded("fleet", out, |_| {
-        RealignService::new(serve_config(input, spec, 1))?.run(requests(input, spec))
-    });
-    let parity = guarded("fleet", out, |_| run_fleet(1, 0.0));
-    let (Some(single), Some(parity)) = (single, parity) else {
-        return;
-    };
-    let (single, parity) = match (single, parity) {
-        (Ok(s), Ok(p)) => (s, p),
-        (Err(e), _) | (_, Err(e)) => {
+    let one_node = match guarded("fleet", out, |_| run_fleet(1, 0.0)) {
+        Some(Ok(r)) => r,
+        Some(Err(e)) => {
             out.push(Mismatch {
                 stage: "fleet",
                 signature: format!("fleet/typed-error/{}", error_tag(&e)),
@@ -706,14 +693,9 @@ fn fleet_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
             });
             return;
         }
+        None => return,
     };
-    diff_reports_for(
-        "fleet",
-        &parity.node_reports[0],
-        &single,
-        "1node-vs-single",
-        out,
-    );
+    let single = &one_node.node_reports[0];
 
     let offered = requests(input, spec).len() as u64;
     let routed = if fspec.nodes > 1 {
@@ -799,7 +781,7 @@ fn fleet_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
         }
     }
 
-    hash_report(h, &parity.node_reports[0]);
+    hash_report(h, single);
     if let Some(routed) = &routed {
         h.u64(routed.completed());
         h.u64(routed.rejected());

@@ -219,8 +219,9 @@ fn fleet(rng: &mut StdRng, has_serve: bool) -> Option<FleetSpec> {
     Some(FleetSpec {
         nodes: rng.random_range(1..5),
         vnodes: [1, 4, 16][rng.random_range(0..3usize)],
-        // Zero keeps the inline-ingest parity path hot; positive hops
-        // exercise the delayed-delivery reroute path.
+        // Zero routes the multi-node run through inline ingest, the path
+        // the single pool takes; positive hops exercise the
+        // delayed-delivery reroute path.
         hop_ns: [0, 500, 20_000][rng.random_range(0..3usize)],
     })
 }

@@ -131,17 +131,18 @@ pub struct ServeSpec {
 }
 
 /// A fleet-layer scenario on top of a [`ServeSpec`]: topology for the
-/// fleet-vs-single-pool differential stage. Only meaningful when the
-/// input also carries a serve scenario (the stage is skipped otherwise).
+/// routed-fleet-vs-single-pool differential stage. Only meaningful when
+/// the input also carries a serve scenario (the stage is skipped
+/// otherwise).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetSpec {
-    /// Node count for the routing-invariance run (1 exercises only the
-    /// byte-parity check).
+    /// Node count for the routing-invariance run (1 runs only the
+    /// single-pool reference).
     pub nodes: usize,
     /// Virtual ring points per node.
     pub vnodes: usize,
     /// Inter-node hop latency in nanoseconds for the multi-node run (the
-    /// 1-node parity run always uses zero).
+    /// 1-node reference always uses zero).
     pub hop_ns: u64,
 }
 

@@ -12,16 +12,15 @@
 //! of `(FleetConfig, requests)` and two same-seed runs are
 //! byte-identical.
 //!
-//! # Parity with the single-pool service
+//! # The single-pool service is a one-node fleet
 //!
-//! A 1-node fleet with zero hop latency, no autoscaler and no spot
-//! faults replays the exact event sequence of
-//! [`crate::RealignService::run`]: same event priorities, same push
-//! order (hence the same `(time, priority, seq)` total order), same
-//! counter and tracer stamping. Node 0's [`ServiceReport`] is therefore
-//! byte-identical — responses, counters and JSON — to the single-pool
-//! run on the same seed, which `tests/fleet.rs` and the CI `fleet-smoke`
-//! job pin.
+//! This module holds the only serving event loop.
+//! [`crate::RealignService`] is a one-node fleet with zero hop latency,
+//! no autoscaler and no spot profile, and its report is that node's
+//! [`ServiceReport`]. On that topology no fleet-only event is ever
+//! scheduled: every arrival is ingested inline by node 0, and the fleet
+//! counters stay at zero. The golden report digests in `tests/serve.rs`
+//! and `tests/shape_routing.rs` pin the node loop's full verdict.
 //!
 //! # Routing
 //!
@@ -30,7 +29,7 @@
 //! from there returns the first node advertising the request's shape
 //! family, falling back to the plain ring owner when no active node
 //! serves the family (that node then sheds the request through its own
-//! `serve/unroutable` admission path, exactly as the single pool does).
+//! `serve/unroutable` admission path).
 //! Draining and dead nodes leave the ring, so only their keyspace moves
 //! — the consistent-hash property that keeps rerouting minimal.
 //!
@@ -78,10 +77,10 @@ use crate::request::{Rejection, Request, Response};
 use crate::service::ServiceReport;
 use crate::shard::Shard;
 
-/// Event priorities at equal timestamps. The first three match the
-/// single-pool service exactly (completions free shards before arrivals;
-/// flushes see post-arrival state); fleet-only events sort after them so
-/// a parity-configured run replays the single-pool order untouched.
+/// Event priorities at equal timestamps: completions free shards before
+/// new arrivals are admitted, and deadline flushes run after both so
+/// they see the post-arrival queue state. Fleet-only events sort last,
+/// so they never reorder a node's own events.
 const PRIO_DONE: u64 = 0;
 const PRIO_ARRIVE: u64 = 1;
 const PRIO_FLUSH: u64 = 2;
@@ -89,8 +88,8 @@ const PRIO_INTERRUPT: u64 = 3;
 const PRIO_NODE_DEAD: u64 = 4;
 const PRIO_SCALE: u64 = 5;
 
-/// Initial per-request service-time estimate (per node), as in the
-/// single-pool service.
+/// Initial per-request service-time estimate (per node) for retry-after
+/// hints, before the first batch completion calibrates the EWMA.
 const INITIAL_EST_SERVICE_S: f64 = 100e-6;
 
 /// EWMA weight of the newest per-request service-time observation.
@@ -297,12 +296,13 @@ pub struct FleetConfig {
     /// Per-node service configuration (shard pool, batching, admission,
     /// SLO). Every node is built from this template; with fault
     /// injection on, node `i`'s shards offset the fault seed by
-    /// `i * shards` so fault streams stay independent across nodes while
-    /// node 0 reproduces the single-pool streams exactly.
+    /// `i * shards` so fault streams stay independent across nodes, and
+    /// node 0 uses the configured seed unchanged.
     pub node: ServeConfig,
     /// Modeled one-way router→node hop latency. `0` ingests arrivals
-    /// inline (the strict-parity mode); positive values delay every
-    /// ingest and reroute by one hop and count `fleet/hops`.
+    /// inline, which is how [`crate::RealignService`] runs; positive
+    /// values delay every ingest and reroute by one hop and count
+    /// `fleet/hops`.
     pub hop_latency_s: f64,
     /// Virtual points each active node contributes to the hash ring.
     pub vnodes: usize,
@@ -389,9 +389,10 @@ enum NodeState {
 }
 
 /// A batch in flight on one node shard. Responses are fully stamped at
-/// dispatch (as in the single-pool service); the original requests ride
-/// along so a drain can reroute a cancelled batch, and the completion
-/// and dispatch instants decide drain-vs-cancel and lost work.
+/// dispatch (completion time is known then) and released at `Done`; the
+/// original requests ride along so a drain can reroute a cancelled
+/// batch, and the completion and dispatch instants decide
+/// drain-vs-cancel and lost work.
 #[derive(Debug)]
 struct InFlight {
     responses: Vec<Response>,
@@ -400,8 +401,9 @@ struct InFlight {
     completion_s: f64,
 }
 
-/// One service node: the full local state of a single-pool
-/// [`crate::RealignService::run`], plus fleet lifecycle.
+/// One service node: its shard pool, per-family submission queues,
+/// counters and trace, plus fleet lifecycle. A one-node fleet's only
+/// node is the whole single-pool service.
 #[derive(Debug)]
 struct Node {
     cfg: ServeConfig,
@@ -412,7 +414,7 @@ struct Node {
     tenant_queued: Vec<usize>,
     in_flight: Vec<Option<InFlight>>,
     /// Cancellation guard per shard: a `Done` event delivers only if its
-    /// epoch matches (always true in the parity configuration).
+    /// epoch matches (always true without spot drains).
     shard_epoch: Vec<u64>,
     counters: PerfCounters,
     tracer: Tracer,
@@ -493,10 +495,11 @@ impl Node {
         })
     }
 
-    /// Admission for one request — a verbatim port of the single-pool
-    /// `Arrive` handler, so node 0 of a parity fleet stamps counters and
-    /// rejections in the identical order. Returns whether the request
-    /// was rejected (resolving it for the fleet's outstanding count).
+    /// Admission for one request: shed it as unroutable when no shard
+    /// advertises its family, shed it when its tenant is over quota,
+    /// otherwise offer it to its family's queue. Returns whether the
+    /// request was rejected (resolving it for the fleet's outstanding
+    /// count).
     fn ingest(&mut self, req: Request) -> Result<bool, ServeError> {
         let tenant = req.tenant;
         let tenant_quotas: &Option<Vec<TenantQuota>> = &self.cfg.tenants;
@@ -509,6 +512,8 @@ impl Node {
             }
         }
         if !self.routable[req.family.index()] {
+            // No shard advertises this family; shed immediately rather
+            // than queueing forever.
             self.counters.add("serve/unroutable", 1);
             if tenant_quotas.is_some() {
                 self.counters
@@ -555,7 +560,7 @@ impl Node {
         }
     }
 
-    /// Post-event bookkeeping, identical to the single-pool loop tail.
+    /// Post-event bookkeeping: the queue-depth high-water gauge.
     fn gauge_queue_depth(&mut self) {
         self.counters.gauge_max(
             "serve/queue_depth_hwm",
@@ -566,8 +571,9 @@ impl Node {
         );
     }
 
-    /// Finalizes this node into a [`ServiceReport`], the verbatim port
-    /// of the single-pool epilogue.
+    /// Finalizes this node into a [`ServiceReport`]. Tenant-quota and
+    /// unroutable-family rejections bypass the queues, so
+    /// `serve/rejected` counts the rejection list itself.
     fn into_report(mut self) -> Result<ServiceReport, ServeError> {
         let depth: usize = self.queues.iter().map(SubmissionQueue::depth).sum();
         if depth > 0 {
@@ -601,9 +607,9 @@ impl Node {
     }
 }
 
-/// Fleet events. The first four mirror the single-pool service (plus a
-/// node coordinate); the rest exist only when hops, spot faults or the
-/// autoscaler are configured, so a parity run never sees them.
+/// Fleet events. `Arrive`, `Flush` and `Done` drive every node; the
+/// rest exist only when hops, spot faults or the autoscaler are
+/// configured, so a one-node service never sees them.
 #[derive(Debug)]
 enum Ev {
     /// Request `i` of the submitted stream reaches the router.
@@ -670,9 +676,12 @@ fn route(
 }
 
 impl Node {
-    /// The dispatch loop — a verbatim port of the single-pool service's
-    /// `'dispatch` scan, pushing `Done` events tagged with this node and
-    /// the shard's current epoch.
+    /// The dispatch loop: pair idle shards with ready family batches,
+    /// pushing `Done` events tagged with this node and the shard's
+    /// current epoch. The scan restarts from shard 0 after every
+    /// dispatch, and each shard takes the first of its advertised
+    /// families whose queue is ready, so batches are family-pure and
+    /// only land on shards whose geometry holds them.
     fn dispatch(
         &mut self,
         node_idx: usize,
@@ -734,6 +743,15 @@ impl Node {
                         FlushVerdict::Idle => continue,
                     };
                     let batch = queue.take(take);
+                    // When the batch became ready for dispatch: the
+                    // arrival that filled it, or the flush-deadline
+                    // expiry of its oldest request for a partial flush.
+                    // A busy pool can dispatch later than either instant
+                    // (then the gap is shard-queue wait, not
+                    // batch-formation wait), and late stragglers can
+                    // arrive after the oldest request's deadline — the
+                    // clamp keeps ready inside `[latest batch arrival,
+                    // now]` in both cases.
                     let latest_arrival = batch
                         .iter()
                         .map(|r| r.arrival_s)
@@ -750,6 +768,8 @@ impl Node {
                         resilience.absorb(report);
                     }
                     let completion = now + outcome.wall_time_s;
+                    // Calibrate the retry-after estimate from real
+                    // service time, amortized over the batch.
                     let per_req = outcome.wall_time_s / batch.len() as f64;
                     *est_service_s = (1.0 - EST_ALPHA) * *est_service_s + EST_ALPHA * per_req;
                     counters.observe("serve/batch_occupancy", batch.len() as u64);
@@ -764,6 +784,9 @@ impl Node {
                         .map(|(req, &(best_consensus, realigned))| {
                             let latency = completion - req.arrival_s;
                             counters.observe("serve/latency_us", (latency * 1e6) as u64);
+                            // The request-journey span breakdown, in µs:
+                            // admission (structurally zero today) → batch
+                            // formation → shard queue → execution = total.
                             counters.observe("serve/span_admission_us", 0);
                             counters.observe(
                                 "serve/span_batch_wait_us",
@@ -919,13 +942,16 @@ pub struct FleetService {
 }
 
 impl FleetService {
-    /// Validates the configuration.
+    /// Validates the configuration and checks that a node's shard pool
+    /// can be built (every node shares the one template).
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for an inconsistent config.
+    /// [`ServeError::InvalidConfig`] for an inconsistent config, or
+    /// [`ServeError::Backend`] for an impossible FPGA configuration.
     pub fn new(config: FleetConfig) -> Result<Self, ServeError> {
         config.validate()?;
+        Node::new(&config.node, 0, 0.0, &None)?;
         Ok(FleetService { config })
     }
 
@@ -934,7 +960,8 @@ impl FleetService {
         &self.config
     }
 
-    /// Serves a request stream to completion across the fleet.
+    /// Serves a request stream to completion across the fleet. Every run
+    /// builds its nodes afresh, so repeated runs are identical.
     ///
     /// # Errors
     ///
@@ -995,6 +1022,8 @@ impl FleetService {
         }
         let mut ring: Vec<(u64, usize)> = Vec::new();
         rebuild_ring(&mut ring, &nodes, cfg.vnodes);
+        // Completion latencies of the current autoscaler window (left
+        // empty without an autoscaler).
         let mut window_lat: Vec<f64> = Vec::new();
         let active_count = |nodes: &[Node]| {
             nodes
@@ -1007,7 +1036,7 @@ impl FleetService {
         while let Some(ev) = events.pop() {
             let now = ev.time.seconds();
             // The node whose dispatch loop and queue gauge must run
-            // after this event, mirroring the single-pool loop tail.
+            // after this event.
             let mut touched: Option<usize> = None;
             match ev.msg {
                 Ev::Arrive(i) => {
@@ -1068,8 +1097,8 @@ impl FleetService {
                         .ok_or(ServeError::ShardNotInFlight { shard })?;
                     nodes[node].makespan_s = nodes[node].makespan_s.max(now);
                     outstanding -= fl.responses.len() as u64;
-                    for r in &fl.responses {
-                        window_lat.push(r.latency_s());
+                    if cfg.autoscale.is_some() {
+                        window_lat.extend(fl.responses.iter().map(Response::latency_s));
                     }
                     nodes[node].responses.extend(fl.responses);
                     touched = Some(node);
@@ -1321,7 +1350,7 @@ impl FleetReport {
     }
 
     /// Every response in the fleet, sorted by request id — the order the
-    /// parity and routing-invariance tests compare across topologies.
+    /// routing-invariance tests compare across topologies.
     pub fn responses_by_id(&self) -> Vec<&Response> {
         let mut sorted: Vec<&Response> = self
             .node_reports

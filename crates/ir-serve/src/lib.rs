@@ -7,7 +7,9 @@
 //! from the datapath-only stack: it accepts concurrent requests, applies
 //! admission control, coalesces requests into accelerator-sized batches
 //! and schedules them across worker shards, each owning one
-//! [`ir_fpga::AcceleratedSystem`].
+//! [`ir_fpga::AcceleratedSystem`]. There is one event loop:
+//! [`RealignService`] is a one-node [`FleetService`] with zero hop
+//! latency, and the fleet scales the same node loop out to many nodes.
 //!
 //! The pipeline, in request order:
 //!

@@ -1,45 +1,17 @@
-//! The virtual-time service loop tying queue, batcher and shard pool
-//! together.
+//! The single-pool service — a one-node fleet — and the per-node report
+//! every service and fleet node produces.
 
 use ir_fpga::ResilienceReport;
-use ir_sim::{EventQueue, SimTime};
 use ir_telemetry::json::escape_json_string;
-use ir_telemetry::{PerfCounters, SpanKind, Trace, Tracer, Track};
-use ir_workloads::ShapeFamily;
+use ir_telemetry::{PerfCounters, Trace};
 use std::fmt::Write as _;
 
-use crate::batcher::{BatchPolicy, FlushVerdict};
 use crate::config::ServeConfig;
 use crate::error::ServeError;
-use crate::queue::{Admission, SubmissionQueue};
+use crate::fleet::{FleetConfig, FleetService};
 use crate::request::{Rejection, Request, Response};
-use crate::shard::Shard;
 
-/// Event-queue priorities at equal timestamps: completions free shards
-/// before new arrivals are admitted, and deadline flushes run last so
-/// they see the post-arrival queue state.
-const PRIO_DONE: u64 = 0;
-const PRIO_ARRIVE: u64 = 1;
-const PRIO_FLUSH: u64 = 2;
-
-/// Initial per-request service-time estimate for retry-after hints,
-/// before the first batch completion calibrates the EWMA.
-const INITIAL_EST_SERVICE_S: f64 = 100e-6;
-
-/// EWMA weight of the newest per-request service-time observation.
-const EST_ALPHA: f64 = 0.3;
-
-#[derive(Debug)]
-enum Event {
-    /// Request `i` of the submitted stream arrives.
-    Arrive(usize),
-    /// Re-evaluate the batcher (a flush deadline came due).
-    Flush,
-    /// The batch in flight on `shard` completed.
-    Done { shard: usize },
-}
-
-/// Everything one service run produced.
+/// Everything one service run (or one fleet node) produced.
 #[derive(Debug)]
 pub struct ServiceReport {
     /// Completed responses in completion order (deterministic: virtual
@@ -116,7 +88,7 @@ impl ServiceReport {
         }
     }
 
-    /// Responses sorted by request id (the order parity tests compare
+    /// Responses sorted by request id (the order the tests compare
     /// against a direct backend run).
     pub fn responses_by_id(&self) -> Vec<&Response> {
         let mut sorted: Vec<&Response> = self.responses.iter().collect();
@@ -194,43 +166,42 @@ impl ServiceReport {
     }
 }
 
-/// A batch in flight on one shard: responses are fully stamped at
-/// dispatch (completion time is known then) and released at `Done`.
-#[derive(Debug)]
-struct InFlight {
-    responses: Vec<Response>,
-}
-
-/// The async batched realignment service.
+/// The async batched realignment service: a one-node [`FleetService`]
+/// with zero hop latency, no autoscaler and no spot profile.
 ///
 /// [`RealignService::run`] replays a request stream through a bounded
 /// admission queue, the size-or-deadline adaptive batcher and a pool of
-/// accelerator shards — entirely in virtual time, so the report is a pure
-/// function of `(config, requests)`.
+/// accelerator shards — the fleet's node loop, entirely in virtual time —
+/// so the report is a pure function of `(config, requests)`. Every run
+/// rebuilds the shard pool, so a service can be run again and repeats
+/// itself exactly, fault streams included.
 #[derive(Debug)]
 pub struct RealignService {
-    config: ServeConfig,
-    shards: Vec<Shard>,
+    fleet: FleetService,
 }
 
 impl RealignService {
-    /// Builds the shard pool from `config`.
+    /// Validates `config` and checks that its shard pool can be built.
     ///
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`] for an inconsistent config, or
     /// [`ServeError::Backend`] for an impossible FPGA configuration.
     pub fn new(config: ServeConfig) -> Result<Self, ServeError> {
-        config.validate()?;
-        let shards = (0..config.shards)
-            .map(|i| Shard::new(i, &config).map_err(ServeError::from))
-            .collect::<Result<Vec<_>, ServeError>>()?;
-        Ok(RealignService { config, shards })
+        let fleet = FleetService::new(FleetConfig {
+            nodes: 1,
+            node: config,
+            hop_latency_s: 0.0,
+            autoscale: None,
+            spot: None,
+            ..FleetConfig::default()
+        })?;
+        Ok(RealignService { fleet })
     }
 
     /// The configuration this pool was built from.
     pub fn config(&self) -> &ServeConfig {
-        &self.config
+        &self.fleet.config().node
     }
 
     /// Serves a request stream to completion and reports what happened.
@@ -243,324 +214,10 @@ impl RealignService {
     /// violations that would previously have aborted the process — the
     /// `ir-fuzz` harness treats any of them as a divergence.
     pub fn run(&mut self, requests: Vec<Request>) -> Result<ServiceReport, ServeError> {
-        if let Some(index) = requests
-            .windows(2)
-            .position(|w| w[0].arrival_s > w[1].arrival_s)
-        {
-            return Err(ServeError::UnsortedArrivals { index: index + 1 });
-        }
-        let policy = BatchPolicy {
-            max_batch: self.config.max_batch,
-            flush_deadline_s: self.config.flush_deadline_s,
-        };
-        // One submission queue per shape family: routing is by family, so
-        // batches stay family-pure and a queue's flush verdict consults
-        // only its own occupancy. A default single-family stream exercises
-        // only queue 0 and reproduces the pre-pool service byte for byte.
-        let mut queues: Vec<SubmissionQueue> = ShapeFamily::ALL
-            .iter()
-            .map(|_| SubmissionQueue::new(self.config.admission_watermark))
-            .collect();
-        // Per-shard family advertisements, collected up front so the
-        // dispatch loop can borrow the shard pool mutably.
-        let shard_families: Vec<Vec<ShapeFamily>> =
-            self.shards.iter().map(|s| s.families().to_vec()).collect();
-        let mut routable = [false; ShapeFamily::ALL.len()];
-        for families in &shard_families {
-            for f in families {
-                routable[f.index()] = true;
-            }
-        }
-        let tenant_quotas = self.config.tenants.clone();
-        let mut tenant_queued: Vec<usize> = vec![0; tenant_quotas.as_ref().map_or(0, Vec::len)];
-        let mut events: EventQueue<Event> = EventQueue::new();
-        let mut stream: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
-        for (i, req) in stream.iter().enumerate() {
-            // The stream starts full by construction of the line above.
-            if let Some(req) = req.as_ref() {
-                events.push(
-                    SimTime::from_seconds(req.arrival_s),
-                    PRIO_ARRIVE,
-                    0,
-                    Event::Arrive(i),
-                );
-            }
-        }
-
-        let mut in_flight: Vec<Option<InFlight>> = (0..self.shards.len()).map(|_| None).collect();
-        let mut counters = PerfCounters::default();
-        let mut tracer = Tracer::default();
-        let mut responses = Vec::new();
-        let mut rejections = Vec::new();
-        let mut resilience = ResilienceReport::default();
-        let mut est_service_s = INITIAL_EST_SERVICE_S;
-        let mut batch_seq = 0u64;
-        let mut flush_full = 0u64;
-        let mut flush_deadline = 0u64;
-        let mut scheduled_flushes: Vec<f64> = Vec::new();
-        let mut makespan_s = 0.0f64;
-
-        while let Some(ev) = events.pop() {
-            let now = ev.time.seconds();
-            match ev.msg {
-                Event::Arrive(i) => {
-                    let req = stream[i]
-                        .take()
-                        .ok_or(ServeError::DuplicateArrival { index: i })?;
-                    let tenant = req.tenant;
-                    if let Some(quotas) = &tenant_quotas {
-                        if tenant >= quotas.len() {
-                            return Err(ServeError::UnknownTenant {
-                                tenant,
-                                tenants: quotas.len(),
-                            });
-                        }
-                    }
-                    if !routable[req.family.index()] {
-                        // No shard in the pool advertises this family;
-                        // shed immediately rather than queueing forever.
-                        counters.add("serve/unroutable", 1);
-                        if tenant_quotas.is_some() {
-                            counters.add(&format!("serve/tenant{tenant}/rejected"), 1);
-                        }
-                        rejections.push(Rejection {
-                            id: req.id,
-                            arrival_s: req.arrival_s,
-                            retry_after_s: est_service_s,
-                        });
-                    } else if tenant_quotas
-                        .as_ref()
-                        .is_some_and(|q| tenant_queued[tenant] >= q[tenant].max_queued)
-                    {
-                        // Per-tenant admission: over-quota tenants shed
-                        // load even while the global watermark has room.
-                        counters.add(&format!("serve/tenant{tenant}/rejected"), 1);
-                        rejections.push(Rejection {
-                            id: req.id,
-                            arrival_s: req.arrival_s,
-                            retry_after_s: est_service_s,
-                        });
-                    } else {
-                        let family = req.family.index();
-                        match queues[family].offer(req, est_service_s) {
-                            Admission::Accepted => {
-                                if tenant_quotas.is_some() {
-                                    tenant_queued[tenant] += 1;
-                                    counters.add(&format!("serve/tenant{tenant}/accepted"), 1);
-                                }
-                            }
-                            Admission::Rejected(r) => {
-                                if tenant_quotas.is_some() {
-                                    counters.add(&format!("serve/tenant{tenant}/rejected"), 1);
-                                }
-                                rejections.push(r);
-                            }
-                        }
-                    }
-                }
-                Event::Flush => {
-                    if let Some(i) = scheduled_flushes.iter().position(|&d| d == now) {
-                        scheduled_flushes.remove(i);
-                    }
-                }
-                Event::Done { shard } => {
-                    let fl = in_flight[shard]
-                        .take()
-                        .ok_or(ServeError::ShardNotInFlight { shard })?;
-                    makespan_s = makespan_s.max(now);
-                    responses.extend(fl.responses);
-                }
-            }
-
-            // Dispatch loop: pair idle shards with ready family batches.
-            // The scan restarts from shard 0 after every dispatch
-            // (mirroring the pre-pool first-idle-shard order); each shard
-            // takes the first of its advertised families whose queue is
-            // ready, so batches are family-pure and only land on shards
-            // whose geometry holds them.
-            'dispatch: loop {
-                for shard_idx in 0..in_flight.len() {
-                    if in_flight[shard_idx].is_some() {
-                        continue;
-                    }
-                    for &family in &shard_families[shard_idx] {
-                        let queue = &mut queues[family.index()];
-                        let verdict = policy.verdict(queue, now);
-                        let take = match verdict {
-                            FlushVerdict::Full => {
-                                flush_full += 1;
-                                self.config.max_batch
-                            }
-                            FlushVerdict::DeadlineExpired => {
-                                flush_deadline += 1;
-                                queue.depth()
-                            }
-                            FlushVerdict::Wait(deadline) => {
-                                if !scheduled_flushes.contains(&deadline) {
-                                    events.push(
-                                        SimTime::from_seconds(deadline),
-                                        PRIO_FLUSH,
-                                        0,
-                                        Event::Flush,
-                                    );
-                                    scheduled_flushes.push(deadline);
-                                }
-                                continue;
-                            }
-                            FlushVerdict::Idle => continue,
-                        };
-                        let batch = queue.take(take);
-                        // When the batch became ready for dispatch: the
-                        // arrival that filled it, or the flush-deadline
-                        // expiry of its oldest request for a partial
-                        // flush. A busy pool can dispatch later than
-                        // either instant (then the gap is shard-queue
-                        // wait, not batch-formation wait), and late
-                        // stragglers can arrive after the oldest
-                        // request's deadline — the clamp keeps ready_s
-                        // inside `[latest batch arrival, now]` in both
-                        // cases.
-                        let latest_arrival = batch
-                            .iter()
-                            .map(|r| r.arrival_s)
-                            .fold(f64::NEG_INFINITY, f64::max);
-                        let ready = match verdict {
-                            FlushVerdict::DeadlineExpired => (batch[0].arrival_s
-                                + self.config.flush_deadline_s)
-                                .clamp(latest_arrival, now),
-                            _ => latest_arrival.min(now),
-                        };
-                        let targets: Vec<_> = batch.iter().map(|r| r.target.clone()).collect();
-                        let outcome = self.shards[shard_idx].run_batch(&targets)?;
-                        if let Some(report) = &outcome.resilience {
-                            resilience.absorb(report);
-                        }
-                        let completion = now + outcome.wall_time_s;
-                        // Calibrate the retry-after estimate from real
-                        // service time, amortized over the batch.
-                        let per_req = outcome.wall_time_s / batch.len() as f64;
-                        est_service_s = (1.0 - EST_ALPHA) * est_service_s + EST_ALPHA * per_req;
-                        counters.observe("serve/batch_occupancy", batch.len() as u64);
-                        counters.add(&PerfCounters::key("serve", Some(shard_idx), "batches"), 1);
-                        counters.add(
-                            &PerfCounters::key("serve", Some(shard_idx), "requests"),
-                            batch.len() as u64,
-                        );
-                        let stamped: Vec<Response> = batch
-                            .iter()
-                            .zip(&outcome.results)
-                            .map(|(req, &(best_consensus, realigned))| {
-                                let latency = completion - req.arrival_s;
-                                counters.observe("serve/latency_us", (latency * 1e6) as u64);
-                                // The request-journey span breakdown, in
-                                // µs: admission (structurally zero today)
-                                // → batch formation → shard queue →
-                                // execution = total.
-                                counters.observe("serve/span_admission_us", 0);
-                                counters.observe(
-                                    "serve/span_batch_wait_us",
-                                    ((ready - req.arrival_s) * 1e6) as u64,
-                                );
-                                counters.observe(
-                                    "serve/span_shard_wait_us",
-                                    ((now - ready) * 1e6) as u64,
-                                );
-                                counters.observe(
-                                    "serve/span_exec_us",
-                                    ((completion - now) * 1e6) as u64,
-                                );
-                                counters.observe("serve/span_total_us", (latency * 1e6) as u64);
-                                if latency <= self.config.slo_deadline_s {
-                                    counters.add("serve/slo_met", 1);
-                                } else {
-                                    counters.add("serve/slo_missed", 1);
-                                }
-                                if tenant_quotas.is_some() {
-                                    let t = req.tenant;
-                                    tenant_queued[t] -= 1;
-                                    counters.add(&format!("serve/tenant{t}/completed"), 1);
-                                    counters.observe(
-                                        &format!("serve/tenant{t}/latency_us"),
-                                        (latency * 1e6) as u64,
-                                    );
-                                    if latency <= self.config.slo_deadline_s {
-                                        counters.add(&format!("serve/tenant{t}/slo_met"), 1);
-                                    } else {
-                                        counters.add(&format!("serve/tenant{t}/slo_missed"), 1);
-                                    }
-                                }
-                                Response {
-                                    id: req.id,
-                                    arrival_s: req.arrival_s,
-                                    ready_s: ready,
-                                    dispatch_s: now,
-                                    completion_s: completion,
-                                    shard: shard_idx,
-                                    batch: batch_seq,
-                                    batch_size: batch.len(),
-                                    best_consensus,
-                                    realigned,
-                                    family,
-                                    tenant: req.tenant,
-                                }
-                            })
-                            .collect();
-                        tracer.span_args(
-                            Track::Shard(shard_idx),
-                            SpanKind::Compute,
-                            &format!("batch {batch_seq}"),
-                            None,
-                            now,
-                            completion,
-                            &[("batch", batch_seq), ("requests", batch.len() as u64)],
-                        );
-                        in_flight[shard_idx] = Some(InFlight { responses: stamped });
-                        events.push(
-                            SimTime::from_seconds(completion),
-                            PRIO_DONE,
-                            0,
-                            Event::Done { shard: shard_idx },
-                        );
-                        batch_seq += 1;
-                        continue 'dispatch;
-                    }
-                }
-                break;
-            }
-            counters.gauge_max(
-                "serve/queue_depth_hwm",
-                queues.iter().map(|q| q.depth_high_water() as u64).sum(),
-            );
-        }
-
-        let depth: usize = queues.iter().map(SubmissionQueue::depth).sum();
-        if depth > 0 {
-            return Err(ServeError::UndrainedQueue { depth });
-        }
-        counters.set(
-            "serve/accepted",
-            queues.iter().map(SubmissionQueue::accepted).sum(),
-        );
-        // Tenant-quota and unroutable-family rejections bypass the
-        // queues, so the ground truth is the rejection list itself (on a
-        // default run it equals the queues' own tally).
-        counters.set("serve/rejected", rejections.len() as u64);
-        counters.set("serve/completed", responses.len() as u64);
-        counters.set("serve/batches", batch_seq);
-        counters.set("serve/flush_full", flush_full);
-        counters.set("serve/flush_deadline", flush_deadline);
-        if self.config.faults.is_some() {
-            resilience.record_into(&mut counters);
-        }
-        Ok(ServiceReport {
-            responses,
-            rejections,
-            makespan_s,
-            batches: batch_seq,
-            resilience,
-            counters,
-            slo_deadline_s: self.config.slo_deadline_s,
-            trace: tracer.into_trace(),
-        })
+        self.fleet
+            .run(requests)?
+            .node_reports
+            .pop()
+            .ok_or(ServeError::NoActiveNodes)
     }
 }

@@ -12,7 +12,6 @@
 //!                          [--family F] [--pool hetero] [--tenants N]
 //!                          [--tenant-quota Q] [--fleet N] [--hop-us H]
 //!                          [--autoscale 0|1] [--spot-rate PER_HOUR]
-//!                          [--parity 0|1]
 //! ir-cli fuzz [--seed S] [--iters N] [--corpus DIR]
 //! ir-cli kernel [--format table|name]
 //! ir-cli bench-snapshot [--results DIR] [--rev REV] [--out FILE]
@@ -68,7 +67,7 @@ usage:
                [--json FILE] [--trace FILE] [--family F] [--pool hetero]
                [--tenants N] [--tenant-quota Q]
                [--fleet N] [--hop-us H] [--autoscale 0|1]
-               [--spot-rate PER_HOUR] [--parity 0|1]
+               [--spot-rate PER_HOUR]
   ir-cli fuzz [--seed S] [--iters N] [--corpus DIR]
   ir-cli kernel [--format table|name]
   ir-cli bench-snapshot [--results DIR] [--rev REV] [--out FILE]
@@ -435,9 +434,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 /// `ir-cli serve --fleet N`: run the request stream against a multi-node
 /// fleet (consistent-hash router, optional SLO autoscaler and spot
-/// interruptions). `--parity 1` additionally replays the same stream
-/// through the single-pool service and fails unless the 1-node fleet is
-/// bitwise identical — the same gate `tests/fleet.rs` and CI enforce.
+/// interruptions).
 fn cmd_serve_fleet(
     args: &Args,
     node: ServeConfig,
@@ -449,10 +446,9 @@ fn cmd_serve_fleet(
     let hop_us: f64 = args.flag_parse("hop-us", 2.0)?;
     let autoscale: u8 = args.flag_parse("autoscale", 0)?;
     let spot_rate: f64 = args.flag_parse("spot-rate", 0.0)?;
-    let parity: u8 = args.flag_parse("parity", 0)?;
     let config = FleetConfig {
         nodes,
-        node: node.clone(),
+        node,
         hop_latency_s: hop_us * 1e-6,
         autoscale: (autoscale != 0).then(|| AutoscalerConfig {
             p99_slo_s: slo_ms * 1e-3,
@@ -466,7 +462,7 @@ fn cmd_serve_fleet(
         ..FleetConfig::default()
     };
     let mut fleet = FleetService::new(config).map_err(|e| e.to_string())?;
-    let report = fleet.run(requests.clone()).map_err(|e| e.to_string())?;
+    let report = fleet.run(requests).map_err(|e| e.to_string())?;
     println!(
         "fleet of {nodes} node(s) (peak {}), hop {hop_us} µs, autoscale {}, spot rate {spot_rate}/h",
         report.peak_nodes,
@@ -525,23 +521,6 @@ fn cmd_serve_fleet(
     if let Some(path) = args.flag("json") {
         std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         println!("structured fleet report -> {path}");
-    }
-    if parity != 0 {
-        if nodes != 1 || autoscale != 0 || spot_rate > 0.0 || hop_us != 0.0 {
-            return Err(
-                "--parity 1 requires --fleet 1 --hop-us 0 without --autoscale/--spot-rate"
-                    .to_string(),
-            );
-        }
-        let mut single = RealignService::new(node).map_err(|e| e.to_string())?;
-        let golden = single.run(requests).map_err(|e| e.to_string())?;
-        let node_report = &report.node_reports[0];
-        if node_report.to_json() != golden.to_json()
-            || report.makespan_s.to_bits() != golden.makespan_s.to_bits()
-        {
-            return Err("1-node fleet diverged from the single-pool service".to_string());
-        }
-        println!("parity: 1-node fleet bitwise-identical to the single-pool service");
     }
     Ok(())
 }

@@ -7,6 +7,11 @@
 //! [`Autoscaler::observe`] directly as the pure state machine it is:
 //! scaling is monotone under sustained load, bounded by min/max, gated by
 //! cooldown, and never triggered by a single-sample spike.
+//!
+//! The spot fleet runs once and is shared by the drain tests; the
+//! determinism test adds one independent second run.
+
+use std::sync::OnceLock;
 
 use ir_system::serve::{
     Autoscaler, AutoscalerConfig, FleetConfig, FleetReport, FleetService, Request, ScaleDecision,
@@ -60,12 +65,18 @@ fn run_spot_fleet() -> FleetReport {
         .expect("spot fleet run succeeds")
 }
 
+/// The spot fleet run shared across tests.
+fn spot_fleet() -> &'static FleetReport {
+    static SPOT: OnceLock<FleetReport> = OnceLock::new();
+    SPOT.get_or_init(run_spot_fleet)
+}
+
 /// Exactly-once under interruptions: every offered request completes once
 /// or is rejected once — no request is lost with a node and none is
 /// duplicated by the reroute path.
 #[test]
 fn spot_drain_serves_every_request_exactly_once() {
-    let report = run_spot_fleet();
+    let report = spot_fleet();
     assert!(
         report.counters.counter("fleet/interruptions") >= 1,
         "the aggressive spot market must interrupt at least one node"
@@ -100,7 +111,7 @@ fn spot_drain_serves_every_request_exactly_once() {
 /// was actually cancelled (which also reroutes its requests).
 #[test]
 fn drain_counters_partition_interruption_traffic() {
-    let report = run_spot_fleet();
+    let report = spot_fleet();
     let interruptions = report.counters.counter("fleet/interruptions");
     let rerouted = report.counters.counter("fleet/rerouted");
     let drained = report.counters.counter("fleet/drained");
@@ -131,7 +142,7 @@ fn drain_counters_partition_interruption_traffic() {
 /// seeded, so two same-config runs agree bitwise.
 #[test]
 fn spot_fleet_runs_are_deterministic() {
-    let a = run_spot_fleet();
+    let a = spot_fleet();
     let b = run_spot_fleet();
     assert_eq!(a.to_json(), b.to_json());
     for (ra, rb) in a.node_reports.iter().zip(&b.node_reports) {

@@ -14,16 +14,33 @@
 //! 3. **Observability** — the `resilience/*` counters in the report
 //!    mirror [`ResilienceReport::record_into`] of the aggregated report,
 //!    and the `serve/*` counters agree with the report's own tallies.
+//! 4. **Golden digests** — each served report hashes to a committed
+//!    digest (`common::report_digest`): responses, rejections, makespan
+//!    bits, counters, gauges, the JSON export and the Chrome trace.
+//!    Together with the fault-off digests in `tests/shape_routing.rs`
+//!    they freeze the service's full verdict bit for bit.
+//! 5. **Purity** — running one service twice on the same stream gives
+//!    identical reports: no state (fault RNGs included) carries over.
+//! 6. **Construction** — an FPGA configuration that cannot be built is a
+//!    [`ServeError::Backend`] from `new()`, for the service and the
+//!    fleet alike, not a late failure in `run()`.
 //!
 //! Case counts here are fixed (not proptest): the workload is one seeded
 //! stream, sized to span multiple batches on every shard. The baseline
-//! report is computed once and shared across tests (cycle-level runs are
-//! the dominant cost under the dev profile).
+//! report and one independent repeat are computed once and shared across
+//! tests (cycle-level runs are the dominant cost under the dev profile).
+
+mod common;
 
 use std::sync::OnceLock;
 
-use ir_system::fpga::{AcceleratedSystem, FaultRates};
-use ir_system::serve::{FaultInjection, RealignService, Request, ServeConfig, ServiceReport};
+use common::{assert_golden, report_digest};
+
+use ir_system::fpga::{AcceleratedSystem, FaultRates, FpgaParams};
+use ir_system::serve::{
+    FaultInjection, FleetConfig, FleetService, RealignService, Request, ServeConfig, ServeError,
+    ServiceReport,
+};
 use ir_system::telemetry::PerfCounters;
 use ir_system::workloads::{ArrivalProcess, WorkloadConfig, WorkloadGenerator};
 
@@ -72,10 +89,49 @@ fn run_service(config: ServeConfig, rate_rps: f64) -> ServiceReport {
         .expect("service run succeeds")
 }
 
+/// Golden digest of the faulty baseline (identical at 1 and 4 oracle
+/// threads).
+const GOLDEN_FAULTY: u64 = 0xb037_6e8e_e82f_64ee;
+/// Golden digest of the overloaded 4-deep-watermark run.
+const GOLDEN_OVERLOAD: u64 = 0xe6d6_99a3_fcdc_5d16;
+
 /// The canonical faulty single-thread run, shared across tests.
 fn baseline() -> &'static ServiceReport {
     static BASELINE: OnceLock<ServiceReport> = OnceLock::new();
     BASELINE.get_or_init(|| run_service(faulty_config(1), 20_000.0))
+}
+
+/// Two back-to-back runs of one fresh service on the baseline stream:
+/// the first is the independent same-seed repeat of [`baseline`], the
+/// second checks that a run leaves nothing behind for the next.
+fn repeated() -> &'static (ServiceReport, ServiceReport) {
+    static REPEATED: OnceLock<(ServiceReport, ServiceReport)> = OnceLock::new();
+    REPEATED.get_or_init(|| {
+        let targets = workload();
+        let mut service = RealignService::new(faulty_config(1)).expect("valid config");
+        let mut run = || {
+            service
+                .run(requests(&targets, 20_000.0))
+                .expect("service run succeeds")
+        };
+        let first = run();
+        (first, run())
+    })
+}
+
+/// Contract 4: the served reports hash to their committed digests.
+#[test]
+fn golden_digests_pin_the_served_reports() {
+    assert_golden(baseline(), GOLDEN_FAULTY, "faulty baseline");
+}
+
+/// Contract 5: a second run on the same service repeats the first
+/// exactly — fault streams restart with the run, they do not carry over.
+#[test]
+fn repeated_runs_on_one_service_are_identical() {
+    let (first, second) = repeated();
+    assert_eq!(first.responses, second.responses);
+    assert_eq!(report_digest(first), report_digest(second));
 }
 
 /// Contract 1: with fault injection on, every served response matches the
@@ -120,7 +176,7 @@ fn faulty_service_matches_direct_system_path() {
 #[test]
 fn same_seed_runs_are_identical() {
     let a = baseline();
-    let b = run_service(faulty_config(1), 20_000.0);
+    let b = &repeated().0;
     assert_eq!(a.responses, b.responses);
     assert_eq!(a.rejections, b.rejections);
     assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits());
@@ -139,6 +195,7 @@ fn thread_count_does_not_change_responses() {
     assert_eq!(single.responses, multi.responses);
     assert_eq!(single.rejections, multi.rejections);
     assert_eq!(single.batches, multi.batches);
+    assert_golden(&multi, GOLDEN_FAULTY, "faulty, 4 oracle threads");
 }
 
 /// Contract 3: the report's `resilience/*` counters are exactly what
@@ -277,7 +334,7 @@ fn trace_and_json_exports_are_valid_and_deterministic() {
         Some(report.completed() as f64)
     );
 
-    let again = run_service(faulty_config(1), 20_000.0);
+    let again = &repeated().0;
     assert_eq!(again.to_json(), json, "report JSON must be seed-stable");
     assert_eq!(
         again.trace.to_chrome_json(),
@@ -312,5 +369,33 @@ fn overload_rejects_with_retry_after() {
     assert_eq!(
         report.counters.counter("serve/rejected"),
         report.rejections.len() as u64
+    );
+    assert_golden(&report, GOLDEN_OVERLOAD, "overload");
+}
+
+/// Contract 6: 64 units do not fit the fabric, and both constructors say
+/// so before any traffic is offered.
+#[test]
+fn impossible_backend_fails_at_construction() {
+    let config = ServeConfig {
+        params: FpgaParams {
+            num_units: 64,
+            ..FpgaParams::iracc()
+        },
+        ..ServeConfig::default()
+    };
+    let service = RealignService::new(config.clone());
+    assert!(
+        matches!(service, Err(ServeError::Backend(_))),
+        "service: {service:?}"
+    );
+    let fleet = FleetService::new(FleetConfig {
+        nodes: 3,
+        node: config,
+        ..FleetConfig::default()
+    });
+    assert!(
+        matches!(fleet, Err(ServeError::Backend(_))),
+        "fleet: {fleet:?}"
     );
 }

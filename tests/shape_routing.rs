@@ -5,14 +5,26 @@
 //! is deterministic. Target sizes are scaled down (full-size long-read
 //! and deep-panel targets cost ~1e9 comparisons each); routing and
 //! admission only read the family tag and the tenant index, never the
-//! target's byte size.
+//! target's byte size. Each served report (all fault-free) also hashes
+//! to a committed golden digest (`common::report_digest`), the
+//! fault-off half of the verdict frozen in `tests/serve.rs`.
 
+mod common;
+
+use common::assert_golden;
 use ir_system::genome::RealignmentTarget;
 use ir_system::serve::{RealignService, Request, ServeConfig, ServeError, ShardSpec, TenantQuota};
 use ir_system::workloads::{ShapeFamily, WorkloadConfig, WorkloadGenerator};
 
 const TENANTS: usize = 3;
 const PER_FAMILY: usize = 6;
+
+/// Golden digest of the mixed-tenant heterogeneous-pool run.
+const GOLDEN_HETERO: u64 = 0x9062_b2f3_51cb_05c9;
+/// Golden digest of the pool with no long-read shard.
+const GOLDEN_UNROUTABLE: u64 = 0xc2cc_8884_00d2_ade7;
+/// Golden digest of the single-slot tenant-quota burst.
+const GOLDEN_OVER_QUOTA: u64 = 0xeed5_be0c_b404_19c2;
 
 /// A family-flavored but miniature workload config: same profile knobs,
 /// target dimensions shrunk so the datapath work stays test-sized.
@@ -155,6 +167,7 @@ fn mixed_tenant_trace_routes_across_the_heterogeneous_pool() {
     }
     assert_eq!(accepted, offered as u64);
     assert_eq!(completed, offered as u64);
+    assert_golden(&report, GOLDEN_HETERO, "heterogeneous pool with tenants");
 }
 
 #[test]
@@ -197,6 +210,7 @@ fn families_without_a_shard_are_rejected_as_unroutable() {
     assert_eq!(report.rejections.len(), 4);
     assert_eq!(report.counters.counter("serve/unroutable"), 4);
     assert!(report.rejections.iter().all(|r| r.retry_after_s > 0.0));
+    assert_golden(&report, GOLDEN_UNROUTABLE, "unroutable family");
 }
 
 #[test]
@@ -220,6 +234,7 @@ fn over_quota_tenants_are_shed_at_admission() {
     assert_eq!(report.counters.counter("serve/tenant0/accepted"), 1);
     assert_eq!(report.counters.counter("serve/tenant0/rejected"), 4);
     assert_eq!(report.counters.counter("serve/tenant0/completed"), 1);
+    assert_golden(&report, GOLDEN_OVER_QUOTA, "over-quota tenant");
 }
 
 #[test]
