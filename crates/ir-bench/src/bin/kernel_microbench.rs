@@ -12,7 +12,12 @@
 //!   [`CandidateBlock`] holding all candidates, the deployed hot path;
 //! - **serial-pruned** — one `run_read_sweep` under the serial
 //!   `HdcConfig` (one base per cycle, immediate pruning), the shape that
-//!   dominates the figure-9 oracle.
+//!   dominates the figure-9 oracle;
+//! - **bench-mix** — [`kernel::dense_sweep`] over every (read,
+//!   candidate) pair of the 22-autosome bench-profile workload at scale
+//!   5e-4 (the pairs the IRACC key's cold oracle sweeps densely): ragged
+//!   offset counts, about half of them a single partial 64-offset block,
+//!   where the fixed `batch` fixture is all long, full rows.
 //!
 //! `pair` and `batch` use the adversarial dense shape (unrelated read,
 //! every lane accumulates) with pruning off, so every kernel does the
@@ -27,7 +32,7 @@
 
 use std::time::Instant;
 
-use ir_bench::Table;
+use ir_bench::{bench_workload, Table};
 use ir_core::batch::{CandidateBlock, SweepRead};
 use ir_core::kernel;
 use ir_core::KernelKind;
@@ -104,6 +109,48 @@ fn main() {
         .map(|run| run.comparisons)
         .sum();
 
+    // Bench-mix fixture: every target's candidate block and swept reads.
+    let mix: Vec<(CandidateBlock, Vec<SweepRead>)> = bench_workload(5e-4)
+        .autosomes()
+        .iter()
+        .flat_map(|chrom| &chrom.targets)
+        .map(|t| {
+            let reads = t
+                .reads()
+                .iter()
+                .map(|r| SweepRead::new(r.bases().bases(), r.quals()))
+                .collect();
+            (CandidateBlock::from_target(t), reads)
+        })
+        .collect();
+    let mix_pairs: Vec<(&CandidateBlock, usize, &SweepRead)> = mix
+        .iter()
+        .flat_map(|(block, reads)| {
+            reads
+                .iter()
+                .flat_map(move |read| (0..block.num_candidates()).map(move |i| (block, i, read)))
+        })
+        .collect();
+    let offsets = |(block, i, read): &(&CandidateBlock, usize, &SweepRead)| {
+        (block.len(*i) - read.len() + 1) as u64
+    };
+    let mix_offsets: u64 = mix_pairs.iter().map(offsets).sum();
+    let mix_bases: u64 = mix_pairs
+        .iter()
+        .map(|p| offsets(p) * p.2.len() as u64)
+        .sum();
+    let mix_sweep = |kind: KernelKind| {
+        for &(block, i, read) in &mix_pairs {
+            std::hint::black_box(kernel::dense_sweep(
+                kind,
+                block.row_padded(i),
+                block.len(i) - read.len(),
+                read.codes_padded(),
+                read.scores_padded(),
+            ));
+        }
+    };
+
     let rows: Vec<(&str, KernelKind)> = vec![
         ("scalar", KernelKind::Scalar),
         ("swar", KernelKind::Swar),
@@ -112,6 +159,7 @@ fn main() {
     let mut table = Table::new(vec!["row", "isa", "mode", "ns_per_sweep", "gbase_per_s"]);
     let mut swar_batch_ns = None;
     let mut simd_batch_ns = None;
+    let mut simd_mix_ns = None;
     for (row, kind) in rows {
         let pair_ns = time_ns(|| {
             for row in &cons_rows {
@@ -132,10 +180,15 @@ fn main() {
         let serial_ns = time_ns(|| {
             std::hint::black_box(run_read_sweep(&block, &serial_read, kind, serial_cfg));
         });
+        let mix_ns = time_ns(|| mix_sweep(kind));
+        if row == "simd" {
+            simd_mix_ns = Some(mix_ns);
+        }
         for (mode, ns, work) in [
             ("pair", pair_ns, bases),
             ("batch", batch_ns, bases),
             ("serial-pruned", serial_ns, visited as f64),
+            ("bench-mix", mix_ns, mix_bases as f64),
         ] {
             table.row(vec![
                 row.to_string(),
@@ -152,6 +205,14 @@ fn main() {
         println!(
             "\nsimd ({active}) batch sweep is {:.2}x the SWAR kernel on the dense shape",
             swar / simd
+        );
+    }
+    if let Some(simd) = simd_mix_ns {
+        println!(
+            "simd ({active}) bench-mix dense sweep: {:.2} ns per offset \
+             ({mix_offsets} offsets over {} pairs)",
+            simd / mix_offsets as f64,
+            mix_pairs.len()
         );
     }
 }

@@ -42,7 +42,20 @@
 //! Two whole offset sweeps live here too, so the per-ISA work inlines
 //! into the offset loop: [`serial_sweep`] (per-base pruning, where
 //! AVX-512 finds each offset's stop base with an in-register prefix sum)
-//! and [`dense_sweep`] (every offset folded in full).
+//! and [`dense_sweep`] (every offset folded in full). AVX-512 runs the
+//! dense sweep offset-parallel, the diagram transposed:
+//!
+//! ```text
+//! lane j = offset k0 + j                   64 consecutive offsets per block
+//! for each read base b:
+//!   neq = cmpneq(row[k0 + b ..], r_b)      one mismatch bit per offset
+//!   W  += s_b where neq                    two masked u16 adds
+//! E = exclusive prefix-min(W), carried in  each offset's running minimum
+//! above += popcnt(W > E); new min = last lane with W < E
+//! ```
+//!
+//! The `u16` lanes are exact while the read's score total stays below
+//! 0xFFFF (DESIGN.md §4f).
 
 use std::fmt;
 use std::str::FromStr;
@@ -540,7 +553,9 @@ pub struct DenseSweep {
 ///
 /// Like [`serial_sweep`], the offset loop runs inside each ISA's
 /// `#[target_feature]` scope, so the fold inlines and there is no
-/// per-offset dispatch, assertion or call. `read_padded` and
+/// per-offset dispatch, assertion or call. AVX-512 sweeps 64 offsets per
+/// vector, one read base at a time, when the read's score total fits a
+/// `u16` lane; the other kinds fold one offset at a time. `read_padded` and
 /// `scores_padded` are the zero-padded lane arrays of
 /// [`SweepRead`](crate::batch::SweepRead): padding lanes carry score 0,
 /// so the fold over the padded length equals the fold over the read.
@@ -582,7 +597,8 @@ pub fn dense_sweep(
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
         KernelKind::Avx512 => {
             assert_available(kind);
-            // SAFETY: as above, for AVX-512F/BW.
+            // SAFETY: `assert_available` verified AVX-512F/BW and POPCNT
+            // at runtime; the asserts above bound every load (DESIGN.md §4f).
             unsafe { x86::dense_sweep_avx512(row, max_k, read, scores) }
         }
         #[cfg(target_arch = "aarch64")]
@@ -1117,22 +1133,166 @@ mod x86 {
         })
     }
 
+    /// Read bases the offset-parallel dense sweep expands onto the stack
+    /// (a multiple of its 16-base expansion step); reads with more scored
+    /// bases keep the per-offset fold.
+    const DENSE_MAX_BASES: usize = 1024;
+
+    /// `vpermw` index vectors for the prefix-min steps: entry `i` moves
+    /// lane `max(j - 2^i, 0)` into lane `j`.
+    const LANES_BACK: [[u16; 32]; 5] = {
+        let mut idx = [[0u16; 32]; 5];
+        let mut i = 0;
+        while i < 5 {
+            let mut j = 0;
+            while j < 32 {
+                idx[i][j] = j.saturating_sub(1 << i) as u16;
+                j += 1;
+            }
+            i += 1;
+        }
+        idx
+    };
+
+    /// Inclusive prefix minimum over the 32 `u16` lanes of `x`: five
+    /// Hillis–Steele steps. Lanes below the stride take lane 0, whose
+    /// value their running minimum already covers, so no merge mask is
+    /// needed.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn prefix_min_epu16(mut x: __m512i) -> __m512i {
+        for idx in &LANES_BACK {
+            let back = _mm512_loadu_si512(idx.as_ptr().cast());
+            x = _mm512_min_epu16(x, _mm512_permutexvar_epi16(back, x));
+        }
+        x
+    }
+
     /// # Safety
     ///
-    /// The CPU must support AVX-512F and AVX-512BW. Lengths checked by
-    /// the safe dispatcher.
-    #[target_feature(enable = "avx512f,avx512bw")]
+    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` and
+    /// `scores` have equal length and `max_k + read.len() <= row.len()`
+    /// (checked by the safe dispatcher); see DESIGN.md §4f for why every
+    /// masked load stays inside those slices.
+    ///
+    /// Offset-parallel: 64 consecutive offsets `k0 + j` share one vector
+    /// and the loop walks the read one base `b` at a time — one masked
+    /// load of `row[k0 + b ..]`, one compare against the broadcast read
+    /// code, two masked `u16` adds of the broadcast score — so lane `j`
+    /// ends holding offset `k0 + j`'s WHD. That is exact while the read's
+    /// score total stays below 0xFFFF (every read of at most 704 bases at
+    /// Phred ≤ 93); larger totals, and reads with more than
+    /// [`DENSE_MAX_BASES`] scored bases, fold each offset in turn instead.
+    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
     pub unsafe fn dense_sweep_avx512(
         row: &[u8],
         max_k: usize,
         read: &[u8],
         scores: &[u8],
     ) -> super::DenseSweep {
-        // SAFETY: the closure runs inside this function's AVX-512F/BW scope,
-        // on equal-length slices the generic loop cut from `row`.
-        super::dense_sweep_generic(row, max_k, read, scores, |w, r, s| unsafe {
-            fold_avx512(w, r, s)
-        })
+        let zero = _mm512_setzero_si512();
+        // The score total, and `n`: the bases up to the last nonzero
+        // score (trailing zero-score padding adds nothing to any offset).
+        let mut total = zero;
+        let mut n = 0usize;
+        let mut i = 0usize;
+        while i < read.len() {
+            let lanes = tail_mask(read.len() - i);
+            let s = _mm512_maskz_loadu_epi8(lanes, scores.as_ptr().add(i).cast());
+            total = _mm512_add_epi64(total, _mm512_sad_epu8(s, zero));
+            let scored = _mm512_test_epi8_mask(s, s);
+            if scored != 0 {
+                n = i + 64 - scored.leading_zeros() as usize;
+            }
+            i += 64;
+        }
+        if _mm512_reduce_add_epi64(total) as u64 >= 0xFFFF || n > DENSE_MAX_BASES {
+            // SAFETY: the closure runs inside this function's AVX-512F/BW
+            // scope, on equal-length slices the generic loop cut from `row`.
+            return super::dense_sweep_generic(row, max_k, read, scores, |w, r, s| unsafe {
+                fold_avx512(w, r, s)
+            });
+        }
+
+        // Expand each base's code into a 4-byte word (`code · 0x01010101`)
+        // and its score into two `u16` halves (`score · 0x00010001`) once,
+        // so the per-base broadcasts in the offset loop are plain loads.
+        let mut code_words = std::mem::MaybeUninit::<[u32; DENSE_MAX_BASES]>::uninit();
+        let mut score_words = std::mem::MaybeUninit::<[u32; DENSE_MAX_BASES]>::uninit();
+        let code_words = code_words.as_mut_ptr().cast::<u32>();
+        let score_words = score_words.as_mut_ptr().cast::<u32>();
+        let bytes4 = _mm512_set1_epi32(0x0101_0101);
+        let words2 = _mm512_set1_epi32(0x0001_0001);
+        let mut i = 0usize;
+        while i < n {
+            // 16 bases per step; words `i..i + 16` stay below
+            // `n.next_multiple_of(16) <= DENSE_MAX_BASES`.
+            let lanes = tail_mask(n - i) & 0xFFFF;
+            let c = _mm512_maskz_loadu_epi8(lanes, read.as_ptr().add(i).cast());
+            let s = _mm512_maskz_loadu_epi8(lanes, scores.as_ptr().add(i).cast());
+            let c = _mm512_mullo_epi32(_mm512_cvtepu8_epi32(_mm512_castsi512_si128(c)), bytes4);
+            let s = _mm512_mullo_epi32(_mm512_cvtepu8_epi32(_mm512_castsi512_si128(s)), words2);
+            _mm512_storeu_si512(code_words.add(i).cast(), c);
+            _mm512_storeu_si512(score_words.add(i).cast(), s);
+            i += 16;
+        }
+
+        let ones = _mm512_set1_epi16(-1);
+        let last_lane = _mm512_set1_epi16(31);
+        let prev_lane = _mm512_loadu_si512(LANES_BACK[0].as_ptr().cast());
+        // The running minimum in every lane; 0xFFFF (above every valid
+        // WHD) before offset 0.
+        let mut carry = ones;
+        let mut out = super::DenseSweep {
+            min_whd: 0,
+            min_offset: 0,
+            offsets_above_min: 0,
+        };
+        let mut k0 = 0usize;
+        while k0 <= max_k {
+            let valid = tail_mask(max_k + 1 - k0);
+            let (valid_lo, valid_hi) = (valid as u32, (valid >> 32) as u32);
+            // Offsets past `max_k` sit at 0xFFFF and are never added to.
+            let mut whd_lo = _mm512_maskz_mov_epi16(!valid_lo, ones);
+            let mut whd_hi = _mm512_maskz_mov_epi16(!valid_hi, ones);
+            let win = row.as_ptr().add(k0);
+            // SAFETY: lane j loads `row[k0 + j + b]` only when
+            // `k0 + j <= max_k`, and `b < n <= read.len()`, so every byte
+            // read is below `max_k + read.len() <= row.len()`; word
+            // `b < n` of each buffer was written by the expansion above.
+            for b in 0..n {
+                let bases = _mm512_maskz_loadu_epi8(valid, win.add(b).cast());
+                let code = _mm512_set1_epi32(*code_words.add(b) as i32);
+                let neq = _mm512_mask_cmpneq_epi8_mask(valid, bases, code);
+                let score = _mm512_set1_epi32(*score_words.add(b) as i32);
+                whd_lo = _mm512_mask_add_epi16(whd_lo, neq as u32, whd_lo, score);
+                whd_hi = _mm512_mask_add_epi16(whd_hi, (neq >> 32) as u32, whd_hi, score);
+            }
+            // Each offset's exclusive running minimum: the inclusive
+            // prefix minimum with the carry folded in, shifted up a lane.
+            let incl_lo = _mm512_min_epu16(prefix_min_epu16(whd_lo), carry);
+            let mid = _mm512_permutexvar_epi16(last_lane, incl_lo);
+            let incl_hi = _mm512_min_epu16(prefix_min_epu16(whd_hi), mid);
+            let excl_lo = _mm512_mask_permutexvar_epi16(carry, !1, prev_lane, incl_lo);
+            let excl_hi = _mm512_mask_permutexvar_epi16(mid, !1, prev_lane, incl_hi);
+            carry = _mm512_permutexvar_epi16(last_lane, incl_hi);
+            let above_lo = _mm512_mask_cmpgt_epu16_mask(valid_lo, whd_lo, excl_lo);
+            let above_hi = _mm512_mask_cmpgt_epu16_mask(valid_hi, whd_hi, excl_hi);
+            out.offsets_above_min += u64::from(above_lo.count_ones() + above_hi.count_ones());
+            // A new minimum is an offset strictly below its exclusive
+            // minimum; the last one holds the block minimum at its first
+            // offset, which keeps first-on-ties.
+            let below = u64::from(_mm512_cmplt_epu16_mask(whd_lo, excl_lo))
+                | u64::from(_mm512_cmplt_epu16_mask(whd_hi, excl_hi)) << 32;
+            if below != 0 {
+                out.min_offset = k0 + 63 - below.leading_zeros() as usize;
+            }
+            k0 += 64;
+        }
+        // Offset 0 always exists and sits below 0xFFFF, so the carry is
+        // a real WHD.
+        out.min_whd = u64::from(_mm_extract_epi16::<0>(_mm512_castsi512_si128(carry)) as u16);
+        out
     }
 }
 
@@ -1534,6 +1694,123 @@ mod tests {
         );
     }
 
+    /// Every available kind's dense sweep, asserted equal to the
+    /// per-offset fold loop.
+    fn dense_all_kinds(row: &[u8], max_k: usize, read: &[u8], scores: &[u8]) -> DenseSweep {
+        let want = dense_reference(row, max_k, read, scores);
+        for kind in KernelKind::available() {
+            assert_eq!(dense_sweep(kind, row, max_k, read, scores), want, "{kind}");
+        }
+        want
+    }
+
+    /// A dense-sweep fixture over `offsets` offsets: an all-`A` read of
+    /// `n` bases (score 10 each) against a row of `C`s with `A` runs at
+    /// `runs`, so offset `k`'s WHD is 10 × the `C`s in `row[k..k + n]`.
+    fn dense_fixture(offsets: usize, n: usize, runs: &[(usize, usize)]) -> DenseSweep {
+        let mut row = vec![2u8; offsets - 1 + n];
+        for &(start, len) in runs {
+            row[start..start + len].fill(1);
+        }
+        dense_all_kinds(&row, offsets - 1, &vec![1u8; n], &vec![10u8; n])
+    }
+
+    #[test]
+    fn dense_sweep_block_edges() {
+        // The only exact hit is the last offset, at every block-edge
+        // count: a lane-62, lane-63, next-block lane-0 and lane-63
+        // minimum.
+        for offsets in [63usize, 64, 65, 128] {
+            let got = dense_fixture(offsets, 8, &[(offsets - 1, 8)]);
+            assert_eq!((got.min_whd, got.min_offset), (0, offsets - 1), "{offsets}");
+            assert_eq!(got.offsets_above_min, 0, "{offsets}: the WHD only falls");
+        }
+        // Minimum in lane 63 of block 0; block 1's lanes all sit above
+        // it, so the carry — not block 1's own minimum — must win.
+        let got = dense_fixture(128, 8, &[(63, 8)]);
+        assert_eq!((got.min_whd, got.min_offset), (0, 63));
+        assert_eq!(got.offsets_above_min, 64);
+        // Minimum in lane 0 of later blocks.
+        for start in [64usize, 128] {
+            let got = dense_fixture(200, 8, &[(start, 8)]);
+            assert_eq!((got.min_whd, got.min_offset), (0, start), "{start}");
+        }
+        // A tie straddling the block boundary keeps the first offset, and
+        // the tying offset 64 is not above the minimum.
+        let got = dense_fixture(128, 8, &[(63, 9)]);
+        assert_eq!((got.min_whd, got.min_offset), (0, 63));
+        assert_eq!(got.offsets_above_min, 63);
+        // Ties at lane 0 of two blocks.
+        let got = dense_fixture(192, 8, &[(64, 8), (128, 8)]);
+        assert_eq!((got.min_whd, got.min_offset), (0, 64));
+    }
+
+    #[test]
+    fn dense_sweep_all_equal_empty_and_zero_scores() {
+        // Every offset at the same WHD: offset 0 wins, nothing is above.
+        let got = dense_fixture(150, 12, &[]);
+        assert_eq!(
+            got,
+            DenseSweep {
+                min_whd: 120,
+                min_offset: 0,
+                offsets_above_min: 0,
+            }
+        );
+        // An empty read: every offset's WHD is 0.
+        let row = vec![3u8; 200];
+        let got = dense_all_kinds(&row, 199, &[], &[]);
+        assert_eq!(
+            got,
+            DenseSweep {
+                min_whd: 0,
+                min_offset: 0,
+                offsets_above_min: 0,
+            }
+        );
+        // Zero scores mid-read and in the padding: mismatches there add
+        // nothing, so offset 70 (whose only mismatches are at the
+        // zero-score bases) ties offset 100's exact hit and wins.
+        let mut row = vec![2u8; 300];
+        row[100..140].fill(1);
+        row[70..110].fill(1);
+        row[70 + 12] = 2;
+        row[70 + 25] = 2;
+        let mut read = vec![1u8; 64];
+        read[40..].fill(0);
+        let mut scores = vec![20u8; 64];
+        scores[12] = 0;
+        scores[25] = 0;
+        scores[40..].fill(0);
+        let got = dense_all_kinds(&row, 300 - 64, &read, &scores);
+        assert_eq!((got.min_whd, got.min_offset), (0, 70));
+        let hit = fold_whd(KernelKind::Scalar, &row[100..164], &read, &scores);
+        assert_eq!(hit, 0, "offset 100 is an exact hit");
+    }
+
+    #[test]
+    fn dense_sweep_score_totals_at_the_u16_bound() {
+        // Every base mismatches at every offset, so every WHD is the
+        // read's score total: 65,534 (the largest `u16`-lane total) and
+        // 65,535 (the smallest per-offset-fold total), over three blocks.
+        for last in [254u8, 255] {
+            let mut scores = vec![255u8; 257];
+            scores[256] = last;
+            let read = vec![1u8; 257];
+            let row = vec![2u8; 150 + 257];
+            let got = dense_all_kinds(&row, 150, &read, &scores);
+            let total = 256 * 255 + u64::from(last);
+            assert_eq!(
+                got,
+                DenseSweep {
+                    min_whd: total,
+                    min_offset: 0,
+                    offsets_above_min: 0,
+                }
+            );
+        }
+    }
+
     mod differential {
         use super::*;
         use proptest::prelude::*;
@@ -1600,19 +1877,34 @@ mod tests {
             }
 
             /// The kernel-side dense sweep is a per-offset `fold_whd`
-            /// loop over the padded lane arrays, for every kernel.
+            /// loop over the padded lane arrays, for every kernel: reads
+            /// up to 320 bases and up to 400 offsets (seven 64-offset
+            /// blocks). Reads are cut from the row with substitutions, so
+            /// minima and ties are real; a high score floor pushes the
+            /// read's score total past the `u16`-lane bound of 65,535.
             #[test]
             fn dense_sweep_matches_fold_loop(
-                n in 0usize..=200,
-                slack in 0usize..=80,
-                row_raw in prop::collection::vec(0u8..=5, 280),
-                read_raw in prop::collection::vec(1u8..=5, 200),
-                scores_raw in prop::collection::vec(0u8..=255, 200),
+                n in 0usize..=320,
+                slack in 0usize..=400,
+                row_raw in prop::collection::vec(0u8..=5, 720),
+                scores_raw in prop::collection::vec(0u8..=255, 320),
+                score_floor in prop_oneof![Just(0u8), Just(200u8)],
+                cut_frac in 0.0f64..=1.0,
+                subs in prop::collection::vec((0usize..320, 1u8..=5), 0..=40),
             ) {
                 let n_pad = n.next_multiple_of(64);
-                let mut read = read_raw[..n].to_vec();
+                let cut = (slack as f64 * cut_frac) as usize;
+                let mut read = row_raw[cut..cut + n].to_vec();
+                for &(pos, code) in &subs {
+                    if n > 0 {
+                        read[pos % n] = code;
+                    }
+                }
                 read.resize(n_pad, 0);
-                let mut scores = scores_raw[..n].to_vec();
+                let mut scores: Vec<u8> = scores_raw[..n]
+                    .iter()
+                    .map(|&s| s.max(score_floor))
+                    .collect();
                 scores.resize(n_pad, 0);
                 let max_k = slack;
                 let mut row = row_raw[..n + slack].to_vec();

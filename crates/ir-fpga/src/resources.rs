@@ -132,6 +132,7 @@ pub fn routing_fraction(units: usize) -> f64 {
 ///
 /// # Errors
 ///
+/// - [`FpgaError::NotConfigured`] if there are no units or no HDC lanes.
 /// - [`FpgaError::DoesNotFit`] if the unit count exceeds the floorplan.
 /// - [`FpgaError::TimingFailure`] if the clock recipe has negative slack,
 ///   reproducing the paper's rejected 250 MHz experiment.
@@ -141,6 +142,11 @@ pub fn validate(params: &FpgaParams) -> Result<ResourceReport, FpgaError> {
         // can never schedule anything; reject it up front rather than
         // letting the dispatch loops panic.
         return Err(FpgaError::NotConfigured("any IR units (num_units is zero)"));
+    }
+    if params.lanes == 0 {
+        // Likewise a laneless HDC compares nothing per cycle; the sweep
+        // would panic on its first pair.
+        return Err(FpgaError::NotConfigured("any HDC lanes (lanes is zero)"));
     }
     let rpt = report(params.num_units, params.lanes);
     if !rpt.fits {

@@ -194,3 +194,35 @@ fn bad_flag_values_are_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad --scale"));
 }
+
+/// A fabric with no units or no HDC lanes is a clean `error:` line and a
+/// nonzero exit, not a panic inside the first sweep.
+#[test]
+fn degenerate_fabric_is_a_clean_error() {
+    let path = temp_path("degenerate");
+    let out = cli()
+        .args([
+            "gen",
+            "--chromosome",
+            "21",
+            "--scale",
+            "2e-5",
+            "--seed",
+            "9",
+        ])
+        .args(["--out", path.to_str().unwrap()])
+        .output()
+        .expect("gen runs");
+    assert!(out.status.success());
+    for flag in ["--units", "--lanes"] {
+        let out = cli()
+            .args(["simulate", path.to_str().unwrap(), flag, "0"])
+            .output()
+            .expect("simulate runs");
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(!out.status.success(), "{flag} 0 must fail");
+        assert!(err.starts_with("error:"), "{flag} 0: {err}");
+        assert!(!err.contains("panicked"), "{flag} 0: {err}");
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -105,11 +105,12 @@ fn shape_covering_configs() -> Vec<HdcConfig> {
 prop_compose! {
     /// A random (consensus, read, quals) triple with `read.len() <=
     /// consensus.len()`, all symbols (including `N`) and the full
-    /// Phred-score range.
+    /// Phred-score range. Up to 161 offsets, so the dense sweep's
+    /// 64-offset blocks run full, partial and past the 32-lane half.
     fn pair_inputs()(
         read_len in 1usize..=96,
-        extra in 0usize..=64,
-        cons_codes in prop::collection::vec(any::<u8>(), 160),
+        extra in 0usize..=160,
+        cons_codes in prop::collection::vec(any::<u8>(), 256),
         read_codes in prop::collection::vec(any::<u8>(), 96),
         qual_scores in prop::collection::vec(0u8..=60, 96)
     ) -> (Sequence, Sequence, Qual) {

@@ -36,7 +36,7 @@ use std::sync::OnceLock;
 
 use common::{assert_golden, report_digest};
 
-use ir_system::fpga::{AcceleratedSystem, FaultRates, FpgaParams};
+use ir_system::fpga::{AcceleratedSystem, FaultRates, FpgaError, FpgaParams, Scheduling};
 use ir_system::serve::{
     FaultInjection, FleetConfig, FleetService, RealignService, Request, ServeConfig, ServeError,
     ServiceReport,
@@ -398,4 +398,40 @@ fn impossible_backend_fails_at_construction() {
         matches!(fleet, Err(ServeError::Backend(_))),
         "fleet: {fleet:?}"
     );
+}
+
+/// Contract 6 for degenerate fabrics: no units or no HDC lanes is a
+/// typed construction error for the system and the service, never a
+/// panic in the first sweep.
+#[test]
+fn unitless_and_laneless_backends_fail_at_construction() {
+    for params in [
+        FpgaParams {
+            num_units: 0,
+            ..FpgaParams::iracc()
+        },
+        FpgaParams {
+            lanes: 0,
+            ..FpgaParams::iracc()
+        },
+    ] {
+        let system = AcceleratedSystem::new(params, Scheduling::Asynchronous);
+        assert!(
+            matches!(system, Err(FpgaError::NotConfigured(_))),
+            "system: {:?}",
+            system.err()
+        );
+        let service = RealignService::new(ServeConfig {
+            params,
+            ..ServeConfig::default()
+        });
+        assert!(
+            matches!(
+                service,
+                Err(ServeError::Backend(FpgaError::NotConfigured(_)))
+            ),
+            "service: {:?}",
+            service.err()
+        );
+    }
 }
