@@ -7,8 +7,8 @@
 //! runtime. This sweep compares four dispatch policies on one
 //! chromosome's workload.
 
-use ir_bench::{bench_workload, scale_from_env, OracleCache, Table};
-use ir_fpga::{AcceleratedSystem, FpgaParams, Scheduling};
+use ir_bench::{bench_workload, scale_from_env, Table};
+use ir_fpga::{AcceleratedSystem, FpgaParams, FunctionalOracle, Scheduling};
 use ir_genome::Chromosome;
 
 fn main() {
@@ -36,12 +36,8 @@ fn main() {
 
     // All four policies replay the same workload under the same serial
     // timing key — one warmed oracle serves the whole ablation.
-    let mut oracle = OracleCache::from_env().load_or_compute(
-        &format!("bench-{}-serial", workload.chromosome),
-        &workload.targets,
-        &FpgaParams::serial(),
-        1,
-    );
+    let mut oracle = FunctionalOracle::new();
+    oracle.precompute(&workload.targets, &FpgaParams::serial(), 1);
 
     let mut table = Table::new(vec!["policy", "wall s", "unit utilization", "vs unsorted"]);
     let mut baseline = 0.0f64;

@@ -5,11 +5,9 @@
 //! with the number of units available", until the 32-unit block-RAM
 //! ceiling.
 
-use ir_bench::{
-    bench_workload, parallel_sweep, scale_from_env, threads_from_env, OracleCache, Table,
-};
+use ir_bench::{bench_workload, parallel_sweep, scale_from_env, threads_from_env, Table};
 use ir_fpga::resources::max_units;
-use ir_fpga::{AcceleratedSystem, FpgaParams, Scheduling};
+use ir_fpga::{AcceleratedSystem, FpgaParams, FunctionalOracle, Scheduling};
 use ir_genome::Chromosome;
 
 fn main() {
@@ -23,14 +21,9 @@ fn main() {
 
     // The unit count only moves work around in time — it is not part of
     // the oracle's timing key — so all six sweep points replay one warmed
-    // set of datapath evaluations (shared on disk with the other figure
-    // binaries' Ch20 IRACC runs when `IR_ORACLE_CACHE` is set).
-    let pool_oracle = OracleCache::from_env().load_or_compute(
-        &format!("bench-{}-iracc", workload.chromosome),
-        &workload.targets,
-        &FpgaParams::iracc(),
-        threads,
-    );
+    // set of datapath evaluations.
+    let mut pool_oracle = FunctionalOracle::new();
+    pool_oracle.precompute(&workload.targets, &FpgaParams::iracc(), threads);
     let all_indices: Vec<usize> = (0..workload.targets.len()).collect();
 
     // Each unit count is an independent simulation of the same targets;

@@ -5,84 +5,41 @@
 //! $14.5, IR ACC ≈ 90¢ (31 min on an f1.2xlarge at $1.65/h); IRACC is 32×
 //! more cost-efficient than GATK3 and 17× more than ADAM.
 //!
-//! Methodology: the software baselines are analytic in the target shapes,
-//! so they are priced directly on **paper-geometry** shapes (250 bp
-//! reads). The accelerator's sustained throughput (naive-equivalent
-//! comparisons per second) is measured by simulation on the bench-profile
-//! workload at `IR_SCALE` and then applied to the same paper-geometry
-//! work.
+//! Methodology ([`FullGenome`]): the software baselines are analytic in
+//! the target shapes, so they are priced directly on **paper-geometry**
+//! shapes (250 bp reads). The accelerator's sustained throughput
+//! (naive-equivalent comparisons per second) is measured by simulation
+//! on the bench-profile workload at `IR_SCALE` and then applied to the
+//! same paper-geometry work.
 
-use ir_baselines::{adam::AdamModel, gatk::GatkModel};
 use ir_bench::{
-    bench_workload, default_workload, fmt_duration, parallel_sweep, scale_from_env,
-    threads_from_env, OracleCache, Table,
+    chromosome_sweep, fmt_duration, scale_from_env, threads_from_env, FullGenome, Table,
 };
 use ir_cloud::{cost_efficiency_ratio, CostedRun, Instance};
 use ir_fpga::{AcceleratedSystem, FpgaParams, Scheduling};
+use ir_genome::Chromosome;
 
 fn main() {
     let scale = scale_from_env();
     println!("Figure 9 (right): cost to perform INDEL realignment (Ch1–22)");
     println!("accelerator measured at scale {scale}, costs extrapolated to the full genome\n");
 
-    // Paper-geometry work, full genome (shapes are cheap to sample).
-    let shape_scale = scale.min(5e-4);
-    let paper_gen = default_workload(shape_scale);
-    let mut paper_shapes = Vec::new();
-    for workload in paper_gen.autosomes() {
-        paper_shapes.extend(workload.targets.iter().map(|t| t.shape()));
-    }
-    let upscale = 1.0 / shape_scale;
-    let paper_naive: u64 = paper_shapes
-        .iter()
-        .map(|s| s.worst_case_comparisons())
-        .sum();
-
-    // Software baselines: analytic on the paper-geometry shapes.
-    let gatk_full = GatkModel::default().run_shapes(&paper_shapes).wall_time_s * upscale;
-    let adam_full = AdamModel::default()
-        .without_startup()
-        .run_shapes(&paper_shapes)
-        .wall_time_s
-        * upscale
-        + 12.0;
-
-    // Accelerator: measured sustained throughput on the bench workload.
-    // The per-chromosome IRACC evaluations share the oracle cache with
-    // fig9_speedup / headline_claims (same workload, same timing key).
-    let bench_gen = bench_workload(scale);
-    let cache = OracleCache::from_env();
-    let workloads = bench_gen.autosomes();
-    let per_chromosome: Vec<(u64, f64)> =
-        parallel_sweep(&workloads, threads_from_env(), |workload| {
-            let iracc = AcceleratedSystem::new(FpgaParams::iracc(), Scheduling::Asynchronous)
-                .expect("iracc fits");
-            let mut oracle = cache.load_or_compute(
-                &format!("bench-{}-iracc", workload.chromosome),
-                &workload.targets,
-                &FpgaParams::iracc(),
-                1,
-            );
-            (
-                workload
-                    .targets
-                    .iter()
-                    .map(|t| t.shape().worst_case_comparisons())
-                    .sum::<u64>(),
-                iracc
-                    .run_with_oracle(&workload.targets, &mut oracle)
-                    .wall_time_s,
-            )
-        });
-    let bench_naive: u64 = per_chromosome.iter().map(|&(n, _)| n).sum();
-    let bench_wall: f64 = per_chromosome.iter().map(|&(_, w)| w).sum();
-    let throughput = bench_naive as f64 / bench_wall; // naive-equivalent cmp/s
-    let iracc_full = paper_naive as f64 * upscale / throughput;
+    let iracc =
+        AcceleratedSystem::new(FpgaParams::iracc(), Scheduling::Asynchronous).expect("iracc fits");
+    let chromosomes: Vec<Chromosome> = Chromosome::autosomes().collect();
+    let sweep = chromosome_sweep(scale, &chromosomes, &[iracc], threads_from_env(), |run| {
+        run.wall_time_s
+    });
+    let full = FullGenome::extrapolate(
+        scale,
+        sweep.iter().map(|c| c.naive_comparisons).sum(),
+        sweep.iter().map(|c| c.runs[0]).sum(),
+    );
 
     let runs = [
-        CostedRun::new("GATK3", Instance::r3_2xlarge(), gatk_full),
-        CostedRun::new("ADAM", Instance::r3_2xlarge(), adam_full),
-        CostedRun::new("IR ACC", Instance::f1_2xlarge(), iracc_full),
+        CostedRun::new("GATK3", Instance::r3_2xlarge(), full.gatk_s),
+        CostedRun::new("ADAM", Instance::r3_2xlarge(), full.adam_s),
+        CostedRun::new("IR ACC", Instance::f1_2xlarge(), full.accel_s),
     ];
 
     let mut table = Table::new(vec!["system", "instance", "$/hour", "wall time", "cost $"]);
@@ -105,17 +62,18 @@ fn main() {
         "measured     : GATK3 ${:.2} ({}), ADAM ${:.2}, IR ACC ${:.2} ({}); \
          cost efficiency {:.0}× vs GATK3, {:.0}× vs ADAM",
         runs[0].cost_usd(),
-        fmt_duration(gatk_full),
+        fmt_duration(full.gatk_s),
         runs[1].cost_usd(),
         runs[2].cost_usd(),
-        fmt_duration(iracc_full),
+        fmt_duration(full.accel_s),
         cost_efficiency_ratio(&runs[0], &runs[2]),
         cost_efficiency_ratio(&runs[1], &runs[2]),
     );
     println!(
-        "\n(sustained fabric throughput: {throughput:.2e} naive-equivalent comparisons/s; \
+        "\n(sustained fabric throughput: {:.2e} naive-equivalent comparisons/s; \
          absolute hours track the\nsynthetic workload's total work — per-target sizes are \
          calibrated to published shape statistics, not\nto NA12878's exact totals — while \
-         the cost-efficiency ratios are geometry-independent)"
+         the cost-efficiency ratios are geometry-independent)",
+        full.throughput
     );
 }

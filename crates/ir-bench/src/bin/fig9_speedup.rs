@@ -10,81 +10,33 @@
 //! (avg 41.4×).
 //!
 //! Run with `IR_SCALE` (default 1e-4) to trade accuracy for time.
-//! `IR_THREADS` sets the sweep worker count; `IR_ORACLE_CACHE` shares
-//! the memoized datapath evaluations with the other figure binaries.
-//! Neither changes a single emitted byte.
+//! `IR_THREADS` sets the sweep worker count without changing a single
+//! emitted byte.
 //!
-//! The TaskP and TaskP-Async columns share one functional oracle (the
-//! datapath result depends only on the serial timing key, not on the
-//! flush discipline), so each chromosome's serial datapath is evaluated
-//! once instead of twice; the IRACC column keys separately.
+//! The three accelerator columns replay one functional oracle per
+//! chromosome ([`chromosome_sweep`]): TaskP and TaskP-Async share the
+//! serial datapath's evaluations (the result depends only on the timing
+//! key, not on the flush discipline), and the IRACC column keys apart.
 
-use ir_baselines::{adam::AdamModel, gatk::GatkModel};
-use ir_bench::{
-    bench_workload, fmt_duration, gmean, parallel_sweep, scale_from_env, threads_from_env,
-    OracleCache, Table,
-};
+use ir_bench::{chromosome_sweep, fmt_duration, gmean, scale_from_env, threads_from_env, Table};
 use ir_fpga::{AcceleratedSystem, FpgaParams, Scheduling};
 use ir_genome::Chromosome;
 
-struct ChromosomeRow {
-    chromosome: Chromosome,
-    gatk_s: f64,
-    adam_s: f64,
-    taskp_s: f64,
-    async_s: f64,
-    iracc_s: f64,
-}
-
 fn main() {
     let scale = scale_from_env();
-    let generator = bench_workload(scale);
-    let cache = OracleCache::from_env();
     println!("Figure 9 (left): hardware-accelerated INDEL realignment vs software");
     println!("workload scale: {scale} of the paper's NA12878 run\n");
 
+    let system = |params, scheduling| AcceleratedSystem::new(params, scheduling).expect("fits");
+    let systems = [
+        system(FpgaParams::serial(), Scheduling::Synchronous),
+        system(FpgaParams::serial(), Scheduling::Asynchronous),
+        system(FpgaParams::iracc(), Scheduling::Asynchronous),
+    ];
     let chromosomes: Vec<Chromosome> = Chromosome::autosomes().collect();
-    let rows: Vec<ChromosomeRow> =
-        parallel_sweep(&chromosomes, threads_from_env(), |&chromosome| {
-            let taskp = AcceleratedSystem::new(FpgaParams::serial(), Scheduling::Synchronous)
-                .expect("serial config fits");
-            let taskp_async =
-                AcceleratedSystem::new(FpgaParams::serial(), Scheduling::Asynchronous)
-                    .expect("serial config fits");
-            let iracc = AcceleratedSystem::new(FpgaParams::iracc(), Scheduling::Asynchronous)
-                .expect("iracc config fits");
-            let gatk = GatkModel::default();
-            let adam = AdamModel::default().without_startup();
-
-            let workload = generator.chromosome(chromosome);
-            let shapes: Vec<_> = workload.targets.iter().map(|t| t.shape()).collect();
-            let mut serial_oracle = cache.load_or_compute(
-                &format!("bench-{chromosome}-serial"),
-                &workload.targets,
-                &FpgaParams::serial(),
-                1,
-            );
-            let mut iracc_oracle = cache.load_or_compute(
-                &format!("bench-{chromosome}-iracc"),
-                &workload.targets,
-                &FpgaParams::iracc(),
-                1,
-            );
-            ChromosomeRow {
-                chromosome,
-                gatk_s: gatk.run_shapes(&shapes).wall_time_s,
-                adam_s: adam.run_shapes(&shapes).wall_time_s,
-                taskp_s: taskp
-                    .run_with_oracle(&workload.targets, &mut serial_oracle)
-                    .wall_time_s,
-                async_s: taskp_async
-                    .run_with_oracle(&workload.targets, &mut serial_oracle)
-                    .wall_time_s,
-                iracc_s: iracc
-                    .run_with_oracle(&workload.targets, &mut iracc_oracle)
-                    .wall_time_s,
-            }
-        });
+    let rows = chromosome_sweep(scale, &chromosomes, &systems, threads_from_env(), |run| {
+        run.wall_time_s
+    });
 
     let mut table = Table::new(vec![
         "chromosome",
@@ -98,10 +50,11 @@ fn main() {
     let mut iracc_x = Vec::new();
     let mut adam_x = Vec::new();
     for r in &rows {
-        let tp = r.gatk_s / r.taskp_s;
-        let ta = r.gatk_s / r.async_s;
-        let ir = r.gatk_s / r.iracc_s;
-        let ad = r.adam_s / r.iracc_s;
+        let (taskp_s, async_s, iracc_s) = (r.runs[0], r.runs[1], r.runs[2]);
+        let tp = r.gatk_s / taskp_s;
+        let ta = r.gatk_s / async_s;
+        let ir = r.gatk_s / iracc_s;
+        let ad = r.adam_s / iracc_s;
         taskp_x.push(tp);
         async_x.push(ta);
         iracc_x.push(ir);
@@ -124,7 +77,7 @@ fn main() {
     table.emit("fig9_speedup");
 
     let total_gatk: f64 = rows.iter().map(|r| r.gatk_s).sum();
-    let total_iracc: f64 = rows.iter().map(|r| r.iracc_s).sum();
+    let total_iracc: f64 = rows.iter().map(|r| r.runs[2]).sum();
     println!("\nextrapolated full-genome (Ch1–22) wall times at scale 1.0:");
     println!("  GATK3  : {}", fmt_duration(total_gatk / scale));
     println!("  IR ACC : {}", fmt_duration(total_iracc / scale));

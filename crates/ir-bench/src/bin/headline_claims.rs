@@ -8,17 +8,17 @@
 //!    $28** for GATK3;
 //! 3. **81× speedup** over 8-thread software at **32× lower cost**.
 //!
-//! Methodology as in `fig9_cost`: software baselines priced analytically
-//! on paper-geometry shapes; the accelerator's sustained throughput
-//! measured by simulation at `IR_SCALE` and applied to the same work.
+//! Methodology as in `fig9_cost` ([`FullGenome`]): software baselines
+//! priced analytically on paper-geometry shapes; the accelerator's
+//! sustained throughput measured by simulation at `IR_SCALE` and applied
+//! to the same work.
 
-use ir_baselines::gatk::GatkModel;
 use ir_bench::{
-    bench_workload, default_workload, fmt_duration, parallel_sweep, scale_from_env,
-    threads_from_env, OracleCache, Table,
+    chromosome_sweep, fmt_duration, scale_from_env, threads_from_env, FullGenome, Table,
 };
 use ir_cloud::{run_cost_usd, Instance};
 use ir_fpga::{AcceleratedSystem, FpgaParams, Scheduling};
+use ir_genome::Chromosome;
 
 fn main() {
     let scale = scale_from_env();
@@ -34,52 +34,22 @@ fn main() {
         FpgaParams::iracc().peak_comparisons_per_second() as f64
     );
 
-    // Paper-geometry full-genome work.
-    let shape_scale = scale.min(5e-4);
-    let paper_gen = default_workload(shape_scale);
-    let mut paper_shapes = Vec::new();
-    for workload in paper_gen.autosomes() {
-        paper_shapes.extend(workload.targets.iter().map(|t| t.shape()));
-    }
-    let upscale = 1.0 / shape_scale;
-    let paper_naive: u64 = paper_shapes
-        .iter()
-        .map(|s| s.worst_case_comparisons())
-        .sum();
-    let gatk_full = GatkModel::default().run_shapes(&paper_shapes).wall_time_s * upscale;
-
-    // Accelerator throughput from the simulated bench workload; the
-    // per-chromosome IRACC evaluations share the oracle cache with
-    // fig9_speedup / fig9_cost (same workload, same timing key).
-    let bench_gen = bench_workload(scale);
-    let cache = OracleCache::from_env();
-    let workloads = bench_gen.autosomes();
-    let per_chromosome: Vec<(u64, u64, f64)> =
-        parallel_sweep(&workloads, threads_from_env(), |workload| {
-            let iracc = AcceleratedSystem::new(FpgaParams::iracc(), Scheduling::Asynchronous)
-                .expect("iracc fits");
-            let mut oracle = cache.load_or_compute(
-                &format!("bench-{}-iracc", workload.chromosome),
-                &workload.targets,
-                &FpgaParams::iracc(),
-                1,
-            );
-            let run = iracc.run_with_oracle(&workload.targets, &mut oracle);
-            (
-                workload
-                    .targets
-                    .iter()
-                    .map(|t| t.shape().worst_case_comparisons())
-                    .sum::<u64>(),
-                run.comparisons,
-                run.wall_time_s,
-            )
-        });
-    let bench_naive: u64 = per_chromosome.iter().map(|&(n, _, _)| n).sum();
-    let bench_executed: u64 = per_chromosome.iter().map(|&(_, e, _)| e).sum();
-    let bench_wall: f64 = per_chromosome.iter().map(|&(_, _, w)| w).sum();
-    let throughput = bench_naive as f64 / bench_wall;
-    let iracc_full = paper_naive as f64 * upscale / throughput;
+    // Accelerator throughput from the simulated bench workload, applied
+    // to the paper-geometry full-genome work.
+    let iracc =
+        AcceleratedSystem::new(FpgaParams::iracc(), Scheduling::Asynchronous).expect("iracc fits");
+    let chromosomes: Vec<Chromosome> = Chromosome::autosomes().collect();
+    let sweep = chromosome_sweep(scale, &chromosomes, &[iracc], threads_from_env(), |run| {
+        (run.comparisons, run.wall_time_s)
+    });
+    let bench_executed: u64 = sweep.iter().map(|c| c.runs[0].0).sum();
+    let bench_wall: f64 = sweep.iter().map(|c| c.runs[0].1).sum();
+    let full = FullGenome::extrapolate(
+        scale,
+        sweep.iter().map(|c| c.naive_comparisons).sum(),
+        bench_wall,
+    );
+    let (gatk_full, iracc_full) = (full.gatk_s, full.accel_s);
 
     let gatk_cost = run_cost_usd(&Instance::r3_2xlarge(), gatk_full);
     let iracc_cost = run_cost_usd(&Instance::f1_2xlarge(), iracc_full);
@@ -102,8 +72,9 @@ fn main() {
     );
     println!(
         "\nsustained fabric rates during the measured run: {:.2e} executed cmp/s, \
-         {throughput:.2e} naive-equivalent cmp/s",
-        bench_executed as f64 / bench_wall
+         {:.2e} naive-equivalent cmp/s",
+        bench_executed as f64 / bench_wall,
+        full.throughput
     );
 
     let mut table = Table::new(vec!["claim", "measured", "paper"]);

@@ -6,58 +6,31 @@
 //! 16 and HLS fails to extract the coarse-grained parallelism and pruning
 //! of the hand-written datapath.
 
-use ir_baselines::gatk::GatkModel;
-use ir_bench::{
-    bench_workload, gmean, parallel_sweep, scale_from_env, threads_from_env, OracleCache, Table,
-};
-use ir_fpga::hls::{hls_params, hls_system};
+use ir_bench::{chromosome_sweep, gmean, scale_from_env, threads_from_env, Table};
+use ir_fpga::hls::hls_system;
 use ir_fpga::{AcceleratedSystem, FpgaParams, Scheduling};
 use ir_genome::Chromosome;
 
 fn main() {
     let scale = scale_from_env();
-    let generator = bench_workload(scale);
-    let cache = OracleCache::from_env();
     println!("HLS (SDAccel/OpenCL) build vs the Chisel IR ACC (scale {scale})\n");
 
+    let systems = [
+        hls_system().expect("16-unit HLS design fits"),
+        AcceleratedSystem::new(FpgaParams::iracc(), Scheduling::Asynchronous).expect("fits"),
+    ];
     let chromosomes: Vec<Chromosome> = Chromosome::autosomes().take(6).collect();
-    let rows: Vec<(Chromosome, f64, f64, f64)> =
-        parallel_sweep(&chromosomes, threads_from_env(), |&chromosome| {
-            let gatk = GatkModel::default();
-            let hls = hls_system().expect("16-unit HLS design fits");
-            let iracc = AcceleratedSystem::new(FpgaParams::iracc(), Scheduling::Asynchronous)
-                .expect("fits");
-            let workload = generator.chromosome(chromosome);
-            let shapes: Vec<_> = workload.targets.iter().map(|t| t.shape()).collect();
-            let mut hls_oracle = cache.load_or_compute(
-                &format!("bench-{chromosome}-hls"),
-                &workload.targets,
-                &hls_params(),
-                1,
-            );
-            let mut iracc_oracle = cache.load_or_compute(
-                &format!("bench-{chromosome}-iracc"),
-                &workload.targets,
-                &FpgaParams::iracc(),
-                1,
-            );
-            (
-                chromosome,
-                gatk.run_shapes(&shapes).wall_time_s,
-                hls.run_with_oracle(&workload.targets, &mut hls_oracle)
-                    .wall_time_s,
-                iracc
-                    .run_with_oracle(&workload.targets, &mut iracc_oracle)
-                    .wall_time_s,
-            )
-        });
+    let rows = chromosome_sweep(scale, &chromosomes, &systems, threads_from_env(), |run| {
+        run.wall_time_s
+    });
 
     let mut table = Table::new(vec!["chromosome", "HLS × vs GATK3", "IR ACC × vs GATK3"]);
     let mut hls_x = Vec::new();
-    for &(chromosome, gatk_s, hls_s, iracc_s) in &rows {
+    for row in &rows {
+        let (gatk_s, hls_s, iracc_s) = (row.gatk_s, row.runs[0], row.runs[1]);
         hls_x.push(gatk_s / hls_s);
         table.row(vec![
-            chromosome.to_string(),
+            row.chromosome.to_string(),
             format!("{:.1}", gatk_s / hls_s),
             format!("{:.1}", gatk_s / iracc_s),
         ]);

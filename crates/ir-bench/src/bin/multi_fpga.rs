@@ -7,11 +7,9 @@
 //! time on worst-case work) and reports scaling efficiency and cost per
 //! unit of work — quantifying whether the "sea of seas" pays.
 
-use ir_bench::{
-    bench_workload, parallel_sweep, scale_from_env, threads_from_env, OracleCache, Table,
-};
+use ir_bench::{bench_workload, parallel_sweep, scale_from_env, threads_from_env, Table};
 use ir_cloud::{run_cost_usd, schedule_jobs, Instance};
-use ir_fpga::{AcceleratedSystem, FpgaParams, Scheduling};
+use ir_fpga::{AcceleratedSystem, FpgaParams, FunctionalOracle, Scheduling};
 
 fn main() {
     // Each FPGA-count point re-runs the whole pool, so cap the scale to
@@ -41,12 +39,8 @@ fn main() {
     // key, so the datapath is evaluated once: warm a pool-wide oracle,
     // then project it onto each shard's global indices (`subset` re-keys
     // them to the shard-local positions `run_with_oracle` sees).
-    let pool_oracle = OracleCache::from_env().load_or_compute(
-        "multi-fpga-pool-iracc",
-        &targets,
-        &FpgaParams::iracc(),
-        threads,
-    );
+    let mut pool_oracle = FunctionalOracle::new();
+    pool_oracle.precompute(&targets, &FpgaParams::iracc(), threads);
 
     // Each FPGA-count point LPT-shards the pool and replays every shard —
     // the points are independent, so they sweep in parallel; derived

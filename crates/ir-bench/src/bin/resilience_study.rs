@@ -16,15 +16,13 @@
 //! guarantee shows up as wall-time overhead that stays small until
 //! fault rates reach ~1e-2 per event.
 
-use ir_bench::{
-    bench_workload, parallel_sweep, scale_from_env, threads_from_env, OracleCache, Table,
-};
+use ir_bench::{bench_workload, chromosome_sweep, scale_from_env, threads_from_env, Table};
 use ir_cloud::{schedule_jobs, simulate_spot_schedule_traced, CheckpointPolicy, SpotMarket};
 use ir_core::IndelRealigner;
 use ir_fpga::fault::{FaultPlan, FaultRates};
 use ir_fpga::layout::encode_outputs;
 use ir_fpga::Telemetry;
-use ir_fpga::{AcceleratedSystem, FpgaParams, ResiliencePolicy, Scheduling};
+use ir_fpga::{AcceleratedSystem, FpgaParams, FunctionalOracle, ResiliencePolicy, Scheduling};
 use ir_genome::{Chromosome, RealignmentTarget};
 
 /// Targets in the fault sweep — fixed (not scaled) so the sweep sees
@@ -68,9 +66,8 @@ fn main() {
     // One warmed oracle serves the clean run and all 12 fault-sweep
     // points below: the memoized entry is the fault-free datapath result,
     // and injected faults only ever mutate the per-attempt clone.
-    let cache = OracleCache::from_env();
-    let mut oracle =
-        cache.load_or_compute("resilience-sweep-iracc", targets, &FpgaParams::iracc(), 1);
+    let mut oracle = FunctionalOracle::new();
+    oracle.precompute(targets, &FpgaParams::iracc(), 1);
     let clean_wall = system.run_with_oracle(targets, &mut oracle).wall_time_s;
     println!(
         "Resilience study ({} targets, 32 async units; fleet sweep at scale {scale})\n",
@@ -134,18 +131,16 @@ fn main() {
     // Per-chromosome wall times for one genome on this configuration,
     // scaled up from the bench workload's relative chromosome sizes.
     let chromosomes: Vec<Chromosome> = Chromosome::autosomes().collect();
-    let chromosome_s: Vec<f64> = parallel_sweep(&chromosomes, threads_from_env(), |&c| {
-        let w = bench_workload(scale).chromosome(c);
-        let mut chr_oracle = cache.load_or_compute(
-            &format!("bench-{c}-iracc"),
-            &w.targets,
-            &FpgaParams::iracc(),
-            1,
-        );
-        system
-            .run_with_oracle(&w.targets, &mut chr_oracle)
-            .wall_time_s
-    });
+    let chromosome_s: Vec<f64> = chromosome_sweep(
+        scale,
+        &chromosomes,
+        std::slice::from_ref(&system),
+        threads_from_env(),
+        |run| run.wall_time_s,
+    )
+    .iter()
+    .map(|c| c.runs[0])
+    .collect();
     // The bench workload's seconds are tiny; model genome-scale jobs by
     // stretching to the paper's ~31-minute whole-genome run.
     let stretch = 31.0 * 60.0 / chromosome_s.iter().sum::<f64>();

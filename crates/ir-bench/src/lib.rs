@@ -9,7 +9,10 @@
 //! - [`threads_from_env`] / [`parallel_sweep`] — the `IR_THREADS` knob
 //!   and the shared worker pool the sweep binaries run their independent
 //!   configuration points on;
-//! - [`default_workload`] — the standard synthetic workload generator;
+//! - [`default_workload`] / [`bench_workload`] — the paper-geometry and
+//!   bench-profile synthetic workload generators;
+//! - [`chromosome_sweep`] / [`FullGenome`] — the Figure 9 per-chromosome
+//!   sweep and its full-genome extrapolation;
 //! - [`Table`] — aligned text tables, also written as CSV into
 //!   `results/`;
 //! - [`gmean`] — the geometric mean the paper reports for Figure 9.
@@ -25,41 +28,110 @@ use std::sync::mpsc;
 
 use ir_workloads::{WorkloadConfig, WorkloadGenerator};
 
-pub mod oracle_cache;
+pub mod sweep;
 
-pub use oracle_cache::OracleCache;
+pub use sweep::{chromosome_sweep, ChromosomeRuns, FullGenome};
 
 /// Reads the workload scale from `IR_SCALE` (default `1e-4`).
 ///
 /// Scale 1.0 is the paper's full NA12878 run (~2.8 M IR targets across
 /// Ch1–22); `1e-4` keeps every shape distribution intact at ~280 targets.
+/// A set but invalid value (see [`parse_scale`]) prints an
+/// `error: IR_SCALE=…` line and exits the process with status 2.
 pub fn scale_from_env() -> f64 {
-    std::env::var("IR_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|&s| s > 0.0 && s <= 1.0)
-        .unwrap_or(1e-4)
+    or_exit(parse_scale(env_raw("IR_SCALE").as_deref()))
 }
 
 /// Reads the sweep-harness worker count from `IR_THREADS` (≥ 1), falling
-/// back to the machine's available parallelism.
+/// back to the machine's available parallelism when it is unset.
 ///
 /// Every figure binary runs its independent sweep points through
 /// [`parallel_sweep`] on this many OS threads. The emitted tables and
 /// CSVs are **byte-identical for any thread count**: sweep points share
 /// no mutable state, host wall-clock is only ever printed to stdout, and
 /// results are collected in input order. CI pins this by byte-diffing a
-/// 2-thread run against a 1-thread run.
+/// 2-thread run against a 1-thread run. A set but invalid value (see
+/// [`parse_threads`]) prints an `error: IR_THREADS=…` line and exits the
+/// process with status 2.
 pub fn threads_from_env() -> usize {
-    std::env::var("IR_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+    or_exit(parse_threads(env_raw("IR_THREADS").as_deref())).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// Parses a raw `IR_SCALE` value: unset means the default `1e-4`; a set
+/// value must be a number in `(0, 1]`.
+///
+/// # Errors
+///
+/// Returns the `error: IR_SCALE=…` diagnostic for a non-numeric or
+/// out-of-range value.
+///
+/// # Example
+///
+/// ```
+/// use ir_bench::parse_scale;
+///
+/// assert_eq!(parse_scale(None), Ok(1e-4));
+/// assert_eq!(parse_scale(Some("5e-3")), Ok(5e-3));
+/// assert!(parse_scale(Some("5e3")).is_err());
+/// ```
+pub fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else {
+        return Ok(1e-4);
+    };
+    match raw.parse::<f64>() {
+        Ok(s) if s > 0.0 && s <= 1.0 => Ok(s),
+        Ok(_) => Err(format!(
+            "error: IR_SCALE={raw} is out of range (want a fraction in (0, 1])"
+        )),
+        Err(_) => Err(format!("error: IR_SCALE={raw} is not a number")),
+    }
+}
+
+/// Parses a raw `IR_THREADS` value: unset means `None` (the caller picks
+/// the default); a set value must be an integer ≥ 1.
+///
+/// # Errors
+///
+/// Returns the `error: IR_THREADS=…` diagnostic for a non-integer value
+/// or zero.
+///
+/// # Example
+///
+/// ```
+/// use ir_bench::parse_threads;
+///
+/// assert_eq!(parse_threads(None), Ok(None));
+/// assert_eq!(parse_threads(Some("2")), Ok(Some(2)));
+/// assert!(parse_threads(Some("0")).is_err());
+/// ```
+pub fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(raw) = raw else {
+        return Ok(None);
+    };
+    match raw.parse::<usize>() {
+        Ok(0) => Err(format!("error: IR_THREADS={raw} must be at least 1")),
+        Ok(t) => Ok(Some(t)),
+        Err(_) => Err(format!("error: IR_THREADS={raw} is not a positive integer")),
+    }
+}
+
+/// A knob's raw value, or `None` when unset. A non-UTF-8 value comes back
+/// lossily converted, so the parsers reject it instead of treating it as
+/// unset.
+fn env_raw(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// Unwraps a parsed knob, or prints its diagnostic and exits with status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
 }
 
 /// Runs `f` over every input on `threads` scoped worker threads (dynamic
@@ -337,10 +409,37 @@ mod tests {
     }
 
     #[test]
-    fn default_scale_is_small() {
-        // Without the env var set the default must be laptop-scale.
-        if std::env::var("IR_SCALE").is_err() {
-            assert!((scale_from_env() - 1e-4).abs() < 1e-12);
+    fn scale_parses_good_and_unset_values() {
+        assert_eq!(parse_scale(None), Ok(1e-4));
+        assert_eq!(parse_scale(Some("5e-3")), Ok(5e-3));
+        assert_eq!(parse_scale(Some("1")), Ok(1.0));
+    }
+
+    #[test]
+    fn scale_rejects_non_numeric_zero_and_out_of_range() {
+        for raw in [
+            "1e-2x", "", "garbage", "0", "0.0", "-1e-3", "5e3", "1.5", "inf", "NaN",
+        ] {
+            let err = parse_scale(Some(raw)).expect_err(raw);
+            assert!(err.starts_with(&format!("error: IR_SCALE={raw} ")), "{err}");
+        }
+    }
+
+    #[test]
+    fn threads_parse_good_and_unset_values() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("1")), Ok(Some(1)));
+        assert_eq!(parse_threads(Some("16")), Ok(Some(16)));
+    }
+
+    #[test]
+    fn threads_reject_non_numeric_zero_and_out_of_range() {
+        for raw in ["two", "", "2x", "0", "-1", "1.5", "99999999999999999999999"] {
+            let err = parse_threads(Some(raw)).expect_err(raw);
+            assert!(
+                err.starts_with(&format!("error: IR_THREADS={raw} ")),
+                "{err}"
+            );
         }
     }
 

@@ -30,8 +30,8 @@ impl ReadOutcome {
     /// Decomposes the outcome back into its wire-format parts — the exact
     /// inverse of [`Self::from_parts`], including the offset/position
     /// words of non-realigned reads (which the accessor pair below hides
-    /// behind `Option`). Re-encoders (output-buffer packing, the oracle's
-    /// on-disk cache) need the raw words to round-trip bit-exactly.
+    /// behind `Option`). Re-encoders (result digests, for one) need the raw
+    /// words to round-trip bit-exactly.
     pub fn into_parts(self) -> (bool, usize, u64) {
         (self.realign, self.new_offset, self.new_pos)
     }

@@ -17,11 +17,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ir_core::{MinWhd, MinWhdGrid, ReadOutcome};
 use ir_genome::RealignmentTarget;
 
 use crate::params::FpgaParams;
-use crate::unit::{simulate_target_fast, UnitCycles, UnitRun};
+use crate::unit::{simulate_target_fast, UnitRun};
 
 /// The [`FpgaParams`] fields that determine a [`UnitRun`]. Everything else
 /// (unit count, clock, DMA, latencies) only moves work around in time.
@@ -205,198 +204,6 @@ impl FunctionalOracle {
         }
         FunctionalOracle { cache }
     }
-
-    /// Serializes the entries for `params` covering targets
-    /// `0..n_targets` into the versioned binary snapshot format, or
-    /// `None` if any of those entries has not been memoized yet.
-    ///
-    /// The encoding is exact — every field of every [`UnitRun`] is an
-    /// integer, so [`Self::import_entries`] reconstructs entries that are
-    /// `==` to the originals and a run over an imported oracle stays
-    /// bitwise identical to a cold run (pinned by the round-trip test
-    /// below and by `ir-bench`'s cache integration test).
-    pub fn export_entries(&self, params: &FpgaParams, n_targets: usize) -> Option<Vec<u8>> {
-        let key = TimingKey::of(params);
-        let mut out = Vec::with_capacity(64 + n_targets * 256);
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u64(&mut out, SNAPSHOT_VERSION);
-        put_key(&mut out, &key);
-        put_u64(&mut out, n_targets as u64);
-        for i in 0..n_targets {
-            let run = self.cache.get(&(key, i))?;
-            put_run(&mut out, run);
-        }
-        Some(out)
-    }
-
-    /// Imports a snapshot produced by [`Self::export_entries`] under the
-    /// same timing-relevant parameters, returning the number of entries
-    /// loaded. The import is all-or-nothing: a magic/version/key mismatch
-    /// or a truncated or trailing-garbage payload loads nothing.
-    pub fn import_entries(&mut self, params: &FpgaParams, bytes: &[u8]) -> Result<usize, String> {
-        let key = TimingKey::of(params);
-        let mut r = Reader { bytes, pos: 0 };
-        let magic = r.take(SNAPSHOT_MAGIC.len())?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err("bad oracle snapshot magic".into());
-        }
-        let version = r.u64()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(format!("unsupported oracle snapshot version {version}"));
-        }
-        let stored = read_key(&mut r)?;
-        if stored != key {
-            return Err("oracle snapshot was built under different timing parameters".into());
-        }
-        let n = r.u64()? as usize;
-        let mut entries = Vec::with_capacity(n);
-        for i in 0..n {
-            entries.push(((key, i), read_run(&mut r)?));
-        }
-        if r.pos != bytes.len() {
-            return Err("trailing bytes after oracle snapshot payload".into());
-        }
-        for (k, run) in entries {
-            self.cache.insert(k, run);
-        }
-        Ok(n)
-    }
-}
-
-/// Magic bytes opening every oracle snapshot.
-const SNAPSHOT_MAGIC: &[u8] = b"IRORACLE";
-/// Snapshot format version; bump on any layout change.
-const SNAPSHOT_VERSION: u64 = 1;
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_key(out: &mut Vec<u8>, key: &TimingKey) {
-    put_u64(out, key.lanes as u64);
-    put_u64(out, u64::from(key.pruning));
-    put_u64(out, key.pair_overhead_cycles);
-    put_u64(out, key.bus_bytes);
-    put_u64(out, key.compute_overhead_bits);
-}
-
-fn put_run(out: &mut Vec<u8>, run: &UnitRun) {
-    put_u64(out, run.grid.num_consensuses() as u64);
-    put_u64(out, run.grid.num_reads() as u64);
-    for i in 0..run.grid.num_consensuses() {
-        for cell in run.grid.row(i) {
-            put_u64(out, cell.whd);
-            put_u64(out, cell.offset as u64);
-        }
-    }
-    put_u64(out, run.scores.len() as u64);
-    for &s in &run.scores {
-        put_u64(out, s);
-    }
-    put_u64(out, run.best as u64);
-    put_u64(out, run.outcomes.len() as u64);
-    for o in &run.outcomes {
-        let (realign, new_offset, new_pos) = o.into_parts();
-        put_u64(out, u64::from(realign));
-        put_u64(out, new_offset as u64);
-        put_u64(out, new_pos);
-    }
-    put_u64(out, run.cycles.load);
-    put_u64(out, run.cycles.hdc);
-    put_u64(out, run.cycles.selector);
-    put_u64(out, run.cycles.drain);
-    put_u64(out, run.comparisons);
-    put_u64(out, run.offsets_pruned);
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or("truncated oracle snapshot")?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn usize(&mut self) -> Result<usize, String> {
-        usize::try_from(self.u64()?).map_err(|_| "oversized count in oracle snapshot".into())
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        match self.u64()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(format!("invalid boolean {v} in oracle snapshot")),
-        }
-    }
-}
-
-fn read_key(r: &mut Reader<'_>) -> Result<TimingKey, String> {
-    Ok(TimingKey {
-        lanes: r.usize()?,
-        pruning: r.bool()?,
-        pair_overhead_cycles: r.u64()?,
-        bus_bytes: r.u64()?,
-        compute_overhead_bits: r.u64()?,
-    })
-}
-
-fn read_run(r: &mut Reader<'_>) -> Result<UnitRun, String> {
-    let num_consensuses = r.usize()?;
-    let num_reads = r.usize()?;
-    let ncells = num_consensuses
-        .checked_mul(num_reads)
-        .ok_or("oversized grid in oracle snapshot")?;
-    let mut cells = Vec::with_capacity(ncells.min(1 << 20));
-    for _ in 0..ncells {
-        cells.push(MinWhd {
-            whd: r.u64()?,
-            offset: r.usize()?,
-        });
-    }
-    let grid = MinWhdGrid::from_cells(num_consensuses, num_reads, cells);
-    let nscores = r.usize()?;
-    let mut scores = Vec::with_capacity(nscores.min(1 << 20));
-    for _ in 0..nscores {
-        scores.push(r.u64()?);
-    }
-    let best = r.usize()?;
-    let noutcomes = r.usize()?;
-    let mut outcomes = Vec::with_capacity(noutcomes.min(1 << 20));
-    for _ in 0..noutcomes {
-        let realign = r.bool()?;
-        let new_offset = r.usize()?;
-        let new_pos = r.u64()?;
-        outcomes.push(ReadOutcome::from_parts(realign, new_offset, new_pos));
-    }
-    let cycles = UnitCycles {
-        load: r.u64()?,
-        hdc: r.u64()?,
-        selector: r.u64()?,
-        drain: r.u64()?,
-    };
-    Ok(UnitRun {
-        grid,
-        scores,
-        best,
-        outcomes,
-        cycles,
-        comparisons: r.u64()?,
-        offsets_pruned: r.u64()?,
-    })
 }
 
 #[cfg(test)]
@@ -538,70 +345,6 @@ mod tests {
         assert!(sparse.is_empty());
         // A different timing key projects nothing either.
         assert!(pool.subset(&FpgaParams::serial(), &indices).is_empty());
-    }
-
-    #[test]
-    fn export_import_round_trips_bit_exactly() {
-        let targets = varied_targets();
-        for params in [FpgaParams::serial(), FpgaParams::iracc()] {
-            let mut warm = FunctionalOracle::new();
-            warm.precompute(&targets, &params, 1);
-            let bytes = warm
-                .export_entries(&params, targets.len())
-                .expect("fully warmed oracle exports");
-            let mut cold = FunctionalOracle::new();
-            let n = cold.import_entries(&params, &bytes).expect("import");
-            assert_eq!(n, targets.len());
-            for (i, t) in targets.iter().enumerate() {
-                assert_eq!(
-                    cold.simulate(t, i, &params),
-                    warm.simulate(t, i, &params),
-                    "target {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn export_requires_full_coverage() {
-        let targets = varied_targets();
-        let params = FpgaParams::serial();
-        let mut oracle = FunctionalOracle::new();
-        oracle.simulate(&targets[0], 0, &params);
-        assert!(oracle.export_entries(&params, targets.len()).is_none());
-        assert!(oracle.export_entries(&params, 1).is_some());
-    }
-
-    #[test]
-    fn import_rejects_corrupt_and_mismatched_snapshots() {
-        let targets = varied_targets();
-        let params = FpgaParams::serial();
-        let mut oracle = FunctionalOracle::new();
-        oracle.precompute(&targets, &params, 1);
-        let bytes = oracle.export_entries(&params, targets.len()).unwrap();
-
-        let mut fresh = FunctionalOracle::new();
-        // Wrong timing key.
-        assert!(fresh.import_entries(&FpgaParams::iracc(), &bytes).is_err());
-        // Truncation.
-        assert!(fresh
-            .import_entries(&params, &bytes[..bytes.len() - 1])
-            .is_err());
-        // Trailing garbage.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(fresh.import_entries(&params, &padded).is_err());
-        // Bad magic.
-        let mut garbled = bytes.clone();
-        garbled[0] ^= 0xFF;
-        assert!(fresh.import_entries(&params, &garbled).is_err());
-        // Every rejection is all-or-nothing.
-        assert!(fresh.is_empty());
-        // The pristine payload still loads.
-        assert_eq!(
-            fresh.import_entries(&params, &bytes).unwrap(),
-            targets.len()
-        );
     }
 
     #[test]

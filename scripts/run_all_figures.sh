@@ -15,9 +15,6 @@
 # Knobs:
 #   IR_THREADS         worker threads for the figure binaries
 #                      (default: host core count)
-#   IR_ORACLE_CACHE    oracle disk-cache directory (default:
-#                      results/.oracle-cache, wiped at start; set to the
-#                      empty string to disable caching)
 #   IR_BENCH_SNAPSHOT  snapshot output path (default: BENCH_10.json)
 #   IR_KERNEL          force a WHD kernel (scalar|swar|avx2|avx512|neon);
 #                      unset auto-detects the widest ISA
@@ -34,21 +31,6 @@ GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 SNAPSHOT="${IR_BENCH_SNAPSHOT:-BENCH_10.json}"
 mkdir -p results
 
-# Cross-binary oracle disk cache: binaries sharing a workload and timing
-# key replay each other's datapath evaluations instead of recomputing
-# them. Wiped every run so stale entries from another checkout never
-# leak in; results are byte-identical with the cache disabled.
-if [ "${IR_ORACLE_CACHE+set}" != "set" ]; then
-    IR_ORACLE_CACHE="results/.oracle-cache"
-fi
-if [ -n "$IR_ORACLE_CACHE" ]; then
-    rm -rf "$IR_ORACLE_CACHE"
-    mkdir -p "$IR_ORACLE_CACHE"
-    export IR_ORACLE_CACHE
-else
-    unset IR_ORACLE_CACHE
-fi
-
 cargo build --release -p ir-bench
 cargo build --release --bin ir-cli
 
@@ -58,7 +40,7 @@ cargo build --release --bin ir-cli
 KERNEL="$(./target/release/ir-cli kernel --format name)"
 ./target/release/ir-cli kernel | tee results/kernel.log
 
-echo "rev $GIT_REV, scale $SCALE, $IR_THREADS thread(s), kernel $KERNEL, oracle cache ${IR_ORACLE_CACHE:-off}"
+echo "rev $GIT_REV, scale $SCALE, $IR_THREADS thread(s), kernel $KERNEL"
 echo
 
 SUMMARY="results/bench_summary.json"
@@ -89,10 +71,7 @@ run table_resources
 run frequency_study
 run complexity_table
 
-# fig9_speedup runs before the other heavy sweeps: it warms the oracle
-# cache's per-chromosome serial and IRACC entries that fig9_cost,
-# hls_comparison, headline_claims, resilience_study, multi_fpga and the
-# ablations replay instead of recomputing.
+# Figure 9 (left): the per-chromosome speedup sweep.
 run fig9_speedup
 
 # Microarchitecture and scheduling.
