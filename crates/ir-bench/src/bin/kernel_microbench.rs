@@ -3,7 +3,7 @@
 //! Times the weighted-Hamming-distance sweep on the scalar reference, the
 //! portable SWAR kernel and the widest explicit-SIMD kernel the host CPU
 //! offers (`simd` — the one [`ir_core::kernel::active`] dispatches to,
-//! unless `IR_KERNEL` overrides it), in three modes:
+//! unless `IR_KERNEL` overrides it), in five modes:
 //!
 //! - **pair**  — per (consensus, read) pair, a one-row
 //!   [`CandidateBlock`] and [`SweepRead`] built and swept with
@@ -11,24 +11,28 @@
 //! - **batch** — one `run_read_sweep` over a structure-of-arrays
 //!   [`CandidateBlock`] holding all candidates, the deployed hot path;
 //! - **serial-pruned** — one `run_read_sweep` under the serial
-//!   `HdcConfig` (one base per cycle, immediate pruning), the shape that
-//!   dominates the figure-9 oracle;
+//!   `HdcConfig` (one base per cycle, immediate pruning) on one 250-base
+//!   read against eight 698-base rows, seven of them unrelated;
 //! - **bench-mix** — [`kernel::dense_sweep`] over every (read,
 //!   candidate) pair of the 22-autosome bench-profile workload at scale
 //!   5e-4 (the pairs the IRACC key's cold oracle sweeps densely): ragged
 //!   offset counts, about half of them a single partial 64-offset block,
-//!   where the fixed `batch` fixture is all long, full rows.
+//!   where the fixed `batch` fixture is all long, full rows;
+//! - **serial-mix** — [`kernel::serial_sweep`] over the same pairs: the
+//!   serial key's cold oracle, the shape that dominates the Figure 9
+//!   sweep (62-base bench-profile reads, about 96% of offsets pruned).
 //!
 //! `pair` and `batch` use the adversarial dense shape (unrelated read,
 //! every lane accumulates) with pruning off, so every kernel does the
 //! identical, closed-form amount of work and the Gbase/s column measures
 //! raw fold throughput. `serial-pruned` sweeps a read cut from candidate 0
 //! with a substitution every 50 bases (2%): offsets far from the true
-//! placement stop at their prune point, so its Gbase/s counts the bases
-//! the scans actually visit. Row keys are stable across hosts (`scalar`,
-//! `swar`, `simd`); the `isa` column records which ISA `simd` resolved
-//! to, and the snapshot records the same name as its `kernel` config
-//! field so `bench-diff` never compares Gbase/s across ISAs.
+//! placement stop at their prune point, so its Gbase/s (and
+//! `serial-mix`'s) counts the bases the scans actually visit. Row keys
+//! are stable across hosts (`scalar`, `swar`, `simd`); the `isa` column
+//! records which ISA `simd` resolved to, and the snapshot records the
+//! same name as its `kernel` config field so `bench-diff` never compares
+//! Gbase/s across ISAs.
 
 use std::time::Instant;
 
@@ -150,6 +154,23 @@ fn main() {
             ));
         }
     };
+    let serial_mix = |kind: KernelKind| -> u64 {
+        mix_pairs
+            .iter()
+            .map(|&(block, i, read)| {
+                std::hint::black_box(kernel::serial_sweep(
+                    kind,
+                    block.row_padded(i),
+                    block.len(i),
+                    read.codes(),
+                    read.scores(),
+                ))
+                .visited
+            })
+            .sum()
+    };
+    // Bases the pruned mix scans visit — identical for every kernel.
+    let serial_mix_visited = serial_mix(active);
 
     let rows: Vec<(&str, KernelKind)> = vec![
         ("scalar", KernelKind::Scalar),
@@ -160,6 +181,7 @@ fn main() {
     let mut swar_batch_ns = None;
     let mut simd_batch_ns = None;
     let mut simd_mix_ns = None;
+    let mut simd_serial_mix_ns = None;
     for (row, kind) in rows {
         let pair_ns = time_ns(|| {
             for row in &cons_rows {
@@ -181,14 +203,19 @@ fn main() {
             std::hint::black_box(run_read_sweep(&block, &serial_read, kind, serial_cfg));
         });
         let mix_ns = time_ns(|| mix_sweep(kind));
+        let serial_mix_ns = time_ns(|| {
+            serial_mix(kind);
+        });
         if row == "simd" {
             simd_mix_ns = Some(mix_ns);
+            simd_serial_mix_ns = Some(serial_mix_ns);
         }
         for (mode, ns, work) in [
             ("pair", pair_ns, bases),
             ("batch", batch_ns, bases),
             ("serial-pruned", serial_ns, visited as f64),
             ("bench-mix", mix_ns, mix_bases as f64),
+            ("serial-mix", serial_mix_ns, serial_mix_visited as f64),
         ] {
             table.row(vec![
                 row.to_string(),
@@ -213,6 +240,13 @@ fn main() {
              ({mix_offsets} offsets over {} pairs)",
             simd / mix_offsets as f64,
             mix_pairs.len()
+        );
+    }
+    if let Some(simd) = simd_serial_mix_ns {
+        println!(
+            "simd ({active}) serial-mix serial sweep: {:.2} ns per offset \
+             ({serial_mix_visited} bases visited)",
+            simd / mix_offsets as f64,
         );
     }
 }

@@ -20,7 +20,7 @@
 //! and derives every [`OpCounts`] field from it (visited bases, score
 //! accumulations up to the stop base, pruned offsets); without it, each
 //! offset folds the whole read with [`crate::kernel::fold_whd_counted`].
-//! Scores are non-negative, so the crossing base — and therefore every
+//! Scores are non-negative, so the stop base — and therefore every
 //! count — is identical to the scalar reference's; the proptests below
 //! pin that bit-for-bit.
 

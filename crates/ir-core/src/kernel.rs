@@ -40,18 +40,20 @@
 //! 16 lanes; SWAR 8 lanes per `u64` with the classic has-zero-byte trick.
 //!
 //! Two whole offset sweeps live here too, so the per-ISA work inlines
-//! into the offset loop: [`serial_sweep`] (per-base pruning, where
-//! AVX-512 finds each offset's stop base with an in-register prefix sum)
-//! and [`dense_sweep`] (every offset folded in full). AVX-512 runs the
-//! dense sweep offset-parallel, the diagram transposed:
+//! into the offset loop: [`serial_sweep`] (per-base pruning) and
+//! [`dense_sweep`] (every offset folded in full). AVX-512 runs both
+//! offset-parallel, the diagram transposed, on one shared pass 1:
 //!
 //! ```text
 //! lane j = offset k0 + j                   64 consecutive offsets per block
-//! for each read base b:
+//! pass 1, for each read base b:
 //!   neq = cmpneq(row[k0 + b ..], r_b)      one mismatch bit per offset
 //!   W  += s_b where neq                    two masked u16 adds
 //! E = exclusive prefix-min(W), carried in  each offset's running minimum
 //! above += popcnt(W > E); new min = last lane with W < E
+//! pass 2 (serial only), for each base b:   replay the kept neq masks
+//!   acc += popcnt(neq & live); P += s_b where neq
+//!   live = P <= E; visited += popcnt(live)  E is the exact serial budget
 //! ```
 //!
 //! The `u16` lanes are exact while the read's score total stays below
@@ -351,7 +353,8 @@ pub fn fold_whd_counted(kind: KernelKind, win: &[u8], read: &[u8], scores: &[u8]
 
 /// Bitmask of mismatching positions over a window of at most 64 bases:
 /// bit `i` is set iff `win[i] != read[i]`. The serial immediate-prune
-/// sweep of every kind but AVX-512 uses this instead of [`fold_whd`] —
+/// sweep uses this instead of [`fold_whd`] on every kind but AVX-512,
+/// and there for reads outside the `u16` offset-parallel sweep's reach —
 /// one vector compare yields the mismatch set, and the caller
 /// accumulates scores bit by bit in ascending position with an exact
 /// per-base bound check, the pruning semantics of the per-base
@@ -391,15 +394,18 @@ pub fn mismatch_mask(kind: KernelKind, win: &[u8], read: &[u8]) -> u64 {
 }
 
 /// Aggregate result of [`serial_sweep`]: the jump-to-outcome summary of
-/// a full serial immediate-prune offset sweep.
+/// a full serial immediate-prune offset sweep. An offset is pruned iff
+/// its full WHD exceeds the minimum WHD over the offsets before it, and
+/// it stops at the first base where its running sum does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SerialSweep {
     /// Minimum WHD over all completed offsets.
     pub min_whd: u64,
     /// Offset achieving `min_whd` (first on ties).
     pub min_offset: usize,
-    /// Total bases visited across every offset — the pruned scans'
-    /// cycle and comparison charge.
+    /// Total bases visited across every offset, each pruned offset's
+    /// stop base included — the pruned scans' cycle and comparison
+    /// charge.
     pub visited: u64,
     /// Total score accumulations across every offset: the mismatches up
     /// to and including each pruned offset's stop base, and every
@@ -420,11 +426,13 @@ pub struct SerialSweep {
 /// the per-ISA work inlines into the offset loop, which runs hundreds of
 /// offsets per pair. Offsets do not stop early in their scan: on the
 /// figure-9 workload an offset visits about 32 bases and ~24 mismatches
-/// before it is pruned. AVX-512 therefore finds each offset's stop base
-/// in registers — a per-chunk prefix sum of the selected scores compared
-/// against the remaining budget, `tzcnt` of the crossing masks — instead
-/// of walking the mismatches one dependent add-compare-branch at a time
-/// as the other kinds do.
+/// before it is pruned. The scalar, SWAR, AVX2 and NEON kinds walk the
+/// mismatches one dependent add-compare-branch at a time. AVX-512 sweeps
+/// 64 offsets per vector instead: a pruned offset's WHD exceeds the
+/// minimum it is compared against, so it never lowers that minimum, and
+/// offset `k`'s budget is exactly the minimum WHD over offsets `0..k`.
+/// One [`dense_sweep`] pass therefore gives every offset's budget, and a
+/// second pass replays the mismatch masks to find each stop base.
 ///
 /// `row` is the candidate row (commonly a padded [`CandidateBlock`]
 /// row); only `row[..row_len]` is read. `read` and `scores` must have
@@ -993,128 +1001,6 @@ mod x86 {
         })
     }
 
-    /// Inclusive prefix sum over the 32 `u16` lanes of `x`, exact while
-    /// the total stays below 65,536. Two in-qword steps are plain 64-bit
-    /// shifts; the qword totals are then scanned with three whole-qword
-    /// aligns and the exclusive result is broadcast back over each
-    /// qword's four lanes.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn prefix_sum_epu16(x: __m512i) -> __m512i {
-        let zero = _mm512_setzero_si512();
-        let x = _mm512_add_epi16(x, _mm512_slli_epi64::<16>(x));
-        let x = _mm512_add_epi16(x, _mm512_slli_epi64::<32>(x));
-        let totals = _mm512_srli_epi64::<48>(x);
-        let incl = _mm512_add_epi64(totals, _mm512_alignr_epi64::<7>(totals, zero));
-        let incl = _mm512_add_epi64(incl, _mm512_alignr_epi64::<6>(incl, zero));
-        let incl = _mm512_add_epi64(incl, _mm512_alignr_epi64::<4>(incl, zero));
-        let below = _mm512_sub_epi64(incl, totals);
-        // Copy each qword's low `u16` (the sum of the qwords below it)
-        // into all four of its lanes: bytes 0-1 of the 128-bit lane's
-        // low qword, bytes 8-9 of its high one.
-        const LO: i64 = 0x0100_0100_0100_0100;
-        const HI: i64 = 0x0908_0908_0908_0908;
-        let spread = _mm512_set_epi64(HI, LO, HI, LO, HI, LO, HI, LO);
-        _mm512_add_epi16(x, _mm512_shuffle_epi8(below, spread))
-    }
-
-    /// The first base of one ≤ 64-base chunk at which the running sum of
-    /// the selected scores `sel` (zero at matches) exceeds `budget`, or
-    /// `None` if it never does.
-    ///
-    /// `maddubs` sums adjacent byte pairs into 32 `u16` lanes, so one
-    /// 32-lane scan gives the prefix at every odd base `2j + 1`; the
-    /// prefix at the even base `2j` is that minus score `2j + 1`. The
-    /// prefix only grows, so the first crossing is the smaller of the
-    /// first even and first odd crossing. A chunk sums to at most
-    /// 64 · 255 = 16,320, so the `u16` lanes cannot overflow and a
-    /// budget of 0xFFFF or more cannot be crossed.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn crossing_base(sel: __m512i, budget: u64) -> Option<u32> {
-        if budget >= 0xFFFF {
-            return None;
-        }
-        let odd_prefix = prefix_sum_epu16(_mm512_maddubs_epi16(sel, _mm512_set1_epi8(1)));
-        let even_prefix = _mm512_sub_epi16(odd_prefix, _mm512_srli_epi16::<8>(sel));
-        let bound = _mm512_set1_epi16(budget as u16 as i16);
-        let even = _mm512_cmpgt_epu16_mask(even_prefix, bound).trailing_zeros();
-        let odd = _mm512_cmpgt_epu16_mask(odd_prefix, bound).trailing_zeros();
-        // `trailing_zeros` of an empty 32-bit mask is 32: base 64 or 65.
-        let base = (2 * even).min(2 * odd + 1);
-        (base < 64).then_some(base)
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` and
-    /// `scores` have equal length `n`, and `n <= row_len <= row.len()`
-    /// (checked by the safe dispatcher); see DESIGN.md §4f for why every
-    /// masked load stays inside those slices.
-    ///
-    /// The crossing search: per chunk of at most 64 bases, a masked load
-    /// selects the scores at the mismatches and [`crossing_base`]
-    /// prefix-sums them in registers against the budget `min_whd - whd`
-    /// — finding the same stop base as the per-base scan, since the
-    /// running sum only grows at mismatches.
-    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-    pub unsafe fn serial_sweep_avx512(
-        row: &[u8],
-        row_len: usize,
-        read: &[u8],
-        scores: &[u8],
-    ) -> super::SerialSweep {
-        let n = read.len();
-        // The first chunk's lanes and read codes are offset-invariant;
-        // most reads fit in one chunk.
-        let first_lanes = tail_mask(n);
-        let first_read = _mm512_maskz_loadu_epi8(first_lanes, read.as_ptr().cast());
-        let mut out = super::SerialSweep::START;
-        // An exclusive range: `0..=max_k` compiles to a slower loop.
-        for k in 0..row_len - n + 1 {
-            let (mut start, mut lanes, mut b) = (0usize, first_lanes, first_read);
-            let mut whd = 0u64;
-            let stop = loop {
-                // SAFETY: each load touches only lanes inside
-                // [start, start + 64) ∩ [0, n) of the read and scores and
-                // the same window of the row shifted by k, and
-                // k + n <= row_len <= row.len().
-                let a = _mm512_maskz_loadu_epi8(lanes, row.as_ptr().add(k + start).cast());
-                let neq = _mm512_mask_cmpneq_epi8_mask(lanes, a, b);
-                let sel = _mm512_maskz_loadu_epi8(neq, scores.as_ptr().add(start).cast());
-                // `whd <= min_whd` holds here: no earlier chunk crossed.
-                if let Some(idx) = crossing_base(sel, out.min_whd - whd) {
-                    let upto = u64::MAX >> (63 - idx);
-                    out.accumulations += u64::from((neq & upto).count_ones());
-                    break Some(start + idx as usize + 1);
-                }
-                let zero = _mm512_setzero_si512();
-                whd += _mm512_reduce_add_epi64(_mm512_sad_epu8(sel, zero)) as u64;
-                out.accumulations += u64::from(neq.count_ones());
-                start += 64;
-                if start >= n {
-                    break None;
-                }
-                lanes = tail_mask(n - start);
-                b = _mm512_maskz_loadu_epi8(lanes, read.as_ptr().add(start).cast());
-            };
-            match stop {
-                Some(visited) => {
-                    out.visited += visited as u64;
-                    out.offsets_pruned += 1;
-                }
-                None => {
-                    out.visited += n as u64;
-                    if whd < out.min_whd {
-                        out.min_whd = whd;
-                        out.min_offset = k;
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// # Safety
     ///
     /// The CPU must support AVX2. Lengths checked by the safe
@@ -1133,10 +1019,10 @@ mod x86 {
         })
     }
 
-    /// Read bases the offset-parallel dense sweep expands onto the stack
-    /// (a multiple of its 16-base expansion step); reads with more scored
-    /// bases keep the per-offset fold.
-    const DENSE_MAX_BASES: usize = 1024;
+    /// Read bases the offset-parallel sweeps expand onto the stack (a
+    /// multiple of the 16-base expansion step); longer reads keep the
+    /// per-offset loops.
+    const PARALLEL_MAX_BASES: usize = 1024;
 
     /// `vpermw` index vectors for the prefix-min steps: entry `i` moves
     /// lane `max(j - 2^i, 0)` into lane `j`.
@@ -1168,36 +1054,17 @@ mod x86 {
         x
     }
 
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` and
-    /// `scores` have equal length and `max_k + read.len() <= row.len()`
-    /// (checked by the safe dispatcher); see DESIGN.md §4f for why every
-    /// masked load stays inside those slices.
-    ///
-    /// Offset-parallel: 64 consecutive offsets `k0 + j` share one vector
-    /// and the loop walks the read one base `b` at a time — one masked
-    /// load of `row[k0 + b ..]`, one compare against the broadcast read
-    /// code, two masked `u16` adds of the broadcast score — so lane `j`
-    /// ends holding offset `k0 + j`'s WHD. That is exact while the read's
-    /// score total stays below 0xFFFF (every read of at most 704 bases at
-    /// Phred ≤ 93); larger totals, and reads with more than
-    /// [`DENSE_MAX_BASES`] scored bases, fold each offset in turn instead.
-    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-    pub unsafe fn dense_sweep_avx512(
-        row: &[u8],
-        max_k: usize,
-        read: &[u8],
-        scores: &[u8],
-    ) -> super::DenseSweep {
+    /// The score total of `scores` and its scored length: the bases up to
+    /// the last nonzero score.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn score_extent(scores: &[u8]) -> (u64, usize) {
         let zero = _mm512_setzero_si512();
-        // The score total, and `n`: the bases up to the last nonzero
-        // score (trailing zero-score padding adds nothing to any offset).
         let mut total = zero;
         let mut n = 0usize;
         let mut i = 0usize;
-        while i < read.len() {
-            let lanes = tail_mask(read.len() - i);
+        while i < scores.len() {
+            let lanes = tail_mask(scores.len() - i);
             let s = _mm512_maskz_loadu_epi8(lanes, scores.as_ptr().add(i).cast());
             total = _mm512_add_epi64(total, _mm512_sad_epu8(s, zero));
             let scored = _mm512_test_epi8_mask(s, s);
@@ -1206,27 +1073,122 @@ mod x86 {
             }
             i += 64;
         }
-        if _mm512_reduce_add_epi64(total) as u64 >= 0xFFFF || n > DENSE_MAX_BASES {
+        (_mm512_reduce_add_epi64(total) as u64, n)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` and
+    /// `scores` have equal length `n`, and `n <= row_len <= row.len()`
+    /// (checked by the safe dispatcher); see DESIGN.md §4f for why every
+    /// masked load stays inside those slices.
+    ///
+    /// The offset-parallel sweep with pass 2 on (see
+    /// [`offset_parallel_sweep`]). A read whose score total reaches
+    /// 0xFFFF, or longer than [`PARALLEL_MAX_BASES`], walks each offset's
+    /// mismatch masks instead, as the AVX2 arm does.
+    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
+    pub unsafe fn serial_sweep_avx512(
+        row: &[u8],
+        row_len: usize,
+        read: &[u8],
+        scores: &[u8],
+    ) -> super::SerialSweep {
+        let n = read.len();
+        if score_extent(scores).0 >= 0xFFFF || n > PARALLEL_MAX_BASES {
+            // SAFETY: the closure runs inside this function's AVX-512F/BW
+            // scope, on equal-length windows of at most 64 bases the
+            // generic loop cut from `row` and `read`.
+            return super::serial_sweep_generic(row, row_len, read, scores, |w, r| unsafe {
+                mask_avx512(w, r)
+            });
+        }
+        offset_parallel_sweep::<true>(row, row_len - n, read, scores, n)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` and
+    /// `scores` have equal length and `max_k + read.len() <= row.len()`
+    /// (checked by the safe dispatcher); see DESIGN.md §4f for why every
+    /// masked load stays inside those slices.
+    ///
+    /// The offset-parallel sweep with pass 2 off, over the bases up to the
+    /// last scored one (trailing zero-score padding adds nothing to any
+    /// offset). A read whose score total reaches 0xFFFF, or with more than
+    /// [`PARALLEL_MAX_BASES`] scored bases, folds each offset in turn.
+    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
+    pub unsafe fn dense_sweep_avx512(
+        row: &[u8],
+        max_k: usize,
+        read: &[u8],
+        scores: &[u8],
+    ) -> super::DenseSweep {
+        let (total, n) = score_extent(scores);
+        if total >= 0xFFFF || n > PARALLEL_MAX_BASES {
             // SAFETY: the closure runs inside this function's AVX-512F/BW
             // scope, on equal-length slices the generic loop cut from `row`.
             return super::dense_sweep_generic(row, max_k, read, scores, |w, r, s| unsafe {
                 fold_avx512(w, r, s)
             });
         }
+        let sweep = offset_parallel_sweep::<false>(row, max_k, read, scores, n);
+        super::DenseSweep {
+            min_whd: sweep.min_whd,
+            min_offset: sweep.min_offset,
+            offsets_above_min: sweep.offsets_pruned,
+        }
+    }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512BW and POPCNT.
+    /// `read.len() == scores.len()`, `n <= read.len()`,
+    /// `n <= PARALLEL_MAX_BASES`, `max_k + n <= row.len()`, and
+    /// `scores[..n]` totals below 0xFFFF.
+    ///
+    /// Offsets `0..=max_k` against `read[..n]`, 64 consecutive offsets
+    /// `k0 + j` to a block. **Pass 1** walks the read one base `b` at a
+    /// time — one masked load of `row[k0 + b ..]`, one compare against
+    /// the broadcast read code, two masked `u16` adds of the broadcast
+    /// score — so lane `j` ends holding offset `k0 + j`'s WHD `W`. A
+    /// prefix minimum with the carried running minimum folded in gives
+    /// each offset's exclusive running minimum `E`; `W > E` is the
+    /// offsets a sequential loop flags, and the last `W < E` the new
+    /// minimum. The `u16` lanes are exact because the total stays below
+    /// 0xFFFF (every read of at most 704 bases at Phred ≤ 93).
+    ///
+    /// With `SERIAL`, pass 1 also keeps each base's 64-offset mismatch
+    /// mask, and **pass 2** replays them to charge the serial scan's
+    /// visits. A pruned offset's WHD exceeds the minimum it is compared
+    /// against, so it never lowers that minimum: the serial budget of
+    /// offset `k` is exactly `E[k]`, and the offset stops at the first
+    /// base where its running sum `P` exceeds it. The result's
+    /// `offsets_pruned` is the `W > E` count either way.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
+    unsafe fn offset_parallel_sweep<const SERIAL: bool>(
+        row: &[u8],
+        max_k: usize,
+        read: &[u8],
+        scores: &[u8],
+        n: usize,
+    ) -> super::SerialSweep {
         // Expand each base's code into a 4-byte word (`code · 0x01010101`)
         // and its score into two `u16` halves (`score · 0x00010001`) once,
         // so the per-base broadcasts in the offset loop are plain loads.
-        let mut code_words = std::mem::MaybeUninit::<[u32; DENSE_MAX_BASES]>::uninit();
-        let mut score_words = std::mem::MaybeUninit::<[u32; DENSE_MAX_BASES]>::uninit();
+        let mut code_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
+        let mut score_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
+        let mut neq_masks = std::mem::MaybeUninit::<[u64; PARALLEL_MAX_BASES]>::uninit();
         let code_words = code_words.as_mut_ptr().cast::<u32>();
         let score_words = score_words.as_mut_ptr().cast::<u32>();
+        let neq_masks = neq_masks.as_mut_ptr().cast::<u64>();
         let bytes4 = _mm512_set1_epi32(0x0101_0101);
         let words2 = _mm512_set1_epi32(0x0001_0001);
         let mut i = 0usize;
         while i < n {
             // 16 bases per step; words `i..i + 16` stay below
-            // `n.next_multiple_of(16) <= DENSE_MAX_BASES`.
+            // `n.next_multiple_of(16) <= PARALLEL_MAX_BASES`.
             let lanes = tail_mask(n - i) & 0xFFFF;
             let c = _mm512_maskz_loadu_epi8(lanes, read.as_ptr().add(i).cast());
             let s = _mm512_maskz_loadu_epi8(lanes, scores.as_ptr().add(i).cast());
@@ -1237,17 +1199,14 @@ mod x86 {
             i += 16;
         }
 
+        let zero = _mm512_setzero_si512();
         let ones = _mm512_set1_epi16(-1);
         let last_lane = _mm512_set1_epi16(31);
         let prev_lane = _mm512_loadu_si512(LANES_BACK[0].as_ptr().cast());
         // The running minimum in every lane; 0xFFFF (above every valid
         // WHD) before offset 0.
         let mut carry = ones;
-        let mut out = super::DenseSweep {
-            min_whd: 0,
-            min_offset: 0,
-            offsets_above_min: 0,
-        };
+        let mut out = super::SerialSweep::START;
         let mut k0 = 0usize;
         while k0 <= max_k {
             let valid = tail_mask(max_k + 1 - k0);
@@ -1257,13 +1216,17 @@ mod x86 {
             let mut whd_hi = _mm512_maskz_mov_epi16(!valid_hi, ones);
             let win = row.as_ptr().add(k0);
             // SAFETY: lane j loads `row[k0 + j + b]` only when
-            // `k0 + j <= max_k`, and `b < n <= read.len()`, so every byte
-            // read is below `max_k + read.len() <= row.len()`; word
-            // `b < n` of each buffer was written by the expansion above.
+            // `k0 + j <= max_k`, and `b < n`, so every byte read is below
+            // `max_k + n <= row.len()`; word `b < n` of each buffer was
+            // written by the expansion above, and mask `b` is written
+            // here before pass 2 reads it.
             for b in 0..n {
                 let bases = _mm512_maskz_loadu_epi8(valid, win.add(b).cast());
                 let code = _mm512_set1_epi32(*code_words.add(b) as i32);
                 let neq = _mm512_mask_cmpneq_epi8_mask(valid, bases, code);
+                if SERIAL {
+                    *neq_masks.add(b) = neq;
+                }
                 let score = _mm512_set1_epi32(*score_words.add(b) as i32);
                 whd_lo = _mm512_mask_add_epi16(whd_lo, neq as u32, whd_lo, score);
                 whd_hi = _mm512_mask_add_epi16(whd_hi, (neq >> 32) as u32, whd_hi, score);
@@ -1276,9 +1239,9 @@ mod x86 {
             let excl_lo = _mm512_mask_permutexvar_epi16(carry, !1, prev_lane, incl_lo);
             let excl_hi = _mm512_mask_permutexvar_epi16(mid, !1, prev_lane, incl_hi);
             carry = _mm512_permutexvar_epi16(last_lane, incl_hi);
-            let above_lo = _mm512_mask_cmpgt_epu16_mask(valid_lo, whd_lo, excl_lo);
-            let above_hi = _mm512_mask_cmpgt_epu16_mask(valid_hi, whd_hi, excl_hi);
-            out.offsets_above_min += u64::from(above_lo.count_ones() + above_hi.count_ones());
+            let pruned = u64::from(_mm512_mask_cmpgt_epu16_mask(valid_lo, whd_lo, excl_lo))
+                | u64::from(_mm512_mask_cmpgt_epu16_mask(valid_hi, whd_hi, excl_hi)) << 32;
+            out.offsets_pruned += u64::from(pruned.count_ones());
             // A new minimum is an offset strictly below its exclusive
             // minimum; the last one holds the block minimum at its first
             // offset, which keeps first-on-ties.
@@ -1286,6 +1249,33 @@ mod x86 {
                 | u64::from(_mm512_cmplt_epu16_mask(whd_hi, excl_hi)) << 32;
             if below != 0 {
                 out.min_offset = k0 + 63 - below.leading_zeros() as usize;
+            }
+            if SERIAL {
+                // Pass 2: each base charges an accumulation to the offsets
+                // still scanning where it mismatches, then a visit to those
+                // whose running sum has not passed the budget. A pruned
+                // offset's stop base is charged by the popcount after the
+                // loop. `P <= total < 0xFFFF` and `E <= 0xFFFF`, so the
+                // `u16` compare is exact.
+                //
+                // SAFETY: mask word `b < n` was written by this block's
+                // pass 1 above, and score word `b` by the expansion.
+                let (mut sum_lo, mut sum_hi) = (zero, zero);
+                let mut live = valid;
+                for b in 0..n {
+                    let neq = *neq_masks.add(b);
+                    out.accumulations += u64::from((neq & live).count_ones());
+                    let score = _mm512_set1_epi32(*score_words.add(b) as i32);
+                    sum_lo = _mm512_mask_add_epi16(sum_lo, neq as u32, sum_lo, score);
+                    sum_hi = _mm512_mask_add_epi16(sum_hi, (neq >> 32) as u32, sum_hi, score);
+                    live = u64::from(_mm512_mask_cmple_epu16_mask(valid_lo, sum_lo, excl_lo))
+                        | u64::from(_mm512_mask_cmple_epu16_mask(valid_hi, sum_hi, excl_hi)) << 32;
+                    out.visited += u64::from(live.count_ones());
+                    if live == 0 {
+                        break;
+                    }
+                }
+                out.visited += u64::from(pruned.count_ones());
             }
             k0 += 64;
         }
@@ -1694,6 +1684,130 @@ mod tests {
         );
     }
 
+    /// A row of `C`s with `A` runs at `runs`, long enough for `offsets`
+    /// offsets of an `n`-base read. Against an all-`A` read scored 10 per
+    /// base, offset `k`'s WHD is 10 × the `C`s in `row[k..k + n]`.
+    fn fixture_row(offsets: usize, n: usize, runs: &[(usize, usize)]) -> Vec<u8> {
+        let mut row = vec![2u8; offsets - 1 + n];
+        for &(start, len) in runs {
+            row[start..start + len].fill(1);
+        }
+        row
+    }
+
+    /// The serial sweep of [`fixture_row`]'s all-`A` read.
+    fn serial_fixture(offsets: usize, n: usize, runs: &[(usize, usize)]) -> SerialSweep {
+        let row = fixture_row(offsets, n, runs);
+        serial_all_kinds(&row, &vec![1u8; n], &vec![10u8; n])
+    }
+
+    #[test]
+    fn serial_sweep_block_edges() {
+        for offsets in [1usize, 63, 64, 65, 128, 129] {
+            // The only exact hit is the last offset: every WHD only falls,
+            // so nothing is pruned and every offset visits all 8 bases.
+            let got = serial_fixture(offsets, 8, &[(offsets - 1, 8)]);
+            assert_eq!((got.min_whd, got.min_offset), (0, offsets - 1), "{offsets}");
+            assert_eq!(got.offsets_pruned, 0, "{offsets}");
+            assert_eq!(got.visited, 8 * offsets as u64, "{offsets}");
+            // The exact hit is offset 0: offset k stops at its first
+            // mismatch, base 8 - k (base 0 from k = 8 on), with one
+            // accumulation.
+            let got = serial_fixture(offsets, 8, &[(0, 8)]);
+            let visited: usize = 8
+                + (1..offsets)
+                    .map(|k| 8usize.saturating_sub(k) + 1)
+                    .sum::<usize>();
+            assert_eq!(
+                got,
+                SerialSweep {
+                    min_whd: 0,
+                    min_offset: 0,
+                    visited: visited as u64,
+                    accumulations: offsets as u64 - 1,
+                    offsets_pruned: offsets as u64 - 1,
+                },
+                "{offsets}"
+            );
+        }
+        // Minimum in lane 63 of block 0; every offset of block 1 sits
+        // above it, so only the carry prunes them. Offsets 0..=55 tie at
+        // 80 and 56..=62 fall: none of block 0 is pruned.
+        let got = serial_fixture(128, 8, &[(63, 8)]);
+        assert_eq!(
+            got,
+            SerialSweep {
+                min_whd: 0,
+                min_offset: 63,
+                // Block 0 in full; offset 63 + m stops at base 8 - m for
+                // m < 8 and at base 0 after.
+                visited: 64 * 8 + (1..8).map(|m| 9 - m).sum::<u64>() + 57,
+                accumulations: 56 * 8 + (1..=7).sum::<u64>() + 64,
+                offsets_pruned: 64,
+            }
+        );
+        // Minimum in lane 0 of later blocks.
+        for start in [64usize, 128] {
+            let got = serial_fixture(200, 8, &[(start, 8)]);
+            assert_eq!((got.min_whd, got.min_offset), (0, start), "{start}");
+            assert_eq!(got.offsets_pruned, 199 - start as u64, "{start}");
+        }
+        // A tie straddling the block boundary: offset 64 finishes at the
+        // minimum, so it is neither pruned nor a new minimum and visits
+        // all 8 bases.
+        let got = serial_fixture(128, 8, &[(63, 9)]);
+        assert_eq!(
+            got,
+            SerialSweep {
+                min_whd: 0,
+                min_offset: 63,
+                // Offset 64 + m stops at base 8 - m for 0 < m < 8.
+                visited: 64 * 8 + 8 + (1..8).map(|m| 9 - m).sum::<u64>() + 56,
+                accumulations: 56 * 8 + (1..=7).sum::<u64>() + 63,
+                offsets_pruned: 63,
+            }
+        );
+    }
+
+    #[test]
+    fn serial_sweep_score_totals_at_the_u16_bound() {
+        // A read of `scores.len()` `A`s against one `A` and then `C`s:
+        // offset 0 completes at `total - scores[0]`, and every later
+        // offset mismatches everywhere, so (with `scores[0]` the
+        // smallest score) it runs past that budget only at the last base
+        // and is pruned there. Totals of 65,534 (the
+        // largest `u16`-lane total) and 65,535 (the smallest fallback
+        // total), then 1,024 and 1,025 bases at score 1 (the last
+        // offset-parallel read length and the first fallback one), each
+        // over three 64-offset blocks.
+        let mut cases = Vec::new();
+        for first in [254u8, 255] {
+            let mut scores = vec![255u8; 257];
+            scores[0] = first;
+            cases.push(scores);
+        }
+        cases.push(vec![1u8; 1024]);
+        cases.push(vec![1u8; 1025]);
+        for scores in cases {
+            let n = scores.len();
+            let total: u64 = scores.iter().map(|&s| u64::from(s)).sum();
+            let mut row = vec![2u8; n + 150];
+            row[0] = 1;
+            let got = serial_all_kinds(&row, &vec![1u8; n], &scores);
+            assert_eq!(
+                got,
+                SerialSweep {
+                    min_whd: total - u64::from(scores[0]),
+                    min_offset: 0,
+                    visited: 151 * n as u64,
+                    accumulations: (n - 1) as u64 + 150 * n as u64,
+                    offsets_pruned: 150,
+                },
+                "{n} bases, total {total}"
+            );
+        }
+    }
+
     /// Every available kind's dense sweep, asserted equal to the
     /// per-offset fold loop.
     fn dense_all_kinds(row: &[u8], max_k: usize, read: &[u8], scores: &[u8]) -> DenseSweep {
@@ -1704,14 +1818,9 @@ mod tests {
         want
     }
 
-    /// A dense-sweep fixture over `offsets` offsets: an all-`A` read of
-    /// `n` bases (score 10 each) against a row of `C`s with `A` runs at
-    /// `runs`, so offset `k`'s WHD is 10 × the `C`s in `row[k..k + n]`.
+    /// The dense sweep of [`fixture_row`]'s all-`A` read.
     fn dense_fixture(offsets: usize, n: usize, runs: &[(usize, usize)]) -> DenseSweep {
-        let mut row = vec![2u8; offsets - 1 + n];
-        for &(start, len) in runs {
-            row[start..start + len].fill(1);
-        }
+        let row = fixture_row(offsets, n, runs);
         dense_all_kinds(&row, offsets - 1, &vec![1u8; n], &vec![10u8; n])
     }
 
@@ -1838,19 +1947,22 @@ mod tests {
             }
 
             /// Every available kernel's serial immediate-prune sweep is
-            /// the scalar sweep, counts included: reads up to 200 bases
-            /// (so the 64-base chunk carry is crossed), up to 80 offsets
-            /// of slack and the full score range. Reads are cut from the
-            /// row with sparse substitutions, so running minima — and
-            /// therefore prune budgets — span from zero to thousands.
+            /// the scalar sweep, counts included: reads up to 320 bases
+            /// (so the 64-base chunk carry is crossed), up to 200 offsets
+            /// of slack (four 64-offset blocks) and the full score range.
+            /// Reads are cut from the row with sparse substitutions, so
+            /// running minima — and therefore prune budgets — span from
+            /// zero to thousands; a high score floor pushes the read's
+            /// score total past the `u16`-lane bound of 65,535.
             #[test]
             fn serial_sweep_matches_scalar(
-                n in 0usize..=200,
-                slack in 0usize..=80,
-                row_raw in prop::collection::vec(1u8..=5, 280),
-                scores_raw in prop::collection::vec(0u8..=255, 200),
+                n in 0usize..=320,
+                slack in 0usize..=200,
+                row_raw in prop::collection::vec(1u8..=5, 520),
+                scores_raw in prop::collection::vec(0u8..=255, 320),
+                score_floor in prop_oneof![Just(0u8), Just(200u8)],
                 cut_frac in 0.0f64..=1.0,
-                subs in prop::collection::vec((0usize..200, 1u8..=5), 0..=12),
+                subs in prop::collection::vec((0usize..320, 1u8..=5), 0..=12),
                 pad in 0usize..=70,
             ) {
                 let row_len = n + slack;
@@ -1863,7 +1975,11 @@ mod tests {
                 }
                 let mut row = row_raw[..row_len].to_vec();
                 row.resize(row_len + pad, 0);
-                let scores = &scores_raw[..n];
+                let scores: Vec<u8> = scores_raw[..n]
+                    .iter()
+                    .map(|&s| s.max(score_floor))
+                    .collect();
+                let scores = &scores[..];
                 let want = serial_sweep(KernelKind::Scalar, &row, row_len, &read, scores);
                 prop_assert_eq!(want, serial_sweep_reference(&row[..row_len], &read, scores));
                 for kind in KernelKind::available() {

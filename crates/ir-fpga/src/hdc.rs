@@ -188,8 +188,9 @@ pub fn run_read_sweep(
 /// - **Serial with immediate pruning** (`lanes == 1`,
 ///   `prune_latency_blocks == 0`): [`kernel::serial_sweep`] runs the
 ///   whole offset loop and charges each offset the bases up to and
-///   including its stop base — the crossing position, which no chunking
-///   can move.
+///   including its stop base — the first base where its running sum
+///   exceeds the minimum WHD of the offsets before it, which no
+///   vectorization can move.
 /// - **Dense** — drain swallows the whole read
 ///   (`nblocks ≤ prune_latency_blocks + 1`: even if block 0 trips the
 ///   comparator, every block issues before the stop lands) or there is
@@ -232,7 +233,8 @@ fn run_pair_codes(
     let nblocks = n.div_ceil(cfg.lanes) as u64;
     if cfg.pruning && cfg.lanes == 1 && cfg.prune_latency_blocks == 0 {
         // The whole offset sweep runs inside the kernel crate so the
-        // per-ISA stop-base search inlines into the offset loop.
+        // per-ISA work (on AVX-512, the two-pass offset-parallel sweep)
+        // inlines into the offset loop.
         let sweep = kernel::serial_sweep(kind, row, cons_len, rcodes, scores);
         min = MinWhd {
             whd: sweep.min_whd,
