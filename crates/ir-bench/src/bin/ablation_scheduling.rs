@@ -7,7 +7,7 @@
 //! runtime. This sweep compares four dispatch policies on one
 //! chromosome's workload.
 
-use ir_bench::{bench_workload, scale_from_env, Table};
+use ir_bench::{bench_workload, scale_from_env, threads_from_env, Table};
 use ir_fpga::{AcceleratedSystem, FpgaParams, FunctionalOracle, Scheduling};
 use ir_genome::Chromosome;
 
@@ -37,7 +37,7 @@ fn main() {
     // All four policies replay the same workload under the same serial
     // timing key — one warmed oracle serves the whole ablation.
     let mut oracle = FunctionalOracle::new();
-    oracle.precompute(&workload.targets, &FpgaParams::serial(), 1);
+    oracle.precompute(&workload.targets, &FpgaParams::serial(), threads_from_env());
 
     let mut table = Table::new(vec!["policy", "wall s", "unit utilization", "vs unsorted"]);
     let mut baseline = 0.0f64;

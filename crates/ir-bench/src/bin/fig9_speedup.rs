@@ -16,7 +16,10 @@
 //! The three accelerator columns replay one functional oracle per
 //! chromosome ([`chromosome_sweep`]): TaskP and TaskP-Async share the
 //! serial datapath's evaluations (the result depends only on the timing
-//! key, not on the flush discipline), and the IRACC column keys apart.
+//! key, not on the flush discipline), and the IRACC column, whose key
+//! differs only in its 32 lanes, derives its entries from those
+//! evaluations instead of sweeping again wherever every read of a target
+//! is at most 96 bases — every target of the bench-profile workload.
 
 use ir_bench::{chromosome_sweep, fmt_duration, gmean, scale_from_env, threads_from_env, Table};
 use ir_fpga::{AcceleratedSystem, FpgaParams, Scheduling};

@@ -58,6 +58,7 @@ fn silent_corruptions(
 
 fn main() {
     let scale = scale_from_env();
+    let threads = threads_from_env();
     let targets = bench_workload(scale).targets(SWEEP_TARGETS, 0xFA01);
     let targets = &targets[..];
     let system = AcceleratedSystem::new(FpgaParams::iracc(), Scheduling::Asynchronous)
@@ -67,7 +68,7 @@ fn main() {
     // points below: the memoized entry is the fault-free datapath result,
     // and injected faults only ever mutate the per-attempt clone.
     let mut oracle = FunctionalOracle::new();
-    oracle.precompute(targets, &FpgaParams::iracc(), 1);
+    oracle.precompute(targets, &FpgaParams::iracc(), threads);
     let clean_wall = system.run_with_oracle(targets, &mut oracle).wall_time_s;
     println!(
         "Resilience study ({} targets, 32 async units; fleet sweep at scale {scale})\n",
@@ -135,7 +136,7 @@ fn main() {
         scale,
         &chromosomes,
         std::slice::from_ref(&system),
-        threads_from_env(),
+        threads,
         |run| run.wall_time_s,
     )
     .iter()

@@ -36,8 +36,11 @@ pub struct ChromosomeRuns<R = SystemRun> {
 /// Each chromosome gets one [`FunctionalOracle`] shared by all systems:
 /// its entries key by the datapath's timing parameters, so configurations
 /// that differ only in scheduling or unit count (TaskP and TaskP-Async)
-/// replay one set of evaluations while IRACC and HLS key apart. Each run
-/// is bitwise identical to a cold [`AcceleratedSystem::run`].
+/// replay one set of evaluations. A multi-lane pruning key (IRACC) that
+/// follows its `lanes = 1` sibling derives each target whose reads are
+/// short enough from the serial entry instead of sweeping it again, so
+/// pass serial systems before IRACC; HLS (no pruning) keys apart. Each
+/// run is bitwise identical to a cold [`AcceleratedSystem::run`].
 ///
 /// `project` maps each [`SystemRun`] to what the caller keeps, inside the
 /// worker, so a sweep need not hold every target's result grid at once;

@@ -2036,6 +2036,56 @@ mod tests {
                 }
             }
 
+            /// The identity behind the functional oracle's derived
+            /// multi-lane entries: on the same pair, every kernel's
+            /// serial sweep and dense sweep find the same minimum at the
+            /// same offset, and the offsets the serial sweep prunes are
+            /// exactly those the dense sweep finds above the running
+            /// minimum (a pruned offset never lowers the minimum, so both
+            /// count `W > E`). Reads past 1,024 bases and score totals
+            /// past 65,535 draw both AVX-512 fallbacks.
+            #[test]
+            fn serial_and_dense_sweeps_agree_on_minimum_and_prunes(
+                n in prop_oneof![0usize..=320, 1000usize..=1100],
+                slack in 0usize..=140,
+                row_raw in prop::collection::vec(1u8..=5, 1240),
+                scores_raw in prop::collection::vec(0u8..=255, 1100),
+                (lo, hi) in prop_oneof![Just((0u8, 255u8)), Just((200, 255)), Just((0, 40))],
+                cut_frac in 0.0f64..=1.0,
+                subs in prop::collection::vec((0usize..1100, 1u8..=5), 0..=24),
+            ) {
+                let cut = (slack as f64 * cut_frac) as usize;
+                let mut read = row_raw[cut..cut + n].to_vec();
+                for &(pos, code) in &subs {
+                    if n > 0 {
+                        read[pos % n] = code;
+                    }
+                }
+                let mut scores: Vec<u8> = scores_raw[..n]
+                    .iter()
+                    .map(|&s| lo + (u16::from(s) % (u16::from(hi - lo) + 1)) as u8)
+                    .collect();
+                let row_len = n + slack;
+                let serial_row = &row_raw[..row_len];
+                let n_pad = n.next_multiple_of(64);
+                let mut dense_row = serial_row.to_vec();
+                dense_row.resize(slack + n_pad, 0);
+                for kind in KernelKind::available() {
+                    let serial = serial_sweep(kind, serial_row, row_len, &read, &scores);
+                    read.resize(n_pad, 0);
+                    scores.resize(n_pad, 0);
+                    let dense = dense_sweep(kind, &dense_row, slack, &read, &scores);
+                    read.truncate(n);
+                    scores.truncate(n);
+                    prop_assert_eq!(
+                        (serial.min_whd, serial.min_offset, serial.offsets_pruned),
+                        (dense.min_whd, dense.min_offset, dense.offsets_above_min),
+                        "{}",
+                        kind
+                    );
+                }
+            }
+
             /// Every available kernel computes the scalar mismatch
             /// bitmask exactly, at every window width up to 64.
             #[test]

@@ -64,6 +64,15 @@ impl HdcConfig {
             ..HdcConfig::serial()
         }
     }
+
+    /// Whether every offset of a `read_len`-base read folds the whole
+    /// read: there is no prune comparator, or the read spans at most
+    /// `prune_latency_blocks + 1` blocks, so every block has issued before
+    /// even block 0's prune verdict lands. Such a scan never stops early,
+    /// and its cost is [`PairRun::dense`]'s closed form.
+    pub fn scans_in_full(&self, read_len: usize) -> bool {
+        !self.pruning || read_len.div_ceil(self.lanes) as u64 <= self.prune_latency_blocks + 1
+    }
 }
 
 impl Default for HdcConfig {
@@ -84,6 +93,30 @@ pub struct PairRun {
     pub comparisons: u64,
     /// Offsets whose scan was abandoned by pruning.
     pub offsets_pruned: u64,
+}
+
+impl PairRun {
+    /// The run of a pair whose every offset folds the whole read
+    /// ([`HdcConfig::scans_in_full`]): `cons_len - read_len + 1` offsets,
+    /// each charged `read_len` comparisons and `read_len.div_ceil(lanes)`
+    /// cycles, plus the pair overhead. A comparator that cannot stop a
+    /// scan in time still flags the `offsets_above_min` offsets whose WHD
+    /// exceeds the running minimum as pruned.
+    pub fn dense(
+        cfg: HdcConfig,
+        cons_len: usize,
+        read_len: usize,
+        min: MinWhd,
+        offsets_above_min: u64,
+    ) -> PairRun {
+        let offsets = (cons_len - read_len) as u64 + 1;
+        PairRun {
+            min,
+            cycles: cfg.pair_overhead_cycles + offsets * read_len.div_ceil(cfg.lanes) as u64,
+            comparisons: offsets * read_len as u64,
+            offsets_pruned: if cfg.pruning { offsets_above_min } else { 0 },
+        }
+    }
 }
 
 /// Scans `read` along `consensus` and returns the minimum WHD together
@@ -191,14 +224,14 @@ pub fn run_read_sweep(
 ///   including its stop base — the first base where its running sum
 ///   exceeds the minimum WHD of the offsets before it, which no
 ///   vectorization can move.
-/// - **Dense** — drain swallows the whole read
-///   (`nblocks ≤ prune_latency_blocks + 1`: even if block 0 trips the
-///   comparator, every block issues before the stop lands) or there is
-///   no comparator (`pruning == false`, the HLS-style configs). No scan
-///   ever stops early, so the cycle and comparison charges are
-///   closed-form (`(max_k + 1) · nblocks` and `(max_k + 1) · n`) and
-///   [`kernel::dense_sweep`] folds every offset over the pre-padded lane
-///   arrays (padding lanes carry score 0, so they add nothing).
+/// - **Dense** ([`HdcConfig::scans_in_full`]) — drain swallows the
+///   whole read (`nblocks ≤ prune_latency_blocks + 1`: even if block 0
+///   trips the comparator, every block issues before the stop lands) or
+///   there is no comparator (`pruning == false`, the HLS-style configs).
+///   No scan ever stops early, so the cycle and comparison charges are
+///   [`PairRun::dense`]'s closed form and [`kernel::dense_sweep`] folds
+///   every offset over the pre-padded lane arrays (padding lanes carry
+///   score 0, so they add nothing).
 /// - **Everything else**: [`run_pair`]'s block loop verbatim — same
 ///   per-block cycle charge, same prune-verdict drain — with the inner
 ///   per-base compare loop replaced by the dispatched fold. The control
@@ -222,6 +255,37 @@ fn run_pair_codes(
     let scores = read.scores();
 
     let max_k = cons_len - n;
+    if cfg.pruning && cfg.lanes == 1 && cfg.prune_latency_blocks == 0 {
+        // The whole offset sweep runs inside the kernel crate so the
+        // per-ISA work (on AVX-512, the two-pass offset-parallel sweep)
+        // inlines into the offset loop.
+        let sweep = kernel::serial_sweep(kind, row, cons_len, rcodes, scores);
+        return PairRun {
+            min: MinWhd {
+                whd: sweep.min_whd,
+                offset: sweep.min_offset,
+            },
+            cycles: cfg.pair_overhead_cycles + sweep.visited,
+            comparisons: sweep.visited,
+            offsets_pruned: sweep.offsets_pruned,
+        };
+    }
+    if cfg.scans_in_full(n) {
+        // No data-dependent exit at any offset, so the counts are
+        // closed-form and one kernel-side dense sweep yields the minimum
+        // (and, for the comparator, the offsets it flags as pruned).
+        let sweep =
+            kernel::dense_sweep(kind, row, max_k, read.codes_padded(), read.scores_padded());
+        let min = MinWhd {
+            whd: sweep.min_whd,
+            offset: sweep.min_offset,
+        };
+        return PairRun::dense(cfg, cons_len, n, min, sweep.offsets_above_min);
+    }
+
+    // run_pair's block loop with the per-base compare replaced by the
+    // dispatched fold; covers data-parallel, deep-drain and odd lane
+    // configurations alike.
     let mut min = MinWhd {
         whd: u64::MAX,
         offset: 0,
@@ -229,78 +293,40 @@ fn run_pair_codes(
     let mut cycles = cfg.pair_overhead_cycles;
     let mut comparisons = 0u64;
     let mut offsets_pruned = 0u64;
-
-    let nblocks = n.div_ceil(cfg.lanes) as u64;
-    if cfg.pruning && cfg.lanes == 1 && cfg.prune_latency_blocks == 0 {
-        // The whole offset sweep runs inside the kernel crate so the
-        // per-ISA work (on AVX-512, the two-pass offset-parallel sweep)
-        // inlines into the offset loop.
-        let sweep = kernel::serial_sweep(kind, row, cons_len, rcodes, scores);
-        min = MinWhd {
-            whd: sweep.min_whd,
-            offset: sweep.min_offset,
-        };
-        comparisons += sweep.visited;
-        cycles += sweep.visited;
-        offsets_pruned += sweep.offsets_pruned;
-    } else if !cfg.pruning || nblocks <= cfg.prune_latency_blocks + 1 {
-        // No data-dependent exit at any offset: with no comparator the
-        // scan never stops, and with `nblocks ≤ prune_latency_blocks + 1`
-        // every block has issued before even block 0's prune verdict
-        // lands. Every offset folds the full read, so the counts are
-        // closed-form and one kernel-side dense sweep yields the minimum
-        // (and, for the comparator, the offsets it flags as pruned).
-        let sweep =
-            kernel::dense_sweep(kind, row, max_k, read.codes_padded(), read.scores_padded());
-        min = MinWhd {
-            whd: sweep.min_whd,
-            offset: sweep.min_offset,
-        };
-        let offsets = max_k as u64 + 1;
-        comparisons = offsets * n as u64;
-        cycles += offsets * nblocks;
-        if cfg.pruning {
-            offsets_pruned = sweep.offsets_above_min;
-        }
-    } else {
-        // run_pair's block loop with the per-base compare replaced by the
-        // dispatched fold; covers data-parallel, deep-drain and odd lane
-        // configurations alike.
-        for k in 0..=max_k {
-            let win = &row[k..k + n];
-            let mut whd = 0u64;
-            let mut pruned = false;
-            let mut block_start = 0usize;
-            let mut drain: Option<u64> = None;
-            while block_start < n {
-                let block_end = (block_start + cfg.lanes).min(n);
-                cycles += 1;
-                comparisons += (block_end - block_start) as u64;
-                whd += kernel::fold_whd(
-                    kind,
-                    &win[block_start..block_end],
-                    &rcodes[block_start..block_end],
-                    &scores[block_start..block_end],
-                );
-                if let Some(remaining) = drain.as_mut() {
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        break;
-                    }
-                } else if cfg.pruning && whd > min.whd {
-                    pruned = true;
-                    if cfg.prune_latency_blocks == 0 {
-                        break;
-                    }
-                    drain = Some(cfg.prune_latency_blocks);
+    for k in 0..=max_k {
+        let win = &row[k..k + n];
+        let mut whd = 0u64;
+        let mut pruned = false;
+        let mut block_start = 0usize;
+        let mut drain: Option<u64> = None;
+        while block_start < n {
+            let block_end = (block_start + cfg.lanes).min(n);
+            cycles += 1;
+            comparisons += (block_end - block_start) as u64;
+            whd += kernel::fold_whd(
+                kind,
+                &win[block_start..block_end],
+                &rcodes[block_start..block_end],
+                &scores[block_start..block_end],
+            );
+            if let Some(remaining) = drain.as_mut() {
+                *remaining -= 1;
+                if *remaining == 0 {
+                    break;
                 }
-                block_start = block_end;
+            } else if cfg.pruning && whd > min.whd {
+                pruned = true;
+                if cfg.prune_latency_blocks == 0 {
+                    break;
+                }
+                drain = Some(cfg.prune_latency_blocks);
             }
-            if pruned {
-                offsets_pruned += 1;
-            } else if whd < min.whd {
-                min = MinWhd { whd, offset: k };
-            }
+            block_start = block_end;
+        }
+        if pruned {
+            offsets_pruned += 1;
+        } else if whd < min.whd {
+            min = MinWhd { whd, offset: k };
         }
     }
     debug_assert_ne!(min.whd, u64::MAX, "offset 0 always completes");

@@ -12,7 +12,15 @@
 //!
 //! The oracle computes through [`simulate_target_fast`], the
 //! equivalence-preserving jump-to-outcome kernel, so even cold misses skip
-//! per-cycle stepping.
+//! per-cycle stepping. A miss under a multi-lane pruning key (IR ACC's 32
+//! lanes) skips the WHD sweep altogether when the oracle already holds
+//! the target's run under the `lanes = 1` sibling key (TaskP's serial
+//! units) and every read is short enough that no multi-lane scan stops
+//! early (96 bases at 32 lanes): the multi-lane run is then the serial
+//! run with closed-form HDC cycles and comparisons
+//! ([`PairRun::dense`](crate::hdc::PairRun::dense)). A Figure 9 sweep,
+//! which runs TaskP before IR ACC on one oracle, does one WHD sweep per
+//! target instead of two.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use ir_genome::RealignmentTarget;
 
 use crate::params::FpgaParams;
-use crate::unit::{simulate_target_fast, UnitRun};
+use crate::unit::{derive_from_serial, simulate_target_fast, UnitRun};
 
 /// The [`FpgaParams`] fields that determine a [`UnitRun`]. Everything else
 /// (unit count, clock, DMA, latencies) only moves work around in time.
@@ -52,6 +60,13 @@ impl TimingKey {
 /// oracle serves exactly one workload: create a fresh oracle when the
 /// target set changes. Hits return clones — callers (the resilience layer
 /// in particular) are free to mutate the returned run.
+///
+/// A miss under a key with `lanes > 1` and pruning on is derived, not
+/// swept, when the entry for the same target under the key's `lanes = 1`
+/// sibling (every other field equal) is present and each of the target's
+/// reads spans at most `prune_latency_blocks + 1` blocks. Every entry,
+/// derived or swept, is bitwise the cold [`simulate_target_fast`] run, so
+/// the order in which keys are requested never shows.
 ///
 /// # Example
 ///
@@ -96,9 +111,29 @@ impl FunctionalOracle {
         if let Some(run) = self.cache.get(&key) {
             return run.clone();
         }
-        let run = simulate_target_fast(target, params);
+        let run = self
+            .derive(target, index, params)
+            .unwrap_or_else(|| simulate_target_fast(target, params));
         self.cache.insert(key, run.clone());
         run
+    }
+
+    /// The run of `target` under `params` derived from its cached entry
+    /// under the `lanes = 1` sibling key, when that entry exists and the
+    /// target qualifies ([`derive_from_serial`], which also rejects
+    /// single-lane and non-pruning keys).
+    fn derive(
+        &self,
+        target: &RealignmentTarget,
+        index: usize,
+        params: &FpgaParams,
+    ) -> Option<UnitRun> {
+        let sibling = TimingKey::of(&FpgaParams {
+            lanes: 1,
+            ..*params
+        });
+        let serial = self.cache.get(&(sibling, index))?;
+        derive_from_serial(target, params, serial)
     }
 
     /// Populates the cache for every target in `targets` under `params`,
@@ -116,7 +151,9 @@ impl FunctionalOracle {
     /// run — the system-level parity is pinned in `tests/event_parity.rs`.
     ///
     /// Already-cached entries are not recomputed, so warming is idempotent
-    /// and composes with partially-warmed caches.
+    /// and composes with partially-warmed caches. Entries that
+    /// [`Self::simulate`] would derive from a cached `lanes = 1` sibling
+    /// are derived first, on the calling thread; only the rest are swept.
     ///
     /// # Panics
     ///
@@ -129,9 +166,18 @@ impl FunctionalOracle {
     ) {
         assert!(threads > 0, "at least one thread required");
         let key = TimingKey::of(params);
-        let missing: Vec<usize> = (0..targets.len())
-            .filter(|&i| !self.cache.contains_key(&(key, i)))
-            .collect();
+        let mut missing = Vec::new();
+        for (i, target) in targets.iter().enumerate() {
+            if self.cache.contains_key(&(key, i)) {
+                continue;
+            }
+            match self.derive(target, i, params) {
+                Some(run) => {
+                    self.cache.insert((key, i), run);
+                }
+                None => missing.push(i),
+            }
+        }
         if missing.is_empty() {
             return;
         }
@@ -345,6 +391,168 @@ mod tests {
         assert!(sparse.is_empty());
         // A different timing key projects nothing either.
         assert!(pool.subset(&FpgaParams::serial(), &indices).is_empty());
+    }
+
+    /// A deterministic stream of small integers for the fixtures below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, m: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) % m as u64) as usize
+        }
+
+        fn bases(&mut self, len: usize) -> Vec<u8> {
+            (0..len).map(|_| b"ACGT"[self.below(4)]).collect()
+        }
+    }
+
+    /// A target over a 160-base reference and one insertion consensus,
+    /// with one read per entry of `read_lens`, each cut from the reference
+    /// with three substitutions — so minima are real and serial scans
+    /// prune.
+    fn target_with_reads(seed: u64, read_lens: &[usize]) -> RealignmentTarget {
+        let mut rng = Lcg(seed);
+        let reference = rng.bases(160);
+        let mut consensus = reference[..70].to_vec();
+        consensus.extend_from_slice(b"GATTA");
+        consensus.extend_from_slice(&reference[70..155]);
+        let seq = |b: &[u8]| -> ir_genome::Sequence {
+            String::from_utf8(b.to_vec()).unwrap().parse().unwrap()
+        };
+        let mut builder = RealignmentTarget::builder(seed * 1000)
+            .reference(seq(&reference))
+            .consensus(seq(&consensus));
+        for &n in read_lens {
+            let start = rng.below(160 - n + 1);
+            let mut read = reference[start..start + n].to_vec();
+            for _ in 0..3 {
+                let pos = rng.below(n);
+                read[pos] = b"ACGT"[rng.below(4)];
+            }
+            let quals: Vec<u8> = (0..n).map(|_| 10 + rng.below(40) as u8).collect();
+            let read = Read::new("r", seq(&read), Qual::from_raw_scores(&quals).unwrap(), 0);
+            builder = builder.read(read.unwrap());
+        }
+        builder.build().unwrap()
+    }
+
+    /// Targets on both sides of the 32-lane design's 96-base bound, and
+    /// one that mixes both lengths.
+    fn bound_targets() -> Vec<RealignmentTarget> {
+        [
+            &[96usize][..],
+            &[97],
+            &[96, 97, 40],
+            &[1, 64, 96, 33],
+            &[97, 150],
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, lens)| target_with_reads(i as u64 + 1, lens))
+        .collect()
+    }
+
+    #[test]
+    fn multi_lane_entries_derive_from_serial_up_to_the_drain_bound() {
+        let (serial, iracc) = (FpgaParams::serial(), FpgaParams::iracc());
+        for (i, t) in bound_targets().iter().enumerate() {
+            let mut oracle = FunctionalOracle::new();
+            assert!(oracle.derive(t, i, &iracc).is_none(), "no sibling yet");
+            let serial_run = oracle.simulate(t, i, &serial);
+            let short = t.reads().iter().all(|r| r.len() <= 96);
+            assert_eq!(oracle.derive(t, i, &iracc).is_some(), short, "target {i}");
+            let cold = simulate_target_fast(t, &iracc);
+            assert_eq!(oracle.simulate(t, i, &iracc), cold, "target {i}");
+            assert_ne!(cold.comparisons, serial_run.comparisons, "target {i}");
+        }
+    }
+
+    #[test]
+    fn precompute_derives_eligible_targets_on_any_thread_count() {
+        let targets = bound_targets();
+        let (serial, iracc) = (FpgaParams::serial(), FpgaParams::iracc());
+        for threads in [1usize, 2] {
+            let mut oracle = FunctionalOracle::new();
+            oracle.precompute(&targets, &serial, threads);
+            oracle.precompute(&targets, &iracc, threads);
+            assert_eq!(oracle.len(), 2 * targets.len(), "{threads} threads");
+            for (i, t) in targets.iter().enumerate() {
+                for params in [serial, iracc] {
+                    assert_eq!(
+                        oracle.simulate(t, i, &params),
+                        simulate_target_fast(t, &params),
+                        "target {i}, lanes {}, {threads} threads",
+                        params.lanes
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_request_order_does_not_show() {
+        let targets = bound_targets();
+        let (serial, iracc) = (FpgaParams::serial(), FpgaParams::iracc());
+        let mut iracc_first = FunctionalOracle::new();
+        let mut serial_first = FunctionalOracle::new();
+        for (i, t) in targets.iter().enumerate() {
+            let cold_iracc = iracc_first.simulate(t, i, &iracc);
+            let cold_serial = iracc_first.simulate(t, i, &serial);
+            assert_eq!(
+                serial_first.simulate(t, i, &serial),
+                cold_serial,
+                "target {i}"
+            );
+            assert_eq!(
+                serial_first.simulate(t, i, &iracc),
+                cold_iracc,
+                "target {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn keys_that_differ_beyond_lanes_never_derive() {
+        let targets = bound_targets();
+        let t = &targets[0];
+        let mut oracle = FunctionalOracle::new();
+        oracle.simulate(t, 0, &FpgaParams::serial());
+        let iracc = FpgaParams::iracc();
+        for params in [
+            crate::hls::hls_params(),
+            FpgaParams {
+                pruning: false,
+                ..iracc
+            },
+            FpgaParams {
+                compute_overhead: 1.5,
+                ..iracc
+            },
+            FpgaParams {
+                pair_overhead_cycles: 5,
+                ..iracc
+            },
+        ] {
+            assert!(oracle.derive(t, 0, &params).is_none(), "{params:?}");
+            assert_eq!(
+                oracle.simulate(t, 0, &params),
+                simulate_target_fast(t, &params)
+            );
+        }
+        // With its own `lanes = 1` sibling cached, a scaled key derives,
+        // and the closed-form HDC cycles are scaled like swept ones.
+        let scaled = FpgaParams {
+            compute_overhead: 1.5,
+            ..iracc
+        };
+        let mut oracle = FunctionalOracle::new();
+        oracle.simulate(t, 0, &FpgaParams { lanes: 1, ..scaled });
+        let derived = oracle.derive(t, 0, &scaled).expect("sibling cached");
+        assert_eq!(derived, simulate_target_fast(t, &scaled));
     }
 
     #[test]

@@ -382,6 +382,52 @@ pub fn simulate_target_fast_with(
     )
 }
 
+/// The run of `target` under a multi-lane pruning `params`, derived from
+/// `serial`, its run under the `lanes = 1` sibling
+/// (`FpgaParams { lanes: 1, ..*params }`) — or `None` when the target
+/// does not qualify.
+///
+/// It qualifies when every read [`HdcConfig::scans_in_full`] under
+/// `params`: at most `(prune_latency_blocks + 1) · lanes` bases, 96 for
+/// the 32-lane design. Then every pair of the multi-lane run takes the
+/// dense shape, whose minimum and flagged offsets are the serial sweep's
+/// (both count the offsets whose WHD exceeds the minimum over the
+/// offsets before them). So the grid, the selector's outputs,
+/// `offsets_pruned` and the load, selector and drain cycles carry over,
+/// and only the HDC cycles and comparisons change, to
+/// [`PairRun::dense`]'s closed form.
+pub(crate) fn derive_from_serial(
+    target: &RealignmentTarget,
+    params: &FpgaParams,
+    serial: &UnitRun,
+) -> Option<UnitRun> {
+    let cfg = hdc_config(params);
+    if !cfg.pruning || cfg.lanes == 1 {
+        return None;
+    }
+    let shape = target.shape();
+    if !shape.read_lens.iter().all(|&n| cfg.scans_in_full(n)) {
+        return None;
+    }
+    let mut hdc_cycles = 0u64;
+    let mut comparisons = 0u64;
+    for (i, &cons_len) in shape.consensus_lens.iter().enumerate() {
+        for (j, &read_len) in shape.read_lens.iter().enumerate() {
+            let pair = PairRun::dense(cfg, cons_len, read_len, serial.grid.get(i, j), 0);
+            hdc_cycles += pair.cycles;
+            comparisons += pair.comparisons;
+        }
+    }
+    Some(UnitRun {
+        cycles: UnitCycles {
+            hdc: scale_compute(hdc_cycles, params),
+            ..serial.cycles
+        },
+        comparisons,
+        ..serial.clone()
+    })
+}
+
 fn hdc_config(params: &FpgaParams) -> HdcConfig {
     HdcConfig {
         lanes: params.lanes,
@@ -438,14 +484,10 @@ fn finish_run(
     let grid = MinWhdGrid::from_cells(shape.num_consensuses, shape.num_reads, cells);
     let sel = run_selector(&grid, target.start_pos());
 
-    // The compute-pipeline efficiency factor (1.0 for the Chisel design,
-    // > 1 for the HLS build) applies to both compute stages.
-    let overhead = params.compute_overhead;
-    let scaled = |cycles: u64| (cycles as f64 * overhead).round() as u64;
     let cycles = UnitCycles {
         load: mem::load_cycles(shape, params.bus_bytes),
-        hdc: scaled(hdc_cycles),
-        selector: scaled(sel.cycles),
+        hdc: scale_compute(hdc_cycles, params),
+        selector: scale_compute(sel.cycles, params),
         drain: mem::drain_cycles(shape, params.bus_bytes),
     };
     UnitRun {
@@ -457,6 +499,12 @@ fn finish_run(
         comparisons,
         offsets_pruned,
     }
+}
+
+/// The compute-pipeline efficiency factor (1.0 for the Chisel design,
+/// > 1 for the HLS build) applied to a compute stage's cycles.
+fn scale_compute(cycles: u64, params: &FpgaParams) -> u64 {
+    (cycles as f64 * params.compute_overhead).round() as u64
 }
 
 #[cfg(test)]

@@ -17,8 +17,11 @@
 //! - **engine** — the event-driven core vs the legacy cycle stepper,
 //!   bitwise across the full [`SystemRun`] including telemetry; plus the
 //!   telemetry-transparency contract (enabling telemetry changes no
-//!   reported number) and, under a fault spec, the resilient path on both
-//!   backends.
+//!   reported number), the derived-entry contract (a run over an oracle
+//!   warmed under the input's `lanes = 1` sibling key, which derives the
+//!   multi-lane entries it can, equals the cold run; not hashed, so the
+//!   corpus fingerprints stay put) and, under a fault spec, the resilient
+//!   path on both backends.
 //! - **invariants** — cross-cutting telemetry laws: per-unit cycle
 //!   conservation, `arbiter5/grants == arbiter32/grants == ddr/beats`,
 //!   and `resilience/*` counters mirroring the report.
@@ -38,7 +41,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use ir_core::batch::{CandidateBlock, SweepRead};
 use ir_core::kernel;
 use ir_fpga::hdc::{run_pair, run_read_sweep, HdcConfig, PairRun};
-use ir_fpga::{AcceleratedSystem, FaultPlan, KernelKind, ResiliencePolicy, SimBackend, SystemRun};
+use ir_fpga::{
+    AcceleratedSystem, FaultPlan, FpgaParams, FunctionalOracle, KernelKind, ResiliencePolicy,
+    SimBackend, SystemRun,
+};
 use ir_serve::{
     FaultInjection, FleetConfig, FleetReport, FleetService, RealignService, Request, ServeConfig,
     ServiceReport,
@@ -439,6 +445,21 @@ fn engine_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
             masked.telemetry = None;
             masked.timeline = plain.timeline.clone();
             diff_runs(&masked, &plain, "telemetry-transparency", out);
+        }
+    }
+
+    // Derived entries: warmed under the `lanes = 1` sibling key, the
+    // oracle derives every multi-lane entry whose reads allow it instead
+    // of sweeping; the run over it must be the cold run, bit for bit.
+    if let Some(run_a) = &run_a {
+        let warm = guarded("engine", out, |_| {
+            let params = input.params.params();
+            let mut oracle = FunctionalOracle::new();
+            oracle.precompute(&input.targets, &FpgaParams { lanes: 1, ..params }, 1);
+            engine.run_with_oracle(&input.targets, &mut oracle)
+        });
+        if let Some(warm) = warm {
+            diff_runs(&warm, run_a, "derived-vs-cold", out);
         }
     }
 
