@@ -66,7 +66,7 @@ fn main() {
         .with_telemetry(true);
     // One warmed oracle serves the clean run and all 12 fault-sweep
     // points below: the memoized entry is the fault-free datapath result,
-    // and injected faults only ever mutate the per-attempt clone.
+    // and a fault that changes a run changes a copy made on write.
     let mut oracle = FunctionalOracle::new();
     oracle.precompute(targets, &FpgaParams::iracc(), threads);
     let clean_wall = system.run_with_oracle(targets, &mut oracle).wall_time_s;

@@ -33,6 +33,7 @@
 //!   heap applied, so every `free` the scheduler reads is bit-identical.
 
 use std::cmp::Reverse;
+use std::sync::Arc;
 
 use ir_genome::RealignmentTarget;
 use ir_sim::{Component, Ctx, Engine, Port, SimEvent, SimTime};
@@ -105,14 +106,14 @@ pub(crate) enum Ev {
     Resolve {
         target: usize,
         unit: usize,
-        run: Box<UnitRun>,
+        run: Arc<UnitRun>,
     },
     /// Watchdog → scheduler: recovery resolved, with the extra cycles the
     /// unit burned and the unit's health transitions.
     Resolved {
         target: usize,
         unit: usize,
-        run: Box<UnitRun>,
+        run: Arc<UnitRun>,
         extra: u64,
         newly_quarantined: bool,
         still_healthy: bool,
@@ -259,7 +260,7 @@ impl Component for UnitComp {
 /// [`SystemRun`] identically to the legacy epilogue.
 struct Ledger {
     acc: TeleAcc,
-    results: Vec<Option<UnitRun>>,
+    results: Vec<Option<Arc<UnitRun>>>,
     dma_busy: f64,
     command_s: f64,
     compute_cycles: u64,
@@ -307,16 +308,16 @@ impl Ledger {
 }
 
 /// Evaluates one target's functional result, through the shared oracle
-/// when one was provided.
+/// when one was provided. An oracle hit shares the cached entry.
 fn evaluate(
     oracle: &mut Option<&mut FunctionalOracle>,
     target: &RealignmentTarget,
     index: usize,
     sys: &AcceleratedSystem,
-) -> UnitRun {
+) -> Arc<UnitRun> {
     match oracle.as_deref_mut() {
-        Some(o) => o.simulate(target, index, sys.params()),
-        None => simulate_target_fast(target, sys.params()),
+        Some(o) => o.shared(target, index, sys.params()),
+        None => Arc::new(simulate_target_fast(target, sys.params())),
     }
 }
 
@@ -351,7 +352,7 @@ impl<'s, 't, 'o> AsyncSched<'s, 't, 'o> {
     ) -> Self {
         let units = sys.params().num_units;
         let mut order: Vec<usize> = (0..targets.len()).collect();
-        order.sort_by_key(|&t| Reverse(targets[t].shape().worst_case_comparisons()));
+        order.sort_by_cached_key(|&t| Reverse(targets[t].shape().worst_case_comparisons()));
         AsyncSched {
             sys,
             targets,
@@ -381,7 +382,7 @@ impl<'s, 't, 'o> AsyncSched<'s, 't, 'o> {
         self.chunk_cursor = end;
         let sizes: Vec<u64> = chunk
             .iter()
-            .map(|&t| self.targets[t].shape().input_bytes())
+            .map(|&t| self.targets[t].input_bytes())
             .collect();
         self.dma_port.send(
             ctx,
@@ -449,7 +450,7 @@ impl Component for AsyncSched<'_, '_, '_> {
                     Ev::Resolve {
                         target: t,
                         unit,
-                        run: Box::new(run),
+                        run,
                     },
                 );
             }
@@ -516,7 +517,7 @@ impl Component for AsyncSched<'_, '_, '_> {
                         },
                     );
                 }
-                self.ledger.results[t] = Some(*run);
+                self.ledger.results[t] = Some(run);
                 if still_healthy {
                     ctx.post(
                         UNIT_BASE + unit,
@@ -575,7 +576,7 @@ impl<'s, 't, 'o> SyncSched<'s, 't, 'o> {
         match sys.scheduling() {
             Scheduling::SynchronousUnsorted => {}
             Scheduling::SynchronousByWorstCase => {
-                order.sort_by_key(|&t| Reverse(targets[t].shape().worst_case_comparisons()));
+                order.sort_by_cached_key(|&t| Reverse(targets[t].shape().worst_case_comparisons()));
             }
             _ => order
                 .sort_by_key(|&t| Reverse((targets[t].num_reads(), targets[t].num_consensuses()))),
@@ -610,7 +611,7 @@ impl<'s, 't, 'o> SyncSched<'s, 't, 'o> {
         let sizes: Vec<u64> = self
             .batch
             .iter()
-            .map(|&t| self.targets[t].shape().input_bytes())
+            .map(|&t| self.targets[t].input_bytes())
             .collect();
         self.dma_port.send(
             ctx,
@@ -634,7 +635,7 @@ impl<'s, 't, 'o> SyncSched<'s, 't, 'o> {
             Ev::Resolve {
                 target: t,
                 unit: self.healthy[self.slot],
-                run: Box::new(run),
+                run,
             },
         );
     }
@@ -702,23 +703,25 @@ impl Component for SyncSched<'_, '_, '_> {
                 self.ledger.compute_cycles += run.cycles.total();
                 self.ledger.comparisons += run.comparisons;
                 self.batch_end = self.batch_end.max(end);
-                let shape = target.shape();
-                self.ledger.acc.record_dispatch(
-                    p,
-                    DispatchRecord {
-                        unit,
-                        target_index: t,
-                        start_s: start,
-                        busy_s: busy,
-                        busy_cycles: run.cycles.total() + extra,
-                        stall_s: self.dma_s + cfg,
-                        dma_wait_s: self.dma_s,
-                        active_units: self.batch.len() as u64,
-                        run: &run,
-                        shape: &shape,
-                    },
-                );
-                self.ledger.results[t] = Some(*run);
+                if self.ledger.acc.enabled() {
+                    let shape = target.shape();
+                    self.ledger.acc.record_dispatch(
+                        p,
+                        DispatchRecord {
+                            unit,
+                            target_index: t,
+                            start_s: start,
+                            busy_s: busy,
+                            busy_cycles: run.cycles.total() + extra,
+                            stall_s: self.dma_s + cfg,
+                            dma_wait_s: self.dma_s,
+                            active_units: self.batch.len() as u64,
+                            run: &run,
+                            shape: &shape,
+                        },
+                    );
+                }
+                self.ledger.results[t] = Some(run);
                 ctx.post(UNIT_BASE + unit, now, 0, Ev::Dispatch { wake_s: end });
                 self.frees_outstanding += 1;
                 self.slot += 1;
@@ -929,5 +932,105 @@ mod tests {
         let sync = AcceleratedSystem::new(FpgaParams::iracc(), Scheduling::Synchronous).unwrap();
         let replay = sync.run_with_oracle(&targets, &mut oracle);
         assert_runs_bitwise_equal(&replay, &sync.run(&targets));
+    }
+
+    #[test]
+    fn warm_replay_shares_the_oracle_entries() {
+        let targets = workload(9);
+        let params = FpgaParams::iracc();
+        let mut oracle = FunctionalOracle::new();
+        oracle.precompute(&targets, &params, 1);
+        for scheduling in [Scheduling::Synchronous, Scheduling::Asynchronous] {
+            let sys = AcceleratedSystem::new(params, scheduling).unwrap();
+            let run = sys.run_with_oracle(&targets, &mut oracle);
+            for (i, (run, target)) in run.results.iter().zip(&targets).enumerate() {
+                let entry = oracle.shared(target, i, &params);
+                assert!(Arc::ptr_eq(run, &entry), "{scheduling:?} copied target {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn faults_never_write_through_to_the_oracle() {
+        use crate::driver::ResiliencePolicy;
+        use crate::fault::{FaultPlan, FaultRates};
+        let targets = workload(12);
+        let params = FpgaParams {
+            num_units: 4,
+            ..FpgaParams::iracc()
+        };
+        let cold: Vec<UnitRun> = targets
+            .iter()
+            .map(|t| simulate_target_fast(t, &params))
+            .collect();
+        // Every read-back flips a bit and nothing is verified, so the
+        // flips that still decode ship corrupt outcomes.
+        let flip = (
+            FaultRates {
+                output_bit_flip: 1.0,
+                ..FaultRates::none()
+            },
+            ResiliencePolicy {
+                verify_rate: 0.0,
+                ..ResiliencePolicy::default()
+            },
+        );
+        // Every attempt hangs, so every target falls back to software.
+        let hang = (
+            FaultRates {
+                unit_hang: 1.0,
+                ..FaultRates::none()
+            },
+            ResiliencePolicy::default(),
+        );
+        for scheduling in [Scheduling::Synchronous, Scheduling::Asynchronous] {
+            let sys = AcceleratedSystem::new(params, scheduling).unwrap();
+            let mut oracle = FunctionalOracle::new();
+            let clean = sys.run_with_oracle(&targets, &mut oracle);
+            for (rates, policy) in [flip, hang] {
+                let mut plan = FaultPlan::seeded(3, rates);
+                let run = sys.run_resilient_with_oracle(&targets, &mut plan, &policy, &mut oracle);
+                let changed = run
+                    .results
+                    .iter()
+                    .zip(&cold)
+                    .any(|(got, want)| **got != *want);
+                assert!(
+                    changed,
+                    "{scheduling:?}: {:?} changed no result",
+                    run.resilience
+                );
+                for (i, (target, want)) in targets.iter().zip(&cold).enumerate() {
+                    assert_eq!(&oracle.simulate(target, i, &params), want, "entry {i}");
+                }
+                let replay = sys.run_with_oracle(&targets, &mut oracle);
+                assert_runs_bitwise_equal(&replay, &clean);
+            }
+        }
+    }
+
+    #[test]
+    fn worst_case_orders_keep_tied_targets_in_index_order() {
+        // Shapes repeat with period 15, so each worst-case key is shared
+        // by 20 targets: enough for an unstable sort to reorder ties.
+        let targets = workload(300);
+        let key = |t: usize| targets[t].shape().worst_case_comparisons();
+        let params = FpgaParams::iracc();
+        let async_sys = AcceleratedSystem::new(params, Scheduling::Asynchronous).unwrap();
+        let sync_sys = AcceleratedSystem::new(params, Scheduling::SynchronousByWorstCase).unwrap();
+        let orders = [
+            AsyncSched::new(&async_sys, &targets, false, None).order,
+            SyncSched::new(&sync_sys, &targets, false, None).order,
+        ];
+        for order in orders {
+            let mut seen = order.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..targets.len()).collect::<Vec<_>>());
+            assert!(order.windows(2).any(|w| key(w[0]) == key(w[1])));
+            for w in order.windows(2) {
+                let (a, b) = (w[0], w[1]);
+                assert!(key(a) > key(b) || (key(a) == key(b) && a < b), "{order:?}");
+            }
+        }
     }
 }

@@ -24,6 +24,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use ir_genome::RealignmentTarget;
 
@@ -58,8 +59,10 @@ impl TimingKey {
 ///
 /// Targets are identified by their index in the submitted slice, so one
 /// oracle serves exactly one workload: create a fresh oracle when the
-/// target set changes. Hits return clones — callers (the resilience layer
-/// in particular) are free to mutate the returned run.
+/// target set changes. [`Self::simulate`] returns an owned copy; the
+/// event engine shares the cached entry itself, and the resilience layer
+/// copies it on write (`Arc::make_mut`) before a fault changes it, so no
+/// caller can write through to the cache.
 ///
 /// A miss under a key with `lanes > 1` and pruning on is derived, not
 /// swept, when the entry for the same target under the key's `lanes = 1`
@@ -90,7 +93,7 @@ impl TimingKey {
 /// ```
 #[derive(Debug, Default)]
 pub struct FunctionalOracle {
-    cache: HashMap<(TimingKey, usize), UnitRun>,
+    cache: HashMap<(TimingKey, usize), Arc<UnitRun>>,
 }
 
 impl FunctionalOracle {
@@ -107,14 +110,25 @@ impl FunctionalOracle {
         index: usize,
         params: &FpgaParams,
     ) -> UnitRun {
+        UnitRun::clone(&self.shared(target, index, params))
+    }
+
+    /// [`Self::simulate`] without the copy: the cached entry itself.
+    pub(crate) fn shared(
+        &mut self,
+        target: &RealignmentTarget,
+        index: usize,
+        params: &FpgaParams,
+    ) -> Arc<UnitRun> {
         let key = (TimingKey::of(params), index);
         if let Some(run) = self.cache.get(&key) {
-            return run.clone();
+            return Arc::clone(run);
         }
-        let run = self
-            .derive(target, index, params)
-            .unwrap_or_else(|| simulate_target_fast(target, params));
-        self.cache.insert(key, run.clone());
+        let run = Arc::new(
+            self.derive(target, index, params)
+                .unwrap_or_else(|| simulate_target_fast(target, params)),
+        );
+        self.cache.insert(key, Arc::clone(&run));
         run
     }
 
@@ -173,7 +187,7 @@ impl FunctionalOracle {
             }
             match self.derive(target, i, params) {
                 Some(run) => {
-                    self.cache.insert((key, i), run);
+                    self.cache.insert((key, i), Arc::new(run));
                 }
                 None => missing.push(i),
             }
@@ -184,7 +198,7 @@ impl FunctionalOracle {
         if threads == 1 || missing.len() == 1 {
             for &i in &missing {
                 let run = simulate_target_fast(&targets[i], params);
-                self.cache.insert((key, i), run);
+                self.cache.insert((key, i), Arc::new(run));
             }
             return;
         }
@@ -217,7 +231,7 @@ impl FunctionalOracle {
         // which worker computed what.
         computed.sort_unstable_by_key(|&(i, _)| i);
         for (i, run) in computed {
-            self.cache.insert((key, i), run);
+            self.cache.insert((key, i), Arc::new(run));
         }
     }
 
@@ -245,7 +259,7 @@ impl FunctionalOracle {
         let mut cache = HashMap::with_capacity(indices.len());
         for (local, &global) in indices.iter().enumerate() {
             if let Some(run) = self.cache.get(&(key, global)) {
-                cache.insert((key, local), run.clone());
+                cache.insert((key, local), Arc::clone(run));
             }
         }
         FunctionalOracle { cache }

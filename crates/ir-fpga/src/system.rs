@@ -4,6 +4,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use ir_genome::{RealignmentTarget, TargetShape};
 use ir_telemetry::{SpanKind, Telemetry, TelemetrySnapshot, Track};
@@ -96,8 +97,9 @@ pub struct SystemRun {
     /// paper's control program reports.
     pub wall_time_s: f64,
     /// Per-target functional results, in submission order. Identical to
-    /// the golden model's output.
-    pub results: Vec<UnitRun>,
+    /// the golden model's output. A run over a [`FunctionalOracle`] shares
+    /// the oracle's entries rather than copying them.
+    pub results: Vec<Arc<UnitRun>>,
     /// Total seconds the DMA engine was busy.
     pub dma_busy_s: f64,
     /// Total host seconds spent issuing commands and polling responses.
@@ -182,11 +184,13 @@ impl FaultState<'_> {
     /// (never the last healthy one), a target that exhausts its retries
     /// falls back to the software result (cycles zeroed — the fabric
     /// never finished it), and a corrupt read-back that escapes sampled
-    /// verification replaces `run.outcomes` with the corrupt decode.
+    /// verification replaces `run.outcomes` with the corrupt decode. Both
+    /// changes copy `run` on write, so a shared oracle entry never sees
+    /// them.
     pub(crate) fn resolve(
         &mut self,
         target: &RealignmentTarget,
-        run: &mut UnitRun,
+        run: &mut Arc<UnitRun>,
         unit: usize,
     ) -> u64 {
         let policy = *self.policy;
@@ -195,7 +199,7 @@ impl FaultState<'_> {
         for attempt in 0..=policy.max_retries {
             let mut failed = false;
             let mut unit_at_fault = false;
-            if self.plan.dma_fault(target.shape().input_bytes()).is_some() {
+            if self.plan.dma_fault(target.input_bytes()).is_some() {
                 // Per-target re-transfer; not attributed to the unit.
                 self.report.dma_faults += 1;
                 failed = true;
@@ -237,7 +241,7 @@ impl FaultState<'_> {
                             // Undetected single-bit flip: the corrupt
                             // outcomes ship. This is exactly what
                             // `verify_rate < 1` risks.
-                            run.outcomes = corrupt;
+                            Arc::make_mut(run).outcomes = corrupt;
                         }
                     }
                 }
@@ -271,6 +275,7 @@ impl FaultState<'_> {
             // stand, but the fabric never finished this target — its
             // cycles and comparisons happened on host cores instead.
             self.report.fallbacks += 1;
+            let run = Arc::make_mut(run);
             run.cycles = crate::unit::UnitCycles::default();
             run.comparisons = 0;
         }
@@ -721,10 +726,11 @@ impl AcceleratedSystem {
     }
 
     /// [`Self::run_resilient`] over a shared [`FunctionalOracle`]. The
-    /// oracle memoizes the *fault-free* datapath result per target;
-    /// injected faults mutate the per-attempt clone the resilience layer
-    /// receives, never the cached entry, so a fault-rate sweep over one
-    /// workload evaluates each target's datapath exactly once. Like
+    /// oracle memoizes the *fault-free* datapath result per target, and
+    /// the run shares each entry until a fault changes it: an undetected
+    /// corrupt read-back or a software fallback copies the entry on write
+    /// and changes the copy, never the cached entry, so a fault-rate sweep
+    /// over one workload evaluates each target's datapath exactly once. Like
     /// [`Self::run_with_oracle`] this always takes the event-driven path.
     pub fn run_resilient_with_oracle(
         &self,
@@ -820,7 +826,7 @@ impl AcceleratedSystem {
                 .sort_by_key(|&t| Reverse((targets[t].num_reads(), targets[t].num_consensuses()))),
         }
 
-        let mut results: Vec<Option<UnitRun>> = (0..targets.len()).map(|_| None).collect();
+        let mut results: Vec<Option<Arc<UnitRun>>> = (0..targets.len()).map(|_| None).collect();
         let mut now = 0.0f64;
         let mut dma_busy = 0.0f64;
         let mut command_s = 0.0f64;
@@ -861,7 +867,7 @@ impl AcceleratedSystem {
                 let unit = healthy[slot];
                 let cfg = self.config_time_s(&targets[t]);
                 command_s += cfg;
-                let mut run = simulate_target(&targets[t], p);
+                let mut run = Arc::new(simulate_target(&targets[t], p));
                 let was_quarantined = fault.as_deref().is_some_and(|fs| fs.quarantined[unit]);
                 let extra = match fault.as_deref_mut() {
                     Some(fs) => fs.resolve(&targets[t], &mut run, unit),
@@ -949,7 +955,7 @@ impl AcceleratedSystem {
         let units = p.num_units;
         let mut acc = TeleAcc::new(telemetry, units, cycle_s);
 
-        let mut results: Vec<Option<UnitRun>> = (0..targets.len()).map(|_| None).collect();
+        let mut results: Vec<Option<Arc<UnitRun>>> = (0..targets.len()).map(|_| None).collect();
         let mut dma_busy = 0.0f64;
         let mut command_s = 0.0f64;
         let mut compute_cycles = 0u64;
@@ -1006,7 +1012,7 @@ impl AcceleratedSystem {
             let Reverse((free_ps, unit)) = heap.pop().expect("at least one unit");
             let cfg = self.config_time_s(target);
             command_s += cfg;
-            let mut run = simulate_target(target, p);
+            let mut run = Arc::new(simulate_target(target, p));
             let was_quarantined = fault.as_deref().is_some_and(|fs| fs.quarantined[unit]);
             let extra = match fault.as_deref_mut() {
                 Some(fs) => fs.resolve(target, &mut run, unit),

@@ -192,6 +192,14 @@ impl RealignmentTarget {
         &self.reads[index]
     }
 
+    /// [`TargetShape::input_bytes`] without building the shape, for
+    /// callers that size a DMA transfer on every dispatch.
+    pub fn input_bytes(&self) -> u64 {
+        let cons: u64 = self.consensuses.iter().map(|c| c.len() as u64).sum();
+        let reads: u64 = self.reads.iter().map(|r| r.len() as u64).sum();
+        cons + 2 * reads
+    }
+
     /// Returns the shape summary used by schedulers and cost models.
     pub fn shape(&self) -> TargetShape {
         TargetShape {

@@ -63,6 +63,7 @@
 
 use ir_cloud::InterruptionModel;
 use ir_fpga::ResilienceReport;
+use ir_genome::RealignmentTarget;
 use ir_sim::{EventQueue, SimTime};
 use ir_telemetry::json::escape_json_string;
 use ir_telemetry::{PerfCounters, SpanKind, Tracer, Track};
@@ -386,6 +387,51 @@ enum NodeState {
     Draining,
     /// Gone (interrupted or descaled).
     Dead,
+}
+
+/// A request with its target taken out, so dispatch can hand a batch's
+/// targets to the shard as one slice without cloning them and then
+/// rebuild the requests.
+struct Ticket {
+    id: u64,
+    arrival_s: f64,
+    family: ShapeFamily,
+    tenant: usize,
+}
+
+impl Ticket {
+    fn split(req: Request) -> (Ticket, RealignmentTarget) {
+        let Request {
+            id,
+            arrival_s,
+            target,
+            family,
+            tenant,
+        } = req;
+        let ticket = Ticket {
+            id,
+            arrival_s,
+            family,
+            tenant,
+        };
+        (ticket, target)
+    }
+
+    fn join(self, target: RealignmentTarget) -> Request {
+        let Ticket {
+            id,
+            arrival_s,
+            family,
+            tenant,
+        } = self;
+        Request {
+            id,
+            arrival_s,
+            target,
+            family,
+            tenant,
+        }
+    }
 }
 
 /// A batch in flight on one node shard. Responses are fully stamped at
@@ -762,7 +808,8 @@ impl Node {
                         }
                         _ => latest_arrival.min(now),
                     };
-                    let targets: Vec<_> = batch.iter().map(|r| r.target.clone()).collect();
+                    let (tickets, targets): (Vec<_>, Vec<_>) =
+                        batch.into_iter().map(Ticket::split).unzip();
                     let outcome = shards[shard_idx].run_batch(&targets)?;
                     if let Some(report) = &outcome.resilience {
                         resilience.absorb(report);
@@ -770,15 +817,15 @@ impl Node {
                     let completion = now + outcome.wall_time_s;
                     // Calibrate the retry-after estimate from real
                     // service time, amortized over the batch.
-                    let per_req = outcome.wall_time_s / batch.len() as f64;
+                    let per_req = outcome.wall_time_s / targets.len() as f64;
                     *est_service_s = (1.0 - EST_ALPHA) * *est_service_s + EST_ALPHA * per_req;
-                    counters.observe("serve/batch_occupancy", batch.len() as u64);
+                    counters.observe("serve/batch_occupancy", targets.len() as u64);
                     counters.add(&PerfCounters::key("serve", Some(shard_idx), "batches"), 1);
                     counters.add(
                         &PerfCounters::key("serve", Some(shard_idx), "requests"),
-                        batch.len() as u64,
+                        targets.len() as u64,
                     );
-                    let stamped: Vec<Response> = batch
+                    let stamped: Vec<Response> = tickets
                         .iter()
                         .zip(&outcome.results)
                         .map(|(req, &(best_consensus, realigned))| {
@@ -824,7 +871,7 @@ impl Node {
                                 completion_s: completion,
                                 shard: shard_idx,
                                 batch: *batch_seq,
-                                batch_size: batch.len(),
+                                batch_size: targets.len(),
                                 best_consensus,
                                 realigned,
                                 family,
@@ -839,11 +886,15 @@ impl Node {
                         None,
                         now,
                         completion,
-                        &[("batch", *batch_seq), ("requests", batch.len() as u64)],
+                        &[("batch", *batch_seq), ("requests", targets.len() as u64)],
                     );
                     in_flight[shard_idx] = Some(InFlight {
                         responses: stamped,
-                        requests: batch,
+                        requests: tickets
+                            .into_iter()
+                            .zip(targets)
+                            .map(|(ticket, target)| ticket.join(target))
+                            .collect(),
                         dispatch_s: now,
                         completion_s: completion,
                     });

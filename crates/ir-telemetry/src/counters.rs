@@ -8,6 +8,7 @@
 //! stable across runs.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// Number of power-of-two histogram buckets. Bucket 0 holds zeros; bucket
 /// `i > 0` holds values in `[2^(i-1), 2^i)`; the last bucket is unbounded.
@@ -128,10 +129,27 @@ pub struct PerfCounters {
 impl PerfCounters {
     /// Builds the canonical `block[/idx]/name` key.
     pub fn key(block: &str, idx: Option<usize>, name: &str) -> String {
-        match idx {
-            Some(i) => format!("{block}/{i:02}/{name}"),
-            None => format!("{block}/{name}"),
+        let mut key = String::new();
+        Self::write_key(&mut key, block, idx, name);
+        key
+    }
+
+    /// Builds [`Self::key`] in `buf`, reusing its allocation, and returns
+    /// it.
+    pub(crate) fn write_key<'b>(
+        buf: &'b mut String,
+        block: &str,
+        idx: Option<usize>,
+        name: &str,
+    ) -> &'b str {
+        buf.clear();
+        buf.push_str(block);
+        if let Some(i) = idx {
+            write!(buf, "/{i:02}").expect("writing to a String cannot fail");
         }
+        buf.push('/');
+        buf.push_str(name);
+        buf
     }
 
     /// Adds `n` to a counter (created at zero on first touch).
@@ -151,16 +169,23 @@ impl PerfCounters {
 
     /// Raises a high-water-mark gauge to at least `v`.
     pub fn gauge_max(&mut self, key: &str, v: u64) {
-        let g = self.gauges.entry(key.to_string()).or_insert(0);
-        *g = (*g).max(v);
+        if let Some(g) = self.gauges.get_mut(key) {
+            *g = (*g).max(v);
+        } else {
+            self.gauges.insert(key.to_string(), v);
+        }
     }
 
     /// Records `v` into a histogram.
     pub fn observe(&mut self, key: &str, v: u64) {
-        self.histograms
-            .entry(key.to_string())
-            .or_default()
-            .observe(v);
+        if let Some(h) = self.histograms.get_mut(key) {
+            h.observe(v);
+        } else {
+            self.histograms
+                .entry(key.to_string())
+                .or_default()
+                .observe(v);
+        }
     }
 
     /// Counter value (0 if absent).

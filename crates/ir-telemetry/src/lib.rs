@@ -83,6 +83,9 @@ pub struct Collector {
     pub counters: PerfCounters,
     /// The span tracer.
     pub tracer: Tracer,
+    /// Reused to build each `block[/idx]/name` key, so recording into an
+    /// existing key allocates nothing.
+    key: String,
 }
 
 impl Telemetry {
@@ -114,7 +117,8 @@ impl Telemetry {
     #[inline]
     pub fn add(&mut self, block: &str, name: &str, n: u64) {
         if let Telemetry::On(c) = self {
-            c.counters.add(&PerfCounters::key(block, None, name), n);
+            let key = PerfCounters::write_key(&mut c.key, block, None, name);
+            c.counters.add(key, n);
         }
     }
 
@@ -122,8 +126,8 @@ impl Telemetry {
     #[inline]
     pub fn add_idx(&mut self, block: &str, idx: usize, name: &str, n: u64) {
         if let Telemetry::On(c) = self {
-            c.counters
-                .add(&PerfCounters::key(block, Some(idx), name), n);
+            let key = PerfCounters::write_key(&mut c.key, block, Some(idx), name);
+            c.counters.add(key, n);
         }
     }
 
@@ -131,8 +135,8 @@ impl Telemetry {
     #[inline]
     pub fn gauge_max(&mut self, block: &str, name: &str, v: u64) {
         if let Telemetry::On(c) = self {
-            c.counters
-                .gauge_max(&PerfCounters::key(block, None, name), v);
+            let key = PerfCounters::write_key(&mut c.key, block, None, name);
+            c.counters.gauge_max(key, v);
         }
     }
 
@@ -140,7 +144,8 @@ impl Telemetry {
     #[inline]
     pub fn observe(&mut self, block: &str, name: &str, v: u64) {
         if let Telemetry::On(c) = self {
-            c.counters.observe(&PerfCounters::key(block, None, name), v);
+            let key = PerfCounters::write_key(&mut c.key, block, None, name);
+            c.counters.observe(key, v);
         }
     }
 

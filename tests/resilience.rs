@@ -105,9 +105,10 @@ fn default_rate_faults_every_target_completes() {
 }
 
 /// `run_resilient_with_oracle` is bitwise-identical to `run_resilient`:
-/// the oracle memoizes only the fault-free datapath result, and every
-/// injected fault mutates the per-attempt clone, never the cached entry —
-/// whether the oracle starts cold, pre-warmed, or reused across seeds.
+/// the oracle memoizes only the fault-free datapath result, and a fault
+/// that changes a run copies the shared entry on write, never changing
+/// the cached one — whether the oracle starts cold, pre-warmed, or reused
+/// across seeds.
 #[test]
 fn resilient_with_oracle_matches_plain_resilient() {
     use ir_system::fpga::FunctionalOracle;

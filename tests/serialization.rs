@@ -59,6 +59,7 @@ proptest! {
             let buffers = HostBuffers::from_target(target);
             buffers.check_fit().expect("generated targets fit the unit");
             prop_assert_eq!(buffers.payload_bytes(), target.shape().input_bytes());
+            prop_assert_eq!(target.input_bytes(), target.shape().input_bytes());
             // Spot-check every consensus and read lands at its slot.
             for (i, cons) in target.consensuses().iter().enumerate() {
                 let slot = &buffers.consensus()[i * 2048..][..cons.len()];
