@@ -1,4 +1,4 @@
-//! Per-kernel WHD throughput rows for the perf-trajectory snapshot.
+//! Per-kernel WHD throughput rows.
 //!
 //! Times the weighted-Hamming-distance sweep on the scalar reference, the
 //! portable SWAR kernel and the widest explicit-SIMD kernel the host CPU
@@ -30,9 +30,8 @@
 //! placement stop at their prune point, so its Gbase/s (and
 //! `serial-mix`'s) counts the bases the scans actually visit. Row keys
 //! are stable across hosts (`scalar`, `swar`, `simd`); the `isa` column
-//! records which ISA `simd` resolved to, and the snapshot records the
-//! same name as its `kernel` config field so `bench-diff` never compares
-//! Gbase/s across ISAs.
+//! records which ISA `simd` resolved to, so Gbase/s is never compared
+//! across ISAs by accident.
 
 use std::time::Instant;
 

@@ -12,8 +12,7 @@
 //! `IR_THREADS` settings; CI's `fleet-smoke` job diffs them):
 //!
 //! - `results/serve_fleet.{csv,txt}` — per-topology cost/SLO table,
-//! - `results/fleet_report.json` — the 4-node fleet's structured report
-//!   (consumed by `ir-cli bench-snapshot`).
+//! - `results/fleet_report.json` — the 4-node fleet's structured report.
 //!
 //! Knobs: `IR_SCALE`, `IR_THREADS` (oracle pre-warm only), `IR_RESULTS_DIR`.
 
@@ -114,7 +113,7 @@ fn main() {
         "cost_usd",
         "cost_per_mtargets_usd",
     ]);
-    let mut snapshot_report = None;
+    let mut exported_report = None;
     // The whole arrival stream spans only tens of virtual milliseconds,
     // so the autoscaler must react within a few batch completions to
     // matter: tight 1 ms evaluation windows, a single breach window
@@ -140,7 +139,7 @@ fn main() {
         )))
         .collect();
     for (label, config) in runs {
-        let is_snapshot = label == "fixed-4";
+        let is_exported = label == "fixed-4";
         let report = run_fleet(&label, config, &targets, rate_rps);
         let pctl = |p| report.latency_percentile_s(p).expect("responses completed");
         table.row(vec![
@@ -157,15 +156,15 @@ fn main() {
             format!("{:.6}", report.cost_usd()),
             format!("{:.4}", report.cost_per_million_targets_usd()),
         ]);
-        if is_snapshot {
-            snapshot_report = Some(report);
+        if is_exported {
+            exported_report = Some(report);
         }
     }
     println!();
     table.emit("serve_fleet");
-    // The 4-node fleet's structured report feeds the perf-trajectory
-    // snapshot (`ir-cli bench-snapshot` reads fleet_report.json).
-    if let Some(report) = snapshot_report {
+    // The 4-node fleet's structured report, pinned byte for byte by the
+    // committed results/fleet_report.json.
+    if let Some(report) = exported_report {
         let path = ir_bench::results_dir().join("fleet_report.json");
         match std::fs::write(&path, report.to_json()) {
             Ok(()) => println!("[json] {}", path.display()),

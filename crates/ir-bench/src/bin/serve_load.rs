@@ -129,8 +129,8 @@ fn main() {
     }
     println!();
     table.emit("serve_load");
-    // The adaptive mode's structured report feeds the perf-trajectory
-    // snapshot (`ir-cli bench-snapshot` reads serve_report.json).
+    // The adaptive mode's structured report, pinned byte for byte by the
+    // committed results/serve_report.json.
     if let Some(report) = adaptive_report {
         let path = ir_bench::results_dir().join("serve_report.json");
         match std::fs::write(&path, report.to_json()) {

@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-use ir_workloads::{WorkloadConfig, WorkloadGenerator};
+use ir_workloads::{check_scale, WorkloadConfig, WorkloadGenerator};
 
 pub mod sweep;
 
@@ -82,13 +82,10 @@ pub fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
     let Some(raw) = raw else {
         return Ok(1e-4);
     };
-    match raw.parse::<f64>() {
-        Ok(s) if s > 0.0 && s <= 1.0 => Ok(s),
-        Ok(_) => Err(format!(
-            "error: IR_SCALE={raw} is out of range (want a fraction in (0, 1])"
-        )),
-        Err(_) => Err(format!("error: IR_SCALE={raw} is not a number")),
-    }
+    let scale = raw
+        .parse::<f64>()
+        .map_err(|_| format!("error: IR_SCALE={raw} is not a number"))?;
+    check_scale(scale).map_err(|e| format!("error: IR_SCALE={raw} is {e}"))
 }
 
 /// Parses a raw `IR_THREADS` value: unset means `None` (the caller picks

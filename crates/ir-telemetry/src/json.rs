@@ -1,11 +1,11 @@
 //! A minimal, dependency-free JSON writer helper, validator and reader.
 //!
 //! The vendored `serde` stub carries no `serde_json`, so trace and
-//! snapshot serialization is hand-rolled. This module provides the
+//! report serialization is hand-rolled. This module provides the
 //! pieces that keep that honest: correct string escaping on the way out,
 //! a strict recursive-descent parser used by tests and the CI smoke job
 //! to prove every emitted document actually parses, and a [`JsonValue`]
-//! tree (`parse_json`) so tools like `bench-diff` can read documents
+//! tree (`parse_json`) so tools like `perfbench` can read documents
 //! back without an external dependency.
 
 /// Escapes `s` as a JSON string literal, including the surrounding

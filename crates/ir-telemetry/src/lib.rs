@@ -54,12 +54,10 @@
 pub mod counters;
 pub mod json;
 pub mod report;
-pub mod snapshot;
 pub mod trace;
 
 pub use counters::{Histogram, PerfCounters};
 pub use report::{BottleneckReport, StallSource, TelemetrySnapshot, UnitUtilization};
-pub use snapshot::{BenchSnapshot, DeltaStatus, MetricDelta, SnapshotDiff};
 pub use trace::{SpanKind, Trace, TraceEvent, Tracer, Track};
 
 /// The recording facade every instrumented layer holds: either a live

@@ -161,6 +161,37 @@ pub struct TargetTruth {
     pub reads: Vec<ReadTruth>,
 }
 
+/// Checks a user-supplied workload scale: a fraction of the paper's full
+/// NA12878 workload in `(0, 1]`.
+///
+/// Every front end that takes a scale (the `IR_SCALE` knob, `ir-cli
+/// --scale`) calls this before building a [`WorkloadGenerator`], so zero,
+/// negative and NaN scales (which [`WorkloadGenerator::new`] rejects with
+/// a panic) and scales above 1 (which size allocations past any host's
+/// memory) become an error message instead.
+///
+/// # Errors
+///
+/// Returns why `scale` is rejected.
+///
+/// # Example
+///
+/// ```
+/// use ir_workloads::check_scale;
+///
+/// assert_eq!(check_scale(5e-3), Ok(5e-3));
+/// assert!(check_scale(0.0).is_err());
+/// assert!(check_scale(f64::NAN).is_err());
+/// assert!(check_scale(1e9).is_err());
+/// ```
+pub fn check_scale(scale: f64) -> Result<f64, String> {
+    if scale > 0.0 && scale <= 1.0 {
+        Ok(scale)
+    } else {
+        Err("out of range (want a fraction in (0, 1])".to_string())
+    }
+}
+
 /// Deterministic generator of synthetic chromosome workloads.
 #[derive(Debug, Clone)]
 pub struct WorkloadGenerator {

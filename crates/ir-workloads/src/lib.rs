@@ -54,7 +54,8 @@ pub use arrivals::ArrivalProcess;
 pub use examples::{figure4_target, scheduling_toy_targets};
 pub use family::{ShapeFamily, WorkloadProfile};
 pub use generator::{
-    ChromosomeWorkload, ReadTruth, TargetTruth, WorkloadConfig, WorkloadGenerator, WorkloadStats,
+    check_scale, ChromosomeWorkload, ReadTruth, TargetTruth, WorkloadConfig, WorkloadGenerator,
+    WorkloadStats,
 };
 pub use profile::{
     expected_target_count, target_density_per_bp, PAPER_CH21_TARGETS, PAPER_CH2_TARGETS,

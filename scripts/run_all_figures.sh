@@ -6,16 +6,19 @@
 #           the recorded results in EXPERIMENTS.md use 5e-3).
 #
 # Outputs: results/<name>.log (full console text) plus the
-# results/<name>.csv + results/<name>.txt pairs every table emits,
-# results/bench_summary.json mapping each binary to its wall-clock ms,
-# and a perf-trajectory snapshot (default BENCH_10.json at the repo root,
-# override with IR_BENCH_SNAPSHOT) assembled by `ir-cli bench-snapshot`.
-# Diff two snapshots with `ir-cli bench-diff <old> <new>`.
+# results/<name>.csv + results/<name>.txt pairs every table emits.
+# Every modeled output is a deterministic function of (scale, seed), so
+# at 5e-3 the committed results/ are the reference: after a run,
+#
+#   git diff --exit-code -- 'results/*.csv' 'results/*.txt' \
+#       'results/*.json' ':(exclude)results/kernel_microbench.*'
+#
+# must exit 0 (kernel_microbench times the host; the logs carry host
+# wall clocks). Host time is perfbench's to measure (perfbench/README.md).
 #
 # Knobs:
 #   IR_THREADS         worker threads for the figure binaries
 #                      (default: host core count)
-#   IR_BENCH_SNAPSHOT  snapshot output path (default: BENCH_10.json)
 #   IR_KERNEL          force a WHD kernel (scalar|swar|avx2|avx512|neon);
 #                      unset auto-detects the widest ISA
 
@@ -27,38 +30,25 @@ export IR_SCALE="$SCALE"
 # Default the worker-thread count to the host core count. The figure
 # binaries read IR_THREADS themselves, so it must be exported.
 export IR_THREADS="${IR_THREADS:-$(nproc 2>/dev/null || echo 1)}"
-GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-SNAPSHOT="${IR_BENCH_SNAPSHOT:-BENCH_10.json}"
 mkdir -p results
 
 cargo build --release -p ir-bench
 cargo build --release --bin ir-cli
 
 # The WHD kernel every figure binary will dispatch to (IR_KERNEL, or the
-# widest ISA the host supports) — recorded in the summary and snapshot so
-# bench-diff skips wall-clock comparisons across ISAs.
+# widest ISA the host supports).
 KERNEL="$(./target/release/ir-cli kernel --format name)"
 ./target/release/ir-cli kernel | tee results/kernel.log
 
-echo "rev $GIT_REV, scale $SCALE, $IR_THREADS thread(s), kernel $KERNEL"
+echo "scale $SCALE, $IR_THREADS thread(s), kernel $KERNEL"
 echo
-
-SUMMARY="results/bench_summary.json"
-printf '{\n  "ir_scale": %s,\n  "threads": %s,\n  "kernel": "%s",\n  "wall_ms": {\n' "$SCALE" "$IR_THREADS" "$KERNEL" > "$SUMMARY"
-FIRST=1
 
 run() {
     local name="$1"
     echo "=== $name (IR_SCALE=$IR_SCALE) ==="
     # Full console output goes to .log; the binaries themselves write the
     # results/<name>.csv + results/<name>.txt table pairs.
-    local start_ns end_ns wall_ms
-    start_ns=$(date +%s%N)
     ./target/release/"$name" | tee "results/$name.log"
-    end_ns=$(date +%s%N)
-    wall_ms=$(( (end_ns - start_ns) / 1000000 ))
-    if [ "$FIRST" -eq 1 ]; then FIRST=0; else printf ',\n' >> "$SUMMARY"; fi
-    printf '    "%s": %s' "$name" "$wall_ms" >> "$SUMMARY"
     echo
 }
 
@@ -105,9 +95,4 @@ run hls_comparison
 run gpu_comparison
 run headline_claims
 
-printf '\n  }\n}\n' >> "$SUMMARY"
 echo "all figures regenerated under results/ at scale $SCALE"
-echo "wall-clock summary: $SUMMARY"
-
-./target/release/ir-cli bench-snapshot --results results --rev "$GIT_REV" --out "$SNAPSHOT"
-echo "perf-trajectory snapshot: $SNAPSHOT"

@@ -14,8 +14,6 @@
 //!                          [--autoscale 0|1] [--spot-rate PER_HOUR]
 //! ir-cli fuzz [--seed S] [--iters N] [--corpus DIR]
 //! ir-cli kernel [--format table|name]
-//! ir-cli bench-snapshot [--results DIR] [--rev REV] [--out FILE]
-//! ir-cli bench-diff <OLD.json> <NEW.json>
 //! ```
 //!
 //! `gen` writes a synthetic chromosome workload in the text interchange
@@ -35,11 +33,7 @@
 //! `std::arch` kernels this CPU can run, which one `IR_KERNEL`/auto
 //! detection selected, and the typed fallback diagnostic when the
 //! request could not be honored (always exit 0: dispatch degrades, it
-//! never fails); `bench-snapshot` assembles the perf-trajectory snapshot
-//! (`BENCH_<n>.json`) from a results directory produced by
-//! `scripts/run_all_figures.sh`; `bench-diff` compares two snapshots
-//! under the per-metric tolerance bands and exits nonzero on any
-//! regression.
+//! never fails).
 
 use std::process::ExitCode;
 
@@ -53,7 +47,9 @@ use ir_system::serve::{
     AutoscalerConfig, FaultInjection, FleetConfig, FleetService, RealignService, Request,
     ServeConfig, ShardSpec, SpotProfile, TenantQuota,
 };
-use ir_system::workloads::{ArrivalProcess, ShapeFamily, WorkloadConfig, WorkloadGenerator};
+use ir_system::workloads::{
+    check_scale, ArrivalProcess, ShapeFamily, WorkloadConfig, WorkloadGenerator,
+};
 
 const USAGE: &str = "\
 usage:
@@ -70,8 +66,6 @@ usage:
                [--spot-rate PER_HOUR]
   ir-cli fuzz [--seed S] [--iters N] [--corpus DIR]
   ir-cli kernel [--format table|name]
-  ir-cli bench-snapshot [--results DIR] [--rev REV] [--out FILE]
-  ir-cli bench-diff <OLD.json> <NEW.json>
 ";
 
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
@@ -116,6 +110,12 @@ impl Args {
             Some(raw) => raw.parse().map_err(|e| format!("bad --{key} '{raw}': {e}")),
         }
     }
+
+    /// `--scale`, default `1e-4`, checked to lie in `(0, 1]`.
+    fn scale(&self) -> Result<f64, String> {
+        let scale = self.flag_parse("scale", 1e-4)?;
+        check_scale(scale).map_err(|e| format!("bad --scale '{scale}': {e}"))
+    }
 }
 
 fn cmd_gen(args: &Args) -> Result<(), String> {
@@ -124,7 +124,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
         .ok_or("gen requires --chromosome")?
         .parse()
         .map_err(|e| format!("{e}"))?;
-    let scale: f64 = args.flag_parse("scale", 1e-4)?;
+    let scale = args.scale()?;
     let seed: u64 = args.flag_parse("seed", WorkloadConfig::default().seed)?;
     let out = args.flag("out").unwrap_or("targets.tio").to_string();
 
@@ -151,7 +151,7 @@ fn cmd_workloads(args: &Args) -> Result<(), String> {
         .flag("family")
         .ok_or("workloads requires --family (short-read|long-read|deep-panel|metagenomic)")?
         .parse()?;
-    let scale: f64 = args.flag_parse("scale", 1e-4)?;
+    let scale = args.scale()?;
     let count: usize = args.flag_parse("count", 16)?;
     let seed: u64 = args.flag_parse("seed", 7)?;
 
@@ -525,28 +525,6 @@ fn cmd_serve_fleet(
     Ok(())
 }
 
-/// Geometric mean of strictly positive values.
-fn gmean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() || values.iter().any(|&v| v <= 0.0) {
-        return None;
-    }
-    Some((values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp())
-}
-
-/// Lowercases a table header into a metric-key slug (`IRAcc-TaskP ×` →
-/// `iracc-taskp`): alphanumeric runs joined by single dashes.
-fn slugify(header: &str) -> String {
-    let mut out = String::new();
-    for ch in header.chars() {
-        if ch.is_ascii_alphanumeric() {
-            out.extend(ch.to_lowercase());
-        } else if !out.is_empty() && !out.ends_with('-') {
-            out.push('-');
-        }
-    }
-    out.trim_end_matches('-').to_string()
-}
-
 fn cmd_kernel(args: &Args) -> Result<(), String> {
     use ir_system::core::kernel;
     use ir_system::core::KernelKind;
@@ -581,183 +559,6 @@ fn cmd_kernel(args: &Args) -> Result<(), String> {
         println!("diagnostic: {diag}");
     }
     Ok(())
-}
-
-fn cmd_bench_snapshot(args: &Args) -> Result<(), String> {
-    use ir_system::telemetry::json::{parse_json, JsonValue};
-    use ir_system::telemetry::BenchSnapshot;
-
-    let results = std::path::Path::new(args.flag("results").unwrap_or("results"));
-    let out = args.flag("out").unwrap_or("BENCH.json");
-    let rev = args.flag("rev").unwrap_or("unknown");
-
-    // Required: the wall-clock summary run_all_figures.sh writes.
-    let summary_path = results.join("bench_summary.json");
-    let summary_text = std::fs::read_to_string(&summary_path)
-        .map_err(|e| format!("reading {}: {e}", summary_path.display()))?;
-    let summary = parse_json(&summary_text)
-        .map_err(|e| format!("parsing {}: {e}", summary_path.display()))?;
-    let ir_scale = summary
-        .get("ir_scale")
-        .and_then(JsonValue::as_f64)
-        .ok_or("bench_summary.json missing ir_scale")?;
-    let ir_threads = summary
-        .get("threads")
-        .and_then(JsonValue::as_f64)
-        .ok_or("bench_summary.json missing threads")? as u64;
-    // The kernel the figure binaries dispatched to, recorded by
-    // run_all_figures.sh; older summaries lack the field.
-    let kernel = summary
-        .get("kernel")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("unknown")
-        .to_string();
-    let mut snap = BenchSnapshot::new(rev, ir_scale, ir_threads).with_kernel(&kernel);
-    for (name, wall) in summary
-        .get("wall_ms")
-        .and_then(JsonValue::as_object)
-        .ok_or("bench_summary.json missing wall_ms")?
-    {
-        let ms = wall
-            .as_f64()
-            .ok_or_else(|| format!("wall_ms entry {name} is not a number"))?;
-        snap.metrics.insert(format!("wall_ms/{name}"), ms);
-    }
-
-    // Optional: the serving layer's structured report (serve_load writes
-    // it for the adaptive mode).
-    let serve_path = results.join("serve_report.json");
-    if let Ok(text) = std::fs::read_to_string(&serve_path) {
-        let report =
-            parse_json(&text).map_err(|e| format!("parsing {}: {e}", serve_path.display()))?;
-        for (metric, source) in [
-            ("serve/throughput_rps", "throughput_rps"),
-            ("serve/p50_us", "latency_p50_us"),
-            ("serve/p95_us", "latency_p95_us"),
-            ("serve/p99_us", "latency_p99_us"),
-            ("serve/slo_attainment", "slo_attainment"),
-        ] {
-            let v = report
-                .get(source)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("serve_report.json missing {source}"))?;
-            snap.metrics.insert(metric.to_string(), v);
-        }
-    }
-
-    // Optional: the fleet's structured report (serve_fleet writes it for
-    // the 4-node topology).
-    let fleet_path = results.join("fleet_report.json");
-    if let Ok(text) = std::fs::read_to_string(&fleet_path) {
-        let report =
-            parse_json(&text).map_err(|e| format!("parsing {}: {e}", fleet_path.display()))?;
-        for (metric, source) in [
-            ("fleet/throughput_rps", "throughput_rps"),
-            ("fleet/p99_us", "latency_p99_us"),
-            ("fleet/slo_attainment", "slo_attainment"),
-            (
-                "fleet/cost_per_mtargets_usd",
-                "cost_per_million_targets_usd",
-            ),
-        ] {
-            let v = report
-                .get(source)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("fleet_report.json missing {source}"))?;
-            snap.metrics.insert(metric.to_string(), v);
-        }
-    }
-
-    // Optional: the workload atlas's per-family characterization rows.
-    let atlas_path = results.join("workload_atlas.json");
-    if let Ok(text) = std::fs::read_to_string(&atlas_path) {
-        let atlas =
-            parse_json(&text).map_err(|e| format!("parsing {}: {e}", atlas_path.display()))?;
-        let families = atlas
-            .get("families")
-            .and_then(JsonValue::as_array)
-            .ok_or("workload_atlas.json missing families")?;
-        for row in families {
-            let name = row
-                .get("family")
-                .and_then(JsonValue::as_str)
-                .ok_or("workload_atlas.json row missing family")?;
-            for source in [
-                "units",
-                "prune_rate",
-                "consensus_occupancy",
-                "read_occupancy",
-            ] {
-                let v = row
-                    .get(source)
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("workload_atlas.json {name} row missing {source}"))?;
-                snap.metrics.insert(format!("atlas/{name}/{source}"), v);
-            }
-        }
-    }
-
-    // Optional: kernel speedup ratios — the geometric mean of every
-    // speedup column of the fig9 per-chromosome table.
-    let fig9_path = results.join("fig9_speedup.csv");
-    if let Ok(text) = std::fs::read_to_string(&fig9_path) {
-        let mut lines = text.lines();
-        let headers: Vec<&str> = lines.next().unwrap_or("").split(',').collect();
-        let mut columns: Vec<Vec<f64>> = vec![Vec::new(); headers.len()];
-        for line in lines {
-            for (i, cell) in line.split(',').enumerate().skip(1) {
-                if let (Some(col), Ok(v)) = (columns.get_mut(i), cell.parse::<f64>()) {
-                    col.push(v);
-                }
-            }
-        }
-        for (header, column) in headers.iter().zip(&columns).skip(1) {
-            if let Some(g) = gmean(column) {
-                snap.metrics
-                    .insert(format!("speedup/{}-gmean", slugify(header)), g);
-            }
-        }
-    }
-
-    let json = snap.to_json();
-    BenchSnapshot::from_json(&json).map_err(|e| format!("snapshot failed self-check: {e}"))?;
-    std::fs::write(out, &json).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "wrote {} metrics (rev {rev}, scale {ir_scale}, {ir_threads} thread(s), kernel {kernel}) \
-         to {out}",
-        snap.metrics.len()
-    );
-    Ok(())
-}
-
-fn cmd_bench_diff(args: &Args) -> Result<(), String> {
-    use ir_system::telemetry::BenchSnapshot;
-
-    let old_path = args
-        .positional
-        .get(1)
-        .ok_or("bench-diff needs <OLD.json>")?;
-    let new_path = args
-        .positional
-        .get(2)
-        .ok_or("bench-diff needs <NEW.json>")?;
-    let load = |path: &str| -> Result<BenchSnapshot, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        BenchSnapshot::from_json(&text).map_err(|e| format!("parsing {path}: {e}"))
-    };
-    let old = load(old_path)?;
-    let new = load(new_path)?;
-    println!(
-        "baseline {old_path} (rev {}, scale {}) vs {new_path} (rev {}, scale {})",
-        old.git_rev, old.ir_scale, new.git_rev, new.ir_scale
-    );
-    let diff = old.diff(&new);
-    print!("{}", diff.render());
-    if diff.has_regressions() {
-        Err("perf regression against the baseline snapshot".to_string())
-    } else {
-        Ok(())
-    }
 }
 
 fn cmd_fuzz(args: &Args) -> Result<(), String> {
@@ -813,8 +614,6 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args),
         Some("fuzz") => cmd_fuzz(&args),
         Some("kernel") => cmd_kernel(&args),
-        Some("bench-snapshot") => cmd_bench_snapshot(&args),
-        Some("bench-diff") => cmd_bench_diff(&args),
         _ => Err("missing or unknown subcommand".to_string()),
     };
     match result {

@@ -73,3 +73,41 @@ fn corpus_replay_is_deterministic() {
         );
     }
 }
+
+/// `execute(..).fingerprint` of every seed case, which hashes each
+/// backend's outcome. The values are the same under every `IR_KERNEL`
+/// kind, so a change that moves one changed what some backend computes
+/// on that case.
+const SEED_FINGERPRINTS: [(&str, u64); 7] = [
+    ("seed-00-kernel-only.case", 0x8e65c0ef981ce076),
+    ("seed-01-fault.case", 0xcdaf745a63812f64),
+    ("seed-02-serve.case", 0xd460c1bb0dcf2efc),
+    ("seed-03-serve-fault.case", 0x6a19a8c5ef3b7778),
+    ("seed-04-multi-target.case", 0xb5492731486eb57a),
+    ("seed-05-fleet.case", 0xa5f6bb992c06a43a),
+    ("seed-06-fleet-fault.case", 0x135e0adc4848efb2),
+];
+
+#[test]
+fn seed_fingerprints_match_the_golden_values() {
+    let render = |cases: &[(String, u64)]| -> String {
+        cases
+            .iter()
+            .map(|(name, fp)| format!("    (\"{name}\", {fp:#018x}),\n"))
+            .collect()
+    };
+    let actual: Vec<(String, u64)> = load_dir(&corpus_root().join(SEEDS_DIR))
+        .expect("seeds load")
+        .into_iter()
+        .map(|(name, input)| (name, execute(&input).fingerprint))
+        .collect();
+    let golden: Vec<(String, u64)> = SEED_FINGERPRINTS
+        .iter()
+        .map(|&(name, fp)| (name.to_string(), fp))
+        .collect();
+    assert!(
+        actual == golden,
+        "seed fingerprints moved; replayed:\n{}",
+        render(&actual)
+    );
+}
