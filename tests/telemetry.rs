@@ -214,3 +214,151 @@ fn resilience_counters_mirror_the_report() {
         report.faults.total()
     );
 }
+
+/// FNV-1a digest of everything a telemetry snapshot carries: every
+/// counter, gauge and histogram (all buckets and summary fields), and
+/// every trace event's track, kind, name, target, args and the bit
+/// patterns of its times. Strings are length-prefixed so adjacent fields
+/// cannot alias.
+fn snapshot_digest(snapshot: &ir_system::telemetry::TelemetrySnapshot) -> u64 {
+    use ir_system::fuzz::Fnv;
+
+    fn text(h: &mut Fnv, s: &str) {
+        h.u64(s.len() as u64);
+        h.str(s);
+    }
+    let mut h = Fnv::new();
+    let c = &snapshot.counters;
+    for (k, v) in c.counters() {
+        text(&mut h, "counter");
+        text(&mut h, k);
+        h.u64(v);
+    }
+    for (k, v) in c.gauges() {
+        text(&mut h, "gauge");
+        text(&mut h, k);
+        h.u64(v);
+    }
+    for (k, hist) in c.histograms() {
+        text(&mut h, "histogram");
+        text(&mut h, k);
+        for v in hist.buckets {
+            h.u64(v);
+        }
+        for v in [hist.count, hist.sum, hist.min, hist.max] {
+            h.u64(v);
+        }
+    }
+    for e in &snapshot.trace.events {
+        h.u64(e.track.tid());
+        text(&mut h, e.kind.cat());
+        text(&mut h, &e.name);
+        h.u64(e.target.map_or(u64::MAX, |t| t as u64));
+        h.u64(e.args.len() as u64);
+        for &(k, v) in &e.args {
+            text(&mut h, k);
+            h.u64(v);
+        }
+        h.u64(e.start_s.to_bits());
+        h.u64(e.end_s.to_bits());
+    }
+    h.finish()
+}
+
+/// Golden digests of the full telemetry snapshot for every scheduling,
+/// fault-free and under a seeded fault plan, on both simulation backends.
+/// The engine-vs-legacy parity tests cannot see a change to the shared
+/// telemetry accumulator; these constants can. A digest may change only
+/// with a modeled-output change that explains it.
+#[test]
+fn telemetry_snapshots_match_golden_digests() {
+    use ir_system::fpga::fault::{FaultPlan, FaultRates};
+    use ir_system::fpga::{ResiliencePolicy, SimBackend};
+
+    // (scheduling, fault-free digest, faulted digest)
+    const GOLDEN: [(Scheduling, u64, u64); 4] = [
+        (
+            Scheduling::Synchronous,
+            0xf19c_0c76_e289_e944,
+            0x14b4_7965_d360_7c45,
+        ),
+        (
+            Scheduling::SynchronousUnsorted,
+            0x082c_5421_252e_d2a5,
+            0x1b79_4f29_603f_2804,
+        ),
+        (
+            Scheduling::SynchronousByWorstCase,
+            0x6277_4b17_e36c_4530,
+            0x99ee_2302_daef_4fca,
+        ),
+        (
+            Scheduling::Asynchronous,
+            0xe4f0_328e_bd56_94d9,
+            0x3b5a_782a_6d6a_43bf,
+        ),
+    ];
+    let targets = workload(48);
+    let mut mismatches = Vec::new();
+    let cases = GOLDEN
+        .iter()
+        .flat_map(|&(s, clean, faulted)| [(s, false, clean), (s, true, faulted)]);
+    for (scheduling, faults, golden) in cases {
+        for backend in [SimBackend::EventDriven, SimBackend::LegacyStepper] {
+            let system = AcceleratedSystem::new(FpgaParams::iracc(), scheduling)
+                .expect("iracc fits")
+                .with_telemetry(true)
+                .with_backend(backend);
+            let run = if faults {
+                let mut plan = FaultPlan::seeded(
+                    0x7E1E,
+                    FaultRates {
+                        unit_hang: 0.2,
+                        ..FaultRates::uniform(0.05)
+                    },
+                );
+                let run = system.run_resilient(&targets, &mut plan, &ResiliencePolicy::default());
+                let report = run.resilience.as_ref().expect("resilient run reports");
+                assert!(
+                    !report.quarantined_units.is_empty(),
+                    "the plan drives a unit into quarantine"
+                );
+                run
+            } else {
+                system.run(&targets)
+            };
+            let got = snapshot_digest(run.telemetry.as_ref().expect("telemetry enabled"));
+            if got != golden {
+                mismatches.push(format!(
+                    "{scheduling:?}, faults {faults}, {backend:?}: {got:#018x} != golden {golden:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}
+
+/// A single unit never shares the 32:1 arbiter, so the conflict counter
+/// is never created, while every other per-dispatch key is.
+#[test]
+fn single_unit_run_has_no_arbiter32_conflicts() {
+    let targets = workload(16);
+    let params = FpgaParams {
+        num_units: 1,
+        ..FpgaParams::iracc()
+    };
+    let system = AcceleratedSystem::new(params, Scheduling::Asynchronous)
+        .expect("one unit fits")
+        .with_telemetry(true);
+    let run = system.run(&targets);
+    let tele = run.telemetry.as_ref().expect("telemetry enabled");
+    let keys: Vec<&str> = tele.counters.counters().map(|(k, _)| k).collect();
+    assert!(!keys.contains(&"arbiter32/conflict_grants"), "{keys:?}");
+    assert!(keys.contains(&"arbiter32/grants"), "{keys:?}");
+    assert_eq!(tele.gauge("arbiter32/active_units_hwm"), 1);
+    assert_eq!(
+        snapshot_digest(tele),
+        0x8fd7_7f90_9ad7_3a7e,
+        "single-unit digest"
+    );
+}
