@@ -89,33 +89,49 @@ pub fn drain_round_robin(demands: &[u64]) -> Vec<u64> {
     completion
 }
 
-/// Contention summary of one arbitrated drain (what the telemetry layer
-/// records per target without re-running the cycle loop).
+/// Contention summary of one arbitrated drain, computed in closed form by
+/// [`contention_stats`] (what the telemetry layer records per target).
+///
+/// Round-robin from port 0 serves the drain in rounds: round `r` grants,
+/// in port order, one beat to every port whose demand `d_j` is at least
+/// `r`. So a port `i` with `d_i > 0` moves its last beat on cycle
+///
+/// ```text
+/// completion_i = Σ_j min(d_j, d_i − 1) + #{ j ≤ i : d_j ≥ d_i }
+/// ```
+///
+/// — every beat of the first `d_i − 1` rounds, then its own round up to
+/// and including itself. This is exact with respect to
+/// [`drain_round_robin`], which stays as the cycle-stepping reference.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArbiterStats {
     /// Beats granted (= total demand; the channel never idles mid-drain).
     pub grants: u64,
     /// Cycles during which two or more ports held pending beats — the
-    /// cycles round-robin interleaving actually cost somebody.
+    /// cycles round-robin interleaving actually cost somebody. The pending
+    /// count only ever decreases, so this is the second-largest
+    /// `completion_i`.
     pub conflict_cycles: u64,
     /// Most ports simultaneously pending (the queue-depth high-water mark,
     /// reached on the very first cycle).
     pub queue_depth_hwm: u64,
 }
 
-/// Round-robin contention statistics for `demands` beats per port,
-/// exact with respect to [`drain_round_robin`]: a cycle is a conflict
-/// cycle iff two or more ports held pending beats at its start, and —
-/// since the pending count only ever decreases — the number of such
-/// cycles is exactly the second-largest port completion time.
+/// Round-robin contention statistics for `demands` beats per port, from
+/// the closed form on [`ArbiterStats`]: `O(ports²)` and allocation-free,
+/// however many beats the drain moves.
 pub fn contention_stats(demands: &[u64]) -> ArbiterStats {
-    let queue_depth_hwm = demands.iter().filter(|&&d| d > 0).count() as u64;
-    if queue_depth_hwm == 0 {
-        return ArbiterStats::default();
-    }
-    let completion = drain_round_robin(demands);
+    let mut stats = ArbiterStats::default();
     let (mut largest, mut second) = (0u64, 0u64);
-    for &c in &completion {
+    for (i, &di) in demands.iter().enumerate() {
+        if di == 0 {
+            continue;
+        }
+        stats.grants += di;
+        stats.queue_depth_hwm += 1;
+        let earlier_rounds: u64 = demands.iter().map(|&dj| dj.min(di - 1)).sum();
+        let own_round = demands[..=i].iter().filter(|&&dj| dj >= di).count() as u64;
+        let c = earlier_rounds + own_round;
         if c > largest {
             second = largest;
             largest = c;
@@ -123,11 +139,8 @@ pub fn contention_stats(demands: &[u64]) -> ArbiterStats {
             second = c;
         }
     }
-    ArbiterStats {
-        grants: demands.iter().sum(),
-        conflict_cycles: second,
-        queue_depth_hwm,
-    }
+    stats.conflict_cycles = second;
+    stats
 }
 
 #[cfg(test)]
@@ -266,6 +279,33 @@ mod tests {
                 exact_stats(&demands),
                 "demands {demands:?}"
             );
+        }
+    }
+
+    mod closed_form {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Demands with zeros and ties on purpose: half the draws are 0
+        /// or 3,000 and a quarter come from 0–4, so equal demands are
+        /// common.
+        fn demand() -> impl Strategy<Value = u64> {
+            prop_oneof![Just(0u64), 0u64..=4, 0u64..=3_000, Just(3_000u64)]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases_env(64))]
+            #[test]
+            fn contention_stats_equal_the_cycle_drain(
+                demands in prop::collection::vec(demand(), 0usize..=32),
+            ) {
+                prop_assert_eq!(
+                    contention_stats(&demands),
+                    exact_stats(&demands),
+                    "demands {:?}",
+                    demands
+                );
+            }
         }
     }
 

@@ -496,11 +496,7 @@ impl Component for AsyncSched<'_, '_, '_> {
                         self.arrived += 1;
                     }
                     let prefetch_depth = self.arrived.saturating_sub(self.dispatch_idx + 1) as u64;
-                    self.ledger
-                        .acc
-                        .tele
-                        .gauge_max("dma", "prefetch_depth_hwm", prefetch_depth);
-                    let shape = target.shape();
+                    self.ledger.acc.record_prefetch_depth(prefetch_depth);
                     self.ledger.acc.record_dispatch(
                         p,
                         DispatchRecord {
@@ -513,7 +509,7 @@ impl Component for AsyncSched<'_, '_, '_> {
                             dma_wait_s: dma_wait,
                             active_units,
                             run: &run,
-                            shape: &shape,
+                            target,
                         },
                     );
                 }
@@ -668,10 +664,7 @@ impl Component for SyncSched<'_, '_, '_> {
                     .acc
                     .record_chain(&targets, bytes, start_s, end_s);
                 self.ledger.acc.tele.add("sched", "batches", 1);
-                self.ledger
-                    .acc
-                    .tele
-                    .gauge_max("dma", "prefetch_depth_hwm", targets.len() as u64);
+                self.ledger.acc.record_prefetch_depth(targets.len() as u64);
                 self.now_s = end_s;
                 self.ledger.dma_busy += dt_s;
                 self.dma_s = dt_s;
@@ -704,7 +697,6 @@ impl Component for SyncSched<'_, '_, '_> {
                 self.ledger.comparisons += run.comparisons;
                 self.batch_end = self.batch_end.max(end);
                 if self.ledger.acc.enabled() {
-                    let shape = target.shape();
                     self.ledger.acc.record_dispatch(
                         p,
                         DispatchRecord {
@@ -717,7 +709,7 @@ impl Component for SyncSched<'_, '_, '_> {
                             dma_wait_s: self.dma_s,
                             active_units: self.batch.len() as u64,
                             run: &run,
-                            shape: &shape,
+                            target,
                         },
                     );
                 }

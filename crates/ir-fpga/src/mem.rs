@@ -39,16 +39,21 @@ pub struct BurstStats {
 }
 
 /// Computes the [`BurstStats`] for one target's load + drain through a
-/// `bus_bytes`-per-beat port.
-pub fn burst_stats(shape: &TargetShape, bus_bytes: u64) -> BurstStats {
-    let consensus_bytes: u64 = shape.consensus_lens.iter().map(|&l| l as u64).sum();
-    let read_bytes: u64 = shape.read_lens.iter().map(|&l| l as u64).sum();
+/// `bus_bytes`-per-beat port, from the target's summed consensus and read
+/// lengths in bases and its read count (the only inputs the five streams
+/// depend on, so a caller needs no [`TargetShape`]).
+pub fn burst_stats(
+    consensus_bytes: u64,
+    read_bytes: u64,
+    num_reads: u64,
+    bus_bytes: u64,
+) -> BurstStats {
     let stream_bytes = [
         consensus_bytes,
         read_bytes,
-        read_bytes,                 // one quality byte per base
-        shape.num_reads as u64,     // one realign flag per read
-        4 * shape.num_reads as u64, // one 4-byte new position per read
+        read_bytes,    // one quality byte per base
+        num_reads,     // one realign flag per read
+        4 * num_reads, // one 4-byte new position per read
     ];
     let mut stats = BurstStats::default();
     for (i, &bytes) in stream_bytes.iter().enumerate() {
@@ -213,10 +218,17 @@ mod tests {
         assert_eq!(drain_cycles(&s, 32), BURST_LATENCY_CYCLES + 40);
     }
 
+    /// [`burst_stats`] over a shape's sums.
+    fn shape_burst(s: &TargetShape, bus_bytes: u64) -> BurstStats {
+        let cons = s.consensus_lens.iter().map(|&l| l as u64).sum();
+        let reads = s.read_lens.iter().map(|&l| l as u64).sum();
+        burst_stats(cons, reads, s.num_reads as u64, bus_bytes)
+    }
+
     #[test]
     fn burst_stats_count_streams_rows_and_beats() {
         let s = shape(&[2048, 2048], &[256; 8]);
-        let stats = burst_stats(&s, 32);
+        let stats = shape_burst(&s, 32);
         // consensus 4096 B → 128 beats, 4 rows; reads/quals 2048 B → 64
         // beats, 2 rows each; flags 8 B → 1 beat, 1 row; positions 32 B →
         // 1 beat, 1 row.
@@ -230,7 +242,7 @@ mod tests {
     #[test]
     fn burst_stats_row_hits_never_exceed_beats() {
         let s = shape(&[100, 37], &[50, 3]);
-        let stats = burst_stats(&s, 32);
+        let stats = shape_burst(&s, 32);
         assert!(stats.row_hits <= stats.beats);
         assert_eq!(stats.rows_activated, 5, "every stream opens one row");
         let total: u64 = stats.stream_beats.iter().sum();

@@ -10,13 +10,13 @@ use ir_genome::{RealignmentTarget, TargetShape};
 use ir_telemetry::{SpanKind, Telemetry, TelemetrySnapshot, Track};
 use serde::{Deserialize, Serialize};
 
-use crate::arbiter::contention_stats;
+use crate::arbiter::{contention_stats, ArbiterStats};
 use crate::dma::DmaParams;
 use crate::driver::{ResiliencePolicy, ResilienceReport};
 use crate::fault::{FaultPlan, ResponseFault};
 use crate::isa::IrCommand;
 use crate::layout::{decode_outputs, encode_outputs};
-use crate::mem::burst_stats;
+use crate::mem::{burst_stats, BurstStats};
 use crate::oracle::FunctionalOracle;
 use crate::params::FpgaParams;
 use crate::resources::{validate, ResourceReport};
@@ -303,7 +303,38 @@ pub(crate) struct DispatchRecord<'a> {
     /// the 32:1 arbiter counters).
     pub(crate) active_units: u64,
     pub(crate) run: &'a UnitRun,
-    pub(crate) shape: &'a TargetShape,
+    /// The dispatched target; its summed consensus and read lengths size
+    /// the five memory streams.
+    pub(crate) target: &'a RealignmentTarget,
+}
+
+/// Run totals of the counters and gauges every chain and dispatch
+/// touches, kept as plain integers while the run records and written into
+/// the registry once by [`TeleAcc::finalize`]. A key is written exactly
+/// when some chain or dispatch would have created it.
+#[derive(Default)]
+struct Totals {
+    chains: u64,
+    chain_bytes: u64,
+    chain_targets_hwm: u64,
+    prefetch_depth_hwm: Option<u64>,
+    dma_stall_cycles: u64,
+    load_cycles: u64,
+    hdc_cycles: u64,
+    selector_cycles: u64,
+    drain_cycles: u64,
+    comparisons: u64,
+    pruned_offsets: u64,
+    /// 5:1 arbiter: grants and conflict cycles summed, queue depth maxed.
+    arb5: ArbiterStats,
+    /// `None` until some dispatch shares the 32:1 arbiter.
+    arb32_conflict_grants: Option<u64>,
+    active_units_hwm: u64,
+    /// DDR traffic summed over dispatches (`stream_beats` unused).
+    ddr: BurstStats,
+    consensus_bytes_hwm: u64,
+    read_bytes_hwm: u64,
+    output_bytes_hwm: u64,
 }
 
 /// The telemetry accumulator both schedulers thread their observations
@@ -321,6 +352,7 @@ pub(crate) struct TeleAcc {
     /// never); cycles from then to the end of the run are charged as
     /// quarantined rather than idle.
     quarantine_at_s: Vec<f64>,
+    totals: Totals,
 }
 
 impl TeleAcc {
@@ -332,6 +364,7 @@ impl TeleAcc {
             stall_s: vec![0.0; units],
             dispatches: vec![0; units],
             quarantine_at_s: vec![f64::INFINITY; units],
+            totals: Totals::default(),
         }
     }
 
@@ -354,20 +387,32 @@ impl TeleAcc {
         if !self.enabled() {
             return;
         }
-        self.tele.add("dma", "bytes", bytes);
-        self.tele.add("dma", "chains", 1);
+        let t = &mut self.totals;
+        t.chains += 1;
+        t.chain_bytes += bytes;
+        t.chain_targets_hwm = t.chain_targets_hwm.max(targets.len() as u64);
         self.tele.observe("dma", "chain_bytes", bytes);
-        self.tele
-            .gauge_max("dma", "chain_targets_hwm", targets.len() as u64);
-        for &t in targets {
-            self.tele.span(
-                Track::Dma,
-                SpanKind::Transfer,
-                &format!("xfer t{t}"),
-                Some(t),
-                start_s,
-                end_s,
-            );
+        if let Telemetry::On(c) = &mut self.tele {
+            for &target in targets {
+                c.tracer.span_args_owned(
+                    Track::Dma,
+                    SpanKind::Transfer,
+                    format!("xfer t{target}"),
+                    Some(target),
+                    start_s,
+                    end_s,
+                    &[],
+                );
+            }
+        }
+    }
+
+    /// Raises the DMA prefetch-depth high-water mark: targets whose input
+    /// had arrived ahead of the one being dispatched.
+    pub(crate) fn record_prefetch_depth(&mut self, depth: u64) {
+        if self.enabled() {
+            let hwm = self.totals.prefetch_depth_hwm.get_or_insert(0);
+            *hwm = (*hwm).max(depth);
         }
     }
 
@@ -394,21 +439,23 @@ impl TeleAcc {
             dma_wait_s,
             active_units,
             run,
-            shape,
+            target,
         } = d;
         self.busy_cycles[unit] += busy_cycles;
         self.stall_s[unit] += stall_s;
         self.dispatches[unit] += 1;
 
-        self.tele.span_args(
-            Track::Unit(unit),
-            SpanKind::Compute,
-            &format!("t{target_index}"),
-            Some(target_index),
-            start_s,
-            start_s + busy_s,
-            &[("cycles", busy_cycles), ("comparisons", run.comparisons)],
-        );
+        if let Telemetry::On(c) = &mut self.tele {
+            c.tracer.span_args_owned(
+                Track::Unit(unit),
+                SpanKind::Compute,
+                format!("t{target_index}"),
+                Some(target_index),
+                start_s,
+                start_s + busy_s,
+                &[("cycles", busy_cycles), ("comparisons", run.comparisons)],
+            );
+        }
         if dma_wait_s > 0.0 {
             self.tele.span(
                 Track::Unit(unit),
@@ -419,58 +466,103 @@ impl TeleAcc {
                 start_s,
             );
         }
-
-        self.tele.add("sched", "dispatches", 1);
-        self.tele
-            .add("dma", "stall_cycles", self.to_cycles(dma_wait_s));
         self.tele.observe("unit", "target_cycles", busy_cycles);
 
+        let dma_stall_cycles = self.to_cycles(dma_wait_s);
+        let t = &mut self.totals;
+        t.dma_stall_cycles += dma_stall_cycles;
         let c = run.cycles;
-        self.tele.add("unit_phase", "load_cycles", c.load);
-        self.tele.add("unit_phase", "hdc_cycles", c.hdc);
-        self.tele.add("unit_phase", "selector_cycles", c.selector);
-        self.tele.add("unit_phase", "drain_cycles", c.drain);
-        self.tele.add("hdc", "comparisons", run.comparisons);
-        self.tele.add("hdc", "pruned_offsets", run.offsets_pruned);
+        t.load_cycles += c.load;
+        t.hdc_cycles += c.hdc;
+        t.selector_cycles += c.selector;
+        t.drain_cycles += c.drain;
+        t.comparisons += run.comparisons;
+        t.pruned_offsets += run.offsets_pruned;
 
         // 5:1 intra-unit arbiter: the five memory streams of this target
         // contend for the unit's single TileLink port.
-        let burst = burst_stats(shape, params.bus_bytes);
+        let consensus_bytes: u64 = target.consensuses().iter().map(|c| c.len() as u64).sum();
+        let read_bytes: u64 = target.reads().iter().map(|r| r.len() as u64).sum();
+        let burst = burst_stats(
+            consensus_bytes,
+            read_bytes,
+            target.num_reads() as u64,
+            params.bus_bytes,
+        );
         let arb5 = contention_stats(&burst.stream_beats);
-        self.tele.add("arbiter5", "grants", arb5.grants);
-        self.tele
-            .add("arbiter5", "conflict_cycles", arb5.conflict_cycles);
-        self.tele
-            .gauge_max("arbiter5", "queue_depth_hwm", arb5.queue_depth_hwm);
+        t.arb5.grants += arb5.grants;
+        t.arb5.conflict_cycles += arb5.conflict_cycles;
+        t.arb5.queue_depth_hwm = t.arb5.queue_depth_hwm.max(arb5.queue_depth_hwm);
 
         // 32:1 system arbiter: every beat this target moves was granted
-        // there too; beats issued while other units stream are conflicted.
-        self.tele.add("arbiter32", "grants", burst.beats);
+        // there too (`ddr.beats` doubles as its grant count); beats issued
+        // while other units stream are conflicted.
         if active_units > 1 {
-            self.tele.add("arbiter32", "conflict_grants", burst.beats);
+            *t.arb32_conflict_grants.get_or_insert(0) += burst.beats;
         }
-        self.tele
-            .gauge_max("arbiter32", "active_units_hwm", active_units);
+        t.active_units_hwm = t.active_units_hwm.max(active_units);
 
-        self.tele.add("ddr", "bytes", burst.bytes);
-        self.tele.add("ddr", "beats", burst.beats);
-        self.tele.add("ddr", "rows_activated", burst.rows_activated);
-        self.tele.add("ddr", "row_hits", burst.row_hits);
+        t.ddr.bytes += burst.bytes;
+        t.ddr.beats += burst.beats;
+        t.ddr.rows_activated += burst.rows_activated;
+        t.ddr.row_hits += burst.row_hits;
 
         // BRAM occupancy high-water marks against the fixed buffer
-        // geometry of `crate::bram::unit_buffers`.
-        let consensus_bytes: u64 = shape.consensus_lens.iter().map(|&l| l as u64).sum();
-        let read_bytes: u64 = shape.read_lens.iter().map(|&l| l as u64).sum();
-        self.tele
-            .gauge_max("bram", "consensus_bytes_hwm", consensus_bytes);
-        self.tele.gauge_max("bram", "read_bytes_hwm", read_bytes);
-        self.tele.gauge_max("bram", "qual_bytes_hwm", read_bytes);
-        self.tele
-            .gauge_max("bram", "output_bytes_hwm", shape.output_bytes());
+        // geometry of `crate::bram::unit_buffers`; the output buffers hold
+        // whatever the burst moved beyond the three input streams.
+        let output_bytes = burst.bytes - consensus_bytes - 2 * read_bytes;
+        t.consensus_bytes_hwm = t.consensus_bytes_hwm.max(consensus_bytes);
+        t.read_bytes_hwm = t.read_bytes_hwm.max(read_bytes);
+        t.output_bytes_hwm = t.output_bytes_hwm.max(output_bytes);
     }
 
-    /// Closes the per-unit cycle ledgers against the final wall clock and
-    /// returns the snapshot (`None` when disabled).
+    /// Writes the run [`Totals`] into the registry: the chain keys if any
+    /// chain ran, the prefetch gauge if any dispatch measured it, and the
+    /// dispatch keys if any target was dispatched.
+    fn write_totals(&mut self) {
+        let t = &self.totals;
+        let tele = &mut self.tele;
+        if t.chains > 0 {
+            tele.add("dma", "bytes", t.chain_bytes);
+            tele.add("dma", "chains", t.chains);
+            tele.gauge_max("dma", "chain_targets_hwm", t.chain_targets_hwm);
+        }
+        if let Some(depth) = t.prefetch_depth_hwm {
+            tele.gauge_max("dma", "prefetch_depth_hwm", depth);
+        }
+        let dispatches: u64 = self.dispatches.iter().sum();
+        if dispatches == 0 {
+            return;
+        }
+        tele.add("sched", "dispatches", dispatches);
+        tele.add("dma", "stall_cycles", t.dma_stall_cycles);
+        tele.add("unit_phase", "load_cycles", t.load_cycles);
+        tele.add("unit_phase", "hdc_cycles", t.hdc_cycles);
+        tele.add("unit_phase", "selector_cycles", t.selector_cycles);
+        tele.add("unit_phase", "drain_cycles", t.drain_cycles);
+        tele.add("hdc", "comparisons", t.comparisons);
+        tele.add("hdc", "pruned_offsets", t.pruned_offsets);
+        tele.add("arbiter5", "grants", t.arb5.grants);
+        tele.add("arbiter5", "conflict_cycles", t.arb5.conflict_cycles);
+        tele.gauge_max("arbiter5", "queue_depth_hwm", t.arb5.queue_depth_hwm);
+        tele.add("arbiter32", "grants", t.ddr.beats);
+        if let Some(grants) = t.arb32_conflict_grants {
+            tele.add("arbiter32", "conflict_grants", grants);
+        }
+        tele.gauge_max("arbiter32", "active_units_hwm", t.active_units_hwm);
+        tele.add("ddr", "bytes", t.ddr.bytes);
+        tele.add("ddr", "beats", t.ddr.beats);
+        tele.add("ddr", "rows_activated", t.ddr.rows_activated);
+        tele.add("ddr", "row_hits", t.ddr.row_hits);
+        tele.gauge_max("bram", "consensus_bytes_hwm", t.consensus_bytes_hwm);
+        tele.gauge_max("bram", "read_bytes_hwm", t.read_bytes_hwm);
+        tele.gauge_max("bram", "qual_bytes_hwm", t.read_bytes_hwm);
+        tele.gauge_max("bram", "output_bytes_hwm", t.output_bytes_hwm);
+    }
+
+    /// Closes the per-unit cycle ledgers against the final wall clock,
+    /// writes the run totals, and returns the snapshot (`None` when
+    /// disabled).
     ///
     /// Busy cycles are exact integers from the datapath model; stall and
     /// quarantined cycles are rounded from seconds and clamped so the
@@ -486,6 +578,7 @@ impl TeleAcc {
         if !self.enabled() {
             return None;
         }
+        self.write_totals();
         let total = self.to_cycles(wall_s);
         for unit in 0..self.busy_cycles.len() {
             let busy = self.busy_cycles[unit].min(total);
@@ -854,8 +947,7 @@ impl AcceleratedSystem {
                 .batch_transfer_time_s(batch.iter().map(|&t| targets[t].shape().input_bytes()));
             acc.record_chain(batch, batch_bytes, now, now + dma_s);
             acc.tele.add("sched", "batches", 1);
-            acc.tele
-                .gauge_max("dma", "prefetch_depth_hwm", batch.len() as u64);
+            acc.record_prefetch_depth(batch.len() as u64);
             now += dma_s;
             dma_busy += dma_s;
 
@@ -883,7 +975,6 @@ impl AcceleratedSystem {
                 compute_cycles += run.cycles.total();
                 comparisons += run.comparisons;
                 batch_end = batch_end.max(end);
-                let shape = targets[t].shape();
                 acc.record_dispatch(
                     p,
                     DispatchRecord {
@@ -898,7 +989,7 @@ impl AcceleratedSystem {
                         dma_wait_s: dma_s,
                         active_units: batch.len() as u64,
                         run: &run,
-                        shape: &shape,
+                        target: &targets[t],
                     },
                 );
                 results[t] = Some(run);
@@ -1042,9 +1133,7 @@ impl AcceleratedSystem {
                     arrived += 1;
                 }
                 let prefetch_depth = arrived.saturating_sub(dispatch_idx + 1) as u64;
-                acc.tele
-                    .gauge_max("dma", "prefetch_depth_hwm", prefetch_depth);
-                let shape = target.shape();
+                acc.record_prefetch_depth(prefetch_depth);
                 acc.record_dispatch(
                     p,
                     DispatchRecord {
@@ -1059,7 +1148,7 @@ impl AcceleratedSystem {
                         dma_wait_s: dma_wait,
                         active_units,
                         run: &run,
-                        shape: &shape,
+                        target,
                     },
                 );
             }

@@ -206,10 +206,29 @@ impl Tracer {
         if end_s <= start_s {
             return;
         }
+        self.span_args_owned(track, kind, name.to_string(), target, start_s, end_s, args);
+    }
+
+    /// [`Self::span_args`] for a name the caller has just built (a
+    /// `format!` result): the event takes the `String` instead of a copy.
+    #[allow(clippy::too_many_arguments)]
+    pub fn span_args_owned(
+        &mut self,
+        track: Track,
+        kind: SpanKind,
+        name: String,
+        target: Option<usize>,
+        start_s: f64,
+        end_s: f64,
+        args: &[(&'static str, u64)],
+    ) {
+        if end_s <= start_s {
+            return;
+        }
         self.events.push(TraceEvent {
             track,
             kind,
-            name: name.to_string(),
+            name,
             target,
             start_s,
             end_s,

@@ -454,7 +454,9 @@ fn cmd_serve_fleet(
             p99_slo_s: slo_ms * 1e-3,
             ..AutoscalerConfig::default()
         }),
-        spot: (spot_rate > 0.0).then_some(SpotProfile {
+        // Any nonzero rate builds the profile, so a negative or NaN rate
+        // reaches `FleetConfig::validate` instead of silently meaning "off".
+        spot: (spot_rate != 0.0).then_some(SpotProfile {
             seed,
             interruptions_per_hour: spot_rate,
             drain_grace_s: 300e-6,

@@ -209,3 +209,52 @@ fn degenerate_fabric_is_a_clean_error() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// A negative or NaN `--spot-rate` is a clean `error:` line and exit 1
+/// from `FleetConfig::validate`, like a negative `--hop-us`; it must not
+/// run as if no spot profile had been asked for. Absent or 0 means none.
+#[test]
+fn bad_fleet_rates_are_clean_errors() {
+    let path = temp_path("fleet_rates");
+    let out = cli()
+        .args([
+            "gen",
+            "--chromosome",
+            "21",
+            "--scale",
+            "2e-5",
+            "--seed",
+            "9",
+        ])
+        .args(["--out", path.to_str().unwrap()])
+        .output()
+        .expect("gen runs");
+    assert!(out.status.success());
+    let serve = |flags: &[&str]| {
+        cli()
+            .args(["serve", path.to_str().unwrap(), "--fleet", "2"])
+            .args(["--rate", "20000"])
+            .args(flags)
+            .output()
+            .expect("serve runs")
+    };
+    for flags in [
+        &["--spot-rate", "-1"][..],
+        &["--spot-rate", "nan"][..],
+        &["--hop-us", "-100"][..],
+    ] {
+        let out = serve(flags);
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(1), "{flags:?} must fail: {err}");
+        assert!(err.starts_with("error:"), "{flags:?}: {err}");
+        assert!(!err.contains("panicked"), "{flags:?}: {err}");
+    }
+    for flags in [&[][..], &["--spot-rate", "0"][..]] {
+        let out = serve(flags);
+        let text = String::from_utf8_lossy(&out.stdout).to_string();
+        assert!(out.status.success(), "{flags:?}: {text}");
+        assert!(text.contains("spot rate 0/h"), "{flags:?}: {text}");
+        assert!(!text.contains("spot:"), "{flags:?}: {text}");
+    }
+    std::fs::remove_file(&path).ok();
+}
