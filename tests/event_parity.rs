@@ -7,7 +7,11 @@
 //! the same resilience report. The engine earns its wall-clock win only
 //! if nothing else about the simulation changes.
 
+mod common;
+
 use proptest::prelude::*;
+
+use common::run_digest;
 
 use ir_system::fpga::driver::ResiliencePolicy;
 use ir_system::fpga::fault::{FaultPlan, FaultRates};
@@ -166,6 +170,181 @@ fn engine_matches_legacy_on_empty_workload() {
         let legacy = system(FpgaParams::serial(), sched, SimBackend::LegacyStepper, true).run(&[]);
         assert_runs_bitwise_equal(&engine, &legacy, &format!("empty, {sched:?}"));
     }
+}
+
+/// The seeded plan of `telemetry_snapshots_match_golden_digests`: heavy
+/// enough to hang units into quarantine under the default policy.
+fn golden_fault_plan() -> FaultPlan {
+    FaultPlan::seeded(
+        0x7E1E,
+        FaultRates {
+            unit_hang: 0.2,
+            ..FaultRates::uniform(0.05)
+        },
+    )
+}
+
+/// Golden [`run_digest`]s per (configuration, scheduling): telemetry
+/// off, then on.
+type GoldenRuns = [(&'static str, Scheduling, [u64; 2]); 8];
+
+/// Runs every golden case on both backends and collects each digest that
+/// misses its constant.
+fn golden_mismatches(golden: &GoldenRuns, faults: bool) -> Vec<String> {
+    let targets = workload(48, 0x7E1E);
+    let mut mismatches = Vec::new();
+    for &(name, sched, digests) in golden {
+        let params = match name {
+            "serial" => FpgaParams::serial(),
+            _ => FpgaParams::iracc(),
+        };
+        for (telemetry, want) in [false, true].into_iter().zip(digests) {
+            for backend in [SimBackend::EventDriven, SimBackend::LegacyStepper] {
+                let sys = system(params, sched, backend, telemetry);
+                let run = if faults {
+                    let mut plan = golden_fault_plan();
+                    let run = sys.run_resilient(&targets, &mut plan, &ResiliencePolicy::default());
+                    assert!(plan.counts().total() > 0, "the plan injects faults");
+                    run
+                } else {
+                    sys.run(&targets)
+                };
+                let got = run_digest(&run);
+                if got != want {
+                    mismatches.push(format!(
+                        "{name}, {sched:?}, telemetry {telemetry}, {backend:?}: \
+                         {got:#018x} != golden {want:#018x}"
+                    ));
+                }
+            }
+        }
+    }
+    mismatches
+}
+
+/// Golden digests of whole fault-free runs for both paper configurations
+/// and every scheduling, telemetry off and on. A digest may change only
+/// with a modeled-output change that explains it.
+#[test]
+fn fault_free_runs_match_golden_digests() {
+    const GOLDEN: GoldenRuns = [
+        (
+            "serial",
+            Scheduling::Synchronous,
+            [0xacd6_029d_4281_ac1e, 0x219b_ec1d_c59d_d555],
+        ),
+        (
+            "serial",
+            Scheduling::SynchronousUnsorted,
+            [0xd47f_6b83_11f2_e2f3, 0xde26_889f_1b27_e657],
+        ),
+        (
+            "serial",
+            Scheduling::SynchronousByWorstCase,
+            [0xe979_46a7_162c_6031, 0xe626_2c1f_234d_526a],
+        ),
+        (
+            "serial",
+            Scheduling::Asynchronous,
+            [0x1f4f_605f_dd51_f8a8, 0x00af_dd0b_2b01_996f],
+        ),
+        (
+            "iracc",
+            Scheduling::Synchronous,
+            [0xedab_691c_e847_ecdd, 0xa058_57df_30ff_1d4c],
+        ),
+        (
+            "iracc",
+            Scheduling::SynchronousUnsorted,
+            [0xd6ac_5b91_749d_c537, 0xc262_a431_5281_f51f],
+        ),
+        (
+            "iracc",
+            Scheduling::SynchronousByWorstCase,
+            [0xcfb6_eafa_c16a_7241, 0x72a7_565a_a596_609c],
+        ),
+        (
+            "iracc",
+            Scheduling::Asynchronous,
+            [0x9628_ac64_e1e0_9c1e, 0x366a_33ff_a228_5ff7],
+        ),
+    ];
+    let mismatches = golden_mismatches(&GOLDEN, false);
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}
+
+/// Golden digests of whole runs under the seeded fault plan: the
+/// resilience report and the repaired outputs are pinned bit for bit.
+#[test]
+fn faulted_runs_match_golden_digests() {
+    const GOLDEN: GoldenRuns = [
+        (
+            "serial",
+            Scheduling::Synchronous,
+            [0x568d_2b46_3a8c_997b, 0x465d_512b_8160_d058],
+        ),
+        (
+            "serial",
+            Scheduling::SynchronousUnsorted,
+            [0xe4fd_aecb_69d8_4b65, 0xfdb0_70c2_37f5_a319],
+        ),
+        (
+            "serial",
+            Scheduling::SynchronousByWorstCase,
+            [0x733d_e85d_9c6a_1857, 0x2f47_2821_22dc_f2a0],
+        ),
+        (
+            "serial",
+            Scheduling::Asynchronous,
+            [0x784b_071a_6145_635f, 0x257d_45ce_b7f6_8a1d],
+        ),
+        (
+            "iracc",
+            Scheduling::Synchronous,
+            [0xf24b_4204_4cb3_d02c, 0x6938_825e_2c95_4686],
+        ),
+        (
+            "iracc",
+            Scheduling::SynchronousUnsorted,
+            [0xd6a4_f6de_ba15_966e, 0x627b_c65b_905b_c7a1],
+        ),
+        (
+            "iracc",
+            Scheduling::SynchronousByWorstCase,
+            [0xe489_7d5d_bd85_2255, 0x9936_cf15_c1ea_304b],
+        ),
+        (
+            "iracc",
+            Scheduling::Asynchronous,
+            [0x0a49_40bf_e816_e59c, 0x0399_e85e_4850_e3ee],
+        ),
+    ];
+    let mismatches = golden_mismatches(&GOLDEN, true);
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}
+
+/// An empty workload is a legal run under every scheduling; its digest
+/// (telemetry on) is pinned too.
+#[test]
+fn empty_workload_runs_match_golden_digests() {
+    const GOLDEN: [(Scheduling, u64); 4] = [
+        (Scheduling::Synchronous, 0x532f_f32d_55b9_ddc2),
+        (Scheduling::SynchronousUnsorted, 0x532f_f32d_55b9_ddc2),
+        (Scheduling::SynchronousByWorstCase, 0x532f_f32d_55b9_ddc2),
+        (Scheduling::Asynchronous, 0x532f_f32d_55b9_ddc2),
+    ];
+    let mut mismatches = Vec::new();
+    for (sched, want) in GOLDEN {
+        for backend in [SimBackend::EventDriven, SimBackend::LegacyStepper] {
+            let got = run_digest(&system(FpgaParams::serial(), sched, backend, true).run(&[]));
+            if got != want {
+                mismatches.push(format!(
+                    "empty, {sched:?}, {backend:?}: {got:#018x} != golden {want:#018x}"
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
 }
 
 /// Warming the functional oracle across host threads must be invisible to

@@ -15,6 +15,9 @@
 //! run reports exactly the same timing and functional results as a
 //! disabled one.
 
+mod common;
+
+use common::snapshot_digest;
 use ir_system::fpga::{AcceleratedSystem, FpgaParams, Scheduling};
 use ir_system::genome::RealignmentTarget;
 use ir_system::telemetry::json::validate_json;
@@ -213,56 +216,6 @@ fn resilience_counters_mirror_the_report() {
         tele.counter("resilience/injected_total"),
         report.faults.total()
     );
-}
-
-/// FNV-1a digest of everything a telemetry snapshot carries: every
-/// counter, gauge and histogram (all buckets and summary fields), and
-/// every trace event's track, kind, name, target, args and the bit
-/// patterns of its times. Strings are length-prefixed so adjacent fields
-/// cannot alias.
-fn snapshot_digest(snapshot: &ir_system::telemetry::TelemetrySnapshot) -> u64 {
-    use ir_system::fuzz::Fnv;
-
-    fn text(h: &mut Fnv, s: &str) {
-        h.u64(s.len() as u64);
-        h.str(s);
-    }
-    let mut h = Fnv::new();
-    let c = &snapshot.counters;
-    for (k, v) in c.counters() {
-        text(&mut h, "counter");
-        text(&mut h, k);
-        h.u64(v);
-    }
-    for (k, v) in c.gauges() {
-        text(&mut h, "gauge");
-        text(&mut h, k);
-        h.u64(v);
-    }
-    for (k, hist) in c.histograms() {
-        text(&mut h, "histogram");
-        text(&mut h, k);
-        for v in hist.buckets {
-            h.u64(v);
-        }
-        for v in [hist.count, hist.sum, hist.min, hist.max] {
-            h.u64(v);
-        }
-    }
-    for e in &snapshot.trace.events {
-        h.u64(e.track.tid());
-        text(&mut h, e.kind.cat());
-        text(&mut h, &e.name);
-        h.u64(e.target.map_or(u64::MAX, |t| t as u64));
-        h.u64(e.args.len() as u64);
-        for &(k, v) in &e.args {
-            text(&mut h, k);
-            h.u64(v);
-        }
-        h.u64(e.start_s.to_bits());
-        h.u64(e.end_s.to_bits());
-    }
-    h.finish()
 }
 
 /// Golden digests of the full telemetry snapshot for every scheduling,
