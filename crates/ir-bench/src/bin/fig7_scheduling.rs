@@ -55,7 +55,8 @@ fn main() {
     let mut runs = parallel_sweep(&schedules, threads, |&scheduling| {
         AcceleratedSystem::new(params, scheduling)
             .expect("4-unit config fits")
-            .run_telemetry(&targets)
+            .with_telemetry(true)
+            .run(&targets)
     })
     .into_iter();
     let (sync, asynchronous) = (

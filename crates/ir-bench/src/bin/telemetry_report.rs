@@ -14,22 +14,18 @@
 //! emitted JSON, and prints the bottleneck report derived from the
 //! per-unit cycle accounting.
 //!
-//! By default the runs go through the discrete-event engine with a shared
-//! [`FunctionalOracle`], so the three configurations reuse each other's
-//! memoized unit results where their datapath parameters coincide. Pass
-//! `--legacy-stepper` to force the original cycle-stepping schedulers —
-//! the outputs are bitwise identical (CI diffs the trace files across the
-//! two backends byte for byte); only the wall clock differs.
+//! The runs share one [`FunctionalOracle`], so the three configurations
+//! reuse each other's memoized unit results where their datapath
+//! parameters coincide.
 //!
 //! The cross-check at the end measures the paper's Figure 7 claim: the
 //! asynchronous scheduler removes the worst-case idle time that
 //! synchronous batch flushes leave on the slowest-matched units.
 
 use std::fs;
-use std::time::Instant;
 
 use ir_bench::{bench_workload, results_dir, scale_from_env, threads_from_env, Table};
-use ir_fpga::{AcceleratedSystem, FpgaParams, FunctionalOracle, Scheduling, SimBackend};
+use ir_fpga::{AcceleratedSystem, FpgaParams, FunctionalOracle, Scheduling};
 use ir_telemetry::json::validate_json;
 
 /// Target count floor so per-unit statistics are meaningful even at the
@@ -40,17 +36,11 @@ fn report_targets(scale: f64) -> usize {
 }
 
 fn main() {
-    let legacy = std::env::args().any(|a| a == "--legacy-stepper");
-    let backend = if legacy {
-        SimBackend::LegacyStepper
-    } else {
-        SimBackend::EventDriven
-    };
     let scale = scale_from_env();
     let threads = threads_from_env();
     let targets = bench_workload(scale).targets(report_targets(scale), 0x7E1E);
     println!(
-        "Telemetry report ({} targets, bench-profile workload at scale {scale}, {backend:?} backend, {threads} host threads)\n",
+        "Telemetry report ({} targets, bench-profile workload at scale {scale}, {threads} host threads)\n",
         targets.len()
     );
 
@@ -64,9 +54,8 @@ fn main() {
         ("iracc", FpgaParams::iracc(), Scheduling::Asynchronous),
     ];
 
-    // Host wall-clock is printed to stdout only: every emitted artifact
-    // (counter CSVs, traces, this summary table) stays deterministic and
-    // byte-identical across backends and repeat runs.
+    // Every emitted artifact (counter CSVs, traces, this summary table)
+    // is deterministic and byte-identical across repeat runs.
     let mut summary = Table::new(vec![
         "config",
         "wall ms",
@@ -83,20 +72,13 @@ fn main() {
     for (name, params, scheduling) in configs {
         let system = AcceleratedSystem::new(params, scheduling)
             .expect("paper configurations fit the VU9P")
-            .with_telemetry(true)
-            .with_backend(backend);
-        let host_start = Instant::now();
-        let run = if legacy {
-            system.run(&targets)
-        } else {
-            // Warm the oracle across host threads first: the datapath
-            // results are a pure function of (target, timing key), so the
-            // event loop that follows replays them from cache and stays
-            // bitwise identical to a cold single-threaded run.
-            oracle.precompute(&targets, &params, threads);
-            system.run_with_oracle(&targets, &mut oracle)
-        };
-        let host_s = host_start.elapsed().as_secs_f64();
+            .with_telemetry(true);
+        // Warm the oracle across host threads first: the datapath results
+        // are a pure function of (target, timing key), so the event loop
+        // that follows replays them from cache and stays bitwise identical
+        // to a cold single-threaded run.
+        oracle.precompute(&targets, &params, threads);
+        let run = system.run_with_oracle(&targets, &mut oracle);
         let snapshot = run.telemetry.as_ref().expect("telemetry enabled");
 
         let csv_path = results_dir().join(format!("telemetry_{name}.csv"));
@@ -117,10 +99,9 @@ fn main() {
         );
         println!("{}", report.render());
         println!(
-            "[csv] {}\n[trace] {}\n[host] {:.1} ms on the {backend:?} backend\n",
+            "[csv] {}\n[trace] {}\n",
             csv_path.display(),
-            trace_path.display(),
-            host_s * 1e3
+            trace_path.display()
         );
 
         let max_idle = report

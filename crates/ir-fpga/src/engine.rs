@@ -1,14 +1,11 @@
-//! The event-driven simulation core: the system of `system.rs` recast as
+//! The event-driven simulation core: the system of `system.rs` as
 //! [`ir_sim`] components exchanging messages on a discrete-event queue.
+//! Every [`AcceleratedSystem`] run takes this path.
 //!
-//! The legacy schedulers ([`SimBackend::LegacyStepper`]) walk targets in
-//! host loops and call the cycle-stepping HDC kernel per pair. This module
-//! reproduces the *same arithmetic in the same order* — every `f64`
-//! accumulation, every telemetry call — but as reactions to events, with
-//! two structural wins:
+//! Two structural choices make it cheap:
 //!
 //! - The clock jumps between state changes instead of ticking, so the
-//!   datapath can be evaluated through the jump-to-outcome kernel
+//!   datapath is evaluated through the jump-to-outcome kernel
 //!   ([`crate::unit::simulate_target_fast`]) or memoized wholesale through
 //!   a [`FunctionalOracle`].
 //! - Units, the DMA engine and the watchdog are separate [`Component`]s
@@ -16,21 +13,23 @@
 //!   (Figure 4's 32:1 arbiter fabric) and what lets the fleet simulator
 //!   reuse the same engine for spot-interruption events.
 //!
-//! # Equivalence with the legacy stepper
+//! # Ordering contract
 //!
-//! `tests/event_parity.rs` asserts bitwise-identical [`SystemRun`]s. The
-//! load-bearing ordering facts:
+//! The modeled output depends on the order in which simultaneous events
+//! are handled and on how times are rounded. Golden digests of whole runs
+//! (`tests/event_parity.rs`) and of telemetry snapshots
+//! (`tests/telemetry.rs`) pin the result of these rules bit for bit:
 //!
 //! - Control messages ([`Ev::Resolve`]/[`Ev::Resolved`]/DMA replies) post
 //!   at priority 0; unit free/tick events post at priority
 //!   `UNIT_BASE + unit`. At any timestamp every in-flight dispatch
-//!   round-trip therefore completes before the next unit frees — the
-//!   round-trip is atomic, exactly like one iteration of the legacy loop.
+//!   round-trip therefore completes before the next unit frees, so one
+//!   dispatch is atomic.
 //! - Among units freeing at the same instant, priority `UNIT_BASE + unit`
-//!   reproduces the legacy min-heap's `(time, unit_index)` tie-break.
+//!   hands the next target to the lowest unit index first.
 //! - The asynchronous path quantizes unit-free times to integer
-//!   picoseconds (`from_ps(to_ps(end))`), the exact conversion the legacy
-//!   heap applied, so every `free` the scheduler reads is bit-identical.
+//!   picoseconds (`from_ps(to_ps(end))`), so every `free` the scheduler
+//!   reads is that rounded value.
 
 use std::cmp::Reverse;
 use std::sync::Arc;
@@ -41,8 +40,6 @@ use ir_telemetry::{SpanKind, Track};
 
 use crate::dma::DmaParams;
 use crate::oracle::FunctionalOracle;
-#[cfg(doc)]
-use crate::system::SimBackend;
 use crate::system::{
     timeline_from_snapshot, AcceleratedSystem, DispatchRecord, FaultState, Scheduling, SystemRun,
     TeleAcc,
@@ -59,7 +56,7 @@ const WATCHDOG: usize = 2;
 const UNIT_BASE: usize = 3;
 
 /// Integer-picosecond quantization used by the asynchronous unit-free
-/// clock — the same conversion the legacy min-heap applied at its edges.
+/// clock (see the ordering contract above).
 fn to_ps(s: f64) -> u64 {
     (s * 1e12) as u64
 }
@@ -230,8 +227,8 @@ impl Component for WatchdogComp<'_, '_, '_> {
 
 /// One IR unit as a component: dispatched with a busy-until time, it
 /// self-wakes then and reports free. The free report carries the unit's
-/// own index as its tie-break priority, reproducing the legacy heap's
-/// unit-index ordering among simultaneous completions.
+/// own index as its tie-break priority, so simultaneous completions are
+/// served in unit-index order.
 struct UnitComp {
     id: usize,
 }
@@ -257,7 +254,7 @@ impl Component for UnitComp {
 }
 
 /// The run-wide ledgers both schedulers accumulate into; folded into a
-/// [`SystemRun`] identically to the legacy epilogue.
+/// [`SystemRun`] at the end of the run.
 struct Ledger {
     acc: TeleAcc,
     results: Vec<Option<Arc<UnitRun>>>,
@@ -335,7 +332,7 @@ struct AsyncSched<'s, 't, 'o> {
     chunk_cursor: usize,
     dispatch_idx: usize,
     /// Per-unit compute-end times and the prefetch pointer — telemetry
-    /// observables only, exactly as in the legacy scheduler.
+    /// observables only.
     unit_end_s: Vec<f64>,
     arrived: usize,
     wall: f64,
@@ -371,7 +368,7 @@ impl<'s, 't, 'o> AsyncSched<'s, 't, 'o> {
     }
 
     /// Plans the next descriptor chain of up to `num_units` targets in
-    /// dispatch order (the prefetch groups of the legacy scheduler).
+    /// dispatch order (one prefetch group).
     fn plan_next_chain(&mut self, now: SimTime, ctx: &mut Ctx<Ev>) {
         if self.chunk_cursor >= self.order.len() {
             return;
@@ -468,8 +465,7 @@ impl Component for AsyncSched<'_, '_, '_> {
                 let target = &self.targets[t];
                 let cfg = sys.config_time_s(target);
                 let busy = (run.cycles.total() + extra) as f64 * cycle_s;
-                // `now` is the unit's ps-quantized free instant — the exact
-                // `from_ps(free_ps)` the legacy heap pop produced.
+                // `now` is the unit's ps-quantized free instant.
                 let free = now.seconds();
                 let start = free.max(self.dma_done[t]) + cfg;
                 let dma_wait = (self.dma_done[t] - free).max(0.0);
@@ -756,13 +752,13 @@ impl Component for SyncSched<'_, '_, '_> {
     }
 }
 
-/// Runs `targets` through the event-driven core. `fault` threads the
-/// resilience state machine through the watchdog component; `oracle`
-/// memoizes functional results across runs of the same workload.
+/// Runs `targets` through the event-driven core, with telemetry as `sys`
+/// has it enabled. `fault` threads the resilience state machine through
+/// the watchdog component; `oracle` memoizes functional results across
+/// runs of the same workload.
 pub(crate) fn run_event_driven(
     sys: &AcceleratedSystem,
     targets: &[RealignmentTarget],
-    telemetry: bool,
     fault: Option<&mut FaultState<'_>>,
     oracle: Option<&mut FunctionalOracle>,
 ) -> SystemRun {
@@ -794,6 +790,7 @@ pub(crate) fn run_event_driven(
         }};
     }
 
+    let telemetry = sys.telemetry_enabled();
     match sys.scheduling() {
         Scheduling::Asynchronous => drive!(AsyncSched::new(sys, targets, telemetry, oracle)),
         _ => drive!(SyncSched::new(sys, targets, telemetry, oracle)),
@@ -804,7 +801,6 @@ pub(crate) fn run_event_driven(
 mod tests {
     use super::*;
     use crate::params::FpgaParams;
-    use crate::system::SimBackend;
     use ir_genome::{Qual, Read, RealignmentTarget};
 
     /// A small workload with uneven shapes so scheduling order matters.
@@ -858,43 +854,6 @@ mod tests {
             (None, None) => {}
             (Some(x), Some(y)) => assert!(x.bitwise_eq(y), "telemetry snapshots differ"),
             _ => panic!("one run has telemetry, the other not"),
-        }
-    }
-
-    #[test]
-    fn engine_matches_legacy_all_schedulings() {
-        let targets = workload(11);
-        for scheduling in [
-            Scheduling::Synchronous,
-            Scheduling::SynchronousUnsorted,
-            Scheduling::SynchronousByWorstCase,
-            Scheduling::Asynchronous,
-        ] {
-            for params in [FpgaParams::serial(), FpgaParams::iracc()] {
-                let sys = AcceleratedSystem::new(params, scheduling)
-                    .unwrap()
-                    .with_telemetry(true);
-                let engine_run = sys.run(&targets);
-                let legacy_run = sys
-                    .clone()
-                    .with_backend(SimBackend::LegacyStepper)
-                    .run(&targets);
-                assert_runs_bitwise_equal(&engine_run, &legacy_run);
-            }
-        }
-    }
-
-    #[test]
-    fn engine_matches_legacy_without_telemetry() {
-        let targets = workload(7);
-        for scheduling in [Scheduling::Synchronous, Scheduling::Asynchronous] {
-            let sys = AcceleratedSystem::new(FpgaParams::iracc(), scheduling).unwrap();
-            let engine_run = sys.run(&targets);
-            let legacy_run = sys
-                .clone()
-                .with_backend(SimBackend::LegacyStepper)
-                .run(&targets);
-            assert_runs_bitwise_equal(&engine_run, &legacy_run);
         }
     }
 

@@ -97,7 +97,5 @@ pub use oracle::FunctionalOracle;
 pub use params::{ClockRecipe, FpgaParams};
 pub use rocc::RoccInstruction;
 pub use shape::{derive_shape_config, BufferGeometry, ShapeConfig};
-pub use system::{
-    AcceleratedSystem, Scheduling, SimBackend, SystemRun, TimelineEvent, TimelinePhase,
-};
+pub use system::{AcceleratedSystem, Scheduling, SystemRun, TimelineEvent, TimelinePhase};
 pub use unit::{IrUnit, UnitCycles};

@@ -1,13 +1,13 @@
 //! The functional oracle: a memoized front-end over the unit datapath
 //! model.
 //!
-//! The discrete-event backend separates *what* a unit computes (the
+//! The discrete-event engine separates *what* a unit computes (the
 //! [`UnitRun`]: grid, outcomes, cycle breakdown) from *when* the schedule
 //! makes it happen. The "what" is a pure function of the target and the
 //! handful of [`FpgaParams`] fields the datapath reads — so when the same
 //! workload is replayed under several configurations that share those
 //! fields (e.g. the synchronous and asynchronous schedulers over identical
-//! serial parameters, or a legacy-vs-engine differential run), every
+//! serial parameters), every
 //! simulation after the first is a cache hit.
 //!
 //! The oracle computes through [`simulate_target_fast`], the

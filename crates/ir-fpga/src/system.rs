@@ -2,8 +2,6 @@
 //! the PCIe DMA path, the host control program, and the two scheduling
 //! schemes of Figure 7.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use ir_genome::{RealignmentTarget, TargetShape};
@@ -21,7 +19,7 @@ use crate::oracle::FunctionalOracle;
 use crate::params::FpgaParams;
 use crate::resources::{validate, ResourceReport};
 use crate::shape::BufferGeometry;
-use crate::unit::{simulate_target, UnitRun};
+use crate::unit::UnitRun;
 use crate::FpgaError;
 
 /// How targets are dispatched onto the sea of units (paper §IV
@@ -45,23 +43,6 @@ pub enum Scheduling {
     /// it posts a completion response; DMA prefetches ahead of compute.
     #[default]
     Asynchronous,
-}
-
-/// Which simulation core advances the modeled clock.
-///
-/// Both backends produce bitwise-identical [`SystemRun`]s, telemetry
-/// snapshots and traces (asserted by `tests/event_parity.rs`); they differ
-/// only in host wall-clock. The event-driven core is the default; the
-/// stepper survives as the differential-testing reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum SimBackend {
-    /// The [`ir_sim`] discrete-event engine: units, DMA and the watchdog
-    /// are components and the clock jumps between state changes.
-    #[default]
-    EventDriven,
-    /// The original inline schedulers stepping the HDC kernel
-    /// cycle-by-cycle.
-    LegacyStepper,
 }
 
 /// What a timeline interval represents.
@@ -111,9 +92,8 @@ pub struct SystemRun {
     /// Per-unit busy seconds.
     pub unit_busy_s: Vec<f64>,
     /// Timeline of transfer/compute intervals, derived from the telemetry
-    /// trace (populated whenever telemetry is enabled, e.g. by
-    /// [`AcceleratedSystem::run_telemetry`] or
-    /// [`AcceleratedSystem::with_telemetry`]).
+    /// trace (populated whenever [`AcceleratedSystem::with_telemetry`]
+    /// enabled it).
     pub timeline: Vec<TimelineEvent>,
     /// Recovery accounting (only populated by
     /// [`AcceleratedSystem::run_resilient`]; `None` on fault-free entry
@@ -653,7 +633,6 @@ pub struct AcceleratedSystem {
     resources: ResourceReport,
     geometry: BufferGeometry,
     telemetry: bool,
-    backend: SimBackend,
 }
 
 impl AcceleratedSystem {
@@ -675,7 +654,6 @@ impl AcceleratedSystem {
             resources,
             geometry: BufferGeometry::HARDWARE,
             telemetry: false,
-            backend: SimBackend::default(),
         })
     }
 
@@ -728,20 +706,6 @@ impl AcceleratedSystem {
         self.telemetry
     }
 
-    /// Selects the simulation core (defaults to
-    /// [`SimBackend::EventDriven`]). Both backends are observationally
-    /// equivalent; [`SimBackend::LegacyStepper`] exists for differential
-    /// testing and as the `--legacy-stepper` escape hatch in the benches.
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The simulation core in use.
-    pub fn backend(&self) -> SimBackend {
-        self.backend
-    }
-
     /// The PCIe DMA parameters in use.
     pub fn dma_params(&self) -> &DmaParams {
         &self.dma
@@ -766,28 +730,18 @@ impl AcceleratedSystem {
     /// trace, timeline) is attached iff [`Self::with_telemetry`] enabled
     /// it.
     pub fn run(&self, targets: &[RealignmentTarget]) -> SystemRun {
-        self.run_inner(targets, self.telemetry, None)
+        crate::engine::run_event_driven(self, targets, None, None)
     }
 
-    /// Runs `targets` with telemetry forced on, regardless of the
-    /// [`Self::with_telemetry`] flag. The timeline older consumers (the
-    /// Figure 7 gantt renderers) expect is derived from the telemetry
-    /// trace, which subsumes it.
-    pub fn run_telemetry(&self, targets: &[RealignmentTarget]) -> SystemRun {
-        self.run_inner(targets, true, None)
-    }
-
-    /// Runs `targets` through the event-driven core with a shared
-    /// [`FunctionalOracle`], so replays of the same workload under other
-    /// configurations reuse every memoized [`UnitRun`]. Ignores the
-    /// backend selection — the oracle only exists on the engine path.
-    /// Telemetry follows [`Self::with_telemetry`].
+    /// [`Self::run`] with a shared [`FunctionalOracle`], so replays of the
+    /// same workload under other configurations reuse every memoized
+    /// [`UnitRun`]. Telemetry follows [`Self::with_telemetry`].
     pub fn run_with_oracle(
         &self,
         targets: &[RealignmentTarget],
         oracle: &mut FunctionalOracle,
     ) -> SystemRun {
-        crate::engine::run_event_driven(self, targets, self.telemetry, None, Some(oracle))
+        crate::engine::run_event_driven(self, targets, None, Some(oracle))
     }
 
     /// Runs `targets` with fault injection and the host resilience
@@ -823,8 +777,7 @@ impl AcceleratedSystem {
     /// the run shares each entry until a fault changes it: an undetected
     /// corrupt read-back or a software fallback copies the entry on write
     /// and changes the copy, never the cached entry, so a fault-rate sweep
-    /// over one workload evaluates each target's datapath exactly once. Like
-    /// [`Self::run_with_oracle`] this always takes the event-driven path.
+    /// over one workload evaluates each target's datapath exactly once.
     pub fn run_resilient_with_oracle(
         &self,
         targets: &[RealignmentTarget],
@@ -849,16 +802,7 @@ impl AcceleratedSystem {
             failures: vec![0; self.params.num_units],
             quarantined: vec![false; self.params.num_units],
         };
-        let mut run = match oracle {
-            Some(o) => crate::engine::run_event_driven(
-                self,
-                targets,
-                self.telemetry,
-                Some(&mut state),
-                Some(o),
-            ),
-            None => self.run_inner(targets, self.telemetry, Some(&mut state)),
-        };
+        let mut run = crate::engine::run_event_driven(self, targets, Some(&mut state), oracle);
         state.report.faults = state.plan.counts();
         if let Some(snapshot) = run.telemetry.as_mut() {
             state.report.record_into(&mut snapshot.counters);
@@ -867,320 +811,9 @@ impl AcceleratedSystem {
         run
     }
 
-    fn run_inner(
-        &self,
-        targets: &[RealignmentTarget],
-        telemetry: bool,
-        fault: Option<&mut FaultState>,
-    ) -> SystemRun {
-        match self.backend {
-            SimBackend::EventDriven => {
-                crate::engine::run_event_driven(self, targets, telemetry, fault, None)
-            }
-            SimBackend::LegacyStepper => match self.scheduling {
-                Scheduling::Synchronous
-                | Scheduling::SynchronousUnsorted
-                | Scheduling::SynchronousByWorstCase => {
-                    self.run_synchronous(targets, telemetry, fault)
-                }
-                Scheduling::Asynchronous => self.run_asynchronous(targets, telemetry, fault),
-            },
-        }
-    }
-
     /// Host time to configure and start one target.
     pub(crate) fn config_time_s(&self, target: &RealignmentTarget) -> f64 {
         IrCommand::commands_per_target(target.num_consensuses()) as f64 * self.params.cmd_latency_s
-    }
-
-    fn run_synchronous(
-        &self,
-        targets: &[RealignmentTarget],
-        telemetry: bool,
-        mut fault: Option<&mut FaultState>,
-    ) -> SystemRun {
-        let p = &self.params;
-        let cycle_s = p.cycle_time_s();
-        let units = p.num_units;
-        let mut acc = TeleAcc::new(telemetry, units, cycle_s);
-
-        // "The targets could be sorted by read and consensus sizes to
-        // ensure that all the targets that are scheduled in the same batch
-        // have similar runtimes" (§IV) — the paper's coarse sort key.
-        // Consensus-length and pruning variance survive inside a batch,
-        // which is exactly why the synchronous scheme under-utilizes.
-        let mut order: Vec<usize> = (0..targets.len()).collect();
-        match self.scheduling {
-            Scheduling::SynchronousUnsorted => {}
-            Scheduling::SynchronousByWorstCase => {
-                order.sort_by_key(|&t| Reverse(targets[t].shape().worst_case_comparisons()));
-            }
-            _ => order
-                .sort_by_key(|&t| Reverse((targets[t].num_reads(), targets[t].num_consensuses()))),
-        }
-
-        let mut results: Vec<Option<Arc<UnitRun>>> = (0..targets.len()).map(|_| None).collect();
-        let mut now = 0.0f64;
-        let mut dma_busy = 0.0f64;
-        let mut command_s = 0.0f64;
-        let mut compute_cycles = 0u64;
-        let mut comparisons = 0u64;
-        let mut unit_busy = vec![0.0f64; units];
-
-        // Batches are sized to the *healthy* unit count, which shrinks as
-        // the resilience layer quarantines units (all units, fault-free).
-        let mut cursor = 0usize;
-        while cursor < order.len() {
-            let healthy: Vec<usize> = match fault.as_deref() {
-                Some(fs) => (0..units).filter(|&u| !fs.quarantined[u]).collect(),
-                None => (0..units).collect(),
-            };
-            let batch = &order[cursor..order.len().min(cursor + healthy.len())];
-            cursor += batch.len();
-            // One chunked DMA transfer for the whole batch.
-            let batch_bytes: u64 = batch
-                .iter()
-                .map(|&t| targets[t].shape().input_bytes())
-                .sum();
-            let dma_s = self
-                .dma
-                .batch_transfer_time_s(batch.iter().map(|&t| targets[t].shape().input_bytes()));
-            acc.record_chain(batch, batch_bytes, now, now + dma_s);
-            acc.tele.add("sched", "batches", 1);
-            acc.record_prefetch_depth(batch.len() as u64);
-            now += dma_s;
-            dma_busy += dma_s;
-
-            // Configure and start every unit (host-serial), then all units
-            // compute in parallel; the batch ends when the slowest unit
-            // finishes and the whole fabric is flushed.
-            let mut batch_end = now;
-            for (slot, &t) in batch.iter().enumerate() {
-                let unit = healthy[slot];
-                let cfg = self.config_time_s(&targets[t]);
-                command_s += cfg;
-                let mut run = Arc::new(simulate_target(&targets[t], p));
-                let was_quarantined = fault.as_deref().is_some_and(|fs| fs.quarantined[unit]);
-                let extra = match fault.as_deref_mut() {
-                    Some(fs) => fs.resolve(&targets[t], &mut run, unit),
-                    None => 0,
-                };
-                let busy = (run.cycles.total() + extra) as f64 * cycle_s;
-                let start = now + cfg;
-                let end = start + busy;
-                if !was_quarantined && fault.as_deref().is_some_and(|fs| fs.quarantined[unit]) {
-                    acc.record_quarantine(unit, end);
-                }
-                unit_busy[unit] += busy;
-                compute_cycles += run.cycles.total();
-                comparisons += run.comparisons;
-                batch_end = batch_end.max(end);
-                acc.record_dispatch(
-                    p,
-                    DispatchRecord {
-                        unit,
-                        target_index: t,
-                        start_s: start,
-                        busy_s: busy,
-                        busy_cycles: run.cycles.total() + extra,
-                        // The unit sat out the batch DMA and its own
-                        // configuration before computing.
-                        stall_s: dma_s + cfg,
-                        dma_wait_s: dma_s,
-                        active_units: batch.len() as u64,
-                        run: &run,
-                        target: &targets[t],
-                    },
-                );
-                results[t] = Some(run);
-            }
-            // Synchronous flush + response drain: every batch member
-            // stalls until the whole fabric is flushed.
-            let flush = self.params.response_latency_s * batch.len() as f64;
-            command_s += flush;
-            if acc.enabled() {
-                for &unit in healthy.iter().take(batch.len()) {
-                    acc.stall_s[unit] += flush;
-                }
-                acc.tele.span(
-                    Track::Host,
-                    SpanKind::Stall,
-                    "batch flush",
-                    None,
-                    batch_end,
-                    batch_end + flush,
-                );
-            }
-            now = batch_end + flush;
-        }
-
-        let snapshot = acc.finalize(now, command_s, dma_busy, targets.len());
-        SystemRun {
-            wall_time_s: now,
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every target ran"))
-                .collect(),
-            dma_busy_s: dma_busy,
-            command_s,
-            compute_cycles,
-            comparisons,
-            unit_busy_s: unit_busy,
-            timeline: snapshot
-                .as_ref()
-                .map(timeline_from_snapshot)
-                .unwrap_or_default(),
-            resilience: None,
-            telemetry: snapshot,
-        }
-    }
-
-    fn run_asynchronous(
-        &self,
-        targets: &[RealignmentTarget],
-        telemetry: bool,
-        mut fault: Option<&mut FaultState>,
-    ) -> SystemRun {
-        let p = &self.params;
-        let cycle_s = p.cycle_time_s();
-        let units = p.num_units;
-        let mut acc = TeleAcc::new(telemetry, units, cycle_s);
-
-        let mut results: Vec<Option<Arc<UnitRun>>> = (0..targets.len()).map(|_| None).collect();
-        let mut dma_busy = 0.0f64;
-        let mut command_s = 0.0f64;
-        let mut compute_cycles = 0u64;
-        let mut comparisons = 0u64;
-        let mut unit_busy = vec![0.0f64; units];
-
-        // Dispatch order: largest worst-case work first (the host sorts
-        // its scheduling queue, as in the synchronous scheme — pruning
-        // variance is what asynchrony then absorbs).
-        let mut order: Vec<usize> = (0..targets.len()).collect();
-        order.sort_by_key(|&t| Reverse(targets[t].shape().worst_case_comparisons()));
-
-        // DMA prefetches target inputs in dispatch order, one chunked
-        // descriptor chain per group of `units` targets, overlapping
-        // compute (Figure 7-bottom shows targets 4–7 moving while 0–3
-        // compute).
-        let mut dma_done = vec![0.0f64; targets.len()];
-        let mut dma_free = 0.0f64;
-        for chunk in order.chunks(units.max(1)) {
-            let chunk_bytes: u64 = chunk
-                .iter()
-                .map(|&t| targets[t].shape().input_bytes())
-                .sum();
-            let dt = self
-                .dma
-                .batch_transfer_time_s(chunk.iter().map(|&t| targets[t].shape().input_bytes()));
-            let start = dma_free;
-            dma_free = start + dt;
-            dma_busy += dt;
-            for &t in chunk {
-                dma_done[t] = dma_free;
-            }
-            acc.record_chain(chunk, chunk_bytes, start, dma_free);
-        }
-
-        // Min-heap of (free_time, unit): the next target goes to the unit
-        // that responds first.
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-            (0..units).map(|u| Reverse((0u64, u))).collect();
-        // Times are kept as integer picoseconds in the heap for a total
-        // order; converted at the edges.
-        let to_ps = |s: f64| (s * 1e12) as u64;
-        let from_ps = |ps: u64| ps as f64 / 1e12;
-
-        // Per-unit compute-end times (32:1 arbiter concurrency) and the
-        // prefetch pointer (how far ahead of compute the DMA ran), only
-        // consulted when telemetry is on.
-        let mut unit_end_s = vec![0.0f64; units];
-        let mut arrived = 0usize;
-
-        let mut wall = 0.0f64;
-        for (dispatch_idx, &t) in order.iter().enumerate() {
-            let target = &targets[t];
-            let Reverse((free_ps, unit)) = heap.pop().expect("at least one unit");
-            let cfg = self.config_time_s(target);
-            command_s += cfg;
-            let mut run = Arc::new(simulate_target(target, p));
-            let was_quarantined = fault.as_deref().is_some_and(|fs| fs.quarantined[unit]);
-            let extra = match fault.as_deref_mut() {
-                Some(fs) => fs.resolve(target, &mut run, unit),
-                None => 0,
-            };
-            let busy = (run.cycles.total() + extra) as f64 * cycle_s;
-            let free = from_ps(free_ps);
-            let start = free.max(dma_done[t]) + cfg;
-            let dma_wait = (dma_done[t] - free).max(0.0);
-            let end = start + busy + self.params.response_latency_s;
-            command_s += self.params.response_latency_s;
-            if !was_quarantined && fault.as_deref().is_some_and(|fs| fs.quarantined[unit]) {
-                acc.record_quarantine(unit, end);
-            }
-            unit_busy[unit] += busy;
-            compute_cycles += run.cycles.total();
-            comparisons += run.comparisons;
-            wall = wall.max(end);
-            if acc.enabled() {
-                let active_units = 1 + unit_end_s
-                    .iter()
-                    .enumerate()
-                    .filter(|&(u, &e)| u != unit && e > start)
-                    .count() as u64;
-                unit_end_s[unit] = start + busy;
-                while arrived < order.len() && dma_done[order[arrived]] <= start {
-                    arrived += 1;
-                }
-                let prefetch_depth = arrived.saturating_sub(dispatch_idx + 1) as u64;
-                acc.record_prefetch_depth(prefetch_depth);
-                acc.record_dispatch(
-                    p,
-                    DispatchRecord {
-                        unit,
-                        target_index: t,
-                        start_s: start,
-                        busy_s: busy,
-                        busy_cycles: run.cycles.total() + extra,
-                        // Waiting on data, configuration, and the
-                        // completion response all stall the unit.
-                        stall_s: dma_wait + cfg + self.params.response_latency_s,
-                        dma_wait_s: dma_wait,
-                        active_units,
-                        run: &run,
-                        target,
-                    },
-                );
-            }
-            results[t] = Some(run);
-            // A freshly quarantined unit receives no further dispatches;
-            // the guard in `FaultState::resolve` keeps at least one unit
-            // in the heap.
-            let still_healthy = fault.as_deref().is_none_or(|fs| !fs.quarantined[unit]);
-            if still_healthy {
-                heap.push(Reverse((to_ps(end), unit)));
-            }
-        }
-
-        let snapshot = acc.finalize(wall, command_s, dma_busy, targets.len());
-        SystemRun {
-            wall_time_s: wall,
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every target ran"))
-                .collect(),
-            dma_busy_s: dma_busy,
-            command_s,
-            compute_cycles,
-            comparisons,
-            unit_busy_s: unit_busy,
-            timeline: snapshot
-                .as_ref()
-                .map(timeline_from_snapshot)
-                .unwrap_or_default(),
-            resilience: None,
-            telemetry: snapshot,
-        }
     }
 }
 
@@ -1357,7 +990,8 @@ mod tests {
         let targets = small_workload();
         let run = AcceleratedSystem::new(FpgaParams::iracc(), Scheduling::Synchronous)
             .unwrap()
-            .run_telemetry(&targets);
+            .with_telemetry(true)
+            .run(&targets);
         let transfers = run
             .timeline
             .iter()

@@ -309,12 +309,13 @@ impl IrUnit {
 }
 
 /// Runs one target through the unit datapath model without the command
-/// plumbing — the path the system scheduler uses. Functional results
-/// are identical to [`ir_core::IndelRealigner`].
+/// plumbing. Functional results are identical to
+/// [`ir_core::IndelRealigner`].
 ///
-/// This variant steps the HDC kernel cycle-by-cycle ([`run_pair`]); the
-/// event-driven backend uses [`simulate_target_fast`], which produces the
-/// identical [`UnitRun`] through the jump-to-outcome kernel.
+/// This is the unit-level reference: it steps the HDC kernel
+/// cycle-by-cycle ([`run_pair`]). The event engine runs
+/// [`simulate_target_fast`], which must produce the identical [`UnitRun`]
+/// (checked on random workloads by `tests/event_parity.rs`).
 pub fn simulate_target(target: &RealignmentTarget, params: &FpgaParams) -> UnitRun {
     simulate_with(target, params, |i, j, cfg| {
         run_pair(
@@ -333,7 +334,7 @@ pub fn simulate_target(target: &RealignmentTarget, params: &FpgaParams) -> UnitR
 /// ([`SweepRead`]), and one [`run_read_sweep`] per read produces a whole
 /// grid column through the runtime-dispatched explicit-SIMD fold. Returns
 /// a bitwise-identical [`UnitRun`]; only host wall-clock differs. This is
-/// the path the event-driven backend, the `IR_THREADS` parallel sweeps,
+/// the path the event engine, the `IR_THREADS` parallel sweeps,
 /// the functional oracle and the serve shards all execute.
 pub fn simulate_target_fast(target: &RealignmentTarget, params: &FpgaParams) -> UnitRun {
     simulate_target_fast_with(target, params, kernel::active())

@@ -162,9 +162,9 @@ mod tests {
 
     #[test]
     fn filenames_are_deterministic_and_safe() {
-        let a = case_filename("engine/event-vs-stepper/wall_time_s");
-        assert_eq!(a, case_filename("engine/event-vs-stepper/wall_time_s"));
-        assert_ne!(a, case_filename("engine/event-vs-stepper/comparisons"));
+        let a = case_filename("engine/derived-vs-cold/wall_time_s");
+        assert_eq!(a, case_filename("engine/derived-vs-cold/wall_time_s"));
+        assert_ne!(a, case_filename("engine/derived-vs-cold/comparisons"));
         assert!(a.ends_with(".case"));
         assert!(!a.contains('/'), "path separators sanitized: {a}");
     }

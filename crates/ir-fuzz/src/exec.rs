@@ -14,14 +14,14 @@
 //!   backend pairs only add mismatch checks — the corpus fingerprint
 //!   hashes the scalar result alone, so every persisted case replays
 //!   bitwise-unchanged.
-//! - **engine** — the event-driven core vs the legacy cycle stepper,
-//!   bitwise across the full [`SystemRun`] including telemetry; plus the
-//!   telemetry-transparency contract (enabling telemetry changes no
-//!   reported number), the derived-entry contract (a run over an oracle
-//!   warmed under the input's `lanes = 1` sibling key, which derives the
-//!   multi-lane entries it can, equals the cold run; not hashed, so the
-//!   corpus fingerprints stay put) and, under a fault spec, the resilient
-//!   path on both backends.
+//! - **engine** — the event-driven core's full [`SystemRun`] (hashed,
+//!   telemetry included), checked against the telemetry-transparency
+//!   contract (a telemetry-off run reports the same numbers) and the
+//!   derived-entry contract (a run over an oracle warmed under the input's
+//!   `lanes = 1` sibling key, which derives the multi-lane entries it can,
+//!   equals the cold run; not hashed, so the corpus fingerprints stay
+//!   put); under a fault spec, the resilient run must keep the clean
+//!   run's functional results.
 //! - **invariants** — cross-cutting telemetry laws: per-unit cycle
 //!   conservation, `arbiter5/grants == arbiter32/grants == ddr/beats`,
 //!   and `resilience/*` counters mirroring the report.
@@ -43,7 +43,7 @@ use ir_core::kernel;
 use ir_fpga::hdc::{run_pair, run_read_sweep, HdcConfig, PairRun};
 use ir_fpga::{
     AcceleratedSystem, FaultPlan, FpgaParams, FunctionalOracle, KernelKind, ResiliencePolicy,
-    SimBackend, SystemRun,
+    SystemRun,
 };
 use ir_serve::{
     FaultInjection, FleetConfig, FleetReport, FleetService, RealignService, Request, ServeConfig,
@@ -383,51 +383,27 @@ fn telemetry_invariants(run: &SystemRun, num_units: usize, out: &mut Vec<Mismatc
     }
 }
 
-fn system(
-    input: &FuzzInput,
-    backend: SimBackend,
-    telemetry: bool,
-) -> Result<AcceleratedSystem, ir_fpga::FpgaError> {
+fn system(input: &FuzzInput, telemetry: bool) -> Result<AcceleratedSystem, ir_fpga::FpgaError> {
     AcceleratedSystem::new(input.params.params(), input.scheduling)
-        .map(|s| s.with_backend(backend).with_telemetry(telemetry))
+        .map(|s| s.with_telemetry(telemetry))
 }
 
-/// Stage 2 + 3: engine pair, telemetry transparency, fault parity and
-/// telemetry invariants.
+/// Stage 2 + 3: the engine run, telemetry transparency, the derived-entry
+/// contract, the resilient path and telemetry invariants.
 fn engine_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
     let num_units = input.params.num_units;
-    let engine = match system(input, SimBackend::EventDriven, true) {
+    let engine = match system(input, true) {
         Ok(s) => s,
         Err(e) => {
             // Construction rejections are a legitimate outcome for
-            // boundary parameters — but both backends must agree on them.
+            // boundary parameters.
             h.str(&format!("construct:{e:?}"));
-            if let Ok(_legacy) = system(input, SimBackend::LegacyStepper, true) {
-                out.push(Mismatch {
-                    stage: "engine",
-                    signature: "engine/construction-divergence".to_string(),
-                    detail: format!("event-driven rejected ({e}) but legacy accepted"),
-                });
-            }
-            return;
-        }
-    };
-    let legacy = match system(input, SimBackend::LegacyStepper, true) {
-        Ok(s) => s,
-        Err(e) => {
-            out.push(Mismatch {
-                stage: "engine",
-                signature: "engine/construction-divergence".to_string(),
-                detail: format!("legacy rejected ({e}) but event-driven accepted"),
-            });
             return;
         }
     };
 
     let run_a = guarded("engine", out, |_| engine.run(&input.targets));
-    let run_b = guarded("engine", out, |_| legacy.run(&input.targets));
-    if let (Some(run_a), Some(run_b)) = (&run_a, &run_b) {
-        diff_runs(run_a, run_b, "event-vs-stepper", out);
+    if let Some(run_a) = &run_a {
         telemetry_invariants(run_a, num_units, out);
         hash_system_run(h, run_a);
     }
@@ -436,7 +412,7 @@ fn engine_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
     // numbers (minus the snapshot and the trace-derived timeline).
     if let Some(run_a) = &run_a {
         let plain = guarded("engine", out, |_| {
-            system(input, SimBackend::EventDriven, false)
+            system(input, false)
                 .expect("already constructed once")
                 .run(&input.targets)
         });
@@ -465,16 +441,13 @@ fn engine_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
 
     if let Some(fault) = &input.fault {
         let policy = ResiliencePolicy::default();
-        let resilient = |sys: &AcceleratedSystem| -> Result<SystemRun, String> {
+        let resilient = || -> Result<SystemRun, String> {
             let mut plan =
                 FaultPlan::try_seeded(fault.seed, fault.rates).map_err(|e| e.to_string())?;
-            Ok(sys.run_resilient(&input.targets, &mut plan, &policy))
+            Ok(engine.run_resilient(&input.targets, &mut plan, &policy))
         };
-        let fa = guarded("engine", out, |_| resilient(&engine));
-        let fb = guarded("engine", out, |_| resilient(&legacy));
-        match (fa, fb) {
-            (Some(Ok(fa)), Some(Ok(fb))) => {
-                diff_runs(&fa, &fb, "fault-event-vs-stepper", out);
+        match guarded("engine", out, |_| resilient()) {
+            Some(Ok(fa)) => {
                 telemetry_invariants(&fa, num_units, out);
                 let report = fa.resilience.as_ref().expect("resilient runs report");
                 // The clean run's functional results must survive faults.
@@ -497,14 +470,14 @@ fn engine_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
                 }
                 hash_system_run(h, &fa);
             }
-            (Some(Err(e)), _) | (_, Some(Err(e))) => {
+            Some(Err(e)) => {
                 out.push(Mismatch {
                     stage: "engine",
                     signature: "engine/fault-plan-rejected".to_string(),
                     detail: e,
                 });
             }
-            _ => {}
+            None => {}
         }
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The repository carries several pairs of independently implemented
 //! backends that must agree bitwise: the scalar and SWAR WHD kernels, the
-//! event-driven engine and the legacy cycle stepper, the batched serving
-//! layer and the direct accelerator path, telemetry-on and telemetry-off
-//! runs. The proptest suites sample the friendly middle of the input
+//! batched serving layer and the direct accelerator path, telemetry-on
+//! and telemetry-off runs, cold and oracle-backed runs. The proptest suites sample the friendly middle of the input
 //! space; this crate hunts the edges.
 //!
 //! The loop ([`fuzz`]) is a classic greybox cycle, fully deterministic by

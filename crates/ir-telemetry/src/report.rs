@@ -49,8 +49,8 @@ impl TelemetrySnapshot {
     /// Whether two snapshots are *bitwise* identical: all counters,
     /// gauges and histograms equal, and every trace span equal with its
     /// timestamps compared by bit pattern rather than float equality
-    /// (`-0.0 != 0.0`, `NaN == NaN`). This is the equivalence the
-    /// event-driven and legacy simulation backends are held to in
+    /// (`-0.0 != 0.0`, `NaN == NaN`). This is the equivalence a run over
+    /// a warm oracle is held to against a cold run in
     /// `tests/event_parity.rs`.
     pub fn bitwise_eq(&self, other: &TelemetrySnapshot) -> bool {
         self.counters == other.counters

@@ -146,7 +146,8 @@ fn traced_timeline_is_consistent_with_wall_time() {
     };
     let run = AcceleratedSystem::new(params, Scheduling::Asynchronous)
         .expect("fits")
-        .run_telemetry(&targets);
+        .with_telemetry(true)
+        .run(&targets);
     assert!(!run.timeline.is_empty());
     let latest = run.timeline.iter().map(|e| e.end_s).fold(0.0f64, f64::max);
     assert!(latest <= run.wall_time_s + 1e-9);

@@ -162,13 +162,14 @@ fn chrome_trace_is_valid_json_with_spans() {
 }
 
 #[test]
-fn run_telemetry_still_produces_the_timeline() {
-    // `run_telemetry` forces telemetry on and derives the legacy
-    // timeline from the tracer; it must keep its original shape.
+fn telemetry_run_still_produces_the_timeline() {
+    // A telemetry-on run derives the Figure 7 timeline from the tracer;
+    // it must keep its original shape.
     let targets = workload(12);
     let system = AcceleratedSystem::new(FpgaParams::serial(), Scheduling::Asynchronous)
-        .expect("serial fits");
-    let run = system.run_telemetry(&targets);
+        .expect("serial fits")
+        .with_telemetry(true);
+    let run = system.run(&targets);
     assert_eq!(run.timeline.len(), 2 * targets.len());
     assert!(run.telemetry.is_some(), "traced runs carry the snapshot");
 }
@@ -219,14 +220,14 @@ fn resilience_counters_mirror_the_report() {
 }
 
 /// Golden digests of the full telemetry snapshot for every scheduling,
-/// fault-free and under a seeded fault plan, on both simulation backends.
-/// The engine-vs-legacy parity tests cannot see a change to the shared
-/// telemetry accumulator; these constants can. A digest may change only
-/// with a modeled-output change that explains it.
+/// fault-free and under a seeded fault plan. They pin the telemetry
+/// accumulator on its own, beside the whole-run digests of
+/// `tests/event_parity.rs`. A digest may change only with a
+/// modeled-output change that explains it.
 #[test]
 fn telemetry_snapshots_match_golden_digests() {
     use ir_system::fpga::fault::{FaultPlan, FaultRates};
-    use ir_system::fpga::{ResiliencePolicy, SimBackend};
+    use ir_system::fpga::ResiliencePolicy;
 
     // (scheduling, fault-free digest, faulted digest)
     const GOLDEN: [(Scheduling, u64, u64); 4] = [
@@ -257,35 +258,32 @@ fn telemetry_snapshots_match_golden_digests() {
         .iter()
         .flat_map(|&(s, clean, faulted)| [(s, false, clean), (s, true, faulted)]);
     for (scheduling, faults, golden) in cases {
-        for backend in [SimBackend::EventDriven, SimBackend::LegacyStepper] {
-            let system = AcceleratedSystem::new(FpgaParams::iracc(), scheduling)
-                .expect("iracc fits")
-                .with_telemetry(true)
-                .with_backend(backend);
-            let run = if faults {
-                let mut plan = FaultPlan::seeded(
-                    0x7E1E,
-                    FaultRates {
-                        unit_hang: 0.2,
-                        ..FaultRates::uniform(0.05)
-                    },
-                );
-                let run = system.run_resilient(&targets, &mut plan, &ResiliencePolicy::default());
-                let report = run.resilience.as_ref().expect("resilient run reports");
-                assert!(
-                    !report.quarantined_units.is_empty(),
-                    "the plan drives a unit into quarantine"
-                );
-                run
-            } else {
-                system.run(&targets)
-            };
-            let got = snapshot_digest(run.telemetry.as_ref().expect("telemetry enabled"));
-            if got != golden {
-                mismatches.push(format!(
-                    "{scheduling:?}, faults {faults}, {backend:?}: {got:#018x} != golden {golden:#018x}"
-                ));
-            }
+        let system = AcceleratedSystem::new(FpgaParams::iracc(), scheduling)
+            .expect("iracc fits")
+            .with_telemetry(true);
+        let run = if faults {
+            let mut plan = FaultPlan::seeded(
+                0x7E1E,
+                FaultRates {
+                    unit_hang: 0.2,
+                    ..FaultRates::uniform(0.05)
+                },
+            );
+            let run = system.run_resilient(&targets, &mut plan, &ResiliencePolicy::default());
+            let report = run.resilience.as_ref().expect("resilient run reports");
+            assert!(
+                !report.quarantined_units.is_empty(),
+                "the plan drives a unit into quarantine"
+            );
+            run
+        } else {
+            system.run(&targets)
+        };
+        let got = snapshot_digest(run.telemetry.as_ref().expect("telemetry enabled"));
+        if got != golden {
+            mismatches.push(format!(
+                "{scheduling:?}, faults {faults}: {got:#018x} != golden {golden:#018x}"
+            ));
         }
     }
     assert!(mismatches.is_empty(), "{mismatches:#?}");
