@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+use ir_bench::bench_workload;
 use ir_core::batch::{CandidateBlock, SweepRead};
 use ir_core::{calc_whd, calc_whd_bounded, kernel, KernelKind};
 use ir_fpga::hdc::{run_pair, run_read_sweep, HdcConfig};
@@ -96,8 +97,9 @@ fn bench_hdc_scan(c: &mut Criterion) {
 /// Every runnable kernel (scalar, SWAR, each `std::arch` ISA the host
 /// supports) through both execution modes — per-pair scans and the
 /// structure-of-arrays batch sweep — on the sparse and dense fixture
-/// shapes. This is the acceptance row for the explicit-SIMD engine: on
-/// the dense shape the widest SIMD kernel must clear 2x over SWAR.
+/// shapes, plus the batch sweep under the serial key on a pruning read.
+/// This is the acceptance row for the explicit-SIMD engine: on the dense
+/// shape the widest SIMD kernel must clear 2x over SWAR.
 fn bench_kernel_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_dispatch");
     let (n, candidates) = (250usize, 8usize);
@@ -139,6 +141,106 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
             );
         }
     }
+    // Serial-pruned: a read cut from the middle of candidate 0 with a
+    // substitution every 50 bases (2%), swept under the serial key (one
+    // base per cycle, immediate pruning), so offsets far from the true
+    // placement stop at their prune point. The throughput counts the
+    // bases the pruned scans visit, the same for every kernel.
+    let start = (m - n) / 2;
+    let cut: Sequence = cons[0].bases()[start..start + n]
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| {
+            if i % 50 == 25 {
+                Base::from_index(b.index().map_or(0, |x| (x + 1) % 4))
+            } else {
+                b
+            }
+        })
+        .collect();
+    let serial_read = SweepRead::new(cut.bases(), &quals);
+    let serial = HdcConfig::serial();
+    let visited: u64 = run_read_sweep(&block, &serial_read, KernelKind::Scalar, serial)
+        .iter()
+        .map(|run| run.comparisons)
+        .sum();
+    group.throughput(Throughput::Elements(visited));
+    for kind in KernelKind::available() {
+        group.bench_with_input(
+            BenchmarkId::new(format!("{kind}_batch"), "serial_pruned"),
+            &(),
+            |b, ()| {
+                b.iter(|| run_read_sweep(black_box(&block), black_box(&serial_read), kind, serial))
+            },
+        );
+    }
+    group.finish();
+}
+
+/// Every (read, candidate) pair of the 22-autosome bench-profile workload
+/// at scale 5e-4 through both sweep entry points on every kernel:
+/// `dense_sweep`, as the IRACC key's cold oracle runs it (ragged offset
+/// counts, about half of them one partial 64-offset block), and
+/// `serial_sweep`, as the serial key's cold oracle runs it (the shape that
+/// dominates the Figure 9 sweep: 62-base reads, about 96% of offsets
+/// pruned). The throughput is in offsets per sweep.
+fn bench_kernel_mix(c: &mut Criterion) {
+    let mix: Vec<(CandidateBlock, Vec<SweepRead>)> = bench_workload(5e-4)
+        .autosomes()
+        .iter()
+        .flat_map(|chrom| &chrom.targets)
+        .map(|t| {
+            let reads = t
+                .reads()
+                .iter()
+                .map(|r| SweepRead::new(r.bases().bases(), r.quals()))
+                .collect();
+            (CandidateBlock::from_target(t), reads)
+        })
+        .collect();
+    let pairs: Vec<(&CandidateBlock, usize, &SweepRead)> = mix
+        .iter()
+        .flat_map(|(block, reads)| {
+            reads
+                .iter()
+                .flat_map(move |read| (0..block.num_candidates()).map(move |i| (block, i, read)))
+        })
+        .collect();
+    let offsets: u64 = pairs
+        .iter()
+        .map(|&(block, i, read)| (block.len(i) - read.len() + 1) as u64)
+        .sum();
+    let mut group = c.benchmark_group("kernel_mix");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(offsets));
+    for kind in KernelKind::available() {
+        group.bench_with_input(BenchmarkId::new("dense_sweep", kind), &(), |b, ()| {
+            b.iter(|| {
+                for &(block, i, read) in &pairs {
+                    black_box(kernel::dense_sweep(
+                        kind,
+                        block.row_padded(i),
+                        block.len(i) - read.len(),
+                        read.codes_padded(),
+                        read.scores_padded(),
+                    ));
+                }
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("serial_sweep", kind), &(), |b, ()| {
+            b.iter(|| {
+                for &(block, i, read) in &pairs {
+                    black_box(kernel::serial_sweep(
+                        kind,
+                        block.row_padded(i),
+                        block.len(i),
+                        read.codes(),
+                        read.scores(),
+                    ));
+                }
+            })
+        });
+    }
     group.finish();
 }
 
@@ -146,6 +248,7 @@ criterion_group!(
     benches,
     bench_calc_whd,
     bench_hdc_scan,
-    bench_kernel_dispatch
+    bench_kernel_dispatch,
+    bench_kernel_mix
 );
 criterion_main!(benches);

@@ -1,65 +1,36 @@
-//! Shared plumbing for the figure/table regeneration binaries.
+//! The paper's evaluation as code: every modeled table and figure, and
+//! the plumbing they share.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see `DESIGN.md` for the index). They share:
-//!
-//! - [`scale_from_env`] — the `IR_SCALE` knob mapping the paper's
-//!   full-genome workload down to laptop scale (default `1e-4`, i.e.
-//!   ~0.01% of NA12878's IR targets, preserving shape statistics);
-//! - [`threads_from_env`] / [`parallel_sweep`] — the `IR_THREADS` knob
-//!   and the shared worker pool the sweep binaries run their independent
-//!   configuration points on;
+//! - [`figures`] — the figure registry ([`FIGURES`]): one function per
+//!   table or figure, each taking a [`FigureContext`] (scale, worker
+//!   threads, output directory). The `figures` binary runs them by name
+//!   (`figures fig9_speedup`, `figures --list`) and is the only reader of
+//!   the `IR_SCALE`, `IR_THREADS` and `IR_RESULTS_DIR` knobs, which
+//!   [`parse_scale`] / [`parse_threads`] validate;
+//! - [`parallel_sweep`] — the worker pool the figures run their
+//!   independent configuration points on;
 //! - [`default_workload`] / [`bench_workload`] — the paper-geometry and
 //!   bench-profile synthetic workload generators;
 //! - [`chromosome_sweep`] / [`FullGenome`] — the Figure 9 per-chromosome
 //!   sweep and its full-genome extrapolation;
-//! - [`Table`] — aligned text tables, also written as CSV into
-//!   `results/`;
+//! - [`Table`] — aligned text tables, also written as CSV + TXT;
 //! - [`gmean`] — the geometric mean the paper reports for Figure 9.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use ir_workloads::{check_scale, WorkloadConfig, WorkloadGenerator};
 
+pub mod figures;
 pub mod sweep;
 
+pub use figures::{Figure, FigureContext, FIGURES};
 pub use sweep::{chromosome_sweep, ChromosomeRuns, FullGenome};
-
-/// Reads the workload scale from `IR_SCALE` (default `1e-4`).
-///
-/// Scale 1.0 is the paper's full NA12878 run (~2.8 M IR targets across
-/// Ch1–22); `1e-4` keeps every shape distribution intact at ~280 targets.
-/// A set but invalid value (see [`parse_scale`]) prints an
-/// `error: IR_SCALE=…` line and exits the process with status 2.
-pub fn scale_from_env() -> f64 {
-    or_exit(parse_scale(env_raw("IR_SCALE").as_deref()))
-}
-
-/// Reads the sweep-harness worker count from `IR_THREADS` (≥ 1), falling
-/// back to the machine's available parallelism when it is unset.
-///
-/// Every figure binary runs its independent sweep points through
-/// [`parallel_sweep`] on this many OS threads. The emitted tables and
-/// CSVs are **byte-identical for any thread count**: sweep points share
-/// no mutable state, host wall-clock is only ever printed to stdout, and
-/// results are collected in input order. CI pins this by byte-diffing a
-/// 2-thread run against a 1-thread run. A set but invalid value (see
-/// [`parse_threads`]) prints an `error: IR_THREADS=…` line and exits the
-/// process with status 2.
-pub fn threads_from_env() -> usize {
-    or_exit(parse_threads(env_raw("IR_THREADS").as_deref())).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
 
 /// Parses a raw `IR_SCALE` value: unset means the default `1e-4`; a set
 /// value must be a number in `(0, 1]`.
@@ -114,21 +85,6 @@ pub fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
         Ok(t) => Ok(Some(t)),
         Err(_) => Err(format!("error: IR_THREADS={raw} is not a positive integer")),
     }
-}
-
-/// A knob's raw value, or `None` when unset. A non-UTF-8 value comes back
-/// lossily converted, so the parsers reject it instead of treating it as
-/// unset.
-fn env_raw(name: &str) -> Option<String> {
-    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
-}
-
-/// Unwraps a parsed knob, or prints its diagnostic and exits with status 2.
-fn or_exit<T>(parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|message| {
-        eprintln!("{message}");
-        std::process::exit(2)
-    })
 }
 
 /// Runs `f` over every input on `threads` scoped worker threads (dynamic
@@ -237,14 +193,6 @@ pub fn gmean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Directory the binaries drop CSV outputs into.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("IR_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
-    let path = PathBuf::from(dir);
-    let _ = fs::create_dir_all(&path);
-    path
-}
-
 /// A simple aligned text table that can also serialize itself to CSV.
 ///
 /// # Example
@@ -313,39 +261,26 @@ impl Table {
         out
     }
 
-    /// Writes the table as `results/<name>.csv` and returns the path.
-    pub fn write_csv(&self, name: &str) -> PathBuf {
-        let path = results_dir().join(format!("{name}.csv"));
+    /// Prints the table and writes the matching `<name>.csv` +
+    /// `<name>.txt` pair into the context's output directory.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first write error.
+    pub fn emit(&self, ctx: &FigureContext, name: &str) -> io::Result<()> {
+        let text = self.render();
+        println!("{text}");
         let mut csv = self.headers.join(",");
         csv.push('\n');
         for row in &self.rows {
             csv.push_str(&row.join(","));
             csv.push('\n');
         }
-        if let Err(e) = fs::write(&path, csv) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
-        path
-    }
-
-    /// Writes the rendered text table as `results/<name>.txt` and returns
-    /// the path.
-    pub fn write_txt(&self, name: &str) -> PathBuf {
-        let path = results_dir().join(format!("{name}.txt"));
-        if let Err(e) = fs::write(&path, self.render()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
-        path
-    }
-
-    /// Prints the table and writes the matching `<name>.csv` +
-    /// `<name>.txt` pair under `results/`.
-    pub fn emit(&self, name: &str) {
-        println!("{}", self.render());
-        let path = self.write_csv(name);
+        let path = ctx.write(&format!("{name}.csv"), csv)?;
         println!("[csv] {}", path.display());
-        let path = self.write_txt(name);
+        let path = ctx.write(&format!("{name}.txt"), text)?;
         println!("[txt] {}", path.display());
+        Ok(())
     }
 }
 
@@ -460,10 +395,5 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn parallel_sweep_zero_threads_panics() {
         let _ = parallel_sweep(&[1u8], 0, |&x| x);
-    }
-
-    #[test]
-    fn threads_from_env_is_at_least_one() {
-        assert!(threads_from_env() >= 1);
     }
 }

@@ -482,11 +482,14 @@ mod tests {
         );
     }
 
+    /// Breaks one rate field, and the site name `checked` must report.
+    type DegenerateCase = (fn(&mut FaultRates), &'static str);
+
     #[test]
     fn checked_reports_the_first_degenerate_site() {
         assert!(FaultRates::none().checked().is_ok());
         assert!(FaultRates::uniform(1.0).checked().is_ok());
-        let cases: [(fn(&mut FaultRates), &str); 6] = [
+        let cases: [DegenerateCase; 6] = [
             (|r| r.dma_timeout = -0.1, "dma_timeout"),
             (|r| r.dma_truncation = f64::NAN, "dma_truncation"),
             (|r| r.response_drop = f64::INFINITY, "response_drop"),

@@ -15,6 +15,10 @@ use ir_fuzz::{execute, generate, FuzzInput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A coverage class: its tag in the seed file name, and the predicate a
+/// generated case must satisfy to represent it.
+type CoverageClass = (&'static str, fn(&FuzzInput) -> bool);
+
 fn main() {
     let dir = std::env::args()
         .nth(1)
@@ -26,7 +30,7 @@ fn main() {
     // pool touches every stage of the executor.
     let mut rng = StdRng::seed_from_u64(0x5eed);
     let mut picks: Vec<(&str, FuzzInput)> = Vec::new();
-    let wants: [(&str, fn(&FuzzInput) -> bool); 5] = [
+    let wants: [CoverageClass; 5] = [
         ("kernel-only", |i| i.serve.is_none() && i.fault.is_none()),
         ("fault", |i| i.fault.is_some() && i.serve.is_none()),
         ("serve", |i| i.serve.is_some() && i.fault.is_none()),
