@@ -73,7 +73,7 @@ pub fn run(ctx: &FigureContext) -> std::io::Result<()> {
     for (i, (t, c)) in targets.iter().zip(&cycles).enumerate() {
         table.row(vec![
             format!("{i}"),
-            t.shape().worst_case_comparisons().to_string(),
+            t.worst_case_comparisons().to_string(),
             c.to_string(),
             format!("{:.1}×", *c as f64 / fastest),
         ]);

@@ -24,7 +24,7 @@ pub fn run(ctx: &FigureContext) -> std::io::Result<()> {
     }
     let total_work: f64 = targets
         .iter()
-        .map(|t| t.shape().worst_case_comparisons() as f64)
+        .map(|t| t.worst_case_comparisons() as f64)
         .sum();
     println!(
         "Multi-FPGA sharding (scale {scale}, Ch1–22 pool of {} targets)\n",
@@ -49,7 +49,7 @@ pub fn run(ctx: &FigureContext) -> std::io::Result<()> {
     let walls = parallel_sweep(&fpga_counts, ctx.threads, |&fpgas| {
         let work: Vec<f64> = targets
             .iter()
-            .map(|t| t.shape().worst_case_comparisons() as f64)
+            .map(|t| t.worst_case_comparisons() as f64)
             .collect();
         let schedule = schedule_jobs(&work, fpgas);
         let mut shards: Vec<Vec<ir_genome::RealignmentTarget>> = vec![Vec::new(); fpgas];

@@ -22,7 +22,7 @@ pub fn run(ctx: &FigureContext) -> std::io::Result<()> {
             let run = simulate_target(t, &params);
             (
                 t.num_reads(),
-                t.shape().worst_case_comparisons(),
+                t.worst_case_comparisons(),
                 run.cycles.total(),
             )
         })

@@ -85,7 +85,7 @@ pub fn run(ctx: &FigureContext) -> std::io::Result<()> {
         // all-offsets comparison count the prune comparator eliminated.
         let naive: u64 = targets
             .iter()
-            .map(|t| t.shape().worst_case_comparisons())
+            .map(|t| t.worst_case_comparisons())
             .sum();
         let comparisons = snap.counter("hdc/comparisons");
         let pruned_offsets = snap.counter("hdc/pruned_offsets");

@@ -24,7 +24,7 @@
 //! count — is identical to the scalar reference's; the proptests below
 //! pin that bit-for-bit.
 
-use ir_genome::{base_code, Base, Qual, RealignmentTarget};
+use ir_genome::{base_code, Base, Qual, RealignmentTarget, Sequence};
 
 use crate::grid::MinWhd;
 use crate::kernel::{self, KernelKind};
@@ -69,16 +69,18 @@ pub struct CandidateBlock {
 }
 
 impl CandidateBlock {
-    fn from_code_rows(rows: Vec<Vec<u8>>) -> Self {
-        let max_len = rows.iter().map(Vec::len).max().unwrap_or(0);
+    /// Transposes `rows` straight into the padded code buffer.
+    fn from_rows<'a>(rows: impl ExactSizeIterator<Item = &'a [Base]> + Clone) -> Self {
+        let lens: Vec<usize> = rows.clone().map(<[Base]>::len).collect();
+        let max_len = lens.iter().copied().max().unwrap_or(0);
         // Large enough that `row[k..k + padded_read_len]` is in bounds for
         // every valid offset: `k + n_pad ≤ len + (ROW_PAD - 1) < stride`.
         let stride = (max_len + ROW_PAD).next_multiple_of(ROW_PAD);
-        let mut codes = vec![0u8; rows.len() * stride];
-        let mut lens = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            codes[i * stride..i * stride + row.len()].copy_from_slice(row);
-            lens.push(row.len());
+        let mut codes = vec![0u8; lens.len() * stride];
+        for (row, dst) in rows.zip(codes.chunks_exact_mut(stride)) {
+            for (code, &b) in dst.iter_mut().zip(row) {
+                *code = base_code(b);
+            }
         }
         CandidateBlock {
             codes,
@@ -89,28 +91,13 @@ impl CandidateBlock {
 
     /// Builds the block from raw base rows (ragged lengths are fine).
     pub fn from_bases_rows(rows: &[&[Base]]) -> Self {
-        Self::from_code_rows(
-            rows.iter()
-                .map(|row| row.iter().map(|&b| base_code(b)).collect())
-                .collect(),
-        )
+        Self::from_rows(rows.iter().copied())
     }
 
     /// Builds the block over all of `target`'s consensuses (row 0 is the
     /// reference, like [`crate::MinWhdGrid`]).
     pub fn from_target(target: &RealignmentTarget) -> Self {
-        Self::from_code_rows(
-            (0..target.num_consensuses())
-                .map(|i| {
-                    target
-                        .consensus(i)
-                        .bases()
-                        .iter()
-                        .map(|&b| base_code(b))
-                        .collect()
-                })
-                .collect(),
-        )
+        Self::from_rows(target.consensuses().iter().map(Sequence::bases))
     }
 
     /// Number of candidate rows.
@@ -219,37 +206,48 @@ impl CandidateBlock {
 /// One read prepared for sweeping: byte codes and quality scores copied
 /// into lane arrays zero-padded to a [`ROW_PAD`] multiple, so dense folds
 /// can run whole vectors with no tail (padding lanes carry score `0` and
-/// therefore contribute nothing).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// therefore contribute nothing). Both lane arrays share one buffer, and
+/// [`SweepRead::refill`] reuses it for the next read of a target.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepRead {
-    codes: Vec<u8>,
-    scores: Vec<u8>,
+    /// The code lanes, then the score lanes: two halves of the padded
+    /// length each, real values in `[..len]` and zeros after.
+    lanes: Vec<u8>,
     len: usize,
 }
 
 impl SweepRead {
-    fn from_parts(mut codes: Vec<u8>, quals: &Qual) -> Self {
-        let len = codes.len();
-        let scores = quals.scores();
-        assert!(scores.len() >= len, "missing quality scores");
-        let padded = len.next_multiple_of(ROW_PAD);
-        codes.resize(padded, 0);
-        let mut lane_scores = vec![0u8; padded];
-        lane_scores[..len].copy_from_slice(&scores[..len]);
-        SweepRead {
-            codes,
-            scores: lane_scores,
-            len,
-        }
-    }
-
     /// Prepares a read from raw bases and its quality scores.
     ///
     /// # Panics
     ///
     /// Panics if `quals` has fewer scores than `bases`.
     pub fn new(bases: &[Base], quals: &Qual) -> Self {
-        Self::from_parts(bases.iter().map(|&b| base_code(b)).collect(), quals)
+        let mut read = SweepRead::default();
+        read.refill(bases, quals);
+        read
+    }
+
+    /// Prepares another read in this buffer, keeping its allocation: the
+    /// result equals [`SweepRead::new`]`(bases, quals)`, padding lanes
+    /// included, whatever read the buffer held before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quals` has fewer scores than `bases`.
+    pub fn refill(&mut self, bases: &[Base], quals: &Qual) {
+        let len = bases.len();
+        let scores = quals.scores();
+        assert!(scores.len() >= len, "missing quality scores");
+        let padded = len.next_multiple_of(ROW_PAD);
+        self.lanes.clear();
+        self.lanes.resize(2 * padded, 0);
+        let (codes, lane_scores) = self.lanes.split_at_mut(padded);
+        for (code, &b) in codes.iter_mut().zip(bases) {
+            *code = base_code(b);
+        }
+        lane_scores[..len].copy_from_slice(&scores[..len]);
+        self.len = len;
     }
 
     /// Number of real bases.
@@ -264,28 +262,29 @@ impl SweepRead {
 
     /// The read's codes, exactly `len` bytes.
     pub fn codes(&self) -> &[u8] {
-        &self.codes[..self.len]
+        &self.lanes[..self.len]
     }
 
     /// The read's quality scores, exactly `len` bytes.
     pub fn scores(&self) -> &[u8] {
-        &self.scores[..self.len]
+        let padded = self.padded_len();
+        &self.lanes[padded..padded + self.len]
     }
 
     /// Codes padded with zeros to the lane-array length.
     pub fn codes_padded(&self) -> &[u8] {
-        &self.codes
+        &self.lanes[..self.padded_len()]
     }
 
     /// Scores padded with zeros to the lane-array length — the padding
     /// lanes are what make full-vector folds exact past the read end.
     pub fn scores_padded(&self) -> &[u8] {
-        &self.scores
+        &self.lanes[self.padded_len()..]
     }
 
     /// The lane-array length (`len` rounded up to a [`ROW_PAD`] multiple).
     pub fn padded_len(&self) -> usize {
-        self.codes.len()
+        self.lanes.len() / 2
     }
 }
 
@@ -293,7 +292,6 @@ impl SweepRead {
 mod tests {
     use super::*;
     use crate::whd::calc_whd_bounded;
-    use ir_genome::Sequence;
 
     fn seq(s: &str) -> Sequence {
         s.parse().unwrap()
@@ -411,6 +409,21 @@ mod tests {
         assert_eq!(read.padded_len(), ROW_PAD);
         assert!(read.scores_padded()[3..].iter().all(|&s| s == 0));
         assert_eq!(read.codes(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn refill_after_a_longer_read_equals_a_fresh_read() {
+        let long = seq(&"ACGTN".repeat(18));
+        let short = seq("TGCAT");
+        let mut read = SweepRead::new(long.bases(), &Qual::uniform(41, long.len()).unwrap());
+        assert_eq!(read.padded_len(), 2 * ROW_PAD);
+        let quals = Qual::from_raw_scores(&[7, 23, 45, 11, 2]).unwrap();
+        read.refill(short.bases(), &quals);
+        assert_eq!(read, SweepRead::new(short.bases(), &quals));
+        assert_eq!(read.padded_len(), ROW_PAD);
+        assert!(read.codes_padded()[5..].iter().all(|&c| c == 0));
+        assert!(read.scores_padded()[5..].iter().all(|&s| s == 0));
+        assert_eq!(read.scores(), quals.scores());
     }
 
     #[test]

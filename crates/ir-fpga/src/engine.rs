@@ -349,7 +349,7 @@ impl<'s, 't, 'o> AsyncSched<'s, 't, 'o> {
     ) -> Self {
         let units = sys.params().num_units;
         let mut order: Vec<usize> = (0..targets.len()).collect();
-        order.sort_by_cached_key(|&t| Reverse(targets[t].shape().worst_case_comparisons()));
+        order.sort_by_key(|&t| Reverse(targets[t].worst_case_comparisons()));
         AsyncSched {
             sys,
             targets,
@@ -568,7 +568,7 @@ impl<'s, 't, 'o> SyncSched<'s, 't, 'o> {
         match sys.scheduling() {
             Scheduling::SynchronousUnsorted => {}
             Scheduling::SynchronousByWorstCase => {
-                order.sort_by_cached_key(|&t| Reverse(targets[t].shape().worst_case_comparisons()));
+                order.sort_by_key(|&t| Reverse(targets[t].worst_case_comparisons()));
             }
             _ => order
                 .sort_by_key(|&t| Reverse((targets[t].num_reads(), targets[t].num_consensuses()))),

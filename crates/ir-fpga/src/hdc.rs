@@ -195,9 +195,9 @@ pub fn run_pair(consensus: &Sequence, read: &Sequence, quals: &Qual, cfg: HdcCon
     }
 }
 
-/// Sweeps one prepared read against every candidate of the batch — the
-/// engine behind [`crate::oracle::FunctionalOracle`]'s
-/// [`crate::unit::simulate_target_fast`] path. Element `i` of the result
+/// Sweeps one prepared read against every candidate of the batch: one
+/// grid column through the same per-pair scan
+/// [`crate::unit::simulate_target_fast`] runs. Element `i` of the result
 /// is exactly `run_pair(candidate_i, read, …)`.
 ///
 /// # Panics
@@ -241,7 +241,7 @@ pub fn run_read_sweep(
 /// The equality `run_read_sweep(..)[i] == run_pair(candidate_i, ..)`
 /// therefore holds unconditionally for every kernel (asserted exhaustively by the
 /// differential proptest below and the kernel-parity suite).
-fn run_pair_codes(
+pub(crate) fn run_pair_codes(
     row: &[u8],
     cons_len: usize,
     read: &SweepRead,

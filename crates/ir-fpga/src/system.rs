@@ -283,8 +283,8 @@ pub(crate) struct DispatchRecord<'a> {
     /// the 32:1 arbiter counters).
     pub(crate) active_units: u64,
     pub(crate) run: &'a UnitRun,
-    /// The dispatched target; its summed consensus and read lengths size
-    /// the five memory streams.
+    /// The dispatched target; its cached consensus and read base totals
+    /// size the five memory streams.
     pub(crate) target: &'a RealignmentTarget,
 }
 
@@ -461,8 +461,8 @@ impl TeleAcc {
 
         // 5:1 intra-unit arbiter: the five memory streams of this target
         // contend for the unit's single TileLink port.
-        let consensus_bytes: u64 = target.consensuses().iter().map(|c| c.len() as u64).sum();
-        let read_bytes: u64 = target.reads().iter().map(|r| r.len() as u64).sum();
+        let consensus_bytes = target.total_consensus_bases();
+        let read_bytes = target.total_read_bases();
         let burst = burst_stats(
             consensus_bytes,
             read_bytes,

@@ -12,7 +12,7 @@ use ir_core::{MinWhd, MinWhdGrid, ReadOutcome};
 use ir_genome::{RealignmentTarget, TargetShape};
 
 use crate::fault::FaultPlan;
-use crate::hdc::{run_pair, run_read_sweep, HdcConfig, PairRun};
+use crate::hdc::{run_pair, run_pair_codes, HdcConfig, PairRun};
 use crate::isa::{BufferIndex, IrCommand};
 use crate::mem;
 use crate::params::FpgaParams;
@@ -330,12 +330,13 @@ pub fn simulate_target(target: &RealignmentTarget, params: &FpgaParams) -> UnitR
 /// [`simulate_target`] through the equivalence-preserving fast HDC engine
 /// on the ambient ([`ir_core::kernel::active`]) kernel: the target's
 /// consensuses are transposed once into the structure-of-arrays batch
-/// layout ([`CandidateBlock`]), each read is prepared once
-/// ([`SweepRead`]), and one [`run_read_sweep`] per read produces a whole
-/// grid column through the runtime-dispatched explicit-SIMD fold. Returns
-/// a bitwise-identical [`UnitRun`]; only host wall-clock differs. This is
-/// the path the event engine, the `IR_THREADS` parallel sweeps,
-/// the functional oracle and the serve shards all execute.
+/// layout ([`CandidateBlock`]), one [`SweepRead`] buffer is refilled for
+/// each read, and each (candidate, read) pair is scanned by the same
+/// runtime-dispatched explicit-SIMD path as [`run_read_sweep`], its
+/// result written straight into the grid. Returns a bitwise-identical
+/// [`UnitRun`]; only host wall-clock differs. This is the path the event
+/// engine, the `IR_THREADS` parallel sweeps, the functional oracle and
+/// the serve shards all execute.
 pub fn simulate_target_fast(target: &RealignmentTarget, params: &FpgaParams) -> UnitRun {
     simulate_target_fast_with(target, params, kernel::active())
 }
@@ -355,21 +356,26 @@ pub fn simulate_target_fast_with(
     let shape = target.shape();
     let hdc_cfg = hdc_config(params);
     let block = CandidateBlock::from_target(target);
-    let mut cells = vec![MinWhd { whd: 0, offset: 0 }; shape.num_consensuses * shape.num_reads];
+    let num_reads = shape.num_reads;
+    let mut cells = vec![MinWhd { whd: 0, offset: 0 }; shape.num_consensuses * num_reads];
+    let mut sweep_read = SweepRead::default();
     let mut hdc_cycles = 0u64;
     let mut comparisons = 0u64;
     let mut offsets_pruned = 0u64;
-    for j in 0..shape.num_reads {
-        let read = target.read(j);
-        let sweep_read = SweepRead::new(read.bases().bases(), read.quals());
-        for (i, pair) in run_read_sweep(&block, &sweep_read, kind, hdc_cfg)
-            .into_iter()
-            .enumerate()
-        {
+    for (j, read) in target.reads().iter().enumerate() {
+        sweep_read.refill(read.bases().bases(), read.quals());
+        for i in 0..block.num_candidates() {
+            let pair = run_pair_codes(
+                block.row_padded(i),
+                block.len(i),
+                &sweep_read,
+                kind,
+                hdc_cfg,
+            );
             hdc_cycles += pair.cycles;
             comparisons += pair.comparisons;
             offsets_pruned += pair.offsets_pruned;
-            cells[i * shape.num_reads + j] = pair.min;
+            cells[i * num_reads + j] = pair.min;
         }
     }
     finish_run(
@@ -683,18 +689,35 @@ mod tests {
         );
     }
 
+    /// Figure 4's reads plus a 70-base read followed by a 3-base one, so
+    /// the reused sweep buffer shrinks from two lane blocks to one.
+    fn shrinking_reads_target() -> RealignmentTarget {
+        let read = |bases: &str, score: u8| {
+            let quals = Qual::uniform(score, bases.len()).unwrap();
+            Read::new("r", bases.parse().unwrap(), quals, 0).unwrap()
+        };
+        RealignmentTarget::builder(20)
+            .reference("CCTTAGAT".repeat(12).parse().unwrap())
+            .consensus("ACCTGAAC".repeat(12).parse().unwrap())
+            .read(read(&"TGAAC".repeat(14), 60))
+            .read(read("TGA", 2))
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn fast_simulation_is_bitwise_identical() {
-        let target = figure4_target();
-        for params in [FpgaParams::serial(), FpgaParams::iracc()] {
-            let want = simulate_target(&target, &params);
-            assert_eq!(simulate_target_fast(&target, &params), want);
-            for kind in KernelKind::available() {
-                assert_eq!(
-                    simulate_target_fast_with(&target, &params, kind),
-                    want,
-                    "kernel {kind}"
-                );
+        for target in [figure4_target(), shrinking_reads_target()] {
+            for params in [FpgaParams::serial(), FpgaParams::iracc()] {
+                let want = simulate_target(&target, &params);
+                assert_eq!(simulate_target_fast(&target, &params), want);
+                for kind in KernelKind::available() {
+                    assert_eq!(
+                        simulate_target_fast_with(&target, &params, kind),
+                        want,
+                        "kernel {kind}"
+                    );
+                }
             }
         }
     }

@@ -275,7 +275,7 @@ fn enforce_budget(targets: &mut Vec<RealignmentTarget>) {
     let mut total = 0u64;
     let mut keep = 0usize;
     for t in targets.iter() {
-        total = total.saturating_add(t.shape().worst_case_comparisons());
+        total = total.saturating_add(t.worst_case_comparisons());
         if keep > 0 && total > MAX_CASE_COMPARISONS {
             break;
         }

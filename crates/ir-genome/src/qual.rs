@@ -43,12 +43,21 @@ impl Qual {
     /// Returns [`GenomeError::InvalidQuality`] if any score exceeds
     /// [`MAX_PHRED_SCORE`].
     pub fn from_raw_scores(scores: &[u8]) -> Result<Self, GenomeError> {
+        Self::from_scores(scores.to_vec())
+    }
+
+    /// [`Qual::from_raw_scores`] taking ownership of the scores, so a
+    /// caller that built them pays no copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GenomeError::InvalidQuality`] if any score exceeds
+    /// [`MAX_PHRED_SCORE`].
+    pub fn from_scores(scores: Vec<u8>) -> Result<Self, GenomeError> {
         if let Some(&bad) = scores.iter().find(|&&s| s > MAX_PHRED_SCORE) {
             return Err(GenomeError::InvalidQuality(bad));
         }
-        Ok(Qual {
-            scores: scores.to_vec(),
-        })
+        Ok(Qual { scores })
     }
 
     /// Parses a Sanger/Illumina Phred+33 ASCII string (e.g. a FASTQ quality
@@ -170,6 +179,11 @@ mod tests {
     fn rejects_out_of_range_scores() {
         assert!(Qual::from_raw_scores(&[94]).is_err());
         assert!(Qual::from_raw_scores(&[255]).is_err());
+        assert!(Qual::from_scores(vec![41, 94]).is_err());
+        assert_eq!(
+            Qual::from_scores(vec![0, 93]).unwrap(),
+            Qual::from_raw_scores(&[0, 93]).unwrap()
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! INDEL realignment targets.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -65,15 +66,10 @@ impl TargetShape {
     /// Worst-case base comparisons for Algorithm 1 without pruning:
     /// `Σ_i Σ_j (m_i − n_j + 1) · n_j` (paper §II-C).
     pub fn worst_case_comparisons(&self) -> u64 {
-        let mut total = 0u64;
-        for &m in &self.consensus_lens {
-            for &n in &self.read_lens {
-                if m >= n {
-                    total += ((m - n + 1) as u64) * n as u64;
-                }
-            }
-        }
-        total
+        worst_case_comparisons(
+            self.consensus_lens.iter().copied(),
+            self.read_lens.iter().copied(),
+        )
     }
 
     /// Bytes of input the host must DMA to the FPGA for this target:
@@ -92,6 +88,23 @@ impl TargetShape {
     }
 }
 
+/// `Σ_i Σ_j (m_i − n_j + 1) · n_j` over consensus lengths `m_i` and read
+/// lengths `n_j`; a pair whose read is longer than its consensus adds 0.
+fn worst_case_comparisons(
+    consensus_lens: impl Iterator<Item = usize>,
+    read_lens: impl Iterator<Item = usize> + Clone,
+) -> u64 {
+    let mut total = 0u64;
+    for m in consensus_lens {
+        for n in read_lens.clone() {
+            if m >= n {
+                total += ((m - n + 1) as u64) * n as u64;
+            }
+        }
+    }
+    total
+}
+
 /// One INDEL realignment target: a locus interval, its candidate consensus
 /// sequences (index 0 is always the reference) and the reads overlapping the
 /// interval.
@@ -99,6 +112,11 @@ impl TargetShape {
 /// Targets are processed completely independently of each other — the
 /// property the paper's sea-of-accelerators design exploits for task
 /// parallelism.
+///
+/// A built target is immutable: its consensuses, reads and the shape
+/// totals the schedulers sort and size transfers by live in one shared
+/// payload, so a clone or a drop is one reference-count operation.
+/// Equality compares content, not identity.
 ///
 /// # Example
 ///
@@ -121,8 +139,19 @@ impl TargetShape {
 pub struct RealignmentTarget {
     start_pos: u64,
     chromosome: Option<Chromosome>,
+    payload: Arc<Payload>,
+}
+
+/// The shared, immutable body of a [`RealignmentTarget`]. The totals are
+/// derived from the sequences at [`TargetBuilder::build`], so content
+/// equality of the sequences implies equality of the whole payload.
+#[derive(Debug, PartialEq, Eq)]
+struct Payload {
     consensuses: Vec<Sequence>,
     reads: Vec<Read>,
+    consensus_bases: u64,
+    read_bases: u64,
+    worst_case_comparisons: u64,
 }
 
 impl RealignmentTarget {
@@ -151,22 +180,22 @@ impl RealignmentTarget {
 
     /// Number of consensuses including the reference.
     pub fn num_consensuses(&self) -> usize {
-        self.consensuses.len()
+        self.payload.consensuses.len()
     }
 
     /// Number of reads.
     pub fn num_reads(&self) -> usize {
-        self.reads.len()
+        self.payload.reads.len()
     }
 
     /// The reference consensus (index 0).
     pub fn reference(&self) -> &Sequence {
-        &self.consensuses[0]
+        &self.payload.consensuses[0]
     }
 
     /// All consensuses; index 0 is the reference.
     pub fn consensuses(&self) -> &[Sequence] {
-        &self.consensuses
+        &self.payload.consensuses
     }
 
     /// The consensus at `index`.
@@ -175,12 +204,12 @@ impl RealignmentTarget {
     ///
     /// Panics if `index >= num_consensuses()`.
     pub fn consensus(&self, index: usize) -> &Sequence {
-        &self.consensuses[index]
+        &self.payload.consensuses[index]
     }
 
     /// All reads in the target.
     pub fn reads(&self) -> &[Read] {
-        &self.reads
+        &self.payload.reads
     }
 
     /// The read at `index`.
@@ -189,24 +218,41 @@ impl RealignmentTarget {
     ///
     /// Panics if `index >= num_reads()`.
     pub fn read(&self, index: usize) -> &Read {
-        &self.reads[index]
+        &self.payload.reads[index]
+    }
+
+    /// Total bases over all consensuses (buffer #1's payload), cached at
+    /// build time.
+    pub fn total_consensus_bases(&self) -> u64 {
+        self.payload.consensus_bases
+    }
+
+    /// Total bases over all reads (buffer #2's payload, and buffer #3's
+    /// in quality bytes), cached at build time.
+    pub fn total_read_bases(&self) -> u64 {
+        self.payload.read_bases
     }
 
     /// [`TargetShape::input_bytes`] without building the shape, for
     /// callers that size a DMA transfer on every dispatch.
     pub fn input_bytes(&self) -> u64 {
-        let cons: u64 = self.consensuses.iter().map(|c| c.len() as u64).sum();
-        let reads: u64 = self.reads.iter().map(|r| r.len() as u64).sum();
-        cons + 2 * reads
+        self.payload.consensus_bases + 2 * self.payload.read_bases
+    }
+
+    /// [`TargetShape::worst_case_comparisons`] without building the
+    /// shape, cached at build time — the key the worst-case-first
+    /// schedulers sort by.
+    pub fn worst_case_comparisons(&self) -> u64 {
+        self.payload.worst_case_comparisons
     }
 
     /// Returns the shape summary used by schedulers and cost models.
     pub fn shape(&self) -> TargetShape {
         TargetShape {
-            num_consensuses: self.consensuses.len(),
-            num_reads: self.reads.len(),
-            consensus_lens: self.consensuses.iter().map(Sequence::len).collect(),
-            read_lens: self.reads.iter().map(Read::len).collect(),
+            num_consensuses: self.num_consensuses(),
+            num_reads: self.num_reads(),
+            consensus_lens: self.consensuses().iter().map(Sequence::len).collect(),
+            read_lens: self.reads().iter().map(Read::len).collect(),
         }
     }
 }
@@ -217,8 +263,8 @@ impl fmt::Display for RealignmentTarget {
             f,
             "target@{} ({} consensuses, {} reads)",
             self.start_pos,
-            self.consensuses.len(),
-            self.reads.len()
+            self.num_consensuses(),
+            self.num_reads()
         )
     }
 }
@@ -345,11 +391,21 @@ impl TargetBuilder {
                 });
             }
         }
+        let reads = self.reads;
+        let payload = Payload {
+            consensus_bases: consensuses.iter().map(|c| c.len() as u64).sum(),
+            read_bases: reads.iter().map(|r| r.len() as u64).sum(),
+            worst_case_comparisons: worst_case_comparisons(
+                consensuses.iter().map(Sequence::len),
+                reads.iter().map(Read::len),
+            ),
+            consensuses,
+            reads,
+        };
         Ok(RealignmentTarget {
             start_pos: self.start_pos,
             chromosome: self.chromosome,
-            consensuses,
-            reads: self.reads,
+            payload: Arc::new(payload),
         })
     }
 }
@@ -506,6 +562,7 @@ mod tests {
         assert_eq!(shape.num_reads, 2);
         // Each pair: (7 - 4 + 1) * 4 = 16 comparisons, 6 pairs total.
         assert_eq!(shape.worst_case_comparisons(), 96);
+        assert_eq!(t.worst_case_comparisons(), 96);
     }
 
     #[test]
@@ -529,6 +586,9 @@ mod tests {
         let shape = t.shape();
         // consensuses 7*3 = 21 bytes, reads 4*2 bases + 4*2 quals = 16.
         assert_eq!(shape.input_bytes(), 37);
+        assert_eq!(t.input_bytes(), 37);
+        assert_eq!(t.total_consensus_bases(), 21);
+        assert_eq!(t.total_read_bases(), 8);
         assert_eq!(shape.output_bytes(), 10);
     }
 

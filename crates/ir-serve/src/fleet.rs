@@ -389,51 +389,6 @@ enum NodeState {
     Dead,
 }
 
-/// A request with its target taken out, so dispatch can hand a batch's
-/// targets to the shard as one slice without cloning them and then
-/// rebuild the requests.
-struct Ticket {
-    id: u64,
-    arrival_s: f64,
-    family: ShapeFamily,
-    tenant: usize,
-}
-
-impl Ticket {
-    fn split(req: Request) -> (Ticket, RealignmentTarget) {
-        let Request {
-            id,
-            arrival_s,
-            target,
-            family,
-            tenant,
-        } = req;
-        let ticket = Ticket {
-            id,
-            arrival_s,
-            family,
-            tenant,
-        };
-        (ticket, target)
-    }
-
-    fn join(self, target: RealignmentTarget) -> Request {
-        let Ticket {
-            id,
-            arrival_s,
-            family,
-            tenant,
-        } = self;
-        Request {
-            id,
-            arrival_s,
-            target,
-            family,
-            tenant,
-        }
-    }
-}
-
 /// A batch in flight on one node shard. Responses are fully stamped at
 /// dispatch (completion time is known then) and released at `Done`; the
 /// original requests ride along so a drain can reroute a cancelled
@@ -808,8 +763,8 @@ impl Node {
                         }
                         _ => latest_arrival.min(now),
                     };
-                    let (tickets, targets): (Vec<_>, Vec<_>) =
-                        batch.into_iter().map(Ticket::split).unzip();
+                    let targets: Vec<RealignmentTarget> =
+                        batch.iter().map(|req| req.target.clone()).collect();
                     let outcome = shards[shard_idx].run_batch(&targets)?;
                     if let Some(report) = &outcome.resilience {
                         resilience.absorb(report);
@@ -825,7 +780,7 @@ impl Node {
                         &PerfCounters::key("serve", Some(shard_idx), "requests"),
                         targets.len() as u64,
                     );
-                    let stamped: Vec<Response> = tickets
+                    let stamped: Vec<Response> = batch
                         .iter()
                         .zip(&outcome.results)
                         .map(|(req, &(best_consensus, realigned))| {
@@ -890,11 +845,7 @@ impl Node {
                     );
                     in_flight[shard_idx] = Some(InFlight {
                         responses: stamped,
-                        requests: tickets
-                            .into_iter()
-                            .zip(targets)
-                            .map(|(ticket, target)| ticket.join(target))
-                            .collect(),
+                        requests: batch,
                         dispatch_s: now,
                         completion_s: completion,
                     });

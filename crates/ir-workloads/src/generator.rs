@@ -438,7 +438,7 @@ impl WorkloadGenerator {
             let read = Read::new(
                 format!("t{start_pos}r{j}"),
                 Sequence::new(bases),
-                Qual::from_raw_scores(&quals).expect("scores in range"),
+                Qual::from_scores(quals).expect("scores in range"),
                 offset as u64,
             )
             .expect("generated read is valid");

@@ -31,7 +31,9 @@
 use ir_system::core::batch::{CandidateBlock, SweepRead};
 use ir_system::core::{kernel, KernelKind};
 use ir_system::fpga::hdc::{run_pair, run_read_sweep, HdcConfig, PairRun};
-use ir_system::genome::{Base, Qual, Sequence};
+use ir_system::fpga::unit::{simulate_target, simulate_target_fast_with};
+use ir_system::fpga::FpgaParams;
+use ir_system::genome::{Base, Qual, Read, RealignmentTarget, Sequence};
 use proptest::prelude::*;
 
 /// One (consensus, read) pair through the production path: a one-row
@@ -271,6 +273,46 @@ fn zero_length_read_batch_parity() {
                 assert_eq!(pair.min.whd, 0);
                 assert_eq!(pair.min.offset, 0);
             }
+        }
+    }
+}
+
+/// The fast unit simulation refills one sweep buffer per read. Reads
+/// that shrink (90, then 20, then 62 bases) leave a longer read's codes
+/// and high scores behind unless every refill re-zeroes the padding
+/// lanes; the dense sweep folds whole padded vectors, so a stale score
+/// there would change the result. Every kernel must still match the
+/// cycle-stepped reference under the serial, data-parallel and
+/// comparator-free configurations.
+#[test]
+fn shrinking_reads_reuse_the_sweep_buffer_exactly() {
+    let consensus = |period: &str| -> Sequence { period.repeat(40)[..150].parse().unwrap() };
+    let read = |name: &str, seq: &str, score: u8| {
+        let quals = Qual::uniform(score, seq.len()).unwrap();
+        Read::new(name, seq.parse().unwrap(), quals, 0).unwrap()
+    };
+    let target = RealignmentTarget::builder(500)
+        .reference(consensus("ACGT"))
+        .consensus(consensus("ACGTT"))
+        .consensus(consensus("GATTACA"))
+        .read(read("r90", &"TTGCA".repeat(18), 60))
+        .read(read("r20", &"ACGT".repeat(5), 3))
+        .read(read("r62", &"ACGTT".repeat(13)[..62], 11))
+        .build()
+        .unwrap();
+    let configs = [
+        FpgaParams::serial(),
+        FpgaParams::iracc(),
+        FpgaParams {
+            pruning: false,
+            ..FpgaParams::iracc()
+        },
+    ];
+    for params in configs {
+        let want = simulate_target(&target, &params);
+        for kind in KernelKind::available() {
+            let got = simulate_target_fast_with(&target, &params, kind);
+            assert_eq!(got, want, "kernel {kind} params {params:?}");
         }
     }
 }
