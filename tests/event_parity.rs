@@ -2,10 +2,12 @@
 //!
 //! - **Golden digests.** Whole [`SystemRun`]s of both paper
 //!   configurations under every scheduling, telemetry off and on,
-//!   fault-free and under a seeded fault plan, plus the empty workload,
-//!   hash to committed [`run_digest`] constants: the same f64 bits for
-//!   every accumulated second, the same cycle and comparison counts, the
-//!   same results, timeline, resilience report and telemetry snapshot.
+//!   fault-free and under a seeded fault plan, plus the empty workload
+//!   and three edge cases (identical targets, fewer targets than units,
+//!   one unit), hash to committed [`run_digest`] constants: the same f64
+//!   bits for every accumulated second, the same cycle and comparison
+//!   counts, the same results, timeline, resilience report and telemetry
+//!   snapshot.
 //! - **Execution-path parity.** On any seeded workload, the paths that
 //!   must not change a run agree bit for bit: the jump-to-outcome unit
 //!   model against the cycle-stepping reference, telemetry off against
@@ -220,6 +222,116 @@ fn empty_workload_runs_match_golden_digests() {
         let got = run_digest(&system(FpgaParams::serial(), sched, true).run(&[]));
         assert_eq!(got, GOLDEN, "empty, {sched:?}: {got:#018x}");
     }
+}
+
+/// Golden [`run_digest`]s of one edge case, per scheduling in
+/// [`SCHEDULINGS`] order.
+struct EdgeGoldens {
+    /// Fault-free, telemetry off then on.
+    runs: [[u64; 2]; 4],
+    /// Under [`golden_fault_plan`], telemetry on.
+    faulted: [u64; 4],
+}
+
+/// Runs one edge case under every scheduling and collects each digest
+/// that misses its constant.
+fn edge_mismatches(
+    name: &str,
+    params: FpgaParams,
+    targets: &[RealignmentTarget],
+    golden: &EdgeGoldens,
+) -> Vec<String> {
+    let mut mismatches = Vec::new();
+    for (i, sched) in SCHEDULINGS.into_iter().enumerate() {
+        let [off, on] = golden.runs[i];
+        let cases = [
+            ("off", system(params, sched, false).run(targets), off),
+            ("on", system(params, sched, true).run(targets), on),
+            (
+                "faulted",
+                system(params, sched, true).run_resilient(
+                    targets,
+                    &mut golden_fault_plan(),
+                    &ResiliencePolicy::default(),
+                ),
+                golden.faulted[i],
+            ),
+        ];
+        for (case, run, want) in cases {
+            let got = run_digest(&run);
+            if got != want {
+                mismatches.push(format!(
+                    "{name}, {sched:?}, {case}: {got:#018x} != golden {want:#018x}"
+                ));
+            }
+        }
+    }
+    mismatches
+}
+
+/// Engine edge cases the 48-target goldens do not reach, pinned the same
+/// way: identical targets on 4 units (units free at the same instants, so
+/// dispatches rest on the lowest-unit-first tie-break), fewer targets than
+/// units, and a single unit.
+#[test]
+fn edge_case_runs_match_golden_digests() {
+    const IDENTICAL: EdgeGoldens = EdgeGoldens {
+        runs: [
+            [0x337e_4f0b_a7dc_882d, 0x8d3d_f07f_14a3_3809], // Synchronous
+            [0x337e_4f0b_a7dc_882d, 0x8d3d_f07f_14a3_3809], // SynchronousUnsorted
+            [0x337e_4f0b_a7dc_882d, 0x8d3d_f07f_14a3_3809], // SynchronousByWorstCase
+            [0xbaa2_dcde_add2_f53e, 0x09dd_f965_0619_ef6a], // Asynchronous
+        ],
+        faulted: [
+            0x91d4_852e_0640_cf1c, // Synchronous
+            0x91d4_852e_0640_cf1c, // SynchronousUnsorted
+            0x91d4_852e_0640_cf1c, // SynchronousByWorstCase
+            0xabbe_c4e7_aaf1_f61e, // Asynchronous
+        ],
+    };
+    const FEW: EdgeGoldens = EdgeGoldens {
+        runs: [
+            [0xcbb1_f256_6e11_bff9, 0x9de6_9dbd_2eb6_d2f6], // Synchronous
+            [0x1501_7b07_36be_d9c5, 0xbb53_5731_fcf1_27ec], // SynchronousUnsorted
+            [0xc7fa_c485_e5c4_8bb5, 0x08f0_0ef6_7e03_b72f], // SynchronousByWorstCase
+            [0xe590_dd7d_1a40_e645, 0x4579_bae8_87f5_1772], // Asynchronous
+        ],
+        faulted: [
+            0x1b64_7a20_6692_056c, // Synchronous
+            0x9bba_87c7_b77e_065a, // SynchronousUnsorted
+            0xbc99_cde2_3d98_d86d, // SynchronousByWorstCase
+            0xa059_929c_c3c8_7274, // Asynchronous
+        ],
+    };
+    const ONE_UNIT: EdgeGoldens = EdgeGoldens {
+        runs: [
+            [0xc4ac_2171_e90e_fad9, 0x2b6e_e332_f5da_6349], // Synchronous
+            [0x43bd_ff87_0beb_5745, 0x99eb_2ccb_3027_ffdc], // SynchronousUnsorted
+            [0xdd46_95a9_35ba_6d13, 0x9fc3_e7f6_e1a6_7d84], // SynchronousByWorstCase
+            [0x3058_7b25_5117_5745, 0x7a1b_52e0_2e56_c21a], // Asynchronous
+        ],
+        faulted: [
+            0x3417_c0b8_b7d9_c312, // Synchronous
+            0x146f_c150_54cf_d759, // SynchronousUnsorted
+            0x487c_6f80_aa64_c343, // SynchronousByWorstCase
+            0x9483_dcc8_5a44_1bcf, // Asynchronous
+        ],
+    };
+    let base = workload(12, 0xED6E);
+    let identical = vec![base[0].clone(); 18];
+    let units = |num_units| FpgaParams {
+        num_units,
+        ..FpgaParams::iracc()
+    };
+    let mut mismatches = edge_mismatches("identical", units(4), &identical, &IDENTICAL);
+    mismatches.extend(edge_mismatches(
+        "few",
+        FpgaParams::iracc(),
+        &base[..5],
+        &FEW,
+    ));
+    mismatches.extend(edge_mismatches("one unit", units(1), &base, &ONE_UNIT));
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
 }
 
 /// Warming the functional oracle across host threads must be invisible to
