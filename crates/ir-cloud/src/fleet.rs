@@ -390,14 +390,12 @@ pub fn simulate_spot_schedule_traced(
             events.push(
                 SimTime::from_seconds(clock + queue[job].1),
                 PRIO_JOB_DONE,
-                0,
                 FleetEv::JobDone { epoch },
             );
             if next_interrupt.is_finite() {
                 events.push(
                     SimTime::from_seconds(next_interrupt),
                     PRIO_INTERRUPT,
-                    0,
                     FleetEv::Interrupt,
                 );
             }
@@ -432,7 +430,6 @@ pub fn simulate_spot_schedule_traced(
                     events.push(
                         SimTime::from_seconds(clock + queue[job].1),
                         PRIO_JOB_DONE,
-                        0,
                         FleetEv::JobDone { epoch },
                     );
                 }
@@ -489,13 +486,11 @@ pub fn simulate_spot_schedule_traced(
                     events.push(
                         SimTime::from_seconds(clock + queue[job].1),
                         PRIO_JOB_DONE,
-                        0,
                         FleetEv::JobDone { epoch },
                     );
                     events.push(
                         SimTime::from_seconds(next_interrupt),
                         PRIO_INTERRUPT,
-                        0,
                         FleetEv::Interrupt,
                     );
                 }

@@ -1,17 +1,20 @@
-//! The event-driven simulation core: the system of `system.rs` as
-//! [`ir_sim`] components exchanging messages on a discrete-event queue.
-//! Every [`AcceleratedSystem`] run takes this path.
+//! The scheduler core: the host loop of paper §V-A ("configure and start
+//! the accelerators one unit at a time … wait for responses and configure
+//! and start the units that are finished with the previous task") as two
+//! plain functions, one per scheduling family. Every
+//! [`AcceleratedSystem`] run takes this path.
 //!
-//! Two structural choices make it cheap:
+//! The clock jumps between state changes instead of ticking, and the
+//! datapath is evaluated through the jump-to-outcome kernel
+//! ([`crate::unit::simulate_target_fast`]) or memoized wholesale through a
+//! [`FunctionalOracle`].
 //!
-//! - The clock jumps between state changes instead of ticking, so the
-//!   datapath is evaluated through the jump-to-outcome kernel
-//!   ([`crate::unit::simulate_target_fast`]) or memoized wholesale through
-//!   a [`FunctionalOracle`].
-//! - Units, the DMA engine and the watchdog are separate [`Component`]s
-//!   addressed by index, which is how the hardware is actually wired
-//!   (Figure 4's 32:1 arbiter fabric) and what lets the fleet simulator
-//!   reuse the same engine for spot-interruption events.
+//! - **Synchronous** (Figure 7-top) is a nested loop with no queue: per
+//!   batch sized to the healthy units, run the DMA chain, issue each slot
+//!   in order, flush.
+//! - **Asynchronous** (Figure 7-bottom) plans every DMA chain in dispatch
+//!   order first, then pops unit-free instants from one [`EventQueue`] and
+//!   hands each freed unit the next target.
 //!
 //! # Ordering contract
 //!
@@ -20,13 +23,10 @@
 //! (`tests/event_parity.rs`) and of telemetry snapshots
 //! (`tests/telemetry.rs`) pin the result of these rules bit for bit:
 //!
-//! - Control messages ([`Ev::Resolve`]/[`Ev::Resolved`]/DMA replies) post
-//!   at priority 0; unit free/tick events post at priority
-//!   `UNIT_BASE + unit`. At any timestamp every in-flight dispatch
-//!   round-trip therefore completes before the next unit frees, so one
-//!   dispatch is atomic.
-//! - Among units freeing at the same instant, priority `UNIT_BASE + unit`
-//!   hands the next target to the lowest unit index first.
+//! - One dispatch (configure, evaluate, resolve faults, record) is a
+//!   function call, so it completes before the next unit frees.
+//! - Among units freeing at the same instant, the queue priority — the
+//!   unit index — hands the next target to the lowest unit first.
 //! - The asynchronous path quantizes unit-free times to integer
 //!   picoseconds (`from_ps(to_ps(end))`), so every `free` the scheduler
 //!   reads is that rounded value.
@@ -35,25 +35,15 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 
 use ir_genome::RealignmentTarget;
-use ir_sim::{Component, Ctx, Engine, Port, SimEvent, SimTime};
+use ir_sim::{EventQueue, SimTime};
 use ir_telemetry::{SpanKind, Track};
 
-use crate::dma::DmaParams;
 use crate::oracle::FunctionalOracle;
 use crate::system::{
     timeline_from_snapshot, AcceleratedSystem, DispatchRecord, FaultState, Scheduling, SystemRun,
     TeleAcc,
 };
 use crate::unit::{simulate_target_fast, UnitRun};
-
-/// Component index of the scheduler.
-const SCHED: usize = 0;
-/// Component index of the DMA engine.
-const DMA: usize = 1;
-/// Component index of the watchdog/resilience layer.
-const WATCHDOG: usize = 2;
-/// Component index of IR unit `u` is `UNIT_BASE + u`.
-const UNIT_BASE: usize = 3;
 
 /// Integer-picosecond quantization used by the asynchronous unit-free
 /// clock (see the ordering contract above).
@@ -63,194 +53,6 @@ fn to_ps(s: f64) -> u64 {
 
 fn from_ps(ps: u64) -> f64 {
     ps as f64 / 1e12
-}
-
-/// Messages exchanged between the system's components.
-#[derive(Debug)]
-pub(crate) enum Ev {
-    /// Self-wake (engine-posted when a component returns `Some(t)`).
-    Tick,
-    /// Scheduler → DMA (async): append one descriptor chain to the DMA
-    /// engine's queue; the transfer occupies the engine's next free slot.
-    PlanChain {
-        targets: Vec<usize>,
-        sizes: Vec<u64>,
-    },
-    /// DMA → scheduler (async): a planned chain's occupancy window.
-    ChainPlanned {
-        targets: Vec<usize>,
-        bytes: u64,
-        start_s: f64,
-        end_s: f64,
-        dt_s: f64,
-    },
-    /// Scheduler → DMA (sync): transfer one batch starting now; the reply
-    /// arrives when the chain completes.
-    StartChain {
-        targets: Vec<usize>,
-        sizes: Vec<u64>,
-    },
-    /// DMA → scheduler (sync): the batch transfer finished.
-    ChainDone {
-        targets: Vec<usize>,
-        bytes: u64,
-        start_s: f64,
-        end_s: f64,
-        dt_s: f64,
-    },
-    /// Scheduler → watchdog: a target's functional result is ready; play
-    /// the recovery state machine over it.
-    Resolve {
-        target: usize,
-        unit: usize,
-        run: Arc<UnitRun>,
-    },
-    /// Watchdog → scheduler: recovery resolved, with the extra cycles the
-    /// unit burned and the unit's health transitions.
-    Resolved {
-        target: usize,
-        unit: usize,
-        run: Arc<UnitRun>,
-        extra: u64,
-        newly_quarantined: bool,
-        still_healthy: bool,
-    },
-    /// Scheduler → unit: you are busy until `wake_s`; report back then.
-    Dispatch { wake_s: f64 },
-    /// Unit → scheduler: this unit is free for its next target.
-    UnitFree { unit: usize },
-}
-
-impl SimEvent for Ev {
-    fn tick() -> Self {
-        Ev::Tick
-    }
-}
-
-/// The PCIe DMA engine as a component: owns the single descriptor queue,
-/// so chain start times serialize through `free_s`.
-struct DmaComp {
-    dma: DmaParams,
-    free_s: f64,
-}
-
-impl Component for DmaComp {
-    type Event = Ev;
-
-    fn wake(&mut self, now: SimTime, msg: Ev, ctx: &mut Ctx<Ev>) -> Option<SimTime> {
-        match msg {
-            Ev::PlanChain { targets, sizes } => {
-                let bytes: u64 = sizes.iter().sum();
-                let dt = self.dma.batch_transfer_time_s(sizes.iter().copied());
-                let start = self.free_s;
-                self.free_s = start + dt;
-                ctx.post(
-                    SCHED,
-                    now,
-                    0,
-                    Ev::ChainPlanned {
-                        targets,
-                        bytes,
-                        start_s: start,
-                        end_s: self.free_s,
-                        dt_s: dt,
-                    },
-                );
-            }
-            Ev::StartChain { targets, sizes } => {
-                let bytes: u64 = sizes.iter().sum();
-                let dt = self.dma.batch_transfer_time_s(sizes.iter().copied());
-                let start = now.seconds();
-                ctx.post(
-                    SCHED,
-                    SimTime::from_seconds(start + dt),
-                    0,
-                    Ev::ChainDone {
-                        targets,
-                        bytes,
-                        start_s: start,
-                        end_s: start + dt,
-                        dt_s: dt,
-                    },
-                );
-            }
-            _ => unreachable!("DMA engine received a non-DMA message"),
-        }
-        None
-    }
-}
-
-/// The watchdog/resilience layer as a component: the single owner of the
-/// [`FaultState`], so recovery decisions serialize through it.
-struct WatchdogComp<'t, 'f, 'p> {
-    targets: &'t [RealignmentTarget],
-    fault: Option<&'f mut FaultState<'p>>,
-}
-
-impl Component for WatchdogComp<'_, '_, '_> {
-    type Event = Ev;
-
-    fn wake(&mut self, now: SimTime, msg: Ev, ctx: &mut Ctx<Ev>) -> Option<SimTime> {
-        let Ev::Resolve {
-            target,
-            unit,
-            mut run,
-        } = msg
-        else {
-            unreachable!("watchdog received a non-resolve message")
-        };
-        let (extra, newly_quarantined, still_healthy) = match self.fault.as_deref_mut() {
-            Some(fs) => {
-                let was = fs.quarantined[unit];
-                let extra = fs.resolve(&self.targets[target], &mut run, unit);
-                let quarantined = fs.quarantined[unit];
-                (extra, !was && quarantined, !quarantined)
-            }
-            None => (0, false, true),
-        };
-        ctx.post(
-            SCHED,
-            now,
-            0,
-            Ev::Resolved {
-                target,
-                unit,
-                run,
-                extra,
-                newly_quarantined,
-                still_healthy,
-            },
-        );
-        None
-    }
-}
-
-/// One IR unit as a component: dispatched with a busy-until time, it
-/// self-wakes then and reports free. The free report carries the unit's
-/// own index as its tie-break priority, so simultaneous completions are
-/// served in unit-index order.
-struct UnitComp {
-    id: usize,
-}
-
-impl Component for UnitComp {
-    type Event = Ev;
-
-    fn wake(&mut self, now: SimTime, msg: Ev, ctx: &mut Ctx<Ev>) -> Option<SimTime> {
-        match msg {
-            Ev::Dispatch { wake_s } => Some(SimTime::from_seconds(wake_s)),
-            Ev::Tick => {
-                ctx.post(
-                    SCHED,
-                    now,
-                    (UNIT_BASE + self.id) as u64,
-                    Ev::UnitFree { unit: self.id },
-                );
-                None
-            }
-            _ => unreachable!("unit received a scheduler-only message"),
-        }
-    }
 }
 
 /// The run-wide ledgers both schedulers accumulate into; folded into a
@@ -266,16 +68,25 @@ struct Ledger {
 }
 
 impl Ledger {
-    fn new(telemetry: bool, units: usize, cycle_s: f64, num_targets: usize) -> Self {
+    fn new(sys: &AcceleratedSystem, num_targets: usize) -> Self {
+        let p = sys.params();
         Ledger {
-            acc: TeleAcc::new(telemetry, units, cycle_s),
+            acc: TeleAcc::new(sys.telemetry_enabled(), p.num_units, p.cycle_time_s()),
             results: (0..num_targets).map(|_| None).collect(),
             dma_busy: 0.0,
             command_s: 0.0,
             compute_cycles: 0,
             comparisons: 0,
-            unit_busy: vec![0.0; units],
+            unit_busy: vec![0.0; p.num_units],
         }
+    }
+
+    /// Books one target's compute on `unit` and keeps its result.
+    fn record_run(&mut self, unit: usize, t: usize, busy: f64, run: Arc<UnitRun>) {
+        self.unit_busy[unit] += busy;
+        self.compute_cycles += run.cycles.total();
+        self.comparisons += run.comparisons;
+        self.results[t] = Some(run);
     }
 
     fn into_run(self, wall_s: f64, num_targets: usize) -> SystemRun {
@@ -318,483 +129,250 @@ fn evaluate(
     }
 }
 
-/// The asynchronous scheduler as a component (paper §IV, Figure 7-bottom):
-/// DMA chains are planned ahead in dispatch order; each unit receives its
-/// next target the instant it reports free.
-struct AsyncSched<'s, 't, 'o> {
-    sys: &'s AcceleratedSystem,
-    targets: &'t [RealignmentTarget],
-    oracle: Option<&'o mut FunctionalOracle>,
-    ledger: Ledger,
-    /// Dispatch order: largest worst-case work first.
-    order: Vec<usize>,
-    dma_done: Vec<f64>,
-    chunk_cursor: usize,
-    dispatch_idx: usize,
-    /// Per-unit compute-end times and the prefetch pointer — telemetry
-    /// observables only.
-    unit_end_s: Vec<f64>,
-    arrived: usize,
-    wall: f64,
-    dma_port: Port,
-    watchdog_port: Port,
-}
-
-impl<'s, 't, 'o> AsyncSched<'s, 't, 'o> {
-    fn new(
-        sys: &'s AcceleratedSystem,
-        targets: &'t [RealignmentTarget],
-        telemetry: bool,
-        oracle: Option<&'o mut FunctionalOracle>,
-    ) -> Self {
-        let units = sys.params().num_units;
-        let mut order: Vec<usize> = (0..targets.len()).collect();
-        order.sort_by_key(|&t| Reverse(targets[t].worst_case_comparisons()));
-        AsyncSched {
-            sys,
-            targets,
-            oracle,
-            ledger: Ledger::new(telemetry, units, sys.params().cycle_time_s(), targets.len()),
-            order,
-            dma_done: vec![0.0; targets.len()],
-            chunk_cursor: 0,
-            dispatch_idx: 0,
-            unit_end_s: vec![0.0; units],
-            arrived: 0,
-            wall: 0.0,
-            dma_port: Port::new(DMA, 0),
-            watchdog_port: Port::new(WATCHDOG, 0),
+/// Plays the recovery state machine over one dispatched target when a
+/// fault plan drives the run. Returns the extra cycles the unit burned
+/// and whether this dispatch quarantined the unit.
+fn resolve(
+    fault: &mut Option<&mut FaultState<'_>>,
+    target: &RealignmentTarget,
+    run: &mut Arc<UnitRun>,
+    unit: usize,
+) -> (u64, bool) {
+    match fault.as_deref_mut() {
+        Some(fs) => {
+            let was = fs.quarantined[unit];
+            let extra = fs.resolve(target, run, unit);
+            (extra, !was && fs.quarantined[unit])
         }
-    }
-
-    /// Plans the next descriptor chain of up to `num_units` targets in
-    /// dispatch order (one prefetch group).
-    fn plan_next_chain(&mut self, now: SimTime, ctx: &mut Ctx<Ev>) {
-        if self.chunk_cursor >= self.order.len() {
-            return;
-        }
-        let units = self.sys.params().num_units.max(1);
-        let end = self.order.len().min(self.chunk_cursor + units);
-        let chunk: Vec<usize> = self.order[self.chunk_cursor..end].to_vec();
-        self.chunk_cursor = end;
-        let sizes: Vec<u64> = chunk
-            .iter()
-            .map(|&t| self.targets[t].input_bytes())
-            .collect();
-        self.dma_port.send(
-            ctx,
-            now,
-            Ev::PlanChain {
-                targets: chunk,
-                sizes,
-            },
-        );
-    }
-
-    fn into_run(self, num_targets: usize) -> SystemRun {
-        self.ledger.into_run(self.wall, num_targets)
+        None => (0, false),
     }
 }
 
-impl Component for AsyncSched<'_, '_, '_> {
-    type Event = Ev;
-
-    fn wake(&mut self, now: SimTime, msg: Ev, ctx: &mut Ctx<Ev>) -> Option<SimTime> {
-        match msg {
-            // Kickoff: every unit is born free; DMA planning runs ahead.
-            Ev::Tick => {
-                if self.order.is_empty() {
-                    ctx.halt();
-                    return None;
-                }
-                for u in 0..self.sys.params().num_units {
-                    ctx.post(
-                        UNIT_BASE + u,
-                        SimTime::ZERO,
-                        (UNIT_BASE + u) as u64,
-                        Ev::Dispatch { wake_s: 0.0 },
-                    );
-                }
-                self.plan_next_chain(now, ctx);
-            }
-            Ev::ChainPlanned {
-                targets,
-                bytes,
-                start_s,
-                end_s,
-                dt_s,
-            } => {
-                self.ledger.dma_busy += dt_s;
-                for &t in &targets {
-                    self.dma_done[t] = end_s;
-                }
-                self.ledger
-                    .acc
-                    .record_chain(&targets, bytes, start_s, end_s);
-                self.plan_next_chain(now, ctx);
-            }
-            Ev::UnitFree { unit } => {
-                if self.dispatch_idx >= self.order.len() {
-                    return None;
-                }
-                let t = self.order[self.dispatch_idx];
-                let target = &self.targets[t];
-                self.ledger.command_s += self.sys.config_time_s(target);
-                let run = evaluate(&mut self.oracle, target, t, self.sys);
-                self.watchdog_port.send(
-                    ctx,
-                    now,
-                    Ev::Resolve {
-                        target: t,
-                        unit,
-                        run,
-                    },
-                );
-            }
-            Ev::Resolved {
-                target: t,
-                unit,
-                run,
-                extra,
-                newly_quarantined,
-                still_healthy,
-            } => {
-                let sys = self.sys;
-                let p = sys.params();
-                let cycle_s = p.cycle_time_s();
-                let target = &self.targets[t];
-                let cfg = sys.config_time_s(target);
-                let busy = (run.cycles.total() + extra) as f64 * cycle_s;
-                // `now` is the unit's ps-quantized free instant.
-                let free = now.seconds();
-                let start = free.max(self.dma_done[t]) + cfg;
-                let dma_wait = (self.dma_done[t] - free).max(0.0);
-                let end = start + busy + p.response_latency_s;
-                self.ledger.command_s += p.response_latency_s;
-                if newly_quarantined {
-                    self.ledger.acc.record_quarantine(unit, end);
-                }
-                self.ledger.unit_busy[unit] += busy;
-                self.ledger.compute_cycles += run.cycles.total();
-                self.ledger.comparisons += run.comparisons;
-                self.wall = self.wall.max(end);
-                if self.ledger.acc.enabled() {
-                    let active_units = 1 + self
-                        .unit_end_s
-                        .iter()
-                        .enumerate()
-                        .filter(|&(u, &e)| u != unit && e > start)
-                        .count() as u64;
-                    self.unit_end_s[unit] = start + busy;
-                    while self.arrived < self.order.len()
-                        && self.dma_done[self.order[self.arrived]] <= start
-                    {
-                        self.arrived += 1;
-                    }
-                    let prefetch_depth = self.arrived.saturating_sub(self.dispatch_idx + 1) as u64;
-                    self.ledger.acc.record_prefetch_depth(prefetch_depth);
-                    self.ledger.acc.record_dispatch(
-                        p,
-                        DispatchRecord {
-                            unit,
-                            target_index: t,
-                            start_s: start,
-                            busy_s: busy,
-                            busy_cycles: run.cycles.total() + extra,
-                            stall_s: dma_wait + cfg + p.response_latency_s,
-                            dma_wait_s: dma_wait,
-                            active_units,
-                            run: &run,
-                            target,
-                        },
-                    );
-                }
-                self.ledger.results[t] = Some(run);
-                if still_healthy {
-                    ctx.post(
-                        UNIT_BASE + unit,
-                        now,
-                        0,
-                        Ev::Dispatch {
-                            wake_s: from_ps(to_ps(end)),
-                        },
-                    );
-                }
-                self.dispatch_idx += 1;
-                if self.dispatch_idx == self.order.len() {
-                    ctx.halt();
-                }
-            }
-            _ => unreachable!("async scheduler received a DMA/unit-only message"),
-        }
-        None
-    }
+/// Whether `unit` may still receive targets.
+fn healthy(fault: &Option<&mut FaultState<'_>>, unit: usize) -> bool {
+    fault.as_ref().is_none_or(|fs| !fs.quarantined[unit])
 }
 
-/// The synchronous-parallel scheduler as a component (Figure 7-top):
-/// transfer a whole batch, launch every healthy unit, wait for the last,
-/// flush, repeat.
-struct SyncSched<'s, 't, 'o> {
-    sys: &'s AcceleratedSystem,
-    targets: &'t [RealignmentTarget],
-    oracle: Option<&'o mut FunctionalOracle>,
-    ledger: Ledger,
-    order: Vec<usize>,
-    /// Mirror of the watchdog's quarantine state; sizes the next batch.
-    quarantined: Vec<bool>,
-    cursor: usize,
-    batch: Vec<usize>,
-    healthy: Vec<usize>,
-    slot: usize,
-    /// The current batch's DMA time — every member stalls behind it.
-    dma_s: f64,
-    batch_end: f64,
-    /// The scheduler's logical clock (batch boundaries).
-    now_s: f64,
-    frees_outstanding: usize,
-    dma_port: Port,
-    watchdog_port: Port,
-}
-
-impl<'s, 't, 'o> SyncSched<'s, 't, 'o> {
-    fn new(
-        sys: &'s AcceleratedSystem,
-        targets: &'t [RealignmentTarget],
-        telemetry: bool,
-        oracle: Option<&'o mut FunctionalOracle>,
-    ) -> Self {
-        let units = sys.params().num_units;
-        let mut order: Vec<usize> = (0..targets.len()).collect();
-        match sys.scheduling() {
-            Scheduling::SynchronousUnsorted => {}
-            Scheduling::SynchronousByWorstCase => {
-                order.sort_by_key(|&t| Reverse(targets[t].worst_case_comparisons()));
-            }
-            _ => order
-                .sort_by_key(|&t| Reverse((targets[t].num_reads(), targets[t].num_consensuses()))),
+/// The order targets are dispatched in. The asynchronous scheduler and
+/// [`Scheduling::SynchronousByWorstCase`] take the largest worst-case
+/// work first; [`Scheduling::Synchronous`] sorts by read and consensus
+/// counts (the paper's mitigation); [`Scheduling::SynchronousUnsorted`]
+/// keeps submission order. Both sorts are stable, so tied targets keep
+/// index order.
+fn dispatch_order(scheduling: Scheduling, targets: &[RealignmentTarget]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..targets.len()).collect();
+    match scheduling {
+        Scheduling::SynchronousUnsorted => {}
+        Scheduling::Synchronous => {
+            order.sort_by_key(|&t| Reverse((targets[t].num_reads(), targets[t].num_consensuses())))
         }
-        SyncSched {
-            sys,
-            targets,
-            oracle,
-            ledger: Ledger::new(telemetry, units, sys.params().cycle_time_s(), targets.len()),
-            order,
-            quarantined: vec![false; units],
-            cursor: 0,
-            batch: Vec::new(),
-            healthy: Vec::new(),
-            slot: 0,
-            dma_s: 0.0,
-            batch_end: 0.0,
-            now_s: 0.0,
-            frees_outstanding: 0,
-            dma_port: Port::new(DMA, 0),
-            watchdog_port: Port::new(WATCHDOG, 0),
+        Scheduling::SynchronousByWorstCase | Scheduling::Asynchronous => {
+            order.sort_by_key(|&t| Reverse(targets[t].worst_case_comparisons()))
         }
     }
-
-    /// Sizes the next batch to the healthy unit count and starts its DMA.
-    fn start_batch(&mut self, ctx: &mut Ctx<Ev>) {
-        let units = self.sys.params().num_units;
-        self.healthy = (0..units).filter(|&u| !self.quarantined[u]).collect();
-        let end = self.order.len().min(self.cursor + self.healthy.len());
-        self.batch = self.order[self.cursor..end].to_vec();
-        self.cursor = end;
-        let sizes: Vec<u64> = self
-            .batch
-            .iter()
-            .map(|&t| self.targets[t].input_bytes())
-            .collect();
-        self.dma_port.send(
-            ctx,
-            SimTime::from_seconds(self.now_s),
-            Ev::StartChain {
-                targets: self.batch.clone(),
-                sizes,
-            },
-        );
-    }
-
-    /// Configures and launches one batch slot (host-serial command issue).
-    fn issue_slot(&mut self, now: SimTime, ctx: &mut Ctx<Ev>) {
-        let t = self.batch[self.slot];
-        let target = &self.targets[t];
-        self.ledger.command_s += self.sys.config_time_s(target);
-        let run = evaluate(&mut self.oracle, target, t, self.sys);
-        self.watchdog_port.send(
-            ctx,
-            now,
-            Ev::Resolve {
-                target: t,
-                unit: self.healthy[self.slot],
-                run,
-            },
-        );
-    }
-
-    fn into_run(self, num_targets: usize) -> SystemRun {
-        self.ledger.into_run(self.now_s, num_targets)
-    }
+    order
 }
 
-impl Component for SyncSched<'_, '_, '_> {
-    type Event = Ev;
-
-    fn wake(&mut self, now: SimTime, msg: Ev, ctx: &mut Ctx<Ev>) -> Option<SimTime> {
-        match msg {
-            Ev::Tick => {
-                if self.order.is_empty() {
-                    ctx.halt();
-                    return None;
-                }
-                self.start_batch(ctx);
-            }
-            Ev::ChainDone {
-                targets,
-                bytes,
-                start_s,
-                end_s,
-                dt_s,
-            } => {
-                self.ledger
-                    .acc
-                    .record_chain(&targets, bytes, start_s, end_s);
-                self.ledger.acc.tele.add("sched", "batches", 1);
-                self.ledger.acc.record_prefetch_depth(targets.len() as u64);
-                self.now_s = end_s;
-                self.ledger.dma_busy += dt_s;
-                self.dma_s = dt_s;
-                self.batch_end = self.now_s;
-                self.slot = 0;
-                self.frees_outstanding = 0;
-                self.issue_slot(now, ctx);
-            }
-            Ev::Resolved {
-                target: t,
-                unit,
-                run,
-                extra,
-                newly_quarantined,
-                still_healthy: _,
-            } => {
-                let sys = self.sys;
-                let p = sys.params();
-                let target = &self.targets[t];
-                let cfg = sys.config_time_s(target);
-                let busy = (run.cycles.total() + extra) as f64 * p.cycle_time_s();
-                let start = self.now_s + cfg;
-                let end = start + busy;
-                if newly_quarantined {
-                    self.quarantined[unit] = true;
-                    self.ledger.acc.record_quarantine(unit, end);
-                }
-                self.ledger.unit_busy[unit] += busy;
-                self.ledger.compute_cycles += run.cycles.total();
-                self.ledger.comparisons += run.comparisons;
-                self.batch_end = self.batch_end.max(end);
-                if self.ledger.acc.enabled() {
-                    self.ledger.acc.record_dispatch(
-                        p,
-                        DispatchRecord {
-                            unit,
-                            target_index: t,
-                            start_s: start,
-                            busy_s: busy,
-                            busy_cycles: run.cycles.total() + extra,
-                            stall_s: self.dma_s + cfg,
-                            dma_wait_s: self.dma_s,
-                            active_units: self.batch.len() as u64,
-                            run: &run,
-                            target,
-                        },
-                    );
-                }
-                self.ledger.results[t] = Some(run);
-                ctx.post(UNIT_BASE + unit, now, 0, Ev::Dispatch { wake_s: end });
-                self.frees_outstanding += 1;
-                self.slot += 1;
-                if self.slot < self.batch.len() {
-                    self.issue_slot(now, ctx);
-                }
-            }
-            // The batch barrier: the last unit to free ends the batch, then
-            // the whole fabric flushes before the next one starts.
-            Ev::UnitFree { unit: _ } => {
-                self.frees_outstanding -= 1;
-                if self.frees_outstanding > 0 {
-                    return None;
-                }
-                let flush = self.sys.params().response_latency_s * self.batch.len() as f64;
-                self.ledger.command_s += flush;
-                if self.ledger.acc.enabled() {
-                    for &unit in self.healthy.iter().take(self.batch.len()) {
-                        self.ledger.acc.stall_s[unit] += flush;
-                    }
-                    self.ledger.acc.tele.span(
-                        Track::Host,
-                        SpanKind::Stall,
-                        "batch flush",
-                        None,
-                        self.batch_end,
-                        self.batch_end + flush,
-                    );
-                }
-                self.now_s = self.batch_end + flush;
-                if self.cursor < self.order.len() {
-                    self.start_batch(ctx);
-                } else {
-                    ctx.halt();
-                }
-            }
-            _ => unreachable!("sync scheduler received an async-only message"),
-        }
-        None
-    }
-}
-
-/// Runs `targets` through the event-driven core, with telemetry as `sys`
-/// has it enabled. `fault` threads the resilience state machine through
-/// the watchdog component; `oracle` memoizes functional results across
-/// runs of the same workload.
-pub(crate) fn run_event_driven(
+/// Runs `targets` through the scheduler core, with telemetry as `sys` has
+/// it enabled. `fault` threads the resilience state machine through every
+/// dispatch; `oracle` memoizes functional results across runs of the same
+/// workload.
+pub(crate) fn run(
     sys: &AcceleratedSystem,
     targets: &[RealignmentTarget],
     fault: Option<&mut FaultState<'_>>,
     oracle: Option<&mut FunctionalOracle>,
 ) -> SystemRun {
-    let units = sys.params().num_units;
-    let mut dma = DmaComp {
-        dma: *sys.dma_params(),
-        free_s: 0.0,
-    };
-    let mut watchdog = WatchdogComp { targets, fault };
-    let mut unit_comps: Vec<UnitComp> = (0..units).map(|id| UnitComp { id }).collect();
-    let mut engine = Engine::new();
-    engine.post(SCHED, SimTime::ZERO, 0, Ev::Tick);
-
-    macro_rules! drive {
-        ($sched:expr) => {{
-            let mut sched = $sched;
-            {
-                let mut comps: Vec<&mut dyn Component<Event = Ev>> =
-                    Vec::with_capacity(UNIT_BASE + units);
-                comps.push(&mut sched);
-                comps.push(&mut dma);
-                comps.push(&mut watchdog);
-                for u in unit_comps.iter_mut() {
-                    comps.push(u);
-                }
-                engine.run(&mut comps);
-            }
-            sched.into_run(targets.len())
-        }};
-    }
-
-    let telemetry = sys.telemetry_enabled();
+    let order = dispatch_order(sys.scheduling(), targets);
     match sys.scheduling() {
-        Scheduling::Asynchronous => drive!(AsyncSched::new(sys, targets, telemetry, oracle)),
-        _ => drive!(SyncSched::new(sys, targets, telemetry, oracle)),
+        Scheduling::Asynchronous => run_async(sys, targets, &order, fault, oracle),
+        _ => run_sync(sys, targets, &order, fault, oracle),
     }
+}
+
+/// The synchronous-parallel scheduler (Figure 7-top): transfer a whole
+/// batch, launch every healthy unit, wait for the last, flush, repeat.
+fn run_sync(
+    sys: &AcceleratedSystem,
+    targets: &[RealignmentTarget],
+    order: &[usize],
+    mut fault: Option<&mut FaultState<'_>>,
+    mut oracle: Option<&mut FunctionalOracle>,
+) -> SystemRun {
+    let p = sys.params();
+    let mut ledger = Ledger::new(sys, targets.len());
+    // The host's clock: batch boundaries.
+    let mut now_s = 0.0;
+    let mut rest = order;
+    while !rest.is_empty() {
+        let units: Vec<usize> = (0..p.num_units).filter(|&u| healthy(&fault, u)).collect();
+        let (batch, tail) = rest.split_at(rest.len().min(units.len()));
+        rest = tail;
+
+        // The batch's DMA chain: every member stalls behind all of it.
+        let sizes = batch.iter().map(|&t| targets[t].input_bytes());
+        let dma_s = sys.dma_params().batch_transfer_time_s(sizes.clone());
+        ledger
+            .acc
+            .record_chain(batch, sizes.sum(), now_s, now_s + dma_s);
+        ledger.acc.tele.add("sched", "batches", 1);
+        ledger.acc.record_prefetch_depth(batch.len() as u64);
+        now_s += dma_s;
+        ledger.dma_busy += dma_s;
+
+        // Host-serial command issue, one slot per healthy unit.
+        let mut batch_end = now_s;
+        for (&t, &unit) in batch.iter().zip(&units) {
+            let target = &targets[t];
+            let cfg = sys.config_time_s(target);
+            ledger.command_s += cfg;
+            let mut run = evaluate(&mut oracle, target, t, sys);
+            let (extra, newly_quarantined) = resolve(&mut fault, target, &mut run, unit);
+            let busy = (run.cycles.total() + extra) as f64 * p.cycle_time_s();
+            let start = now_s + cfg;
+            let end = start + busy;
+            if newly_quarantined {
+                ledger.acc.record_quarantine(unit, end);
+            }
+            batch_end = batch_end.max(end);
+            if ledger.acc.enabled() {
+                ledger.acc.record_dispatch(
+                    p,
+                    DispatchRecord {
+                        unit,
+                        target_index: t,
+                        start_s: start,
+                        busy_s: busy,
+                        busy_cycles: run.cycles.total() + extra,
+                        stall_s: dma_s + cfg,
+                        dma_wait_s: dma_s,
+                        active_units: batch.len() as u64,
+                        run: &run,
+                        target,
+                    },
+                );
+            }
+            ledger.record_run(unit, t, busy, run);
+        }
+
+        // The batch barrier: the last unit to free ends the batch, then the
+        // whole fabric flushes before the next one starts.
+        let flush = p.response_latency_s * batch.len() as f64;
+        ledger.command_s += flush;
+        if ledger.acc.enabled() {
+            for &unit in &units[..batch.len()] {
+                ledger.acc.stall_s[unit] += flush;
+            }
+            ledger.acc.tele.span(
+                Track::Host,
+                SpanKind::Stall,
+                "batch flush",
+                None,
+                batch_end,
+                batch_end + flush,
+            );
+        }
+        now_s = batch_end + flush;
+    }
+    ledger.into_run(now_s, targets.len())
+}
+
+/// The asynchronous scheduler (paper §IV, Figure 7-bottom): DMA chains are
+/// planned ahead in dispatch order; each unit receives its next target the
+/// instant it reports free.
+fn run_async(
+    sys: &AcceleratedSystem,
+    targets: &[RealignmentTarget],
+    order: &[usize],
+    mut fault: Option<&mut FaultState<'_>>,
+    mut oracle: Option<&mut FunctionalOracle>,
+) -> SystemRun {
+    let p = sys.params();
+    let mut ledger = Ledger::new(sys, targets.len());
+
+    // Every chain carries one prefetch group of up to `num_units` targets
+    // and occupies the single descriptor queue's next free slot.
+    let mut dma_done = vec![0.0; targets.len()];
+    let mut dma_free = 0.0;
+    for chain in order.chunks(p.num_units.max(1)) {
+        let sizes = chain.iter().map(|&t| targets[t].input_bytes());
+        let dt = sys.dma_params().batch_transfer_time_s(sizes.clone());
+        let start = dma_free;
+        dma_free = start + dt;
+        ledger.dma_busy += dt;
+        for &t in chain {
+            dma_done[t] = dma_free;
+        }
+        ledger.acc.record_chain(chain, sizes.sum(), start, dma_free);
+    }
+
+    // Unit-free instants, keyed by unit index among equal times. Every
+    // unit is born free.
+    let mut free_units = EventQueue::new();
+    for unit in 0..p.num_units {
+        free_units.push(SimTime::ZERO, unit as u64, unit);
+    }
+    // Per-unit compute-end times and the prefetch pointer — telemetry
+    // observables only.
+    let mut unit_end_s = vec![0.0; p.num_units];
+    let mut arrived = 0;
+    let mut wall = 0.0f64;
+    for (dispatch_idx, &t) in order.iter().enumerate() {
+        // Quarantine always spares the last healthy unit, so one is queued.
+        let next = free_units.pop().expect("a healthy unit remains");
+        let (unit, free) = (next.msg, next.time.seconds());
+        let target = &targets[t];
+        let cfg = sys.config_time_s(target);
+        ledger.command_s += cfg;
+        let mut run = evaluate(&mut oracle, target, t, sys);
+        let (extra, newly_quarantined) = resolve(&mut fault, target, &mut run, unit);
+        let busy = (run.cycles.total() + extra) as f64 * p.cycle_time_s();
+        let start = free.max(dma_done[t]) + cfg;
+        let dma_wait = (dma_done[t] - free).max(0.0);
+        let end = start + busy + p.response_latency_s;
+        ledger.command_s += p.response_latency_s;
+        if newly_quarantined {
+            ledger.acc.record_quarantine(unit, end);
+        }
+        wall = wall.max(end);
+        if ledger.acc.enabled() {
+            let active_units = 1 + unit_end_s
+                .iter()
+                .enumerate()
+                .filter(|&(u, &e)| u != unit && e > start)
+                .count() as u64;
+            unit_end_s[unit] = start + busy;
+            while arrived < order.len() && dma_done[order[arrived]] <= start {
+                arrived += 1;
+            }
+            let prefetch_depth = arrived.saturating_sub(dispatch_idx + 1) as u64;
+            ledger.acc.record_prefetch_depth(prefetch_depth);
+            ledger.acc.record_dispatch(
+                p,
+                DispatchRecord {
+                    unit,
+                    target_index: t,
+                    start_s: start,
+                    busy_s: busy,
+                    busy_cycles: run.cycles.total() + extra,
+                    stall_s: dma_wait + cfg + p.response_latency_s,
+                    dma_wait_s: dma_wait,
+                    active_units,
+                    run: &run,
+                    target,
+                },
+            );
+        }
+        ledger.record_run(unit, t, busy, run);
+        if healthy(&fault, unit) {
+            free_units.push(
+                SimTime::from_seconds(from_ps(to_ps(end))),
+                unit as u64,
+                unit,
+            );
+        }
+    }
+    ledger.into_run(wall, targets.len())
 }
 
 #[cfg(test)]
@@ -966,14 +544,8 @@ mod tests {
         // by 20 targets: enough for an unstable sort to reorder ties.
         let targets = workload(300);
         let key = |t: usize| targets[t].shape().worst_case_comparisons();
-        let params = FpgaParams::iracc();
-        let async_sys = AcceleratedSystem::new(params, Scheduling::Asynchronous).unwrap();
-        let sync_sys = AcceleratedSystem::new(params, Scheduling::SynchronousByWorstCase).unwrap();
-        let orders = [
-            AsyncSched::new(&async_sys, &targets, false, None).order,
-            SyncSched::new(&sync_sys, &targets, false, None).order,
-        ];
-        for order in orders {
+        for scheduling in [Scheduling::Asynchronous, Scheduling::SynchronousByWorstCase] {
+            let order = dispatch_order(scheduling, &targets);
             let mut seen = order.clone();
             seen.sort_unstable();
             assert_eq!(seen, (0..targets.len()).collect::<Vec<_>>());

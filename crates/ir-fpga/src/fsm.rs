@@ -442,7 +442,7 @@ pub struct UnitFsm<'a> {
 impl<'a> UnitFsm<'a> {
     /// Creates the unit FSM for one target under `params`.
     pub fn new(target: &'a ir_genome::RealignmentTarget, params: &crate::FpgaParams) -> Self {
-        let shape = target.shape();
+        let (num_consensuses, num_reads) = (target.num_consensuses(), target.num_reads());
         let cfg = HdcConfig {
             lanes: params.lanes,
             pruning: params.pruning,
@@ -452,18 +452,15 @@ impl<'a> UnitFsm<'a> {
         UnitFsm {
             target,
             cfg,
-            grid_cells: Vec::with_capacity(shape.num_consensuses * shape.num_reads),
+            grid_cells: Vec::with_capacity(num_consensuses * num_reads),
             phase: UnitPhase::Load {
-                remaining: crate::mem::load_cycles(&shape, params.bus_bytes),
+                remaining: crate::mem::load_cycles(target.input_bytes(), params.bus_bytes),
             },
             hdc: None,
-            selector_cycles_left: crate::selector::selector_cycles(
-                shape.num_consensuses,
-                shape.num_reads,
-            ),
+            selector_cycles_left: crate::selector::selector_cycles(num_consensuses, num_reads),
             selector_done: false,
             cycles: 0,
-            drain_total: crate::mem::drain_cycles(&shape, params.bus_bytes),
+            drain_total: crate::mem::drain_cycles(num_reads as u64, params.bus_bytes),
         }
     }
 
@@ -479,13 +476,9 @@ impl<'a> UnitFsm<'a> {
 
     /// The completed min-WHD grid, once the HDC phase has finished.
     pub fn grid(&self) -> Option<ir_core::MinWhdGrid> {
-        let shape = self.target.shape();
-        (self.grid_cells.len() == shape.num_consensuses * shape.num_reads).then(|| {
-            ir_core::MinWhdGrid::from_cells(
-                shape.num_consensuses,
-                shape.num_reads,
-                self.grid_cells.clone(),
-            )
+        let (num_consensuses, num_reads) = (self.target.num_consensuses(), self.target.num_reads());
+        (self.grid_cells.len() == num_consensuses * num_reads).then(|| {
+            ir_core::MinWhdGrid::from_cells(num_consensuses, num_reads, self.grid_cells.clone())
         })
     }
 

@@ -46,16 +46,15 @@ impl HostBuffers {
     /// geometry: slot strides come from `geometry`, so a long-read unit
     /// lays out 10 KiB consensus slots where the hardware unit uses 2 KiB.
     pub fn from_target_with(target: &RealignmentTarget, geometry: &BufferGeometry) -> Self {
-        let shape = target.shape();
         let cons_slot = geometry.consensus_slot_bytes;
         let read_slot = geometry.read_slot_bytes;
-        let mut consensus = vec![0u8; shape.num_consensuses * cons_slot];
+        let mut consensus = vec![0u8; target.num_consensuses() * cons_slot];
         for (i, cons) in target.consensuses().iter().enumerate() {
             let slot = &mut consensus[i * cons_slot..][..cons.len()];
             slot.copy_from_slice(&cons.as_bytes());
         }
-        let mut read_bases = vec![0u8; shape.num_reads * read_slot];
-        let mut read_quals = vec![0u8; shape.num_reads * read_slot];
+        let mut read_bases = vec![0u8; target.num_reads() * read_slot];
+        let mut read_quals = vec![0u8; target.num_reads() * read_slot];
         for (j, read) in target.reads().iter().enumerate() {
             read_bases[j * read_slot..][..read.len()].copy_from_slice(&read.bases().as_bytes());
             read_quals[j * read_slot..][..read.len()].copy_from_slice(read.quals().scores());
@@ -64,7 +63,7 @@ impl HostBuffers {
             consensus,
             read_bases,
             read_quals,
-            payload_bytes: shape.input_bytes(),
+            payload_bytes: target.input_bytes(),
             geometry: *geometry,
         }
     }

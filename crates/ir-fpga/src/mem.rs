@@ -9,8 +9,6 @@
 //! the DDR channel sustains ≈ 4× that, so a handful of units can stream
 //! concurrently without slowdown.
 
-use ir_genome::TargetShape;
-
 /// Fixed DRAM access latency charged once per load/drain burst, in cycles.
 pub const BURST_LATENCY_CYCLES: u64 = 40;
 
@@ -41,7 +39,7 @@ pub struct BurstStats {
 /// Computes the [`BurstStats`] for one target's load + drain through a
 /// `bus_bytes`-per-beat port, from the target's summed consensus and read
 /// lengths in bases and its read count (the only inputs the five streams
-/// depend on, so a caller needs no [`TargetShape`]).
+/// depend on).
 pub fn burst_stats(
     consensus_bytes: u64,
     read_bytes: u64,
@@ -70,15 +68,17 @@ pub fn burst_stats(
     stats
 }
 
-/// Cycles for a unit to fill its three input buffers for `shape` through
-/// its 5:1-arbitrated TileLink port of `bus_bytes` per beat.
-pub fn load_cycles(shape: &TargetShape, bus_bytes: u64) -> u64 {
-    BURST_LATENCY_CYCLES + shape.input_bytes().div_ceil(bus_bytes)
+/// Cycles for a unit to fill its three input buffers with a target's
+/// `input_bytes` (consensus bases, read bases, quality scores) through its
+/// 5:1-arbitrated TileLink port of `bus_bytes` per beat.
+pub fn load_cycles(input_bytes: u64, bus_bytes: u64) -> u64 {
+    BURST_LATENCY_CYCLES + input_bytes.div_ceil(bus_bytes)
 }
 
-/// Cycles for a unit to drain its two output buffers.
-pub fn drain_cycles(shape: &TargetShape, bus_bytes: u64) -> u64 {
-    BURST_LATENCY_CYCLES + shape.output_bytes().div_ceil(bus_bytes)
+/// Cycles for a unit to drain its two output buffers for `num_reads`
+/// reads: one realign flag byte and one 4-byte new position each.
+pub fn drain_cycles(num_reads: u64, bus_bytes: u64) -> u64 {
+    BURST_LATENCY_CYCLES + (5 * num_reads).div_ceil(bus_bytes)
 }
 
 /// A transfer request submitted to a [`SharedChannel`].
@@ -195,40 +195,22 @@ impl SharedChannel {
 mod tests {
     use super::*;
 
-    fn shape(cons: &[usize], reads: &[usize]) -> TargetShape {
-        TargetShape {
-            num_consensuses: cons.len(),
-            num_reads: reads.len(),
-            consensus_lens: cons.to_vec(),
-            read_lens: reads.to_vec(),
-        }
-    }
-
     #[test]
     fn load_cycles_round_up() {
-        let s = shape(&[100], &[50]);
         // input = 100 + 2×50 = 200 bytes → ceil(200/32) = 7 beats.
-        assert_eq!(load_cycles(&s, 32), BURST_LATENCY_CYCLES + 7);
+        assert_eq!(load_cycles(200, 32), BURST_LATENCY_CYCLES + 7);
     }
 
     #[test]
     fn drain_is_cheap() {
-        let s = shape(&[2048; 32], &[256; 256]);
         // output = 5 × 256 = 1280 bytes → 40 beats.
-        assert_eq!(drain_cycles(&s, 32), BURST_LATENCY_CYCLES + 40);
-    }
-
-    /// [`burst_stats`] over a shape's sums.
-    fn shape_burst(s: &TargetShape, bus_bytes: u64) -> BurstStats {
-        let cons = s.consensus_lens.iter().map(|&l| l as u64).sum();
-        let reads = s.read_lens.iter().map(|&l| l as u64).sum();
-        burst_stats(cons, reads, s.num_reads as u64, bus_bytes)
+        assert_eq!(drain_cycles(256, 32), BURST_LATENCY_CYCLES + 40);
     }
 
     #[test]
     fn burst_stats_count_streams_rows_and_beats() {
-        let s = shape(&[2048, 2048], &[256; 8]);
-        let stats = shape_burst(&s, 32);
+        // Two 2048-base consensuses, eight 256-base reads.
+        let stats = burst_stats(4096, 2048, 8, 32);
         // consensus 4096 B → 128 beats, 4 rows; reads/quals 2048 B → 64
         // beats, 2 rows each; flags 8 B → 1 beat, 1 row; positions 32 B →
         // 1 beat, 1 row.
@@ -236,13 +218,13 @@ mod tests {
         assert_eq!(stats.beats, 258);
         assert_eq!(stats.rows_activated, 4 + 2 + 2 + 1 + 1);
         assert_eq!(stats.row_hits, 258 - 10);
-        assert_eq!(stats.bytes, s.input_bytes() + s.output_bytes());
+        assert_eq!(stats.bytes, (4096 + 2 * 2048) + 5 * 8);
     }
 
     #[test]
     fn burst_stats_row_hits_never_exceed_beats() {
-        let s = shape(&[100, 37], &[50, 3]);
-        let stats = shape_burst(&s, 32);
+        // Consensuses of 100 and 37 bases, reads of 50 and 3.
+        let stats = burst_stats(137, 53, 2, 32);
         assert!(stats.row_hits <= stats.beats);
         assert_eq!(stats.rows_activated, 5, "every stream opens one row");
         let total: u64 = stats.stream_beats.iter().sum();

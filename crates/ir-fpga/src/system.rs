@@ -730,7 +730,7 @@ impl AcceleratedSystem {
     /// trace, timeline) is attached iff [`Self::with_telemetry`] enabled
     /// it.
     pub fn run(&self, targets: &[RealignmentTarget]) -> SystemRun {
-        crate::engine::run_event_driven(self, targets, None, None)
+        crate::engine::run(self, targets, None, None)
     }
 
     /// [`Self::run`] with a shared [`FunctionalOracle`], so replays of the
@@ -741,7 +741,7 @@ impl AcceleratedSystem {
         targets: &[RealignmentTarget],
         oracle: &mut FunctionalOracle,
     ) -> SystemRun {
-        crate::engine::run_event_driven(self, targets, None, Some(oracle))
+        crate::engine::run(self, targets, None, Some(oracle))
     }
 
     /// Runs `targets` with fault injection and the host resilience
@@ -802,7 +802,7 @@ impl AcceleratedSystem {
             failures: vec![0; self.params.num_units],
             quarantined: vec![false; self.params.num_units],
         };
-        let mut run = crate::engine::run_event_driven(self, targets, Some(&mut state), oracle);
+        let mut run = crate::engine::run(self, targets, Some(&mut state), oracle);
         state.report.faults = state.plan.counts();
         if let Some(snapshot) = run.telemetry.as_mut() {
             state.report.record_into(&mut snapshot.counters);

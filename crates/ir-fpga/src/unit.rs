@@ -9,7 +9,7 @@
 use ir_core::batch::{CandidateBlock, SweepRead};
 use ir_core::kernel::{self, KernelKind};
 use ir_core::{MinWhd, MinWhdGrid, ReadOutcome};
-use ir_genome::{RealignmentTarget, TargetShape};
+use ir_genome::RealignmentTarget;
 
 use crate::fault::FaultPlan;
 use crate::hdc::{run_pair, run_pair_codes, HdcConfig, PairRun};
@@ -138,8 +138,7 @@ impl IrUnit {
     /// `ir_set_addr`, one `ir_set_target`, one `ir_set_size`, one
     /// `ir_set_len` per consensus, one `ir_start`).
     pub fn command_sequence(target: &RealignmentTarget, unit_id: u8) -> Vec<IrCommand> {
-        let shape = target.shape();
-        let mut cmds = Vec::with_capacity(IrCommand::commands_per_target(shape.num_consensuses));
+        let mut cmds = Vec::with_capacity(IrCommand::commands_per_target(target.num_consensuses()));
         // Input/output arrays are laid out back-to-back in FPGA DRAM.
         let mut addr = 0x1000_0000u64 + (u64::from(unit_id) << 24);
         for buffer in BufferIndex::ALL {
@@ -150,13 +149,13 @@ impl IrUnit {
             start_pos: target.start_pos(),
         });
         cmds.push(IrCommand::SetSize {
-            consensuses: shape.num_consensuses as u8,
-            reads: shape.num_reads as u16,
+            consensuses: target.num_consensuses() as u8,
+            reads: target.num_reads() as u16,
         });
-        for (id, len) in shape.consensus_lens.iter().enumerate() {
+        for (id, consensus) in target.consensuses().iter().enumerate() {
             cmds.push(IrCommand::SetLen {
                 consensus_id: id as u8,
-                len: *len as u16,
+                len: consensus.len() as u16,
             });
         }
         cmds.push(IrCommand::Start { unit_id });
@@ -237,8 +236,7 @@ impl IrUnit {
         if !self.started {
             return Err(FpgaError::NotConfigured("unit not started"));
         }
-        let shape = target.shape();
-        self.check_shape(&shape)?;
+        self.check_shape(target)?;
 
         let run = simulate_target(target, params);
         self.started = false;
@@ -283,26 +281,23 @@ impl IrUnit {
         self.started = false;
     }
 
-    fn check_shape(&self, shape: &TargetShape) -> Result<(), FpgaError> {
+    fn check_shape(&self, target: &RealignmentTarget) -> Result<(), FpgaError> {
         let (consensuses, reads) = self.config.sizes.expect("start checked sizes");
-        if usize::from(consensuses) != shape.num_consensuses
-            || usize::from(reads) != shape.num_reads
+        if usize::from(consensuses) != target.num_consensuses()
+            || usize::from(reads) != target.num_reads()
         {
             return Err(FpgaError::NotConfigured(
                 "sizes do not match submitted target",
             ));
         }
-        for (i, (&programmed, &actual)) in self
+        if self
             .config
             .lens
             .iter()
-            .zip(shape.consensus_lens.iter())
-            .enumerate()
+            .zip(target.consensuses())
+            .any(|(&len, consensus)| usize::from(len) != consensus.len())
         {
-            if usize::from(programmed) != actual {
-                let _ = i;
-                return Err(FpgaError::NotConfigured("consensus length mismatch"));
-            }
+            return Err(FpgaError::NotConfigured("consensus length mismatch"));
         }
         Ok(())
     }
@@ -313,7 +308,7 @@ impl IrUnit {
 /// [`ir_core::IndelRealigner`].
 ///
 /// This is the unit-level reference: it steps the HDC kernel
-/// cycle-by-cycle ([`run_pair`]). The event engine runs
+/// cycle-by-cycle ([`run_pair`]). The scheduler core runs
 /// [`simulate_target_fast`], which must produce the identical [`UnitRun`]
 /// (checked on random workloads by `tests/event_parity.rs`).
 pub fn simulate_target(target: &RealignmentTarget, params: &FpgaParams) -> UnitRun {
@@ -332,11 +327,12 @@ pub fn simulate_target(target: &RealignmentTarget, params: &FpgaParams) -> UnitR
 /// consensuses are transposed once into the structure-of-arrays batch
 /// layout ([`CandidateBlock`]), one [`SweepRead`] buffer is refilled for
 /// each read, and each (candidate, read) pair is scanned by the same
-/// runtime-dispatched explicit-SIMD path as [`run_read_sweep`], its
-/// result written straight into the grid. Returns a bitwise-identical
-/// [`UnitRun`]; only host wall-clock differs. This is the path the event
-/// engine, the `IR_THREADS` parallel sweeps, the functional oracle and
-/// the serve shards all execute.
+/// runtime-dispatched explicit-SIMD path as
+/// [`crate::hdc::run_read_sweep`], its result written straight into the
+/// grid. Returns a bitwise-identical [`UnitRun`]; only host wall-clock
+/// differs. This is the path the scheduler core, the `IR_THREADS`
+/// parallel sweeps, the functional oracle and the serve shards all
+/// execute.
 pub fn simulate_target_fast(target: &RealignmentTarget, params: &FpgaParams) -> UnitRun {
     simulate_target_fast_with(target, params, kernel::active())
 }
@@ -353,11 +349,10 @@ pub fn simulate_target_fast_with(
     params: &FpgaParams,
     kind: KernelKind,
 ) -> UnitRun {
-    let shape = target.shape();
     let hdc_cfg = hdc_config(params);
     let block = CandidateBlock::from_target(target);
-    let num_reads = shape.num_reads;
-    let mut cells = vec![MinWhd { whd: 0, offset: 0 }; shape.num_consensuses * num_reads];
+    let num_reads = target.num_reads();
+    let mut cells = vec![MinWhd { whd: 0, offset: 0 }; target.num_consensuses() * num_reads];
     let mut sweep_read = SweepRead::default();
     let mut hdc_cycles = 0u64;
     let mut comparisons = 0u64;
@@ -381,7 +376,6 @@ pub fn simulate_target_fast_with(
     finish_run(
         target,
         params,
-        &shape,
         cells,
         hdc_cycles,
         comparisons,
@@ -412,15 +406,14 @@ pub(crate) fn derive_from_serial(
     if !cfg.pruning || cfg.lanes == 1 {
         return None;
     }
-    let shape = target.shape();
-    if !shape.read_lens.iter().all(|&n| cfg.scans_in_full(n)) {
+    if !target.reads().iter().all(|r| cfg.scans_in_full(r.len())) {
         return None;
     }
     let mut hdc_cycles = 0u64;
     let mut comparisons = 0u64;
-    for (i, &cons_len) in shape.consensus_lens.iter().enumerate() {
-        for (j, &read_len) in shape.read_lens.iter().enumerate() {
-            let pair = PairRun::dense(cfg, cons_len, read_len, serial.grid.get(i, j), 0);
+    for (i, consensus) in target.consensuses().iter().enumerate() {
+        for (j, read) in target.reads().iter().enumerate() {
+            let pair = PairRun::dense(cfg, consensus.len(), read.len(), serial.grid.get(i, j), 0);
             hdc_cycles += pair.cycles;
             comparisons += pair.comparisons;
         }
@@ -449,15 +442,14 @@ fn simulate_with(
     params: &FpgaParams,
     mut pair_fn: impl FnMut(usize, usize, HdcConfig) -> PairRun,
 ) -> UnitRun {
-    let shape = target.shape();
     let hdc_cfg = hdc_config(params);
 
-    let mut cells = Vec::with_capacity(shape.num_consensuses * shape.num_reads);
+    let mut cells = Vec::with_capacity(target.num_consensuses() * target.num_reads());
     let mut hdc_cycles = 0u64;
     let mut comparisons = 0u64;
     let mut offsets_pruned = 0u64;
-    for i in 0..shape.num_consensuses {
-        for j in 0..shape.num_reads {
+    for i in 0..target.num_consensuses() {
+        for j in 0..target.num_reads() {
             let pair = pair_fn(i, j, hdc_cfg);
             hdc_cycles += pair.cycles;
             comparisons += pair.comparisons;
@@ -471,7 +463,6 @@ fn simulate_with(
     finish_run(
         target,
         params,
-        &shape,
         cells,
         hdc_cycles,
         comparisons,
@@ -482,20 +473,19 @@ fn simulate_with(
 fn finish_run(
     target: &RealignmentTarget,
     params: &FpgaParams,
-    shape: &TargetShape,
     cells: Vec<MinWhd>,
     hdc_cycles: u64,
     comparisons: u64,
     offsets_pruned: u64,
 ) -> UnitRun {
-    let grid = MinWhdGrid::from_cells(shape.num_consensuses, shape.num_reads, cells);
+    let grid = MinWhdGrid::from_cells(target.num_consensuses(), target.num_reads(), cells);
     let sel = run_selector(&grid, target.start_pos());
 
     let cycles = UnitCycles {
-        load: mem::load_cycles(shape, params.bus_bytes),
+        load: mem::load_cycles(target.input_bytes(), params.bus_bytes),
         hdc: scale_compute(hdc_cycles, params),
         selector: scale_compute(sel.cycles, params),
-        drain: mem::drain_cycles(shape, params.bus_bytes),
+        drain: mem::drain_cycles(target.num_reads() as u64, params.bus_bytes),
     };
     UnitRun {
         grid,

@@ -9,9 +9,10 @@
 //! The loop ([`fuzz`]) is a classic greybox cycle, fully deterministic by
 //! construction:
 //!
-//! 1. **Generate or mutate** ([`generate`]) an adversarial [`FuzzInput`]
-//!    from a seeded RNG — pathological target shapes, boundary backend
-//!    parameters, extreme fault rates, bursty arrival patterns.
+//! 1. **Generate or mutate** ([`generate`](mod@generate)) an adversarial
+//!    [`FuzzInput`] from a seeded RNG — pathological target shapes,
+//!    boundary backend parameters, extreme fault rates, bursty arrival
+//!    patterns.
 //! 2. **Execute** ([`exec::execute`]) the case through every backend pair
 //!    and invariant check; divergences come back as values, panics are
 //!    caught and tagged.

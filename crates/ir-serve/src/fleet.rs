@@ -734,7 +734,6 @@ impl Node {
                                 events.push(
                                     SimTime::from_seconds(deadline),
                                     PRIO_FLUSH,
-                                    node_idx,
                                     Ev::Flush { node: node_idx },
                                 );
                                 scheduled_flushes.push(deadline);
@@ -852,7 +851,6 @@ impl Node {
                     events.push(
                         SimTime::from_seconds(completion),
                         PRIO_DONE,
-                        node_idx,
                         Ev::Done {
                             node: node_idx,
                             shard: shard_idx,
@@ -896,7 +894,6 @@ impl Node {
                 events.push(
                     SimTime::from_seconds(now + hop_latency_s),
                     PRIO_ARRIVE,
-                    0,
                     Ev::Reroute { req },
                 );
             }
@@ -923,7 +920,6 @@ impl Node {
                     events.push(
                         SimTime::from_seconds(now + hop_latency_s),
                         PRIO_ARRIVE,
-                        0,
                         Ev::Reroute { req },
                     );
                 }
@@ -991,7 +987,6 @@ impl FleetService {
                 events.push(
                     SimTime::from_seconds(req.arrival_s),
                     PRIO_ARRIVE,
-                    0,
                     Ev::Arrive(i),
                 );
             }
@@ -1007,7 +1002,6 @@ impl FleetService {
                     events.push(
                         SimTime::from_seconds(gap),
                         PRIO_INTERRUPT,
-                        i,
                         Ev::Interrupt { node: i },
                     );
                 }
@@ -1018,7 +1012,6 @@ impl FleetService {
             events.push(
                 SimTime::from_seconds(auto.eval_period_s),
                 PRIO_SCALE,
-                0,
                 Ev::ScaleTick,
             );
         }
@@ -1051,7 +1044,6 @@ impl FleetService {
                         events.push(
                             SimTime::from_seconds(now + hop),
                             PRIO_ARRIVE,
-                            node,
                             Ev::Ingest { node, req },
                         );
                     } else {
@@ -1123,7 +1115,6 @@ impl FleetService {
                                 events.push(
                                     SimTime::from_seconds(now + gap),
                                     PRIO_INTERRUPT,
-                                    node,
                                     Ev::Interrupt { node },
                                 );
                             }
@@ -1140,7 +1131,6 @@ impl FleetService {
                         events.push(
                             SimTime::from_seconds(now + grace),
                             PRIO_NODE_DEAD,
-                            node,
                             Ev::NodeDead { node },
                         );
                     }
@@ -1179,7 +1169,6 @@ impl FleetService {
                                     events.push(
                                         SimTime::from_seconds(now + gap),
                                         PRIO_INTERRUPT,
-                                        idx,
                                         Ev::Interrupt { node: idx },
                                     );
                                 }
@@ -1200,7 +1189,6 @@ impl FleetService {
                             events.push(
                                 SimTime::from_seconds(end),
                                 PRIO_NODE_DEAD,
-                                victim,
                                 Ev::NodeDead { node: victim },
                             );
                         }
@@ -1210,7 +1198,6 @@ impl FleetService {
                         events.push(
                             SimTime::from_seconds(now + auto.eval_period_s),
                             PRIO_SCALE,
-                            0,
                             Ev::ScaleTick,
                         );
                     }

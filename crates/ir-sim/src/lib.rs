@@ -1,73 +1,51 @@
-//! Deterministic discrete-event simulation engine.
+//! Deterministic discrete-event clock and queue.
 //!
-//! The cycle-level accelerator model in `ir-fpga` originally advanced a
-//! scalar clock through inline loops — fine at small scale, but PR 2's
-//! telemetry showed worst-case per-unit idle of 92% under synchronous
-//! scheduling: most simulated cycles change nothing. This crate provides
-//! the alternative that makes large `IR_SCALE` sweeps tractable: a
-//! discrete-event core that jumps the clock straight to the next state
-//! change.
-//!
-//! Three pieces compose:
+//! The accelerator, serving and spot-fleet models all jump a simulated
+//! clock straight to the next state change instead of ticking through
+//! cycles that change nothing. Each runs its own loop over the two pieces
+//! this crate provides:
 //!
 //! - [`SimTime`] — the simulated clock, a totally-ordered wrapper over
 //!   seconds ([`f64::total_cmp`] ordering, so NaN can never wedge the
 //!   queue);
 //! - [`EventQueue`] — a binary-heap event queue with *stable tie-breaking*:
 //!   events at the same timestamp pop in `(priority, insertion order)`
-//!   order, which is what makes runs bit-for-bit reproducible;
-//! - [`Engine`] / [`Component`] — the scheduler loop. Components receive
-//!   messages via [`Component::wake`], post new events through [`Ctx`],
-//!   and may request a timed self-wake by returning `Some(next_wake)`.
+//!   order, which is what makes runs bit-for-bit reproducible.
 //!
 //! # Determinism contract
 //!
-//! Given the same components and the same initial events, a run is fully
-//! deterministic: the queue orders events by `(time, priority, seq)` where
-//! `seq` is a monotonically increasing insertion counter. Two events posted
-//! at the same time with the same priority are delivered in posting order
-//! (FIFO). There is no wall-clock, thread, or hash-map iteration anywhere
-//! in the hot path.
+//! The queue orders events by `(time, priority, seq)` where `seq` is a
+//! monotonically increasing insertion counter. Two events pushed at the
+//! same time with the same priority pop in push order (FIFO). There is no
+//! wall-clock, thread, or hash-map iteration anywhere in the hot path.
 //!
 //! # Example
 //!
+//! A loop that hands work to whichever of two workers frees first; at
+//! equal times the lower worker index (the priority) wins.
+//!
 //! ```
-//! use ir_sim::{Component, Ctx, Engine, SimEvent, SimTime};
+//! use ir_sim::{EventQueue, SimTime};
 //!
-//! #[derive(Debug, Clone, PartialEq)]
-//! enum Msg { Tick, Ping(u32) }
-//! impl SimEvent for Msg { fn tick() -> Self { Msg::Tick } }
-//!
-//! /// Counts pings; replies to itself once, one microsecond later.
-//! struct Counter { pings: u32 }
-//! impl Component for Counter {
-//!     type Event = Msg;
-//!     fn wake(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<Msg>) -> Option<SimTime> {
-//!         if let Msg::Ping(n) = msg {
-//!             self.pings += n;
-//!             if self.pings < 3 {
-//!                 ctx.post_in(0, now, 1e-6, 0, Msg::Ping(1));
-//!             }
-//!         }
-//!         None
-//!     }
+//! let mut free = EventQueue::new();
+//! for worker in 0..2u64 {
+//!     free.push(SimTime::ZERO, worker, worker);
 //! }
-//!
-//! let mut c = Counter { pings: 0 };
-//! let mut engine = Engine::new();
-//! engine.post(0, SimTime::ZERO, 0, Msg::Ping(1));
-//! engine.run(&mut [&mut c]);
-//! assert_eq!(c.pings, 3);
-//! assert!((engine.now().seconds() - 2e-6).abs() < 1e-18);
+//! let mut log = Vec::new();
+//! for job_s in [3e-6, 1e-6, 1e-6] {
+//!     let next = free.pop().unwrap();
+//!     log.push(next.msg);
+//!     free.push(next.time + job_s, next.msg, next.msg);
+//! }
+//! assert_eq!(log, vec![0, 1, 1]);
+//! assert_eq!(free.peek_time(), Some(SimTime::from_seconds(2e-6)));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
 mod queue;
 mod time;
 
-pub use engine::{Component, Ctx, Engine, Port, SimEvent};
 pub use queue::{EventQueue, QueuedEvent};
 pub use time::SimTime;

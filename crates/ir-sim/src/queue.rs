@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A scheduled event: a message for component `dst`, due at `time`.
+/// A scheduled event: a message due at `time`.
 ///
 /// Ordering (what the queue pops first) is `(time, priority, seq)`
 /// ascending. `seq` is assigned by the queue at push time, so two events
@@ -19,8 +19,6 @@ pub struct QueuedEvent<M> {
     pub priority: u64,
     /// Insertion sequence number (assigned by [`EventQueue::push`]).
     pub seq: u64,
-    /// The receiving component's index in the engine's component slice.
-    pub dst: usize,
     /// The message payload.
     pub msg: M,
 }
@@ -53,7 +51,6 @@ impl PartialOrd for Key {
 #[derive(Debug)]
 struct Entry<M> {
     key: Key,
-    dst: usize,
     msg: M,
 }
 
@@ -83,9 +80,9 @@ impl<M> Ord for Entry<M> {
 /// use ir_sim::{EventQueue, SimTime};
 ///
 /// let mut q = EventQueue::new();
-/// q.push(SimTime::from_seconds(2.0), 0, 1, "late");
-/// q.push(SimTime::from_seconds(1.0), 5, 1, "early-low-prio");
-/// q.push(SimTime::from_seconds(1.0), 0, 1, "early-high-prio");
+/// q.push(SimTime::from_seconds(2.0), 0, "late");
+/// q.push(SimTime::from_seconds(1.0), 5, "early-low-prio");
+/// q.push(SimTime::from_seconds(1.0), 0, "early-high-prio");
 /// assert_eq!(q.pop().unwrap().msg, "early-high-prio");
 /// assert_eq!(q.pop().unwrap().msg, "early-low-prio");
 /// assert_eq!(q.pop().unwrap().msg, "late");
@@ -112,10 +109,10 @@ impl<M> EventQueue<M> {
         Self::default()
     }
 
-    /// Schedules `msg` for component `dst` at `time`. Among events at the
-    /// same `time`, lower `priority` pops first; among equal priorities,
-    /// insertion order (FIFO) wins. Returns the assigned sequence number.
-    pub fn push(&mut self, time: SimTime, priority: u64, dst: usize, msg: M) -> u64 {
+    /// Schedules `msg` at `time`. Among events at the same `time`, lower
+    /// `priority` pops first; among equal priorities, insertion order
+    /// (FIFO) wins. Returns the assigned sequence number.
+    pub fn push(&mut self, time: SimTime, priority: u64, msg: M) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Entry {
@@ -124,7 +121,6 @@ impl<M> EventQueue<M> {
                 priority,
                 seq,
             },
-            dst,
             msg,
         }));
         seq
@@ -136,7 +132,6 @@ impl<M> EventQueue<M> {
             time: e.key.time,
             priority: e.key.priority,
             seq: e.key.seq,
-            dst: e.dst,
             msg: e.msg,
         })
     }
@@ -168,9 +163,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(t(3.0), 0, 0, 'c');
-        q.push(t(1.0), 0, 0, 'a');
-        q.push(t(2.0), 0, 0, 'b');
+        q.push(t(3.0), 0, 'c');
+        q.push(t(1.0), 0, 'a');
+        q.push(t(2.0), 0, 'b');
         let order: Vec<char> = std::iter::from_fn(|| q.pop()).map(|e| e.msg).collect();
         assert_eq!(order, vec!['a', 'b', 'c']);
     }
@@ -178,10 +173,10 @@ mod tests {
     #[test]
     fn same_time_orders_by_priority_then_fifo() {
         let mut q = EventQueue::new();
-        q.push(t(1.0), 2, 0, "p2-first");
-        q.push(t(1.0), 1, 0, "p1-first");
-        q.push(t(1.0), 2, 0, "p2-second");
-        q.push(t(1.0), 1, 0, "p1-second");
+        q.push(t(1.0), 2, "p2-first");
+        q.push(t(1.0), 1, "p1-first");
+        q.push(t(1.0), 2, "p2-second");
+        q.push(t(1.0), 1, "p1-second");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|e| e.msg).collect();
         assert_eq!(
             order,
@@ -196,7 +191,7 @@ mod tests {
         // differential parity tests depend on.
         let mut q = EventQueue::new();
         for i in 0..1000u32 {
-            q.push(t(0.25), 7, 0, i);
+            q.push(t(0.25), 7, i);
         }
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.msg).collect();
         assert_eq!(order, (0..1000).collect::<Vec<_>>());
@@ -206,8 +201,8 @@ mod tests {
     fn peek_time_matches_next_pop() {
         let mut q = EventQueue::new();
         assert!(q.peek_time().is_none());
-        q.push(t(5.0), 0, 0, ());
-        q.push(t(2.0), 0, 0, ());
+        q.push(t(5.0), 0, ());
+        q.push(t(2.0), 0, ());
         assert_eq!(q.peek_time(), Some(t(2.0)));
         assert_eq!(q.pop().unwrap().time, t(2.0));
         assert_eq!(q.peek_time(), Some(t(5.0)));
@@ -218,7 +213,7 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
-        q.push(t(0.0), 0, 0, ());
+        q.push(t(0.0), 0, ());
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
@@ -231,9 +226,9 @@ mod tests {
     #[test]
     fn seq_numbers_are_monotonic_across_pops() {
         let mut q = EventQueue::new();
-        let s0 = q.push(t(1.0), 0, 0, ());
+        let s0 = q.push(t(1.0), 0, ());
         q.pop();
-        let s1 = q.push(t(1.0), 0, 0, ());
+        let s1 = q.push(t(1.0), 0, ());
         assert!(s1 > s0, "seq never resets, even after a drain");
     }
 }

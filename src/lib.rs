@@ -13,9 +13,9 @@
 //! - [`baselines`] — GATK3-, ADAM- and GPU-like software baselines.
 //! - [`workloads`] — synthetic NA12878-like workload generation.
 //! - [`cloud`] — AWS EC2 instance catalogue and cost analysis.
-//! - [`sim`] — the deterministic discrete-event engine the accelerator
-//!   and fleet models are scheduled on ([`sim::Engine`],
-//!   [`sim::Component`], [`sim::EventQueue`]).
+//! - [`sim`] — the deterministic discrete-event clock and queue the
+//!   accelerator, serving and fleet loops run on ([`sim::EventQueue`],
+//!   [`sim::SimTime`]).
 //! - [`telemetry`] — perf-counter registry and Perfetto trace emitter.
 //! - [`serve`] — the async batched realignment service: bounded
 //!   admission queue, adaptive batcher and sharded accelerator pool

@@ -156,6 +156,11 @@ fn fast_simulation_allocates_per_target_not_per_read() {
         };
         let (small_allocs, large_allocs) = (count(&small), count(&large));
         assert!(small_allocs > 0);
+        // No per-target `TargetShape` (whose two length `Vec`s made this 8).
+        assert!(
+            small_allocs <= 6,
+            "{small_allocs} allocations under {params:?}"
+        );
         assert_eq!(
             small_allocs, large_allocs,
             "8 reads vs 200 reads under {params:?}"
