@@ -8,6 +8,8 @@ use ir_bench::bench_workload;
 use ir_core::batch::{CandidateBlock, SweepRead};
 use ir_core::{calc_whd, calc_whd_bounded, kernel, KernelKind};
 use ir_fpga::hdc::{run_pair, run_read_sweep, HdcConfig};
+use ir_fpga::unit::simulate_target_fast_with;
+use ir_fpga::FpgaParams;
 use ir_genome::{Base, Qual, Sequence};
 
 fn sequence(len: usize, salt: usize) -> Sequence {
@@ -178,17 +180,25 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
 }
 
 /// Every (read, candidate) pair of the 22-autosome bench-profile workload
-/// at scale 5e-4 through both sweep entry points on every kernel:
-/// `dense_sweep`, as the IRACC key's cold oracle runs it (ragged offset
-/// counts, about half of them one partial 64-offset block), and
-/// `serial_sweep`, as the serial key's cold oracle runs it (the shape that
-/// dominates the Figure 9 sweep: 62-base reads, about 96% of offsets
+/// at scale 5e-4 through the sweep entry points on every kernel:
+/// `dense_sweep`, the dense sweep of each pair on its own
+/// (`whd_range` over every offset, then `fold_whds`; ragged offset
+/// counts, about half of them one partial 64-offset block);
+/// `target_dense`, the same pairs as the IRACC key's cold oracle runs
+/// them, whole targets through `simulate_target_fast_with`, where each
+/// alternative reuses the reference's WHDs on the windows they share;
+/// and `serial_sweep`, as the serial key's cold oracle runs it (the shape
+/// that dominates the Figure 9 sweep: 62-base reads, about 96% of offsets
 /// pruned). The throughput is in offsets per sweep.
 fn bench_kernel_mix(c: &mut Criterion) {
-    let mix: Vec<(CandidateBlock, Vec<SweepRead>)> = bench_workload(5e-4)
+    let targets: Vec<_> = bench_workload(5e-4)
         .autosomes()
         .iter()
-        .flat_map(|chrom| &chrom.targets)
+        .flat_map(|chrom| chrom.targets.iter().cloned())
+        .collect();
+    let iracc = FpgaParams::iracc();
+    let mix: Vec<(CandidateBlock, Vec<SweepRead>)> = targets
+        .iter()
         .map(|t| {
             let reads = t
                 .reads()
@@ -213,17 +223,23 @@ fn bench_kernel_mix(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_mix");
     group.sample_size(10);
     group.throughput(Throughput::Elements(offsets));
+    let mut whds = Vec::new();
     for kind in KernelKind::available() {
         group.bench_with_input(BenchmarkId::new("dense_sweep", kind), &(), |b, ()| {
             b.iter(|| {
                 for &(block, i, read) in &pairs {
-                    black_box(kernel::dense_sweep(
-                        kind,
-                        block.row_padded(i),
-                        block.len(i) - read.len(),
-                        read.codes_padded(),
-                        read.scores_padded(),
-                    ));
+                    whds.resize(block.len(i) - read.len() + 1, 0u16);
+                    let row = block.row_padded(i);
+                    let (codes, scores) = (read.codes_padded(), read.scores_padded());
+                    kernel::whd_range(kind, row, 0, codes, scores, &mut whds);
+                    black_box(kernel::fold_whds(kind, &whds));
+                }
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("target_dense", kind), &(), |b, ()| {
+            b.iter(|| {
+                for target in &targets {
+                    black_box(simulate_target_fast_with(target, &iracc, kind));
                 }
             })
         });

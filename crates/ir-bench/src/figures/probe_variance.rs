@@ -3,7 +3,7 @@
 //! pruning-variance structure against the paper's Figure 7 narrative).
 
 use crate::{bench_workload, FigureContext, Table};
-use ir_fpga::unit::simulate_target;
+use ir_fpga::unit::simulate_target_fast;
 use ir_fpga::FpgaParams;
 use ir_genome::Chromosome;
 
@@ -19,7 +19,7 @@ pub fn run(ctx: &FigureContext) -> std::io::Result<()> {
     let rows: Vec<(usize, u64, u64)> = targets
         .iter()
         .map(|t| {
-            let run = simulate_target(t, &params);
+            let run = simulate_target_fast(t, &params);
             (
                 t.num_reads(),
                 t.worst_case_comparisons(),

@@ -61,31 +61,56 @@ pub const ROW_PAD: usize = 64;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidateBlock {
-    /// `lens.len()` rows of `stride` bytes; row `i` holds candidate `i`'s
-    /// codes in `[..lens[i]]` and zero padding after.
+    /// `shapes.len()` rows of `stride` bytes; row `i` holds candidate
+    /// `i`'s codes in `[..shapes[i].len]` and zero padding after.
     codes: Vec<u8>,
     stride: usize,
-    lens: Vec<usize>,
+    shapes: Vec<RowShape>,
+}
+
+/// One row's length and what it shares with row 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RowShape {
+    len: usize,
+    /// The longest prefix shared with row 0.
+    prefix: usize,
+    /// The longest suffix shared with row 0.
+    suffix: usize,
 }
 
 impl CandidateBlock {
     /// Transposes `rows` straight into the padded code buffer.
     fn from_rows<'a>(rows: impl ExactSizeIterator<Item = &'a [Base]> + Clone) -> Self {
-        let lens: Vec<usize> = rows.clone().map(<[Base]>::len).collect();
-        let max_len = lens.iter().copied().max().unwrap_or(0);
+        let mut shapes: Vec<RowShape> = rows
+            .clone()
+            .map(|row| RowShape {
+                len: row.len(),
+                prefix: 0,
+                suffix: 0,
+            })
+            .collect();
+        let max_len = shapes.iter().map(|s| s.len).max().unwrap_or(0);
         // Large enough that `row[k..k + padded_read_len]` is in bounds for
         // every valid offset: `k + n_pad ≤ len + (ROW_PAD - 1) < stride`.
         let stride = (max_len + ROW_PAD).next_multiple_of(ROW_PAD);
-        let mut codes = vec![0u8; lens.len() * stride];
+        let mut codes = vec![0u8; shapes.len() * stride];
         for (row, dst) in rows.zip(codes.chunks_exact_mut(stride)) {
             for (code, &b) in dst.iter_mut().zip(row) {
                 *code = base_code(b);
             }
         }
+        let reference = &codes[..shapes.first().map_or(0, |s| s.len)];
+        for (row, shape) in codes.chunks_exact(stride).zip(&mut shapes) {
+            let row = &row[..shape.len];
+            let prefix = row.iter().zip(reference).take_while(|(a, b)| a == b);
+            shape.prefix = prefix.count();
+            let suffix = row.iter().rev().zip(reference.iter().rev());
+            shape.suffix = suffix.take_while(|(a, b)| a == b).count();
+        }
         CandidateBlock {
             codes,
             stride,
-            lens,
+            shapes,
         }
     }
 
@@ -102,12 +127,12 @@ impl CandidateBlock {
 
     /// Number of candidate rows.
     pub fn num_candidates(&self) -> usize {
-        self.lens.len()
+        self.shapes.len()
     }
 
     /// Returns `true` if the block holds no candidates.
     pub fn is_empty(&self) -> bool {
-        self.lens.is_empty()
+        self.shapes.is_empty()
     }
 
     /// Length (in bases) of candidate `i`.
@@ -116,7 +141,27 @@ impl CandidateBlock {
     ///
     /// Panics if `i` is out of range.
     pub fn len(&self, i: usize) -> usize {
-        self.lens[i]
+        self.shapes[i].len
+    }
+
+    /// The longest candidate's length (0 for an empty block).
+    pub fn max_len(&self) -> usize {
+        self.shapes.iter().map(|s| s.len).max().unwrap_or(0)
+    }
+
+    /// The lengths `(prefix, suffix)` of the longest prefix and the
+    /// longest suffix candidate `i` shares with candidate 0 (the
+    /// reference, for a block built [`from_target`](Self::from_target)).
+    /// Each is at most the shorter row's length; the two may overlap. A
+    /// window of candidate `i` inside the prefix holds the bases of
+    /// candidate 0's window at the same offset, and one inside the
+    /// suffix those of candidate 0's window `len(0) - len(i)` offsets on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn shared_with_reference(&self, i: usize) -> (usize, usize) {
+        (self.shapes[i].prefix, self.shapes[i].suffix)
     }
 
     /// Candidate `i`'s codes, exactly `len(i)` bytes.
@@ -125,7 +170,7 @@ impl CandidateBlock {
     ///
     /// Panics if `i` is out of range.
     pub fn row(&self, i: usize) -> &[u8] {
-        &self.codes[i * self.stride..i * self.stride + self.lens[i]]
+        &self.codes[i * self.stride..i * self.stride + self.shapes[i].len]
     }
 
     /// Candidate `i`'s full padded row (`len(i)` codes followed by zero
@@ -136,7 +181,7 @@ impl CandidateBlock {
     ///
     /// Panics if `i` is out of range.
     pub fn row_padded(&self, i: usize) -> &[u8] {
-        assert!(i < self.lens.len(), "candidate index out of range");
+        assert!(i < self.shapes.len(), "candidate index out of range");
         &self.codes[i * self.stride..(i + 1) * self.stride]
     }
 
@@ -164,7 +209,7 @@ impl CandidateBlock {
         let scores = read.scores();
         (0..self.num_candidates())
             .map(|i| {
-                let cons_len = self.lens[i];
+                let cons_len = self.shapes[i].len;
                 assert!(n <= cons_len, "read longer than consensus");
                 let row = self.row(i);
                 let max_k = cons_len - n;
@@ -214,6 +259,7 @@ pub struct SweepRead {
     /// length each, real values in `[..len]` and zeros after.
     lanes: Vec<u8>,
     len: usize,
+    score_total: u64,
 }
 
 impl SweepRead {
@@ -248,6 +294,7 @@ impl SweepRead {
         }
         lane_scores[..len].copy_from_slice(&scores[..len]);
         self.len = len;
+        self.score_total = scores[..len].iter().map(|&s| u64::from(s)).sum();
     }
 
     /// Number of real bases.
@@ -258,6 +305,12 @@ impl SweepRead {
     /// Returns `true` if the read has no bases.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The sum of the read's quality scores: every offset's WHD is at
+    /// most this.
+    pub fn score_total(&self) -> u64 {
+        self.score_total
     }
 
     /// The read's codes, exactly `len` bytes.
@@ -352,6 +405,26 @@ mod tests {
                 assert_eq!(ops, want_ops, "{kind} pruning={pruning} ops");
             }
         }
+    }
+
+    #[test]
+    fn shared_prefix_and_suffix_are_measured_against_row_zero() {
+        let cands = [
+            seq("ACGTACGT"),
+            seq("ACGTTACGT"), // an insertion
+            seq("ACGACGT"),   // a deletion
+            seq("ACGTACGT"),  // the reference itself
+            seq("TTTT"),
+            seq(""),
+        ];
+        let rows: Vec<&[Base]> = cands.iter().map(|c| c.bases()).collect();
+        let block = CandidateBlock::from_bases_rows(&rows);
+        let shared: Vec<_> = (0..rows.len())
+            .map(|i| block.shared_with_reference(i))
+            .collect();
+        assert_eq!(shared, [(8, 8), (4, 5), (3, 4), (8, 8), (0, 1), (0, 0)]);
+        let quals = Qual::from_raw_scores(&[30, 0, 41, 7]).unwrap();
+        assert_eq!(SweepRead::new(cands[4].bases(), &quals).score_total(), 78);
     }
 
     #[test]

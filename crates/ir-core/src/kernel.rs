@@ -39,18 +39,22 @@
 //! masked loads for the tail; AVX2 runs 32 lanes with a scalar tail; NEON
 //! 16 lanes; SWAR 8 lanes per `u64` with the classic has-zero-byte trick.
 //!
-//! Two whole offset sweeps live here too, so the per-ISA work inlines
-//! into the offset loop: [`serial_sweep`] (per-base pruning) and
-//! [`dense_sweep`] (every offset folded in full). AVX-512 runs both
-//! offset-parallel, the diagram transposed, on one shared pass 1:
+//! The offset sweeps live here too, so the per-ISA work inlines into the
+//! offset loop: [`serial_sweep`] (per-base pruning) and the dense sweep
+//! (every offset folded in full) in two halves, [`whd_range`] (the WHDs
+//! of an offset range into a `u16` buffer) and [`fold_whds`] (a buffer
+//! into its minimum and the offsets above the running minimum). The
+//! split lets a caller copy the WHDs of windows two candidates share
+//! instead of sweeping them again. AVX-512 runs them offset-parallel,
+//! the diagram transposed, on one shared pass 1:
 //!
 //! ```text
 //! lane j = offset k0 + j                   64 consecutive offsets per block
-//! pass 1, for each read base b:
+//! pass 1, for each read base b:            (whd_range stores W here)
 //!   neq = cmpneq(row[k0 + b ..], r_b)      one mismatch bit per offset
 //!   W  += s_b where neq                    two masked u16 adds
 //! E = exclusive prefix-min(W), carried in  each offset's running minimum
-//! above += popcnt(W > E); new min = last lane with W < E
+//! above += popcnt(W > E); new min = last lane with W < E   (fold_whds)
 //! pass 2 (serial only), for each base b:   replay the kept neq masks
 //!   acc += popcnt(neq & live); P += s_b where neq
 //!   live = P <= E; visited += popcnt(live)  E is the exact serial budget
@@ -431,7 +435,7 @@ pub struct SerialSweep {
 /// 64 offsets per vector instead: a pruned offset's WHD exceeds the
 /// minimum it is compared against, so it never lowers that minimum, and
 /// offset `k`'s budget is exactly the minimum WHD over offsets `0..k`.
-/// One [`dense_sweep`] pass therefore gives every offset's budget, and a
+/// One dense pass 1 therefore gives every offset's budget, and a
 /// second pass replays the mismatch masks to find each stop base.
 ///
 /// `row` is the candidate row (commonly a padded [`CandidateBlock`]
@@ -539,7 +543,12 @@ impl SerialSweep {
     };
 }
 
-/// Aggregate result of [`dense_sweep`]: every offset folded in full.
+/// Score totals from this one up overflow a `u16` WHD: [`whd_range`]
+/// takes only reads whose score total lies below it.
+pub const WHD_U16_LIMIT: u64 = 0xFFFF;
+
+/// A dense offset sweep's summary: every offset's WHD folded in offset
+/// order ([`fold_whds`], or [`DenseSweep::push`] one offset at a time).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DenseSweep {
     /// Minimum WHD over all offsets.
@@ -552,100 +561,155 @@ pub struct DenseSweep {
     pub offsets_above_min: u64,
 }
 
-/// The dense offset sweep of one (candidate, read) pair: for each offset
-/// `k in 0..=max_k`, fold the whole padded read against
-/// `row[k..k + read_padded.len()]` and track the running minimum. The
-/// HDC shapes whose scans never stop early (no prune comparator, or a
-/// prune verdict that lands only after the last block has issued) are
-/// exactly this loop.
+impl DenseSweep {
+    /// The state before offset 0: no offset folded.
+    pub const START: DenseSweep = DenseSweep {
+        min_whd: u64::MAX,
+        min_offset: 0,
+        offsets_above_min: 0,
+    };
+
+    /// Folds offset `k`'s WHD, `k` one past the last offset folded: it
+    /// is above the running minimum, a new minimum, or a tie, which
+    /// keeps the earlier offset.
+    #[inline]
+    pub fn push(&mut self, k: usize, whd: u64) {
+        if whd > self.min_whd {
+            self.offsets_above_min += 1;
+        } else if whd < self.min_whd {
+            self.min_whd = whd;
+            self.min_offset = k;
+        }
+    }
+}
+
+/// The WHDs of offsets `k0..k0 + out.len()` of one (candidate, read)
+/// pair: `out[j]` is the fold of the whole padded read against
+/// `row[k0 + j..][..read_padded.len()]`. The first half of the dense
+/// sweep; [`fold_whds`] is the second.
 ///
-/// Like [`serial_sweep`], the offset loop runs inside each ISA's
-/// `#[target_feature]` scope, so the fold inlines and there is no
-/// per-offset dispatch, assertion or call. AVX-512 sweeps 64 offsets per
-/// vector, one read base at a time, when the read's score total fits a
-/// `u16` lane; the other kinds fold one offset at a time. `read_padded` and
-/// `scores_padded` are the zero-padded lane arrays of
+/// A window's WHD depends only on its bases and the read, so a caller
+/// can assemble a candidate's buffer from ranges of another candidate's
+/// buffer wherever the two rows share the window's bases, and sweep only
+/// the rest (DESIGN.md §4f).
+///
+/// AVX-512 sweeps 64 offsets per vector, one read base at a time, in
+/// `u16` lanes; the other kinds fold one offset at a time. `read_padded`
+/// and `scores_padded` are the zero-padded lane arrays of
 /// [`SweepRead`](crate::batch::SweepRead): padding lanes carry score 0,
 /// so the fold over the padded length equals the fold over the read.
 ///
 /// # Panics
 ///
-/// Panics if `read_padded`/`scores_padded` lengths differ, if
-/// `max_k + read_padded.len() > row.len()` (a [`CandidateBlock`] padded
-/// row always has that slack), or if `kind` cannot run on this CPU.
+/// Panics if `read_padded`/`scores_padded` lengths differ, if the
+/// scores total [`WHD_U16_LIMIT`] or more, if
+/// `k0 + out.len() - 1 + read_padded.len() > row.len()` (a
+/// [`CandidateBlock`] padded row always has that slack for its valid
+/// offsets), or if `kind` cannot run on this CPU.
 ///
 /// [`CandidateBlock`]: crate::batch::CandidateBlock
-pub fn dense_sweep(
+pub fn whd_range(
     kind: KernelKind,
     row: &[u8],
-    max_k: usize,
+    k0: usize,
     read_padded: &[u8],
     scores_padded: &[u8],
-) -> DenseSweep {
+    out: &mut [u16],
+) {
     assert_eq!(
         scores_padded.len(),
         read_padded.len(),
         "scores/read length mismatch"
     );
+    // Scores are bytes, so 256 of them cannot reach the limit.
+    let fits = scores_padded.len() <= 256
+        || scores_padded.iter().map(|&s| u64::from(s)).sum::<u64>() < WHD_U16_LIMIT;
+    assert!(fits, "score total overflows a u16 WHD");
+    if out.is_empty() {
+        return;
+    }
     assert!(
-        max_k + read_padded.len() <= row.len(),
+        k0 + out.len() - 1 + read_padded.len() <= row.len(),
         "padded window beyond the candidate row"
     );
     let (read, scores) = (read_padded, scores_padded);
     match kind {
-        KernelKind::Scalar => dense_sweep_generic(row, max_k, read, scores, fold_scalar),
-        KernelKind::Swar => dense_sweep_generic(row, max_k, read, scores, fold_swar),
+        KernelKind::Scalar => whd_range_generic(row, k0, read, scores, out, fold_scalar),
+        KernelKind::Swar => whd_range_generic(row, k0, read, scores, out, fold_swar),
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
         KernelKind::Avx2 => {
             assert_available(kind);
             // SAFETY: `assert_available` verified AVX2 at runtime; the
             // asserts above keep every window inside `row`.
-            unsafe { x86::dense_sweep_avx2(row, max_k, read, scores) }
+            unsafe { x86::whd_range_avx2(row, k0, read, scores, out) }
         }
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
         KernelKind::Avx512 => {
             assert_available(kind);
             // SAFETY: `assert_available` verified AVX-512F/BW and POPCNT
             // at runtime; the asserts above bound every load (DESIGN.md §4f).
-            unsafe { x86::dense_sweep_avx512(row, max_k, read, scores) }
+            unsafe { x86::whd_range_avx512(row, k0, read, scores, out) }
         }
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => {
             assert_available(kind);
             // SAFETY: as above, for NEON.
-            unsafe { aarch64::dense_sweep_neon(row, max_k, read, scores) }
+            unsafe { aarch64::whd_range_neon(row, k0, read, scores, out) }
         }
         #[allow(unreachable_patterns)]
         other => unavailable(other),
     }
 }
 
-/// The dense offset loop shared by every ISA, monomorphized over the
-/// fold like [`serial_sweep_generic`].
+/// The per-offset range loop shared by every ISA, monomorphized over the
+/// fold like [`serial_sweep_generic`]. The score total is below
+/// [`WHD_U16_LIMIT`], so every WHD fits its `u16`.
 #[inline(always)]
-fn dense_sweep_generic(
+fn whd_range_generic(
     row: &[u8],
-    max_k: usize,
+    k0: usize,
     read: &[u8],
     scores: &[u8],
+    out: &mut [u16],
     fold: impl Fn(&[u8], &[u8], &[u8]) -> u64,
-) -> DenseSweep {
+) {
     let n = read.len();
-    let mut out = DenseSweep {
-        min_whd: u64::MAX,
-        min_offset: 0,
-        offsets_above_min: 0,
-    };
-    for k in 0..=max_k {
-        let whd = fold(&row[k..k + n], read, scores);
-        if whd > out.min_whd {
-            out.offsets_above_min += 1;
-        } else if whd < out.min_whd {
-            out.min_whd = whd;
-            out.min_offset = k;
+    for (k, whd) in (k0..).zip(out.iter_mut()) {
+        *whd = fold(&row[k..k + n], read, scores) as u16;
+    }
+}
+
+/// Folds the WHDs of offsets `0..whds.len()` in order into their
+/// minimum, its first offset and the offsets above the running minimum:
+/// the second half of the dense sweep, exactly [`DenseSweep::push`] over
+/// the buffer. AVX-512 folds 32 offsets per step with a lane prefix
+/// minimum; the other kinds fold one offset at a time. An empty buffer
+/// folds to [`DenseSweep::START`].
+///
+/// # Panics
+///
+/// Panics if `kind` cannot run on this CPU.
+pub fn fold_whds(kind: KernelKind, whds: &[u16]) -> DenseSweep {
+    if whds.is_empty() {
+        return DenseSweep::START;
+    }
+    match kind {
+        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+        KernelKind::Avx512 => {
+            assert_available(kind);
+            // SAFETY: `assert_available` verified AVX-512F/BW and POPCNT
+            // at runtime; the fold's masked loads stay inside `whds`.
+            unsafe { x86::fold_whds_avx512(whds) }
+        }
+        other => {
+            assert_available(other);
+            let mut out = DenseSweep::START;
+            for (k, &whd) in whds.iter().enumerate() {
+                out.push(k, u64::from(whd));
+            }
+            out
         }
     }
-    out
 }
 
 #[inline]
@@ -1006,15 +1070,16 @@ mod x86 {
     /// The CPU must support AVX2. Lengths checked by the safe
     /// dispatcher.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dense_sweep_avx2(
+    pub unsafe fn whd_range_avx2(
         row: &[u8],
-        max_k: usize,
+        k0: usize,
         read: &[u8],
         scores: &[u8],
-    ) -> super::DenseSweep {
+        out: &mut [u16],
+    ) {
         // SAFETY: the closure runs inside this function's AVX2 scope,
         // on equal-length slices the generic loop cut from `row`.
-        super::dense_sweep_generic(row, max_k, read, scores, |w, r, s| unsafe {
+        super::whd_range_generic(row, k0, read, scores, out, |w, r, s| unsafe {
             fold_avx2(w, r, s)
         })
     }
@@ -1083,10 +1148,10 @@ mod x86 {
     /// (checked by the safe dispatcher); see DESIGN.md §4f for why every
     /// masked load stays inside those slices.
     ///
-    /// The offset-parallel sweep with pass 2 on (see
-    /// [`offset_parallel_sweep`]). A read whose score total reaches
-    /// 0xFFFF, or longer than [`PARALLEL_MAX_BASES`], walks each offset's
-    /// mismatch masks instead, as the AVX2 arm does.
+    /// The two-pass offset-parallel sweep ([`offset_parallel_sweep`]). A
+    /// read whose score total reaches 0xFFFF, or longer than
+    /// [`PARALLEL_MAX_BASES`], walks each offset's mismatch masks
+    /// instead, as the AVX2 arm does.
     #[target_feature(enable = "avx512f,avx512bw,popcnt")]
     pub unsafe fn serial_sweep_avx512(
         row: &[u8],
@@ -1103,86 +1168,146 @@ mod x86 {
                 mask_avx512(w, r)
             });
         }
-        offset_parallel_sweep::<true>(row, row_len - n, read, scores, n)
+        offset_parallel_sweep(row, row_len - n, read, scores, n)
     }
 
     /// # Safety
     ///
     /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` and
-    /// `scores` have equal length and `max_k + read.len() <= row.len()`
+    /// `scores` have equal length, the scores total below 0xFFFF, `out`
+    /// is non-empty and `k0 + out.len() - 1 + read.len() <= row.len()`
     /// (checked by the safe dispatcher); see DESIGN.md §4f for why every
-    /// masked load stays inside those slices.
+    /// masked load and store stays inside those slices.
     ///
-    /// The offset-parallel sweep with pass 2 off, over the bases up to the
-    /// last scored one (trailing zero-score padding adds nothing to any
-    /// offset). A read whose score total reaches 0xFFFF, or with more than
-    /// [`PARALLEL_MAX_BASES`] scored bases, folds each offset in turn.
+    /// Pass 1 of the offset-parallel sweep ([`block_whds`]) over offsets
+    /// `k0..k0 + out.len()`, 64 to a block, each block's `u16` lanes
+    /// stored straight into `out`. It runs over the bases up to the last
+    /// scored one (trailing zero-score padding adds nothing to any
+    /// offset); a read with more than [`PARALLEL_MAX_BASES`] scored bases
+    /// folds each offset in turn.
     #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-    pub unsafe fn dense_sweep_avx512(
+    pub unsafe fn whd_range_avx512(
         row: &[u8],
-        max_k: usize,
+        k0: usize,
         read: &[u8],
         scores: &[u8],
-    ) -> super::DenseSweep {
-        let (total, n) = score_extent(scores);
-        if total >= 0xFFFF || n > PARALLEL_MAX_BASES {
+        out: &mut [u16],
+    ) {
+        let n = score_extent(scores).1;
+        if n > PARALLEL_MAX_BASES {
             // SAFETY: the closure runs inside this function's AVX-512F/BW
             // scope, on equal-length slices the generic loop cut from `row`.
-            return super::dense_sweep_generic(row, max_k, read, scores, |w, r, s| unsafe {
+            return super::whd_range_generic(row, k0, read, scores, out, |w, r, s| unsafe {
                 fold_avx512(w, r, s)
             });
         }
-        let sweep = offset_parallel_sweep::<false>(row, max_k, read, scores, n);
-        super::DenseSweep {
-            min_whd: sweep.min_whd,
-            min_offset: sweep.min_offset,
-            offsets_above_min: sweep.offsets_pruned,
+        let mut code_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
+        let mut score_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
+        let code_words = code_words.as_mut_ptr().cast::<u32>();
+        let score_words = score_words.as_mut_ptr().cast::<u32>();
+        expand_read(read, scores, n, code_words, score_words);
+        let dst = out.as_mut_ptr();
+        let mut j = 0usize;
+        while j < out.len() {
+            let valid = tail_mask(out.len() - j);
+            // SAFETY: lane i loads `row[k0 + j + i + b]` only when
+            // `j + i < out.len()`, and `b < n <= read.len()`, so every
+            // byte read is below `k0 + out.len() - 1 + read.len() <=
+            // row.len()`; the stores write only the lanes `j + i <
+            // out.len()` (`wrapping_add` because the high half's base can
+            // lie past `out` when its mask is empty).
+            let (whd_lo, whd_hi) = block_whds::<false>(
+                row.as_ptr().add(k0 + j),
+                valid,
+                n,
+                code_words,
+                score_words,
+                std::ptr::null_mut(),
+            );
+            _mm512_mask_storeu_epi16(dst.add(j).cast(), valid as u32, whd_lo);
+            _mm512_mask_storeu_epi16(
+                dst.wrapping_add(j + 32).cast(),
+                (valid >> 32) as u32,
+                whd_hi,
+            );
+            j += 64;
         }
     }
 
     /// # Safety
     ///
-    /// The CPU must support AVX-512F, AVX-512BW and POPCNT.
-    /// `read.len() == scores.len()`, `n <= read.len()`,
-    /// `n <= PARALLEL_MAX_BASES`, `max_k + n <= row.len()`, and
-    /// `scores[..n]` totals below 0xFFFF.
+    /// The CPU must support AVX-512F, AVX-512BW and POPCNT, and `whds`
+    /// must be non-empty (checked by the safe dispatcher).
     ///
-    /// Offsets `0..=max_k` against `read[..n]`, 64 consecutive offsets
-    /// `k0 + j` to a block. **Pass 1** walks the read one base `b` at a
-    /// time — one masked load of `row[k0 + b ..]`, one compare against
-    /// the broadcast read code, two masked `u16` adds of the broadcast
-    /// score — so lane `j` ends holding offset `k0 + j`'s WHD `W`. A
-    /// prefix minimum with the carried running minimum folded in gives
-    /// each offset's exclusive running minimum `E`; `W > E` is the
-    /// offsets a sequential loop flags, and the last `W < E` the new
-    /// minimum. The `u16` lanes are exact because the total stays below
-    /// 0xFFFF (every read of at most 704 bases at Phred ≤ 93).
-    ///
-    /// With `SERIAL`, pass 1 also keeps each base's 64-offset mismatch
-    /// mask, and **pass 2** replays them to charge the serial scan's
-    /// visits. A pruned offset's WHD exceeds the minimum it is compared
-    /// against, so it never lowers that minimum: the serial budget of
-    /// offset `k` is exactly `E[k]`, and the offset stops at the first
-    /// base where its running sum `P` exceeds it. The result's
-    /// `offsets_pruned` is the `W > E` count either way.
-    #[inline]
+    /// The fold half of the offset-parallel sweep: each 64-offset block
+    /// of `whds` is loaded with 0xFFFF in the lanes past the end (above
+    /// or tied with every running minimum, so they flag nothing), and
+    /// its exclusive running minima ([`exclusive_minima`]) give the
+    /// offsets above the minimum and the new minimum ([`block_verdicts`]).
+    /// Most blocks hold no offset below the running minimum; then every
+    /// exclusive minimum is the carry itself, and the prefix minimum is
+    /// skipped.
     #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-    unsafe fn offset_parallel_sweep<const SERIAL: bool>(
-        row: &[u8],
-        max_k: usize,
+    pub unsafe fn fold_whds_avx512(whds: &[u16]) -> super::DenseSweep {
+        let ones = _mm512_set1_epi16(-1);
+        // The running minimum in every lane; 0xFFFF before offset 0.
+        let mut carry = ones;
+        let mut out = super::DenseSweep::START;
+        let src = whds.as_ptr();
+        let mut k0 = 0usize;
+        while k0 < whds.len() {
+            let valid = tail_mask(whds.len() - k0);
+            // SAFETY: the masked loads read only the lanes `k0 + i <
+            // whds.len()` (`wrapping_add` as in `whd_range_avx512`).
+            let whd_lo = _mm512_mask_loadu_epi16(ones, valid as u32, src.add(k0).cast());
+            let whd_hi = _mm512_mask_loadu_epi16(
+                ones,
+                (valid >> 32) as u32,
+                src.wrapping_add(k0 + 32).cast(),
+            );
+            let drops =
+                _mm512_cmplt_epu16_mask(whd_lo, carry) | _mm512_cmplt_epu16_mask(whd_hi, carry);
+            let (excl_lo, excl_hi) = if drops == 0 {
+                (carry, carry)
+            } else {
+                exclusive_minima(whd_lo, whd_hi, &mut carry)
+            };
+            let (above, below) = block_verdicts(valid, whd_lo, whd_hi, excl_lo, excl_hi);
+            out.offsets_above_min += u64::from(above.count_ones());
+            if below != 0 {
+                out.min_offset = k0 + 63 - below.leading_zeros() as usize;
+            }
+            k0 += 64;
+        }
+        out.min_whd = u64::from(lane0_epu16(carry));
+        out
+    }
+
+    /// Lane 0 of `x`'s `u16` lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn lane0_epu16(x: __m512i) -> u16 {
+        _mm_extract_epi16::<0>(_mm512_castsi512_si128(x)) as u16
+    }
+
+    /// # Safety
+    ///
+    /// `read` and `scores` hold at least `n` bytes, `n <=
+    /// PARALLEL_MAX_BASES`, and both word buffers have room for
+    /// `PARALLEL_MAX_BASES` words.
+    ///
+    /// Expands each base's code into a 4-byte word (`code · 0x01010101`)
+    /// and its score into two `u16` halves (`score · 0x00010001`), so the
+    /// per-base broadcasts in the offset loop are plain loads.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn expand_read(
         read: &[u8],
         scores: &[u8],
         n: usize,
-    ) -> super::SerialSweep {
-        // Expand each base's code into a 4-byte word (`code · 0x01010101`)
-        // and its score into two `u16` halves (`score · 0x00010001`) once,
-        // so the per-base broadcasts in the offset loop are plain loads.
-        let mut code_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
-        let mut score_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
-        let mut neq_masks = std::mem::MaybeUninit::<[u64; PARALLEL_MAX_BASES]>::uninit();
-        let code_words = code_words.as_mut_ptr().cast::<u32>();
-        let score_words = score_words.as_mut_ptr().cast::<u32>();
-        let neq_masks = neq_masks.as_mut_ptr().cast::<u64>();
+        code_words: *mut u32,
+        score_words: *mut u32,
+    ) {
         let bytes4 = _mm512_set1_epi32(0x0101_0101);
         let words2 = _mm512_set1_epi32(0x0001_0001);
         let mut i = 0usize;
@@ -1198,90 +1323,188 @@ mod x86 {
             _mm512_storeu_si512(score_words.add(i).cast(), s);
             i += 16;
         }
+    }
 
-        let zero = _mm512_setzero_si512();
+    /// # Safety
+    ///
+    /// Words `0..n` of both buffers were written by [`expand_read`], every
+    /// lane `i` set in `valid` may load `win[i + b]` for `b < n`, and
+    /// with `KEEP` the mask buffer has room for `n` words.
+    ///
+    /// **Pass 1** over one block of 64 consecutive offsets: walk the read
+    /// one base `b` at a time — one masked load of `win[b..]`, one compare
+    /// against the broadcast read code, two masked `u16` adds of the
+    /// broadcast score — so lane `i` (of `lo` then `hi`) ends holding the
+    /// WHD of the window at `win + i`. Lanes outside `valid` hold 0xFFFF.
+    /// With `KEEP`, base `b`'s 64-offset mismatch mask goes to
+    /// `neq_masks[b]` for pass 2.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn block_whds<const KEEP: bool>(
+        win: *const u8,
+        valid: u64,
+        n: usize,
+        code_words: *const u32,
+        score_words: *const u32,
+        neq_masks: *mut u64,
+    ) -> (__m512i, __m512i) {
         let ones = _mm512_set1_epi16(-1);
+        let mut whd_lo = _mm512_maskz_mov_epi16(!(valid as u32), ones);
+        let mut whd_hi = _mm512_maskz_mov_epi16(!((valid >> 32) as u32), ones);
+        for b in 0..n {
+            let bases = _mm512_maskz_loadu_epi8(valid, win.add(b).cast());
+            let code = _mm512_set1_epi32(*code_words.add(b) as i32);
+            let neq = _mm512_mask_cmpneq_epi8_mask(valid, bases, code);
+            if KEEP {
+                *neq_masks.add(b) = neq;
+            }
+            let score = _mm512_set1_epi32(*score_words.add(b) as i32);
+            whd_lo = _mm512_mask_add_epi16(whd_lo, neq as u32, whd_lo, score);
+            whd_hi = _mm512_mask_add_epi16(whd_hi, (neq >> 32) as u32, whd_hi, score);
+        }
+        (whd_lo, whd_hi)
+    }
+
+    /// Each offset's exclusive running minimum over one 64-offset block:
+    /// the inclusive prefix minimum with `carry` (the minimum over every
+    /// earlier offset, in every lane) folded in, shifted up a lane.
+    /// `carry` advances past the block.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn exclusive_minima(
+        whd_lo: __m512i,
+        whd_hi: __m512i,
+        carry: &mut __m512i,
+    ) -> (__m512i, __m512i) {
         let last_lane = _mm512_set1_epi16(31);
         let prev_lane = _mm512_loadu_si512(LANES_BACK[0].as_ptr().cast());
+        let incl_lo = _mm512_min_epu16(prefix_min_epu16(whd_lo), *carry);
+        let mid = _mm512_permutexvar_epi16(last_lane, incl_lo);
+        let incl_hi = _mm512_min_epu16(prefix_min_epu16(whd_hi), mid);
+        let excl_lo = _mm512_mask_permutexvar_epi16(*carry, !1, prev_lane, incl_lo);
+        let excl_hi = _mm512_mask_permutexvar_epi16(mid, !1, prev_lane, incl_hi);
+        *carry = _mm512_permutexvar_epi16(last_lane, incl_hi);
+        (excl_lo, excl_hi)
+    }
+
+    /// A block's verdicts against its exclusive minima `E`: the `valid`
+    /// offsets with `W > E` (the ones a sequential loop flags), and the
+    /// offsets with `W < E`, the last of which holds the block minimum at
+    /// its first offset — which keeps first-on-ties. Lanes holding 0xFFFF
+    /// are never below.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn block_verdicts(
+        valid: u64,
+        whd_lo: __m512i,
+        whd_hi: __m512i,
+        excl_lo: __m512i,
+        excl_hi: __m512i,
+    ) -> (u64, u64) {
+        let above = u64::from(_mm512_mask_cmpgt_epu16_mask(valid as u32, whd_lo, excl_lo))
+            | u64::from(_mm512_mask_cmpgt_epu16_mask(
+                (valid >> 32) as u32,
+                whd_hi,
+                excl_hi,
+            )) << 32;
+        let below = u64::from(_mm512_cmplt_epu16_mask(whd_lo, excl_lo))
+            | u64::from(_mm512_cmplt_epu16_mask(whd_hi, excl_hi)) << 32;
+        (above, below)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512BW and POPCNT.
+    /// `read.len() == scores.len() == n`, `n <= PARALLEL_MAX_BASES`,
+    /// `max_k + n <= row.len()`, and `scores` totals below 0xFFFF.
+    ///
+    /// The serial immediate-prune sweep of offsets `0..=max_k`, 64
+    /// consecutive offsets `k0 + j` to a block. Pass 1 ([`block_whds`])
+    /// leaves each offset's WHD `W` in its lane and keeps each base's
+    /// mismatch mask; the exclusive running minima `E`
+    /// ([`exclusive_minima`]) give the offsets with `W > E` (pruned) and
+    /// the new minimum. The `u16` lanes are exact because the total stays
+    /// below 0xFFFF (every read of at most 704 bases at Phred ≤ 93).
+    ///
+    /// **Pass 2** replays the masks to charge the serial scan's visits. A
+    /// pruned offset's WHD exceeds the minimum it is compared against, so
+    /// it never lowers that minimum: the serial budget of offset `k` is
+    /// exactly `E[k]`, and the offset stops at the first base where its
+    /// running sum `P` exceeds it.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
+    unsafe fn offset_parallel_sweep(
+        row: &[u8],
+        max_k: usize,
+        read: &[u8],
+        scores: &[u8],
+        n: usize,
+    ) -> super::SerialSweep {
+        let mut code_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
+        let mut score_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
+        let mut neq_masks = std::mem::MaybeUninit::<[u64; PARALLEL_MAX_BASES]>::uninit();
+        let code_words = code_words.as_mut_ptr().cast::<u32>();
+        let score_words = score_words.as_mut_ptr().cast::<u32>();
+        let neq_masks = neq_masks.as_mut_ptr().cast::<u64>();
+        expand_read(read, scores, n, code_words, score_words);
+
+        let zero = _mm512_setzero_si512();
         // The running minimum in every lane; 0xFFFF (above every valid
         // WHD) before offset 0.
-        let mut carry = ones;
+        let mut carry = _mm512_set1_epi16(-1);
         let mut out = super::SerialSweep::START;
         let mut k0 = 0usize;
         while k0 <= max_k {
             let valid = tail_mask(max_k + 1 - k0);
             let (valid_lo, valid_hi) = (valid as u32, (valid >> 32) as u32);
-            // Offsets past `max_k` sit at 0xFFFF and are never added to.
-            let mut whd_lo = _mm512_maskz_mov_epi16(!valid_lo, ones);
-            let mut whd_hi = _mm512_maskz_mov_epi16(!valid_hi, ones);
-            let win = row.as_ptr().add(k0);
             // SAFETY: lane j loads `row[k0 + j + b]` only when
             // `k0 + j <= max_k`, and `b < n`, so every byte read is below
-            // `max_k + n <= row.len()`; word `b < n` of each buffer was
-            // written by the expansion above, and mask `b` is written
-            // here before pass 2 reads it.
-            for b in 0..n {
-                let bases = _mm512_maskz_loadu_epi8(valid, win.add(b).cast());
-                let code = _mm512_set1_epi32(*code_words.add(b) as i32);
-                let neq = _mm512_mask_cmpneq_epi8_mask(valid, bases, code);
-                if SERIAL {
-                    *neq_masks.add(b) = neq;
-                }
-                let score = _mm512_set1_epi32(*score_words.add(b) as i32);
-                whd_lo = _mm512_mask_add_epi16(whd_lo, neq as u32, whd_lo, score);
-                whd_hi = _mm512_mask_add_epi16(whd_hi, (neq >> 32) as u32, whd_hi, score);
-            }
-            // Each offset's exclusive running minimum: the inclusive
-            // prefix minimum with the carry folded in, shifted up a lane.
-            let incl_lo = _mm512_min_epu16(prefix_min_epu16(whd_lo), carry);
-            let mid = _mm512_permutexvar_epi16(last_lane, incl_lo);
-            let incl_hi = _mm512_min_epu16(prefix_min_epu16(whd_hi), mid);
-            let excl_lo = _mm512_mask_permutexvar_epi16(carry, !1, prev_lane, incl_lo);
-            let excl_hi = _mm512_mask_permutexvar_epi16(mid, !1, prev_lane, incl_hi);
-            carry = _mm512_permutexvar_epi16(last_lane, incl_hi);
-            let pruned = u64::from(_mm512_mask_cmpgt_epu16_mask(valid_lo, whd_lo, excl_lo))
-                | u64::from(_mm512_mask_cmpgt_epu16_mask(valid_hi, whd_hi, excl_hi)) << 32;
+            // `max_k + n <= row.len()`; mask `b` is written here before
+            // pass 2 reads it.
+            let (whd_lo, whd_hi) = block_whds::<true>(
+                row.as_ptr().add(k0),
+                valid,
+                n,
+                code_words,
+                score_words,
+                neq_masks,
+            );
+            let (excl_lo, excl_hi) = exclusive_minima(whd_lo, whd_hi, &mut carry);
+            let (pruned, below) = block_verdicts(valid, whd_lo, whd_hi, excl_lo, excl_hi);
             out.offsets_pruned += u64::from(pruned.count_ones());
-            // A new minimum is an offset strictly below its exclusive
-            // minimum; the last one holds the block minimum at its first
-            // offset, which keeps first-on-ties.
-            let below = u64::from(_mm512_cmplt_epu16_mask(whd_lo, excl_lo))
-                | u64::from(_mm512_cmplt_epu16_mask(whd_hi, excl_hi)) << 32;
             if below != 0 {
                 out.min_offset = k0 + 63 - below.leading_zeros() as usize;
             }
-            if SERIAL {
-                // Pass 2: each base charges an accumulation to the offsets
-                // still scanning where it mismatches, then a visit to those
-                // whose running sum has not passed the budget. A pruned
-                // offset's stop base is charged by the popcount after the
-                // loop. `P <= total < 0xFFFF` and `E <= 0xFFFF`, so the
-                // `u16` compare is exact.
-                //
-                // SAFETY: mask word `b < n` was written by this block's
-                // pass 1 above, and score word `b` by the expansion.
-                let (mut sum_lo, mut sum_hi) = (zero, zero);
-                let mut live = valid;
-                for b in 0..n {
-                    let neq = *neq_masks.add(b);
-                    out.accumulations += u64::from((neq & live).count_ones());
-                    let score = _mm512_set1_epi32(*score_words.add(b) as i32);
-                    sum_lo = _mm512_mask_add_epi16(sum_lo, neq as u32, sum_lo, score);
-                    sum_hi = _mm512_mask_add_epi16(sum_hi, (neq >> 32) as u32, sum_hi, score);
-                    live = u64::from(_mm512_mask_cmple_epu16_mask(valid_lo, sum_lo, excl_lo))
-                        | u64::from(_mm512_mask_cmple_epu16_mask(valid_hi, sum_hi, excl_hi)) << 32;
-                    out.visited += u64::from(live.count_ones());
-                    if live == 0 {
-                        break;
-                    }
+            // Pass 2: each base charges an accumulation to the offsets
+            // still scanning where it mismatches, then a visit to those
+            // whose running sum has not passed the budget. A pruned
+            // offset's stop base is charged by the popcount after the
+            // loop. `P <= total < 0xFFFF` and `E <= 0xFFFF`, so the `u16`
+            // compare is exact.
+            //
+            // SAFETY: mask word `b < n` was written by this block's pass 1
+            // above, and score word `b` by the expansion.
+            let (mut sum_lo, mut sum_hi) = (zero, zero);
+            let mut live = valid;
+            for b in 0..n {
+                let neq = *neq_masks.add(b);
+                out.accumulations += u64::from((neq & live).count_ones());
+                let score = _mm512_set1_epi32(*score_words.add(b) as i32);
+                sum_lo = _mm512_mask_add_epi16(sum_lo, neq as u32, sum_lo, score);
+                sum_hi = _mm512_mask_add_epi16(sum_hi, (neq >> 32) as u32, sum_hi, score);
+                live = u64::from(_mm512_mask_cmple_epu16_mask(valid_lo, sum_lo, excl_lo))
+                    | u64::from(_mm512_mask_cmple_epu16_mask(valid_hi, sum_hi, excl_hi)) << 32;
+                out.visited += u64::from(live.count_ones());
+                if live == 0 {
+                    break;
                 }
-                out.visited += u64::from(pruned.count_ones());
             }
+            out.visited += u64::from(pruned.count_ones());
             k0 += 64;
         }
         // Offset 0 always exists and sits below 0xFFFF, so the carry is
         // a real WHD.
-        out.min_whd = u64::from(_mm_extract_epi16::<0>(_mm512_castsi512_si128(carry)) as u16);
+        out.min_whd = u64::from(lane0_epu16(carry));
         out
     }
 }
@@ -1408,15 +1631,16 @@ mod aarch64 {
     /// The CPU must support NEON. Lengths checked by the safe
     /// dispatcher.
     #[target_feature(enable = "neon")]
-    pub unsafe fn dense_sweep_neon(
+    pub unsafe fn whd_range_neon(
         row: &[u8],
-        max_k: usize,
+        k0: usize,
         read: &[u8],
         scores: &[u8],
-    ) -> super::DenseSweep {
+        out: &mut [u16],
+    ) {
         // SAFETY: the closure runs inside this function's NEON scope,
         // on equal-length slices the generic loop cut from `row`.
-        super::dense_sweep_generic(row, max_k, read, scores, |w, r, s| unsafe {
+        super::whd_range_generic(row, k0, read, scores, out, |w, r, s| unsafe {
             fold_neon(w, r, s)
         })
     }
@@ -1552,7 +1776,7 @@ mod tests {
         out
     }
 
-    /// [`dense_sweep`] as a per-offset [`fold_whd`] loop.
+    /// The dense sweep as a per-offset [`fold_whd`] loop, longhand.
     fn dense_reference(row: &[u8], max_k: usize, read: &[u8], scores: &[u8]) -> DenseSweep {
         let n = read.len();
         let mut out = DenseSweep {
@@ -1570,6 +1794,29 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The dense sweep of offsets `0..=max_k` through the two kernel
+    /// halves: [`whd_range`] in the pieces `splits` cuts the offsets
+    /// into (so ranges that start mid-row and mid-block are covered),
+    /// then [`fold_whds`] over the assembled buffer.
+    fn dense_via_ranges(
+        kind: KernelKind,
+        row: &[u8],
+        max_k: usize,
+        read: &[u8],
+        scores: &[u8],
+        splits: &[usize],
+    ) -> DenseSweep {
+        let mut whds = vec![0u16; max_k + 1];
+        let mut cuts: Vec<usize> = splits.iter().map(|&c| c.min(max_k + 1)).collect();
+        cuts.push(0);
+        cuts.push(max_k + 1);
+        cuts.sort_unstable();
+        for w in cuts.windows(2) {
+            whd_range(kind, row, w[0], read, scores, &mut whds[w[0]..w[1]]);
+        }
+        fold_whds(kind, &whds)
     }
 
     /// Every available kind's serial sweep, asserted equal to the
@@ -1808,12 +2055,16 @@ mod tests {
         }
     }
 
-    /// Every available kind's dense sweep, asserted equal to the
-    /// per-offset fold loop.
+    /// Every available kind's dense sweep, whole and cut into ranges at
+    /// block-straddling points, asserted equal to the per-offset fold
+    /// loop.
     fn dense_all_kinds(row: &[u8], max_k: usize, read: &[u8], scores: &[u8]) -> DenseSweep {
         let want = dense_reference(row, max_k, read, scores);
         for kind in KernelKind::available() {
-            assert_eq!(dense_sweep(kind, row, max_k, read, scores), want, "{kind}");
+            for splits in [&[][..], &[1, 63], &[40, 107, 108]] {
+                let got = dense_via_ranges(kind, row, max_k, read, scores, splits);
+                assert_eq!(got, want, "{kind} {splits:?}");
+            }
         }
         want
     }
@@ -1897,25 +2148,69 @@ mod tests {
         assert_eq!(hit, 0, "offset 100 is an exact hit");
     }
 
+    /// A read every base of which mismatches at every offset, so every
+    /// WHD is its score total: 256 bases at 255, then one at `last`.
+    fn bound_fixture(last: u8) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let mut scores = vec![255u8; 257];
+        scores[256] = last;
+        (vec![2u8; 150 + 257], vec![1u8; 257], scores)
+    }
+
     #[test]
     fn dense_sweep_score_totals_at_the_u16_bound() {
-        // Every base mismatches at every offset, so every WHD is the
-        // read's score total: 65,534 (the largest `u16`-lane total) and
-        // 65,535 (the smallest per-offset-fold total), over three blocks.
-        for last in [254u8, 255] {
-            let mut scores = vec![255u8; 257];
-            scores[256] = last;
-            let read = vec![1u8; 257];
-            let row = vec![2u8; 150 + 257];
-            let got = dense_all_kinds(&row, 150, &read, &scores);
-            let total = 256 * 255 + u64::from(last);
+        // 65,534, the largest total a `u16` WHD holds, over three blocks.
+        let (row, read, scores) = bound_fixture(254);
+        let got = dense_all_kinds(&row, 150, &read, &scores);
+        assert_eq!(
+            got,
+            DenseSweep {
+                min_whd: WHD_U16_LIMIT - 1,
+                min_offset: 0,
+                offsets_above_min: 0,
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a u16 WHD")]
+    fn whd_range_rejects_a_total_past_the_u16_bound() {
+        let (row, read, scores) = bound_fixture(255);
+        whd_range(
+            KernelKind::Scalar,
+            &row,
+            0,
+            &read,
+            &scores,
+            &mut [0u16; 151],
+        );
+    }
+
+    #[test]
+    fn fold_whds_keeps_the_first_tie_and_counts_only_strict_rises() {
+        // Ties at lanes 31/32 and 63/64 (both block halves), a rise, and
+        // 0xFFFF — the value the AVX-512 fold fills past the end with.
+        let mut whds = vec![9u16; 130];
+        whds[31] = 4;
+        whds[32] = 4;
+        whds[63] = 4;
+        whds[64] = 3;
+        whds[65] = 3;
+        whds[129] = 0xFFFF;
+        for kind in KernelKind::available() {
+            let got = fold_whds(kind, &whds);
+            assert_eq!((got.min_whd, got.min_offset), (3, 64), "{kind}");
+            // 9 at 0..31 only ties offset 0; every later 9 and the 0xFFFF
+            // sit above, 32 and 63 tie 31, 65 ties 64.
+            assert_eq!(got.offsets_above_min, 130 - 31 - 5, "{kind}");
+            assert_eq!(fold_whds(kind, &[]), DenseSweep::START, "{kind}");
             assert_eq!(
-                got,
+                fold_whds(kind, &[0xFFFF]),
                 DenseSweep {
-                    min_whd: total,
+                    min_whd: 0xFFFF,
                     min_offset: 0,
-                    offsets_above_min: 0,
-                }
+                    offsets_above_min: 0
+                },
+                "{kind}"
             );
         }
     }
@@ -1992,12 +2287,14 @@ mod tests {
                 }
             }
 
-            /// The kernel-side dense sweep is a per-offset `fold_whd`
-            /// loop over the padded lane arrays, for every kernel: reads
-            /// up to 320 bases and up to 400 offsets (seven 64-offset
-            /// blocks). Reads are cut from the row with substitutions, so
-            /// minima and ties are real; a high score floor pushes the
-            /// read's score total past the `u16`-lane bound of 65,535.
+            /// The kernel-side dense sweep (ranges, then the fold) is a
+            /// per-offset `fold_whd` loop over the padded lane arrays, for
+            /// every kernel and wherever the ranges are cut: reads up to
+            /// 320 bases and up to 400 offsets (seven 64-offset blocks).
+            /// Reads are cut from the row with substitutions, so minima
+            /// and ties are real; a high score floor brings the read's
+            /// score total up to the `u16` bound (totals past it are the
+            /// caller's `u64` loop, pinned by the identity test below).
             #[test]
             fn dense_sweep_matches_fold_loop(
                 n in 0usize..=320,
@@ -2007,6 +2304,7 @@ mod tests {
                 score_floor in prop_oneof![Just(0u8), Just(200u8)],
                 cut_frac in 0.0f64..=1.0,
                 subs in prop::collection::vec((0usize..320, 1u8..=5), 0..=40),
+                splits in prop::collection::vec(0usize..=400, 0..=3),
             ) {
                 let n_pad = n.next_multiple_of(64);
                 let cut = (slack as f64 * cut_frac) as usize;
@@ -2025,14 +2323,39 @@ mod tests {
                 let max_k = slack;
                 let mut row = row_raw[..n + slack].to_vec();
                 row.resize(max_k + n_pad, 0);
-                let want = dense_reference(&row, max_k, &read, &scores);
+                let total: u64 = scores.iter().map(|&s| u64::from(s)).sum();
+                if total < WHD_U16_LIMIT {
+                    let want = dense_reference(&row, max_k, &read, &scores);
+                    for kind in KernelKind::available() {
+                        prop_assert_eq!(
+                            dense_via_ranges(kind, &row, max_k, &read, &scores, &splits),
+                            want,
+                            "{}",
+                            kind
+                        );
+                    }
+                }
+            }
+
+            /// Every kernel's fold of an arbitrary `u16` buffer — 0xFFFF
+            /// and every tail length included — is the one-offset-at-a-
+            /// time fold.
+            #[test]
+            fn fold_whds_matches_push_loop(
+                len in 0usize..=300,
+                raw in prop::collection::vec(0u16..=0xFFFF, 300),
+                spread in prop_oneof![Just(0xFFFFu16), Just(7u16)],
+            ) {
+                let whds: Vec<u16> = raw[..len]
+                    .iter()
+                    .map(|&w| if spread == 0xFFFF { w } else { w % spread + 0xFFF9 })
+                    .collect();
+                let mut want = DenseSweep::START;
+                for (k, &w) in whds.iter().enumerate() {
+                    want.push(k, u64::from(w));
+                }
                 for kind in KernelKind::available() {
-                    prop_assert_eq!(
-                        dense_sweep(kind, &row, max_k, &read, &scores),
-                        want,
-                        "{}",
-                        kind
-                    );
+                    prop_assert_eq!(fold_whds(kind, &whds), want, "{}", kind);
                 }
             }
 
@@ -2043,7 +2366,8 @@ mod tests {
             /// exactly those the dense sweep finds above the running
             /// minimum (a pruned offset never lowers the minimum, so both
             /// count `W > E`). Reads past 1,024 bases and score totals
-            /// past 65,535 draw both AVX-512 fallbacks.
+            /// past 65,535 draw both AVX-512 fallbacks; a total past the
+            /// `u16` bound takes the dense sweep's `u64` per-offset loop.
             #[test]
             fn serial_and_dense_sweeps_agree_on_minimum_and_prunes(
                 n in prop_oneof![0usize..=320, 1000usize..=1100],
@@ -2074,7 +2398,17 @@ mod tests {
                     let serial = serial_sweep(kind, serial_row, row_len, &read, &scores);
                     read.resize(n_pad, 0);
                     scores.resize(n_pad, 0);
-                    let dense = dense_sweep(kind, &dense_row, slack, &read, &scores);
+                    let total: u64 = scores.iter().map(|&s| u64::from(s)).sum();
+                    let dense = if total < WHD_U16_LIMIT {
+                        dense_via_ranges(kind, &dense_row, slack, &read, &scores, &[])
+                    } else {
+                        let mut sweep = DenseSweep::START;
+                        for k in 0..=slack {
+                            let win = &dense_row[k..k + n_pad];
+                            sweep.push(k, fold_whd(kind, win, &read, &scores));
+                        }
+                        sweep
+                    };
                     read.truncate(n);
                     scores.truncate(n);
                     prop_assert_eq!(

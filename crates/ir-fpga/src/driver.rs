@@ -200,6 +200,9 @@ struct AttemptFailure {
     /// Deterministic failures (a target that cannot fit) skip the retry
     /// loop and go straight to the fallback decision.
     permanent: bool,
+    /// The PCIe transfer failed: counted as a DMA fault, not by its
+    /// error's kind.
+    dma: bool,
 }
 
 /// A host driver bound to a sea of units through one MMIO hub.
@@ -347,6 +350,7 @@ impl HostDriver {
             lost_cycles: 0,
             unit_at_fault: false,
             permanent: true,
+            dma: false,
         };
         let watchdog = policy.watchdog_cycles;
 
@@ -358,12 +362,12 @@ impl HostDriver {
             .dma
             .transfer_time_checked(buffers.payload_bytes(), plan)
         {
-            report.dma_faults += 1;
             return Err(AttemptFailure {
                 error,
                 lost_cycles: 0,
                 unit_at_fault: false,
                 permanent: false,
+                dma: true,
             });
         }
 
@@ -395,6 +399,7 @@ impl HostDriver {
                 lost_cycles: watchdog,
                 unit_at_fault: true,
                 permanent: false,
+                dma: false,
             })?;
 
         // The hub can drop or duplicate the completion response.
@@ -425,6 +430,7 @@ impl HostDriver {
                 lost_cycles: run.cycles.total() + watchdog,
                 unit_at_fault: true,
                 permanent: false,
+                dma: false,
             });
         };
 
@@ -438,6 +444,7 @@ impl HostDriver {
             lost_cycles: run.cycles.total(),
             unit_at_fault: true,
             permanent: false,
+            dma: false,
         };
         let outcomes = decode_outputs(&flags, &positions, target.num_reads(), target.start_pos())
             .map_err(corrupt)?;
@@ -506,7 +513,10 @@ impl HostDriver {
                     return Ok(run);
                 }
                 Err(failure) => {
+                    // A DMA failure surfaces as a `Timeout` or
+                    // `CorruptOutput` too; it counts once, as a DMA fault.
                     match &failure.error {
+                        _ if failure.dma => report.dma_faults += 1,
                         FpgaError::Timeout { .. } => report.timeouts += 1,
                         FpgaError::CorruptOutput { .. } => report.corrupt_detected += 1,
                         FpgaError::UnitHung { .. } => report.unit_hangs += 1,

@@ -23,7 +23,7 @@
 //! [`PairRun`] per candidate, bit for bit, for every [`KernelKind`].
 
 use ir_core::batch::{CandidateBlock, SweepRead};
-use ir_core::kernel::{self, KernelKind};
+use ir_core::kernel::{self, DenseSweep, KernelKind};
 use ir_core::MinWhd;
 use ir_genome::{Qual, Sequence};
 
@@ -209,9 +209,139 @@ pub fn run_read_sweep(
     kind: KernelKind,
     cfg: HdcConfig,
 ) -> Vec<PairRun> {
-    (0..block.num_candidates())
-        .map(|i| run_pair_codes(block.row_padded(i), block.len(i), read, kind, cfg))
-        .collect()
+    let mut runs = Vec::with_capacity(block.num_candidates());
+    sweep_block(block, read, kind, cfg, &mut WhdBuffers::new(), |_, run| {
+        runs.push(run)
+    });
+    runs
+}
+
+/// Offsets per row [`WhdBuffers`] holds without allocating: every row of
+/// a hardware-sized target (consensuses of at most 2,048 bases).
+const INLINE_OFFSETS: usize = 2_049;
+
+/// The two `u16` WHD buffers of a dense read sweep: the reference row's,
+/// kept for the alternatives to copy from, and the row being assembled.
+/// One serves every read of a target. Rows of up to [`INLINE_OFFSETS`]
+/// offsets use the inline array, so sweeping a hardware-sized target
+/// allocates nothing beyond its packing; longer rows spill to the heap.
+#[derive(Debug)]
+pub(crate) struct WhdBuffers {
+    inline: [u16; 2 * INLINE_OFFSETS],
+    spill: Vec<u16>,
+}
+
+impl WhdBuffers {
+    pub(crate) fn new() -> Self {
+        WhdBuffers {
+            inline: [0; 2 * INLINE_OFFSETS],
+            spill: Vec::new(),
+        }
+    }
+
+    /// The two buffers, each with room for `offsets` WHDs.
+    fn split(&mut self, offsets: usize) -> (&mut [u16], &mut [u16]) {
+        let buf = if offsets <= INLINE_OFFSETS {
+            &mut self.inline[..]
+        } else {
+            self.spill.resize(2 * offsets, 0);
+            &mut self.spill[..]
+        };
+        let (reference, row) = buf.split_at_mut(buf.len() / 2);
+        (&mut reference[..offsets], &mut row[..offsets])
+    }
+}
+
+/// Whether `cfg` is the serial immediate-prune shape.
+fn is_serial(cfg: HdcConfig) -> bool {
+    cfg.pruning && cfg.lanes == 1 && cfg.prune_latency_blocks == 0
+}
+
+/// Sweeps one prepared read against every candidate of the block,
+/// handing `emit` each candidate's index and [`PairRun`] in row order.
+/// The run of candidate `i` is exactly `run_pair(candidate_i, read, …)`.
+///
+/// When every offset folds the whole read (the dense shape,
+/// [`HdcConfig::scans_in_full`]) and the read's score total fits a `u16`
+/// WHD, the rows share their WHDs: row 0 (the reference) is swept in
+/// full into one of `whds`' buffers, and each later row's is assembled
+/// from three parts, using the prefix and suffix
+/// [`CandidateBlock::shared_with_reference`] measured at packing:
+///
+/// - windows inside the shared prefix copy the reference's WHD at the
+///   same offset;
+/// - windows inside the shared suffix copy it `len(0) - len(i)` offsets
+///   on;
+/// - only the windows that straddle the difference are swept
+///   ([`kernel::whd_range`]).
+///
+/// A window's WHD depends only on its bases and the read, so the
+/// assembled buffer is the row's own, and [`kernel::fold_whds`] over it
+/// gives the minimum, its first offset and the offsets above the running
+/// minimum exactly (DESIGN.md §4f). Every other shape scans each pair on
+/// its own ([`run_pair_codes`]).
+///
+/// # Panics
+///
+/// As [`run_pair`], plus if `kind` cannot run on this CPU.
+pub(crate) fn sweep_block(
+    block: &CandidateBlock,
+    read: &SweepRead,
+    kind: KernelKind,
+    cfg: HdcConfig,
+    whds: &mut WhdBuffers,
+    mut emit: impl FnMut(usize, PairRun),
+) {
+    let n = read.len();
+    if block.is_empty()
+        || is_serial(cfg)
+        || !cfg.scans_in_full(n)
+        || read.score_total() >= kernel::WHD_U16_LIMIT
+    {
+        for i in 0..block.num_candidates() {
+            emit(
+                i,
+                run_pair_codes(block.row_padded(i), block.len(i), read, kind, cfg),
+            );
+        }
+        return;
+    }
+    let (codes, scores) = (read.codes_padded(), read.scores_padded());
+    let ref_len = block.len(0);
+    assert!(n <= ref_len, "read longer than consensus");
+    let (reference, row_buf) = whds.split(block.max_len() - n + 1);
+    let reference = &mut reference[..ref_len - n + 1];
+    kernel::whd_range(kind, block.row_padded(0), 0, codes, scores, reference);
+    emit(
+        0,
+        dense_run(cfg, ref_len, n, kernel::fold_whds(kind, reference)),
+    );
+    for i in 1..block.num_candidates() {
+        let len = block.len(i);
+        assert!(n <= len, "read longer than consensus");
+        let offsets = len - n + 1;
+        let (prefix, suffix) = block.shared_with_reference(i);
+        // Offsets `k + n <= prefix` lie in the prefix; offsets
+        // `k >= len - suffix` in the suffix.
+        let fresh_lo = (prefix + 1).saturating_sub(n).min(offsets);
+        let fresh_hi = (len - suffix).clamp(fresh_lo, offsets);
+        let row = &mut row_buf[..offsets];
+        row[..fresh_lo].copy_from_slice(&reference[..fresh_lo]);
+        let fresh = &mut row[fresh_lo..fresh_hi];
+        kernel::whd_range(kind, block.row_padded(i), fresh_lo, codes, scores, fresh);
+        row[fresh_hi..].copy_from_slice(&reference[fresh_hi + ref_len - len..]);
+        emit(i, dense_run(cfg, len, n, kernel::fold_whds(kind, row)));
+    }
+}
+
+/// The dense-shape [`PairRun`] of a `cons_len`-base candidate from its
+/// folded sweep.
+fn dense_run(cfg: HdcConfig, cons_len: usize, n: usize, sweep: DenseSweep) -> PairRun {
+    let min = MinWhd {
+        whd: sweep.min_whd,
+        offset: sweep.min_offset,
+    };
+    PairRun::dense(cfg, cons_len, n, min, sweep.offsets_above_min)
 }
 
 /// The jump-to-outcome scan of one (candidate, read) pair over the batch
@@ -229,9 +359,10 @@ pub fn run_read_sweep(
 ///   trips the comparator, every block issues before the stop lands) or
 ///   there is no comparator (`pruning == false`, the HLS-style configs).
 ///   No scan ever stops early, so the cycle and comparison charges are
-///   [`PairRun::dense`]'s closed form and [`kernel::dense_sweep`] folds
-///   every offset over the pre-padded lane arrays (padding lanes carry
-///   score 0, so they add nothing).
+///   [`PairRun::dense`]'s closed form. [`sweep_block`] takes this shape
+///   for every read whose WHDs fit a `u16`; here it folds each offset of
+///   the rest in `u64` over the pre-padded lane arrays (padding lanes
+///   carry score 0, so they add nothing).
 /// - **Everything else**: [`run_pair`]'s block loop verbatim — same
 ///   per-block cycle charge, same prune-verdict drain — with the inner
 ///   per-base compare loop replaced by the dispatched fold. The control
@@ -241,7 +372,7 @@ pub fn run_read_sweep(
 /// The equality `run_read_sweep(..)[i] == run_pair(candidate_i, ..)`
 /// therefore holds unconditionally for every kernel (asserted exhaustively by the
 /// differential proptest below and the kernel-parity suite).
-pub(crate) fn run_pair_codes(
+fn run_pair_codes(
     row: &[u8],
     cons_len: usize,
     read: &SweepRead,
@@ -255,7 +386,7 @@ pub(crate) fn run_pair_codes(
     let scores = read.scores();
 
     let max_k = cons_len - n;
-    if cfg.pruning && cfg.lanes == 1 && cfg.prune_latency_blocks == 0 {
+    if is_serial(cfg) {
         // The whole offset sweep runs inside the kernel crate so the
         // per-ISA work (on AVX-512, the two-pass offset-parallel sweep)
         // inlines into the offset loop.
@@ -272,15 +403,15 @@ pub(crate) fn run_pair_codes(
     }
     if cfg.scans_in_full(n) {
         // No data-dependent exit at any offset, so the counts are
-        // closed-form and one kernel-side dense sweep yields the minimum
-        // (and, for the comparator, the offsets it flags as pruned).
-        let sweep =
-            kernel::dense_sweep(kind, row, max_k, read.codes_padded(), read.scores_padded());
-        let min = MinWhd {
-            whd: sweep.min_whd,
-            offset: sweep.min_offset,
-        };
-        return PairRun::dense(cfg, cons_len, n, min, sweep.offsets_above_min);
+        // closed-form; a score total past the `u16` WHD bound folds each
+        // offset in `u64`.
+        let (codes, padded_scores) = (read.codes_padded(), read.scores_padded());
+        let mut sweep = DenseSweep::START;
+        for k in 0..=max_k {
+            let win = &row[k..k + codes.len()];
+            sweep.push(k, kernel::fold_whd(kind, win, codes, padded_scores));
+        }
+        return dense_run(cfg, cons_len, n, sweep);
     }
 
     // run_pair's block loop with the per-base compare replaced by the

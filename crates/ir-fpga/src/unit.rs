@@ -12,7 +12,7 @@ use ir_core::{MinWhd, MinWhdGrid, ReadOutcome};
 use ir_genome::RealignmentTarget;
 
 use crate::fault::FaultPlan;
-use crate::hdc::{run_pair, run_pair_codes, HdcConfig, PairRun};
+use crate::hdc::{run_pair, sweep_block, HdcConfig, PairRun, WhdBuffers};
 use crate::isa::{BufferIndex, IrCommand};
 use crate::mem;
 use crate::params::FpgaParams;
@@ -326,10 +326,11 @@ pub fn simulate_target(target: &RealignmentTarget, params: &FpgaParams) -> UnitR
 /// on the ambient ([`ir_core::kernel::active`]) kernel: the target's
 /// consensuses are transposed once into the structure-of-arrays batch
 /// layout ([`CandidateBlock`]), one [`SweepRead`] buffer is refilled for
-/// each read, and each (candidate, read) pair is scanned by the same
+/// each read, and each read is swept against every candidate by the same
 /// runtime-dispatched explicit-SIMD path as
-/// [`crate::hdc::run_read_sweep`], its result written straight into the
-/// grid. Returns a bitwise-identical [`UnitRun`]; only host wall-clock
+/// [`crate::hdc::run_read_sweep`] (under the dense shape, each
+/// alternative reuses the reference's WHDs wherever the two share a
+/// window), each pair's result written straight into the grid. Returns a bitwise-identical [`UnitRun`]; only host wall-clock
 /// differs. This is the path the scheduler core, the `IR_THREADS`
 /// parallel sweeps, the functional oracle and the serve shards all
 /// execute.
@@ -354,24 +355,18 @@ pub fn simulate_target_fast_with(
     let num_reads = target.num_reads();
     let mut cells = vec![MinWhd { whd: 0, offset: 0 }; target.num_consensuses() * num_reads];
     let mut sweep_read = SweepRead::default();
+    let mut whds = WhdBuffers::new();
     let mut hdc_cycles = 0u64;
     let mut comparisons = 0u64;
     let mut offsets_pruned = 0u64;
     for (j, read) in target.reads().iter().enumerate() {
         sweep_read.refill(read.bases().bases(), read.quals());
-        for i in 0..block.num_candidates() {
-            let pair = run_pair_codes(
-                block.row_padded(i),
-                block.len(i),
-                &sweep_read,
-                kind,
-                hdc_cfg,
-            );
+        sweep_block(&block, &sweep_read, kind, hdc_cfg, &mut whds, |i, pair| {
             hdc_cycles += pair.cycles;
             comparisons += pair.comparisons;
             offsets_pruned += pair.offsets_pruned;
             cells[i * num_reads + j] = pair.min;
-        }
+        });
     }
     finish_run(
         target,

@@ -33,7 +33,7 @@ use ir_system::core::{kernel, KernelKind};
 use ir_system::fpga::hdc::{run_pair, run_read_sweep, HdcConfig, PairRun};
 use ir_system::fpga::unit::{simulate_target, simulate_target_fast_with};
 use ir_system::fpga::FpgaParams;
-use ir_system::genome::{Base, Qual, Read, RealignmentTarget, Sequence};
+use ir_system::genome::{Base, Qual, Read, RealignmentTarget, Sequence, TargetLimits};
 use proptest::prelude::*;
 
 /// One (consensus, read) pair through the production path: a one-row
@@ -314,5 +314,338 @@ fn shrinking_reads_reuse_the_sweep_buffer_exactly() {
             let got = simulate_target_fast_with(&target, &params, kind);
             assert_eq!(got, want, "kernel {kind} params {params:?}");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Cross-consensus WHD reuse: under the dense shape each alternative copies
+// the reference's WHDs on the windows inside their shared prefix and
+// suffix and sweeps only the windows straddling the difference.
+// ---------------------------------------------------------------------------
+
+/// A deterministic pseudo-random `len`-base sequence over `alphabet`.
+fn scrambled(len: usize, salt: u64, alphabet: &[Base]) -> Vec<Base> {
+    let mut x = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            alphabet[(x >> 33) as usize % alphabet.len()]
+        })
+        .collect()
+}
+
+const ACGT: [Base; 4] = [Base::A, Base::C, Base::G, Base::T];
+/// No `A`: filler that never matches a run of `A`s.
+const CGT: [Base; 3] = [Base::C, Base::G, Base::T];
+
+fn seq_of(parts: &[&[Base]]) -> Sequence {
+    parts.concat().into_iter().collect()
+}
+
+fn read_of(bases: &[Base], scores: &[u8]) -> Read {
+    let quals = Qual::from_raw_scores(scores).unwrap();
+    Read::new("r", bases.iter().copied().collect(), quals, 0).unwrap()
+}
+
+/// Every HDC config that takes the dense shape on reads of at most 96
+/// bases: the IR ACC design (its comparator's verdict lands after the
+/// last block) and both designs without a comparator.
+fn dense_configs() -> [HdcConfig; 3] {
+    [
+        HdcConfig::data_parallel(),
+        HdcConfig {
+            pruning: false,
+            ..HdcConfig::data_parallel()
+        },
+        HdcConfig {
+            pruning: false,
+            ..HdcConfig::serial()
+        },
+    ]
+}
+
+/// The ambient kernel and every kind the CPU can run.
+fn every_kind() -> Vec<KernelKind> {
+    let mut kinds = KernelKind::available();
+    kinds.push(kernel::active());
+    kinds
+}
+
+/// The reuse identities on `target`, under every kernel: each read's
+/// [`run_read_sweep`] row equals the per-pair reference `run_pair`
+/// under every dense config, and [`simulate_target_fast_with`] equals
+/// [`simulate_target`] under the IR ACC, comparator-free and serial
+/// parameters.
+fn assert_reuse_exact(target: &RealignmentTarget) {
+    let block = CandidateBlock::from_target(target);
+    for read in target.reads() {
+        let sweep_read = SweepRead::new(read.bases().bases(), read.quals());
+        for cfg in dense_configs() {
+            let want: Vec<_> = target
+                .consensuses()
+                .iter()
+                .map(|c| run_pair(c, read.bases(), read.quals(), cfg))
+                .collect();
+            for kind in every_kind() {
+                let got = run_read_sweep(&block, &sweep_read, kind, cfg);
+                assert_eq!(
+                    got,
+                    want,
+                    "kernel {kind} config {cfg:?} read {}",
+                    read.len()
+                );
+            }
+        }
+    }
+    let configs = [
+        FpgaParams::iracc(),
+        FpgaParams {
+            pruning: false,
+            ..FpgaParams::iracc()
+        },
+        FpgaParams::serial(),
+    ];
+    for params in configs {
+        let want = simulate_target(target, &params);
+        for kind in every_kind() {
+            let got = simulate_target_fast_with(target, &params, kind);
+            assert_eq!(got, want, "kernel {kind} params {params:?}");
+        }
+    }
+}
+
+/// Reads cut from `rows` around `at` (the difference), each with a
+/// substitution, plus one read from the far ends: windows that the
+/// prefix, the suffix and the fresh sweep each score best.
+fn reads_around(rows: &[&[Base]], at: usize, n: usize) -> Vec<Read> {
+    let scores: Vec<u8> = (0..n).map(|i| 10 + (i * 7 % 31) as u8).collect();
+    let mut reads = Vec::new();
+    for row in rows {
+        let last = row.len() - n;
+        for start in [0, at.saturating_sub(n / 2).min(last), at.min(last), last] {
+            let mut bases = row[start..start + n].to_vec();
+            bases[n / 3] = if bases[n / 3] == Base::A {
+                Base::C
+            } else {
+                Base::A
+            };
+            reads.push(read_of(&bases, &scores));
+        }
+    }
+    reads
+}
+
+fn target_of(consensuses: &[Sequence], reads: Vec<Read>) -> RealignmentTarget {
+    RealignmentTarget::builder(1_000)
+        .reference(consensuses[0].clone())
+        .consensuses(consensuses[1..].iter().cloned())
+        .reads(reads)
+        .build()
+        .unwrap()
+}
+
+/// Alternatives sharing only a prefix, only a suffix, or both (an
+/// insertion and a deletion), identical to the reference, sharing a
+/// prefix shorter than the read, and much shorter than the reference.
+#[test]
+fn reuse_matches_reference_on_every_kind_of_alternative() {
+    let reference = scrambled(220, 1, &ACGT);
+    let other = scrambled(220, 2, &ACGT);
+    let n = 48;
+    let alternatives: Vec<(&str, Vec<Base>, usize)> = vec![
+        (
+            "prefix only",
+            [&reference[..130], &other[..70]].concat(),
+            130,
+        ),
+        (
+            "suffix only",
+            [&other[..90], &reference[100..]].concat(),
+            90,
+        ),
+        (
+            "insertion",
+            [&reference[..110], &other[..7], &reference[110..]].concat(),
+            110,
+        ),
+        (
+            "deletion",
+            [&reference[..110], &reference[113..]].concat(),
+            110,
+        ),
+        ("identical", reference.clone(), 110),
+        (
+            "prefix shorter than the read",
+            [&reference[..20], &other[..9], &reference[20..]].concat(),
+            20,
+        ),
+        (
+            "suffix shorter than the read",
+            [&reference[..180], &other[..9], &reference[180..]].concat(),
+            180,
+        ),
+        (
+            "long deletion",
+            [&reference[..60], &reference[150..]].concat(),
+            60,
+        ),
+    ];
+    for (name, alt, at) in &alternatives {
+        let consensuses = [seq_of(&[&reference]), seq_of(&[alt])];
+        let reads = reads_around(&[&reference, alt], *at, n);
+        let target = target_of(&consensuses, reads);
+        let block = CandidateBlock::from_target(&target);
+        let (prefix, suffix) = block.shared_with_reference(1);
+        if *name == "identical" {
+            assert_eq!((prefix, suffix), (220, 220));
+        } else {
+            assert!(prefix < 220 && suffix < 220, "{name}: {prefix}, {suffix}");
+        }
+        assert_reuse_exact(&target);
+    }
+    // All of them in one target: rows after the first reuse the same
+    // reference buffer.
+    let mut consensuses = vec![seq_of(&[&reference])];
+    consensuses.extend(alternatives.iter().map(|(_, alt, _)| seq_of(&[alt])));
+    let reads = reads_around(&[&reference], 110, n);
+    assert_reuse_exact(&target_of(&consensuses, reads));
+}
+
+/// Rows past the hardware's 2,048 bases, whose WHD buffers no longer
+/// fit inline.
+#[test]
+fn reuse_matches_reference_past_the_inline_buffers() {
+    let reference = scrambled(2_300, 4, &ACGT);
+    let alt = [&reference[..1_500], &reference[1_504..]].concat();
+    let reads = reads_around(&[&reference, &alt], 1_500, 60);
+    let target = RealignmentTarget::builder(1_000)
+        .limits(TargetLimits::UNBOUNDED)
+        .reference(seq_of(&[&reference]))
+        .consensus(seq_of(&[&alt]))
+        .reads(reads)
+        .build()
+        .unwrap();
+    assert_reuse_exact(&target);
+}
+
+/// The per-offset WHDs of `read` along `consensus`, longhand.
+fn whds_longhand(consensus: &Sequence, read: &Read) -> Vec<u64> {
+    (0..=consensus.len() - read.len())
+        .map(|k| ir_system::core::calc_whd(consensus, read.bases(), read.quals(), k))
+        .collect()
+}
+
+/// The minimum is tied across the boundary between a reused and a
+/// swept window, on both sides of the difference: the first of the
+/// tied offsets must win and the tie must not count as above the
+/// minimum. A zero score on the read's first (last) base lets the
+/// window one offset before (after) an exact hit tie it.
+#[test]
+fn reuse_keeps_first_on_ties_across_the_reuse_boundary() {
+    let n = 40;
+    let filler = scrambled(30, 3, &CGT);
+    let run = vec![Base::A; n];
+    let mut scores = vec![20u8; n];
+    // Prefix side: the reference holds `A^(n-1)` then `C`; the
+    // alternative inserts an `A` before the `C`. The last reused offset
+    // 29 (filler base + `A^(n-1)`, mismatching only on the zero-score
+    // first base) ties the first swept offset 30 (`A^n`) at 0.
+    scores[0] = 0;
+    let head = read_of(&run, &scores);
+    let reference = seq_of(&[&filler, &run[1..], &[Base::C], &filler]);
+    let alt = seq_of(&[&filler, &run, &[Base::C], &filler]);
+    let target = target_of(&[reference.clone(), alt.clone()], vec![head.clone()]);
+    let block = CandidateBlock::from_target(&target);
+    let (prefix, _) = block.shared_with_reference(1);
+    let fresh_lo = prefix + 1 - n;
+    assert_eq!(fresh_lo, 30);
+    let whds = whds_longhand(&alt, &head);
+    assert_eq!((whds[fresh_lo - 1], whds[fresh_lo]), (0, 0));
+    assert!(whds[..fresh_lo - 1].iter().all(|&w| w > 0));
+    assert_reuse_exact(&target);
+    let run_alt = run_read_sweep(
+        &block,
+        &SweepRead::new(head.bases().bases(), head.quals()),
+        kernel::active(),
+        HdcConfig::data_parallel(),
+    )[1];
+    assert_eq!((run_alt.min.whd, run_alt.min.offset), (0, fresh_lo - 1));
+
+    // Suffix side, mirrored: the reference holds `C` then `A^(n-1)`; the
+    // alternative inserts an `A` after the `C`. The last swept offset
+    // (`A^n`) ties the first reused suffix offset (`A^(n-1)` + filler
+    // base, mismatching only on the zero-score last base) at 0.
+    let mut scores = vec![20u8; n];
+    scores[n - 1] = 0;
+    let tail = read_of(&run, &scores);
+    let reference = seq_of(&[&filler, &[Base::C], &run[1..], &filler]);
+    let alt = seq_of(&[&filler, &[Base::C], &run, &filler]);
+    let target = target_of(&[reference, alt.clone()], vec![tail.clone()]);
+    let block = CandidateBlock::from_target(&target);
+    let (_, suffix) = block.shared_with_reference(1);
+    let suffix_start = alt.len() - suffix;
+    assert_eq!(suffix_start, 32);
+    let whds = whds_longhand(&alt, &tail);
+    assert_eq!((whds[suffix_start - 1], whds[suffix_start]), (0, 0));
+    assert!(whds[..suffix_start - 1].iter().all(|&w| w > 0));
+    assert_reuse_exact(&target);
+}
+
+prop_compose! {
+    /// A reference with 1–3 alternatives, each the reference with one
+    /// random insertion or deletion (possibly empty, so identical to
+    /// the reference), and reads of 1–110 bases cut from random rows at
+    /// random places with a few substitutions: the reads of at most 96
+    /// bases take the dense shape under IR ACC, the rest the block loop.
+    fn indel_targets()(
+        ref_len in 110usize..=260,
+        ref_salt in any::<u64>(),
+        indels in prop::collection::vec((0usize..260, 0usize..=12, any::<bool>(), any::<u64>()), 1..=3),
+        reads in prop::collection::vec(
+            (1usize..=110, 0usize..8, any::<u64>(), prop::collection::vec((0usize..110, 0u8..=4), 0..=4)),
+            1..=4,
+        ),
+        qual_scores in prop::collection::vec(0u8..=60, 110),
+    ) -> RealignmentTarget {
+        let reference = scrambled(ref_len, ref_salt, &ACGT);
+        let mut rows = vec![reference.clone()];
+        for &(at, len, insert, salt) in &indels {
+            let at = at % ref_len;
+            rows.push(if insert {
+                [&reference[..at], &scrambled(len, salt, &ACGT)[..], &reference[at..]].concat()
+            } else {
+                let end = (at + len).min(ref_len);
+                [&reference[..at], &reference[end..]].concat()
+            });
+        }
+        let shortest = rows.iter().map(Vec::len).min().unwrap();
+        let reads = reads
+            .iter()
+            .map(|(len, row, start, subs)| {
+                let n = (*len).min(shortest);
+                let row = &rows[row % rows.len()];
+                let start = (*start as usize) % (row.len() - n + 1);
+                let mut bases = row[start..start + n].to_vec();
+                for &(pos, code) in subs {
+                    bases[pos % n] = base(code);
+                }
+                read_of(&bases, &qual_scores[..n])
+            })
+            .collect();
+        let consensuses: Vec<Sequence> = rows.iter().map(|r| seq_of(&[r])).collect();
+        target_of(&consensuses, reads)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases_env(48))]
+
+    /// Reference-plus-random-INDEL targets: the reusing sweep equals the
+    /// per-pair reference on every kernel.
+    #[test]
+    fn reuse_matches_reference_on_random_indels(target in indel_targets()) {
+        assert_reuse_exact(&target);
     }
 }

@@ -162,6 +162,46 @@ fn default_rate_faults_driver_batch_completes() {
     }
 }
 
+/// Each failure counts once, by where it happened: a failed DMA
+/// transfer is a DMA fault (never also a response timeout or a corrupt
+/// read-back), and a watchdog timeout is a dropped response. On one unit
+/// both the functional driver and the timing model reconcile their
+/// detection counters with the injected faults, seed by seed.
+#[test]
+fn dma_faults_and_timeouts_reconcile_with_the_injected_faults() {
+    let targets = workload(6);
+    let params = FpgaParams {
+        num_units: 1,
+        ..FpgaParams::iracc()
+    };
+    let policy = ResiliencePolicy::default();
+    let system = AcceleratedSystem::new(params, Scheduling::SynchronousUnsorted).expect("fits");
+    let mut dma_faults = 0;
+    for seed in 0..40u64 {
+        let mut driver = HostDriver::new(params).expect("fits");
+        let mut plan = FaultPlan::seeded(seed, FaultRates::uniform(0.02));
+        let (_, driver_report) = driver
+            .run_batch_resilient(&targets, &mut plan, &policy)
+            .expect("fallback completes the batch");
+        let mut plan = FaultPlan::seeded(seed, FaultRates::uniform(0.02));
+        let model_report = system
+            .run_resilient(&targets, &mut plan, &policy)
+            .resilience
+            .expect("report attached");
+        for (side, r) in [("driver", &driver_report), ("timing model", &model_report)] {
+            let f = r.faults;
+            assert_eq!(
+                r.dma_faults,
+                f.dma_timeouts + f.dma_truncations,
+                "{side}, seed {seed}"
+            );
+            assert_eq!(r.timeouts, f.responses_dropped, "{side}, seed {seed}");
+        }
+        dma_faults += driver_report.dma_faults;
+    }
+    assert!(dma_faults > 0, "the seeds must inject DMA faults");
+}
+
 fn base_strategy() -> impl Strategy<Value = Base> {
     prop_oneof![
         4 => Just(Base::A),
