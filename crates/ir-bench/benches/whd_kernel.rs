@@ -6,7 +6,8 @@ use std::hint::black_box;
 
 use ir_bench::bench_workload;
 use ir_core::batch::{CandidateBlock, SweepRead};
-use ir_core::{calc_whd, calc_whd_bounded, kernel, KernelKind};
+use ir_core::kernel::{self, ReadWords};
+use ir_core::{calc_whd, calc_whd_bounded, KernelKind};
 use ir_fpga::hdc::{run_pair, run_read_sweep, HdcConfig};
 use ir_fpga::unit::simulate_target_fast_with;
 use ir_fpga::FpgaParams;
@@ -184,19 +185,20 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
 /// `dense_sweep`, the dense sweep of each pair on its own
 /// (`whd_range` over every offset, then `fold_whds`; ragged offset
 /// counts, about half of them one partial 64-offset block);
-/// `target_dense`, the same pairs as the IRACC key's cold oracle runs
-/// them, whole targets through `simulate_target_fast_with`, where each
-/// alternative reuses the reference's WHDs on the windows they share;
-/// and `serial_sweep`, as the serial key's cold oracle runs it (the shape
-/// that dominates the Figure 9 sweep: 62-base reads, about 96% of offsets
-/// pruned). The throughput is in offsets per sweep.
+/// `target_dense` and `target_serial`, the same pairs as the IRACC and
+/// serial keys' cold oracles run them, whole targets through
+/// `simulate_target_fast_with`, where each alternative reuses the
+/// reference's entries on the windows they share; and `serial_sweep`,
+/// each pair's whole serial sweep on its own (the shape that dominates
+/// the Figure 9 sweep: 62-base reads, about 96% of offsets pruned). The
+/// throughput is in offsets per sweep.
 fn bench_kernel_mix(c: &mut Criterion) {
     let targets: Vec<_> = bench_workload(5e-4)
         .autosomes()
         .iter()
         .flat_map(|chrom| chrom.targets.iter().cloned())
         .collect();
-    let iracc = FpgaParams::iracc();
+    let (iracc, serial) = (FpgaParams::iracc(), FpgaParams::serial());
     let mix: Vec<(CandidateBlock, Vec<SweepRead>)> = targets
         .iter()
         .map(|t| {
@@ -224,25 +226,27 @@ fn bench_kernel_mix(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(offsets));
     let mut whds = Vec::new();
+    let mut words = ReadWords::new();
     for kind in KernelKind::available() {
         group.bench_with_input(BenchmarkId::new("dense_sweep", kind), &(), |b, ()| {
             b.iter(|| {
                 for &(block, i, read) in &pairs {
                     whds.resize(block.len(i) - read.len() + 1, 0u16);
-                    let row = block.row_padded(i);
-                    let (codes, scores) = (read.codes_padded(), read.scores_padded());
-                    kernel::whd_range(kind, row, 0, codes, scores, &mut whds);
+                    let prepared = read.prepare(kind, &mut words);
+                    kernel::whd_range(&prepared, block.row_padded(i), 0, &mut whds);
                     black_box(kernel::fold_whds(kind, &whds));
                 }
             })
         });
-        group.bench_with_input(BenchmarkId::new("target_dense", kind), &(), |b, ()| {
-            b.iter(|| {
-                for target in &targets {
-                    black_box(simulate_target_fast_with(target, &iracc, kind));
-                }
-            })
-        });
+        for (name, params) in [("target_dense", &iracc), ("target_serial", &serial)] {
+            group.bench_with_input(BenchmarkId::new(name, kind), &(), |b, ()| {
+                b.iter(|| {
+                    for target in &targets {
+                        black_box(simulate_target_fast_with(target, params, kind));
+                    }
+                })
+            });
+        }
         group.bench_with_input(BenchmarkId::new("serial_sweep", kind), &(), |b, ()| {
             b.iter(|| {
                 for &(block, i, read) in &pairs {

@@ -27,7 +27,7 @@
 use ir_genome::{base_code, Base, Qual, RealignmentTarget, Sequence};
 
 use crate::grid::MinWhd;
-use crate::kernel::{self, KernelKind};
+use crate::kernel::{self, KernelKind, PreparedRead, ReadWords};
 use crate::stats::OpCounts;
 
 /// Row padding (and lane-array rounding) in bases: one full AVX-512
@@ -338,6 +338,22 @@ impl SweepRead {
     /// The lane-array length (`len` rounded up to a [`ROW_PAD`] multiple).
     pub fn padded_len(&self) -> usize {
         self.lanes.len() / 2
+    }
+
+    /// The read prepared once for every range-kernel call on `kind`
+    /// ([`PreparedRead`]), its expansion written to `words`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` cannot run on this CPU.
+    pub fn prepare<'a>(&'a self, kind: KernelKind, words: &'a mut ReadWords) -> PreparedRead<'a> {
+        PreparedRead::new(
+            kind,
+            self.codes_padded(),
+            self.scores_padded(),
+            self.len,
+            words,
+        )
     }
 }
 

@@ -40,13 +40,15 @@
 //! 16 lanes; SWAR 8 lanes per `u64` with the classic has-zero-byte trick.
 //!
 //! The offset sweeps live here too, so the per-ISA work inlines into the
-//! offset loop: [`serial_sweep`] (per-base pruning) and the dense sweep
-//! (every offset folded in full) in two halves, [`whd_range`] (the WHDs
-//! of an offset range into a `u16` buffer) and [`fold_whds`] (a buffer
-//! into its minimum and the offsets above the running minimum). The
-//! split lets a caller copy the WHDs of windows two candidates share
-//! instead of sweeping them again. AVX-512 runs them offset-parallel,
-//! the diagram transposed, on one shared pass 1:
+//! offset loop: [`serial_sweep`] (per-base pruning, every count of a
+//! whole pair) and three range kernels over a [`PreparedRead`]:
+//! [`whd_range`] (the WHDs of an offset range into a `u16` buffer),
+//! [`serial_range`] (the same under per-base pruning from a carried-in
+//! running minimum, plus each offset's visited bases) and [`fold_whds`]
+//! (a buffer into its minimum and the offsets above the running
+//! minimum). The split lets a caller copy the entries of windows two
+//! candidates share instead of sweeping them again. AVX-512 runs them
+//! offset-parallel, the diagram transposed, on one shared pass 1:
 //!
 //! ```text
 //! lane j = offset k0 + j                   64 consecutive offsets per block
@@ -55,9 +57,9 @@
 //!   W  += s_b where neq                    two masked u16 adds
 //! E = exclusive prefix-min(W), carried in  each offset's running minimum
 //! above += popcnt(W > E); new min = last lane with W < E   (fold_whds)
-//! pass 2 (serial only), for each base b:   replay the kept neq masks
-//!   acc += popcnt(neq & live); P += s_b where neq
-//!   live = P <= E; visited += popcnt(live)  E is the exact serial budget
+//! stop pass (serial only), for each b:     lanes with W > E, until none live
+//!   neq = cmpneq(row[k0 + b ..], r_b) & live; P += s_b where neq
+//!   stop = live & (P > E): visits = b + 1  E is the exact serial budget
 //! ```
 //!
 //! The `u16` lanes are exact while the read's score total stays below
@@ -435,8 +437,8 @@ pub struct SerialSweep {
 /// 64 offsets per vector instead: a pruned offset's WHD exceeds the
 /// minimum it is compared against, so it never lowers that minimum, and
 /// offset `k`'s budget is exactly the minimum WHD over offsets `0..k`.
-/// One dense pass 1 therefore gives every offset's budget, and a
-/// second pass replays the mismatch masks to find each stop base.
+/// One dense pass 1 therefore gives every offset's budget, and a stop
+/// pass recomputes the compares to find each stop base.
 ///
 /// `row` is the candidate row (commonly a padded [`CandidateBlock`]
 /// row); only `row[..row_len]` is read. `read` and `scores` must have
@@ -498,38 +500,66 @@ fn serial_sweep_generic(
     mask_chunk: impl Fn(&[u8], &[u8]) -> u64,
 ) -> SerialSweep {
     let n = read.len();
-    let max_k = row_len - n;
     let mut out = SerialSweep::START;
-    for k in 0..=max_k {
-        let win = &row[k..k + n];
-        let mut whd = 0u64;
-        let mut visited = 0usize;
-        let mut stopped = false;
-        'scan: while visited < n {
-            let end = (visited + 64).min(n);
-            let mut mask = mask_chunk(&win[visited..end], &read[visited..end]);
-            while mask != 0 {
-                let idx = visited + mask.trailing_zeros() as usize;
-                whd += u64::from(scores[idx]);
-                out.accumulations += 1;
-                if whd > out.min_whd {
-                    visited = idx + 1;
-                    stopped = true;
-                    break 'scan;
-                }
-                mask &= mask - 1;
-            }
-            visited = end;
-        }
-        out.visited += visited as u64;
-        if stopped {
+    for k in 0..=row_len - n {
+        let scan = scan_offset(&row[k..k + n], read, scores, out.min_whd, &mask_chunk);
+        out.visited += scan.visited as u64;
+        out.accumulations += scan.accumulations;
+        if scan.stopped {
             out.offsets_pruned += 1;
-        } else if whd < out.min_whd {
-            out.min_whd = whd;
+        } else if scan.whd < out.min_whd {
+            out.min_whd = scan.whd;
             out.min_offset = k;
         }
     }
     out
+}
+
+/// One offset's serial scan: its running sum at the stop base, or its
+/// whole WHD when it completes.
+struct OffsetScan {
+    whd: u64,
+    visited: usize,
+    accumulations: u64,
+    stopped: bool,
+}
+
+/// Scans one window base by base against `budget`, walking each 64-base
+/// chunk's mismatch mask, and stops at the first base where the running
+/// sum exceeds the budget.
+#[inline(always)]
+fn scan_offset(
+    win: &[u8],
+    read: &[u8],
+    scores: &[u8],
+    budget: u64,
+    mask_chunk: &impl Fn(&[u8], &[u8]) -> u64,
+) -> OffsetScan {
+    let n = read.len();
+    let mut scan = OffsetScan {
+        whd: 0,
+        visited: 0,
+        accumulations: 0,
+        stopped: false,
+    };
+    while scan.visited < n {
+        let start = scan.visited;
+        let end = (start + 64).min(n);
+        let mut mask = mask_chunk(&win[start..end], &read[start..end]);
+        while mask != 0 {
+            let idx = start + mask.trailing_zeros() as usize;
+            scan.whd += u64::from(scores[idx]);
+            scan.accumulations += 1;
+            if scan.whd > budget {
+                scan.visited = idx + 1;
+                scan.stopped = true;
+                return scan;
+            }
+            mask &= mask - 1;
+        }
+        scan.visited = end;
+    }
+    scan
 }
 
 impl SerialSweep {
@@ -543,9 +573,136 @@ impl SerialSweep {
     };
 }
 
-/// Score totals from this one up overflow a `u16` WHD: [`whd_range`]
-/// takes only reads whose score total lies below it.
+/// Score totals from this one up overflow a `u16` WHD: the range
+/// kernels take only reads whose score total lies below it.
 pub const WHD_U16_LIMIT: u64 = 0xFFFF;
+
+/// Read bases the AVX-512 offset-parallel sweeps expand into a
+/// [`ReadWords`] (a multiple of the 16-base expansion step), and the
+/// longest read [`serial_range`] takes, so every visit count fits its
+/// `u16`. Longer reads keep the per-offset loops.
+pub const PARALLEL_MAX_BASES: usize = 1024;
+
+/// Scratch for a [`PreparedRead`]'s expansion: on AVX-512, each base's
+/// code as a 4-byte word (`code · 0x01010101`) and its score as two
+/// `u16` halves (`score · 0x00010001`), so the offset-parallel loops
+/// broadcast them with plain loads. One serves every read of a target.
+#[derive(Clone)]
+pub struct ReadWords {
+    code: [u32; PARALLEL_MAX_BASES],
+    score: [u32; PARALLEL_MAX_BASES],
+}
+
+impl ReadWords {
+    /// Zeroed scratch.
+    pub fn new() -> Self {
+        ReadWords {
+            code: [0; PARALLEL_MAX_BASES],
+            score: [0; PARALLEL_MAX_BASES],
+        }
+    }
+}
+
+impl Default for ReadWords {
+    fn default() -> Self {
+        ReadWords::new()
+    }
+}
+
+impl fmt::Debug for ReadWords {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("ReadWords { .. }")
+    }
+}
+
+/// One read prepared for the range kernels ([`whd_range`],
+/// [`serial_range`]): the per-read work they share — the score total,
+/// the scored length and, on AVX-512, the word expansion — done once,
+/// however many rows and ranges the read is then swept over.
+#[derive(Debug, Clone, Copy)]
+pub struct PreparedRead<'a> {
+    kind: KernelKind,
+    codes: &'a [u8],
+    scores: &'a [u8],
+    len: usize,
+    /// The bases up to the last nonzero score: trailing zero-score bases
+    /// add nothing to any WHD and never stop a scan.
+    extent: usize,
+    total: u64,
+    /// The expansion, when `kind` is AVX-512, `extent <=
+    /// PARALLEL_MAX_BASES` and `total < WHD_U16_LIMIT`.
+    words: Option<&'a ReadWords>,
+}
+
+impl<'a> PreparedRead<'a> {
+    /// Prepares a `len`-base read for `kind`: `codes_padded` and
+    /// `scores_padded` are its zero-padded lane arrays (as
+    /// [`SweepRead`](crate::batch::SweepRead) holds them; padding lanes
+    /// carry score 0, so a fold over the padded length equals the fold
+    /// over the read), and `words` is the scratch the expansion goes to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane arrays' lengths differ or are shorter than
+    /// `len`, or if `kind` cannot run on this CPU.
+    pub fn new(
+        kind: KernelKind,
+        codes_padded: &'a [u8],
+        scores_padded: &'a [u8],
+        len: usize,
+        words: &'a mut ReadWords,
+    ) -> Self {
+        assert_eq!(
+            scores_padded.len(),
+            codes_padded.len(),
+            "scores/read length mismatch"
+        );
+        assert!(len <= codes_padded.len(), "read longer than its lanes");
+        assert_available(kind);
+        let total = scores_padded.iter().map(|&s| u64::from(s)).sum();
+        let extent = scores_padded
+            .iter()
+            .rposition(|&s| s != 0)
+            .map_or(0, |i| i + 1);
+        let expanded = kind == KernelKind::Avx512
+            && extent <= PARALLEL_MAX_BASES
+            && total < WHD_U16_LIMIT
+            && expand(codes_padded, scores_padded, extent, words);
+        PreparedRead {
+            kind,
+            codes: codes_padded,
+            scores: scores_padded,
+            len,
+            extent,
+            total,
+            words: expanded.then_some(&*words),
+        }
+    }
+}
+
+/// Expands the first `extent` bases into `words`; `false` where there is
+/// no AVX-512 kernel to use them.
+#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+fn expand(codes: &[u8], scores: &[u8], extent: usize, words: &mut ReadWords) -> bool {
+    // SAFETY: the caller asked for AVX-512 only after `assert_available`,
+    // both slices hold at least `extent <= PARALLEL_MAX_BASES` bytes, and
+    // the word buffers hold `PARALLEL_MAX_BASES` words.
+    unsafe {
+        x86::expand_read(
+            codes,
+            scores,
+            extent,
+            words.code.as_mut_ptr(),
+            words.score.as_mut_ptr(),
+        )
+    };
+    true
+}
+
+#[cfg(not(any(target_arch = "x86_64", target_arch = "x86")))]
+fn expand(_: &[u8], _: &[u8], _: usize, _: &mut ReadWords) -> bool {
+    false
+}
 
 /// A dense offset sweep's summary: every offset's WHD folded in offset
 /// order ([`fold_whds`], or [`DenseSweep::push`] one offset at a time).
@@ -585,8 +742,8 @@ impl DenseSweep {
 
 /// The WHDs of offsets `k0..k0 + out.len()` of one (candidate, read)
 /// pair: `out[j]` is the fold of the whole padded read against
-/// `row[k0 + j..][..read_padded.len()]`. The first half of the dense
-/// sweep; [`fold_whds`] is the second.
+/// `row[k0 + j..][..padded length]`. The first half of the dense sweep;
+/// [`fold_whds`] is the second.
 ///
 /// A window's WHD depends only on its bases and the read, so a caller
 /// can assemble a candidate's buffer from ranges of another candidate's
@@ -594,68 +751,43 @@ impl DenseSweep {
 /// the rest (DESIGN.md §4f).
 ///
 /// AVX-512 sweeps 64 offsets per vector, one read base at a time, in
-/// `u16` lanes; the other kinds fold one offset at a time. `read_padded`
-/// and `scores_padded` are the zero-padded lane arrays of
-/// [`SweepRead`](crate::batch::SweepRead): padding lanes carry score 0,
-/// so the fold over the padded length equals the fold over the read.
+/// `u16` lanes; the other kinds fold one offset at a time.
 ///
 /// # Panics
 ///
-/// Panics if `read_padded`/`scores_padded` lengths differ, if the
-/// scores total [`WHD_U16_LIMIT`] or more, if
-/// `k0 + out.len() - 1 + read_padded.len() > row.len()` (a
-/// [`CandidateBlock`] padded row always has that slack for its valid
-/// offsets), or if `kind` cannot run on this CPU.
+/// Panics if the read's scores total [`WHD_U16_LIMIT`] or more, or if
+/// `k0 + out.len() - 1` plus the padded read length exceeds `row.len()`
+/// (a [`CandidateBlock`] padded row always has that slack for its valid
+/// offsets).
 ///
 /// [`CandidateBlock`]: crate::batch::CandidateBlock
-pub fn whd_range(
-    kind: KernelKind,
-    row: &[u8],
-    k0: usize,
-    read_padded: &[u8],
-    scores_padded: &[u8],
-    out: &mut [u16],
-) {
-    assert_eq!(
-        scores_padded.len(),
-        read_padded.len(),
-        "scores/read length mismatch"
+pub fn whd_range(read: &PreparedRead, row: &[u8], k0: usize, out: &mut [u16]) {
+    assert!(
+        read.total < WHD_U16_LIMIT,
+        "score total overflows a u16 WHD"
     );
-    // Scores are bytes, so 256 of them cannot reach the limit.
-    let fits = scores_padded.len() <= 256
-        || scores_padded.iter().map(|&s| u64::from(s)).sum::<u64>() < WHD_U16_LIMIT;
-    assert!(fits, "score total overflows a u16 WHD");
     if out.is_empty() {
         return;
     }
     assert!(
-        k0 + out.len() - 1 + read_padded.len() <= row.len(),
+        k0 + out.len() - 1 + read.codes.len() <= row.len(),
         "padded window beyond the candidate row"
     );
-    let (read, scores) = (read_padded, scores_padded);
-    match kind {
-        KernelKind::Scalar => whd_range_generic(row, k0, read, scores, out, fold_scalar),
-        KernelKind::Swar => whd_range_generic(row, k0, read, scores, out, fold_swar),
+    let (codes, scores) = (read.codes, read.scores);
+    match read.kind {
+        KernelKind::Scalar => whd_range_generic(row, k0, codes, scores, out, fold_scalar),
+        KernelKind::Swar => whd_range_generic(row, k0, codes, scores, out, fold_swar),
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        KernelKind::Avx2 => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified AVX2 at runtime; the
-            // asserts above keep every window inside `row`.
-            unsafe { x86::whd_range_avx2(row, k0, read, scores, out) }
-        }
+        // SAFETY: `PreparedRead::new` verified AVX2 at runtime; the
+        // asserts above keep every window inside `row`.
+        KernelKind::Avx2 => unsafe { x86::whd_range_avx2(row, k0, codes, scores, out) },
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        KernelKind::Avx512 => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified AVX-512F/BW and POPCNT
-            // at runtime; the asserts above bound every load (DESIGN.md §4f).
-            unsafe { x86::whd_range_avx512(row, k0, read, scores, out) }
-        }
+        // SAFETY: `PreparedRead::new` verified AVX-512F/BW and POPCNT at
+        // runtime; the asserts above bound every load (DESIGN.md §4f).
+        KernelKind::Avx512 => unsafe { x86::whd_range_avx512(row, k0, read, out) },
         #[cfg(target_arch = "aarch64")]
-        KernelKind::Neon => {
-            assert_available(kind);
-            // SAFETY: as above, for NEON.
-            unsafe { aarch64::whd_range_neon(row, k0, read, scores, out) }
-        }
+        // SAFETY: as above, for NEON.
+        KernelKind::Neon => unsafe { aarch64::whd_range_neon(row, k0, codes, scores, out) },
         #[allow(unreachable_patterns)]
         other => unavailable(other),
     }
@@ -676,6 +808,139 @@ fn whd_range_generic(
     let n = read.len();
     for (k, whd) in (k0..).zip(out.iter_mut()) {
         *whd = fold(&row[k..k + n], read, scores) as u16;
+    }
+}
+
+/// The serial immediate-prune sweep of offsets `k0..k0 + whds.len()`,
+/// continued from `carry`: the minimum WHD of the completed offsets
+/// before `k0` (`u16::MAX` before offset 0, above every WHD of a read
+/// this takes). `whds[j]` receives offset `k0 + j`'s WHD or, if the
+/// offset is pruned, a lower bound on its WHD strictly above its budget
+/// (the per-offset kinds store the running sum at the stop base; AVX-512
+/// stores the WHD). `visits`, if given, receives each offset's visited
+/// bases, its stop base included.
+///
+/// Returns the running minimum after the range and the range's visited
+/// bases. Since each entry is its offset's WHD or a value above that
+/// offset's budget, [`fold_whds`] over a buffer of such entries gives the
+/// serial sweep's minimum, its first offset and its pruned offsets
+/// exactly (DESIGN.md §4f).
+///
+/// # Panics
+///
+/// Panics if `visits` is given and its length differs from `whds`', if
+/// the read is longer than [`PARALLEL_MAX_BASES`] or its scores total
+/// [`WHD_U16_LIMIT`] or more, or if `k0 + whds.len() - 1 + read length >
+/// row.len()`.
+pub fn serial_range(
+    read: &PreparedRead,
+    row: &[u8],
+    k0: usize,
+    carry: u16,
+    whds: &mut [u16],
+    visits: Option<&mut [u16]>,
+) -> SerialRange {
+    if let Some(visits) = &visits {
+        assert_eq!(whds.len(), visits.len(), "whds/visits length mismatch");
+    }
+    assert!(
+        read.len <= PARALLEL_MAX_BASES,
+        "read too long for u16 visit counts"
+    );
+    assert!(
+        read.total < WHD_U16_LIMIT,
+        "score total overflows a u16 WHD"
+    );
+    if whds.is_empty() {
+        return SerialRange { carry, visited: 0 };
+    }
+    assert!(
+        k0 + whds.len() - 1 + read.len <= row.len(),
+        "window beyond the candidate row"
+    );
+    let (codes, scores) = (&read.codes[..read.len], &read.scores[..read.len]);
+    let range = SerialRangeArgs {
+        row,
+        k0,
+        read: codes,
+        scores,
+        carry,
+    };
+    match read.kind {
+        KernelKind::Scalar => range.generic(whds, visits, mask_scalar),
+        KernelKind::Swar => range.generic(whds, visits, mask_swar),
+        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+        // SAFETY: `PreparedRead::new` verified AVX2 at runtime; the
+        // asserts above keep every window inside `row`.
+        KernelKind::Avx2 => unsafe { x86::serial_range_avx2(&range, whds, visits) },
+        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+        // SAFETY: `PreparedRead::new` verified AVX-512F/BW and POPCNT at
+        // runtime and, the read being short enough and its total below
+        // the bound, expanded it; the asserts above bound every load
+        // (DESIGN.md §4f).
+        KernelKind::Avx512 => unsafe {
+            x86::serial_range_avx512(row, k0, read, carry, whds, visits)
+        },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: as for AVX2, for NEON.
+        KernelKind::Neon => unsafe { aarch64::serial_range_neon(&range, whds, visits) },
+        #[allow(unreachable_patterns)]
+        other => unavailable(other),
+    }
+}
+
+/// What [`serial_range`] returns about its range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SerialRange {
+    /// The running minimum after the range: the minimum WHD of the
+    /// completed offsets up to its end, carried in included.
+    pub carry: u16,
+    /// The bases the range's offsets visit, stop bases included.
+    pub visited: u64,
+}
+
+/// A [`serial_range`] call's inputs, unpadded, for the per-offset loop.
+struct SerialRangeArgs<'a> {
+    row: &'a [u8],
+    k0: usize,
+    read: &'a [u8],
+    scores: &'a [u8],
+    carry: u16,
+}
+
+impl SerialRangeArgs<'_> {
+    /// The per-offset serial range loop shared by every ISA but AVX-512,
+    /// monomorphized over the mask primitive like
+    /// [`serial_sweep_generic`]. The score total is below
+    /// [`WHD_U16_LIMIT`] and the read at most [`PARALLEL_MAX_BASES`] long,
+    /// so every entry fits its `u16`.
+    #[inline(always)]
+    fn generic(
+        &self,
+        whds: &mut [u16],
+        mut visits: Option<&mut [u16]>,
+        mask_chunk: impl Fn(&[u8], &[u8]) -> u64,
+    ) -> SerialRange {
+        let n = self.read.len();
+        let mut out = SerialRange {
+            carry: self.carry,
+            visited: 0,
+        };
+        for (j, whd) in whds.iter_mut().enumerate() {
+            let k = self.k0 + j;
+            let win = &self.row[k..k + n];
+            let budget = u64::from(out.carry);
+            let scan = scan_offset(win, self.read, self.scores, budget, &mask_chunk);
+            *whd = scan.whd as u16;
+            if let Some(visits) = visits.as_deref_mut() {
+                visits[j] = scan.visited as u16;
+            }
+            out.visited += scan.visited as u64;
+            if !scan.stopped {
+                out.carry = out.carry.min(*whd);
+            }
+        }
+        out
     }
 }
 
@@ -1084,10 +1349,23 @@ mod x86 {
         })
     }
 
-    /// Read bases the offset-parallel sweeps expand onto the stack (a
-    /// multiple of the 16-base expansion step); longer reads keep the
-    /// per-offset loops.
-    const PARALLEL_MAX_BASES: usize = 1024;
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Lengths checked by the safe
+    /// dispatcher.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn serial_range_avx2(
+        range: &super::SerialRangeArgs,
+        whds: &mut [u16],
+        visits: Option<&mut [u16]>,
+    ) -> super::SerialRange {
+        // SAFETY: the closure runs inside this function's AVX2 scope, on
+        // equal-length windows of at most 64 bases the generic loop cut
+        // from `row` and `read`.
+        range.generic(whds, visits, |w, r| unsafe { mask_avx2(w, r) })
+    }
+
+    use super::PARALLEL_MAX_BASES;
 
     /// `vpermw` index vectors for the prefix-min steps: entry `i` moves
     /// lane `max(j - 2^i, 0)` into lane `j`.
@@ -1119,28 +1397,6 @@ mod x86 {
         x
     }
 
-    /// The score total of `scores` and its scored length: the bases up to
-    /// the last nonzero score.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn score_extent(scores: &[u8]) -> (u64, usize) {
-        let zero = _mm512_setzero_si512();
-        let mut total = zero;
-        let mut n = 0usize;
-        let mut i = 0usize;
-        while i < scores.len() {
-            let lanes = tail_mask(scores.len() - i);
-            let s = _mm512_maskz_loadu_epi8(lanes, scores.as_ptr().add(i).cast());
-            total = _mm512_add_epi64(total, _mm512_sad_epu8(s, zero));
-            let scored = _mm512_test_epi8_mask(s, s);
-            if scored != 0 {
-                n = i + 64 - scored.leading_zeros() as usize;
-            }
-            i += 64;
-        }
-        (_mm512_reduce_add_epi64(total) as u64, n)
-    }
-
     /// # Safety
     ///
     /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` and
@@ -1148,8 +1404,8 @@ mod x86 {
     /// (checked by the safe dispatcher); see DESIGN.md §4f for why every
     /// masked load stays inside those slices.
     ///
-    /// The two-pass offset-parallel sweep ([`offset_parallel_sweep`]). A
-    /// read whose score total reaches 0xFFFF, or longer than
+    /// The offset-parallel sweep ([`offset_parallel_sweep`]). A read
+    /// whose score total reaches 0xFFFF, or longer than
     /// [`PARALLEL_MAX_BASES`], walks each offset's mismatch masks
     /// instead, as the AVX2 arm does.
     #[target_feature(enable = "avx512f,avx512bw,popcnt")]
@@ -1160,7 +1416,8 @@ mod x86 {
         scores: &[u8],
     ) -> super::SerialSweep {
         let n = read.len();
-        if score_extent(scores).0 >= 0xFFFF || n > PARALLEL_MAX_BASES {
+        let total: u64 = scores.iter().map(|&s| u64::from(s)).sum();
+        if total >= super::WHD_U16_LIMIT || n > PARALLEL_MAX_BASES {
             // SAFETY: the closure runs inside this function's AVX-512F/BW
             // scope, on equal-length windows of at most 64 bases the
             // generic loop cut from `row` and `read`.
@@ -1173,64 +1430,180 @@ mod x86 {
 
     /// # Safety
     ///
-    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` and
-    /// `scores` have equal length, the scores total below 0xFFFF, `out`
-    /// is non-empty and `k0 + out.len() - 1 + read.len() <= row.len()`
-    /// (checked by the safe dispatcher); see DESIGN.md §4f for why every
-    /// masked load and store stays inside those slices.
+    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` was
+    /// expanded, and `out` is non-empty with `k0 + out.len() - 1 +
+    /// read.codes.len() <= row.len()` (checked by the safe dispatcher);
+    /// see DESIGN.md §4f for why every masked load and store stays inside
+    /// those slices.
     ///
     /// Pass 1 of the offset-parallel sweep ([`block_whds`]) over offsets
     /// `k0..k0 + out.len()`, 64 to a block, each block's `u16` lanes
-    /// stored straight into `out`. It runs over the bases up to the last
-    /// scored one (trailing zero-score padding adds nothing to any
-    /// offset); a read with more than [`PARALLEL_MAX_BASES`] scored bases
-    /// folds each offset in turn.
+    /// stored straight into `out`. It runs over the read's scored bases
+    /// (trailing zero-score padding adds nothing to any offset); a read
+    /// with more than [`PARALLEL_MAX_BASES`] of them, which is not
+    /// expanded, folds each offset in turn.
     #[target_feature(enable = "avx512f,avx512bw,popcnt")]
     pub unsafe fn whd_range_avx512(
         row: &[u8],
         k0: usize,
-        read: &[u8],
-        scores: &[u8],
+        read: &super::PreparedRead,
         out: &mut [u16],
     ) {
-        let n = score_extent(scores).1;
-        if n > PARALLEL_MAX_BASES {
+        let Some(words) = read.words else {
             // SAFETY: the closure runs inside this function's AVX-512F/BW
             // scope, on equal-length slices the generic loop cut from `row`.
-            return super::whd_range_generic(row, k0, read, scores, out, |w, r, s| unsafe {
-                fold_avx512(w, r, s)
-            });
-        }
-        let mut code_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
-        let mut score_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
-        let code_words = code_words.as_mut_ptr().cast::<u32>();
-        let score_words = score_words.as_mut_ptr().cast::<u32>();
-        expand_read(read, scores, n, code_words, score_words);
+            return super::whd_range_generic(
+                row,
+                k0,
+                read.codes,
+                read.scores,
+                out,
+                |w, r, s| unsafe { fold_avx512(w, r, s) },
+            );
+        };
         let dst = out.as_mut_ptr();
         let mut j = 0usize;
         while j < out.len() {
             let valid = tail_mask(out.len() - j);
             // SAFETY: lane i loads `row[k0 + j + i + b]` only when
-            // `j + i < out.len()`, and `b < n <= read.len()`, so every
-            // byte read is below `k0 + out.len() - 1 + read.len() <=
-            // row.len()`; the stores write only the lanes `j + i <
-            // out.len()` (`wrapping_add` because the high half's base can
-            // lie past `out` when its mask is empty).
+            // `j + i < out.len()`, and `b < extent <= read.codes.len()`,
+            // so every byte read is below `k0 + out.len() - 1 +
+            // read.codes.len() <= row.len()`; the stores write only the
+            // lanes `j + i < out.len()` (`wrapping_add` because the high
+            // half's base can lie past `out` when its mask is empty).
             let (whd_lo, whd_hi) = block_whds::<false>(
                 row.as_ptr().add(k0 + j),
                 valid,
-                n,
-                code_words,
-                score_words,
+                read.extent,
+                words.code.as_ptr(),
+                words.score.as_ptr(),
                 std::ptr::null_mut(),
             );
-            _mm512_mask_storeu_epi16(dst.add(j).cast(), valid as u32, whd_lo);
-            _mm512_mask_storeu_epi16(
-                dst.wrapping_add(j + 32).cast(),
-                (valid >> 32) as u32,
-                whd_hi,
-            );
+            store_lanes(dst, j, valid, whd_lo, whd_hi);
             j += 64;
+        }
+    }
+
+    /// Stores the `valid` lanes of one 64-offset block (`lo`, then `hi`)
+    /// at `dst + j`.
+    ///
+    /// # Safety
+    ///
+    /// Every lane `i` set in `valid` has `dst + j + i` inside one
+    /// writable buffer.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn store_lanes(dst: *mut u16, j: usize, valid: u64, lo: __m512i, hi: __m512i) {
+        _mm512_mask_storeu_epi16(dst.add(j).cast(), valid as u32, lo);
+        _mm512_mask_storeu_epi16(dst.wrapping_add(j + 32).cast(), (valid >> 32) as u32, hi);
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` was
+    /// expanded, `whds` is non-empty, `visits` (if any) as long, and
+    /// `k0 + whds.len() - 1 + read.len <= row.len()` (checked by the safe
+    /// dispatcher).
+    ///
+    /// The serial sweep of offsets `k0..k0 + whds.len()` from the carried
+    /// running minimum `carry_in`, 64 offsets to a block: pass 1
+    /// ([`block_whds`]) stores each offset's WHD `W` and keeps each base's
+    /// mismatch mask, the exclusive running minima `E`
+    /// ([`exclusive_minima`], skipped when no lane drops below the carry)
+    /// give the pruned lanes `W > E`, and only those replay the masks
+    /// ([`block_stops`]) for their stop base. Every other lane visits the
+    /// whole read.
+    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
+    pub unsafe fn serial_range_avx512(
+        row: &[u8],
+        k0: usize,
+        read: &super::PreparedRead,
+        carry_in: u16,
+        whds: &mut [u16],
+        visits: Option<&mut [u16]>,
+    ) -> super::SerialRange {
+        match visits {
+            Some(visits) => serial_range_blocks::<true>(row, k0, read, carry_in, whds, visits),
+            None => serial_range_blocks::<false>(row, k0, read, carry_in, whds, &mut []),
+        }
+    }
+
+    /// [`serial_range_avx512`], writing each offset's visits to `visits`
+    /// with `LANES`.
+    ///
+    /// # Safety
+    ///
+    /// As [`serial_range_avx512`], with `visits` as long as `whds` under
+    /// `LANES`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
+    unsafe fn serial_range_blocks<const LANES: bool>(
+        row: &[u8],
+        k0: usize,
+        read: &super::PreparedRead,
+        carry_in: u16,
+        whds: &mut [u16],
+        visits: &mut [u16],
+    ) -> super::SerialRange {
+        let words = read.words.expect("serial_range reads are expanded");
+        let (code_words, score_words) = (words.code.as_ptr(), words.score.as_ptr());
+        let mut neq_masks = std::mem::MaybeUninit::<[u64; PARALLEL_MAX_BASES]>::uninit();
+        let neq_masks = neq_masks.as_mut_ptr().cast::<u64>();
+        let (n, extent) = (read.len, read.extent);
+        let whole = _mm512_set1_epi16(n as i16);
+        let mut carry = _mm512_set1_epi16(carry_in as i16);
+        let mut visited = 0u64;
+        let (whd_dst, visit_dst) = (whds.as_mut_ptr(), visits.as_mut_ptr());
+        let mut j = 0usize;
+        while j < whds.len() {
+            let valid = tail_mask(whds.len() - j);
+            // SAFETY: lane i loads `row[k0 + j + i + b]` only when
+            // `j + i < whds.len()`, and `b < extent <= read.len`, so every
+            // byte read is below `k0 + whds.len() - 1 + read.len <=
+            // row.len()`; mask word `b < extent` is written before the
+            // stop pass reads it, and the stores write only the lanes
+            // `j + i < whds.len()`.
+            let (whd_lo, whd_hi) = block_whds::<true>(
+                row.as_ptr().add(k0 + j),
+                valid,
+                extent,
+                code_words,
+                score_words,
+                neq_masks,
+            );
+            let drops =
+                _mm512_cmplt_epu16_mask(whd_lo, carry) | _mm512_cmplt_epu16_mask(whd_hi, carry);
+            let excl = if drops == 0 {
+                (carry, carry)
+            } else {
+                exclusive_minima(whd_lo, whd_hi, &mut carry)
+            };
+            let (pruned, _) = block_verdicts(valid, whd_lo, whd_hi, excl.0, excl.1);
+            // Unpruned offsets visit the whole read, pruned ones up to
+            // and including their stop base.
+            visited += n as u64 * u64::from((valid & !pruned).count_ones());
+            let mut lanes = (whole, whole);
+            if pruned != 0 {
+                let stops =
+                    block_stops::<false, LANES>(neq_masks, pruned, extent, score_words, excl);
+                visited += stops.visited + u64::from(pruned.count_ones());
+                if LANES {
+                    let one = _mm512_set1_epi16(1);
+                    lanes = (
+                        _mm512_mask_add_epi16(whole, pruned as u32, stops.lanes.0, one),
+                        _mm512_mask_add_epi16(whole, (pruned >> 32) as u32, stops.lanes.1, one),
+                    );
+                }
+            }
+            store_lanes(whd_dst, j, valid, whd_lo, whd_hi);
+            if LANES {
+                store_lanes(visit_dst, j, valid, lanes.0, lanes.1);
+            }
+            j += 64;
+        }
+        super::SerialRange {
+            carry: lane0_epu16(carry),
+            visited,
         }
     }
 
@@ -1258,7 +1631,7 @@ mod x86 {
         while k0 < whds.len() {
             let valid = tail_mask(whds.len() - k0);
             // SAFETY: the masked loads read only the lanes `k0 + i <
-            // whds.len()` (`wrapping_add` as in `whd_range_avx512`).
+            // whds.len()` (`wrapping_add` as in `store_lanes`).
             let whd_lo = _mm512_mask_loadu_epi16(ones, valid as u32, src.add(k0).cast());
             let whd_hi = _mm512_mask_loadu_epi16(
                 ones,
@@ -1292,16 +1665,16 @@ mod x86 {
 
     /// # Safety
     ///
-    /// `read` and `scores` hold at least `n` bytes, `n <=
-    /// PARALLEL_MAX_BASES`, and both word buffers have room for
-    /// `PARALLEL_MAX_BASES` words.
+    /// The CPU must support AVX-512F and AVX-512BW. `read` and `scores`
+    /// hold at least `n` bytes, `n <= PARALLEL_MAX_BASES`, and both word
+    /// buffers have room for `PARALLEL_MAX_BASES` words.
     ///
     /// Expands each base's code into a 4-byte word (`code · 0x01010101`)
     /// and its score into two `u16` halves (`score · 0x00010001`), so the
     /// per-base broadcasts in the offset loop are plain loads.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn expand_read(
+    pub unsafe fn expand_read(
         read: &[u8],
         scores: &[u8],
         n: usize,
@@ -1337,7 +1710,7 @@ mod x86 {
     /// broadcast score — so lane `i` (of `lo` then `hi`) ends holding the
     /// WHD of the window at `win + i`. Lanes outside `valid` hold 0xFFFF.
     /// With `KEEP`, base `b`'s 64-offset mismatch mask goes to
-    /// `neq_masks[b]` for pass 2.
+    /// `neq_masks[b]` for the stop pass.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
     unsafe fn block_whds<const KEEP: bool>(
@@ -1363,6 +1736,79 @@ mod x86 {
             whd_hi = _mm512_mask_add_epi16(whd_hi, (neq >> 32) as u32, whd_hi, score);
         }
         (whd_lo, whd_hi)
+    }
+
+    /// What [`block_stops`] charges the lanes it tracks.
+    struct Stops {
+        /// The bases each lane visits before its stop base, summed.
+        visited: u64,
+        /// With `COUNT`: the mismatches up to and including each lane's
+        /// stop base (all of them for a lane that never stops).
+        accumulations: u64,
+        /// With `LANES`: each lane's visits before its stop base (`lo`,
+        /// `hi`).
+        lanes: (__m512i, __m512i),
+    }
+
+    /// # Safety
+    ///
+    /// Mask and score words `0..n` were written (by [`block_whds`] and
+    /// [`expand_read`]).
+    ///
+    /// **The stop pass** over one block: the lanes in `track` replay the
+    /// block's mismatch masks with masked `u16` score adds into a running
+    /// sum `P`; after base `b`, a lane is live iff `P <= E`. `P` only
+    /// grows, so a lane leaves `live` at its stop base and never returns,
+    /// and the base it stops at is exactly the per-base scan's; the
+    /// compare uses the fixed `track`, so no mask is carried from base to
+    /// base. `P <= total < 0xFFFF` and `E <= 0xFFFF`, so the `u16`
+    /// compare is exact. Each base charges a visit to the lanes still
+    /// live after it (the stop base itself is the caller's to charge),
+    /// and with `COUNT` an accumulation to the lanes it mismatches while
+    /// live. The loop ends once no lane is live.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
+    unsafe fn block_stops<const COUNT: bool, const LANES: bool>(
+        neq_masks: *const u64,
+        track: u64,
+        n: usize,
+        score_words: *const u32,
+        (excl_lo, excl_hi): (__m512i, __m512i),
+    ) -> Stops {
+        let zero = _mm512_setzero_si512();
+        let one = _mm512_set1_epi16(1);
+        let (track_lo, track_hi) = (track as u32, (track >> 32) as u32);
+        let (mut sum_lo, mut sum_hi) = (zero, zero);
+        let mut stops = Stops {
+            visited: 0,
+            accumulations: 0,
+            lanes: (zero, zero),
+        };
+        let mut live = track;
+        for b in 0..n {
+            let neq = *neq_masks.add(b);
+            if COUNT {
+                stops.accumulations += u64::from((neq & live).count_ones());
+            }
+            let score = _mm512_set1_epi32(*score_words.add(b) as i32);
+            sum_lo = _mm512_mask_add_epi16(sum_lo, neq as u32, sum_lo, score);
+            sum_hi = _mm512_mask_add_epi16(sum_hi, (neq >> 32) as u32, sum_hi, score);
+            let live_lo = _mm512_mask_cmple_epu16_mask(track_lo, sum_lo, excl_lo);
+            let live_hi = _mm512_mask_cmple_epu16_mask(track_hi, sum_hi, excl_hi);
+            live = u64::from(live_lo) | u64::from(live_hi) << 32;
+            stops.visited += u64::from(live.count_ones());
+            if LANES {
+                let (lo, hi) = stops.lanes;
+                stops.lanes = (
+                    _mm512_mask_add_epi16(lo, live_lo, lo, one),
+                    _mm512_mask_add_epi16(hi, live_hi, hi, one),
+                );
+            }
+            if live == 0 {
+                break;
+            }
+        }
+        stops
     }
 
     /// Each offset's exclusive running minimum over one 64-offset block:
@@ -1420,17 +1866,18 @@ mod x86 {
     ///
     /// The serial immediate-prune sweep of offsets `0..=max_k`, 64
     /// consecutive offsets `k0 + j` to a block. Pass 1 ([`block_whds`])
-    /// leaves each offset's WHD `W` in its lane and keeps each base's
-    /// mismatch mask; the exclusive running minima `E`
-    /// ([`exclusive_minima`]) give the offsets with `W > E` (pruned) and
-    /// the new minimum. The `u16` lanes are exact because the total stays
-    /// below 0xFFFF (every read of at most 704 bases at Phred ≤ 93).
+    /// leaves each offset's WHD `W` in its lane; the exclusive running
+    /// minima `E` ([`exclusive_minima`]) give the offsets with `W > E`
+    /// (pruned) and the new minimum. The `u16` lanes are exact because
+    /// the total stays below 0xFFFF (every read of at most 704 bases at
+    /// Phred ≤ 93).
     ///
-    /// **Pass 2** replays the masks to charge the serial scan's visits. A
-    /// pruned offset's WHD exceeds the minimum it is compared against, so
-    /// it never lowers that minimum: the serial budget of offset `k` is
-    /// exactly `E[k]`, and the offset stops at the first base where its
-    /// running sum `P` exceeds it.
+    /// The stop pass ([`block_stops`]) then charges the serial scan's
+    /// visits and accumulations. A pruned offset's WHD exceeds the
+    /// minimum it is compared against, so it never lowers that minimum:
+    /// the serial budget of offset `k` is exactly `E[k]`. Every valid
+    /// lane takes part, since a completed offset's accumulations are all
+    /// of its mismatches.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,popcnt")]
     unsafe fn offset_parallel_sweep(
@@ -1448,7 +1895,6 @@ mod x86 {
         let neq_masks = neq_masks.as_mut_ptr().cast::<u64>();
         expand_read(read, scores, n, code_words, score_words);
 
-        let zero = _mm512_setzero_si512();
         // The running minimum in every lane; 0xFFFF (above every valid
         // WHD) before offset 0.
         let mut carry = _mm512_set1_epi16(-1);
@@ -1456,11 +1902,10 @@ mod x86 {
         let mut k0 = 0usize;
         while k0 <= max_k {
             let valid = tail_mask(max_k + 1 - k0);
-            let (valid_lo, valid_hi) = (valid as u32, (valid >> 32) as u32);
             // SAFETY: lane j loads `row[k0 + j + b]` only when
             // `k0 + j <= max_k`, and `b < n`, so every byte read is below
-            // `max_k + n <= row.len()`; mask `b` is written here before
-            // pass 2 reads it.
+            // `max_k + n <= row.len()`; mask word `b` is written here
+            // before the stop pass reads it.
             let (whd_lo, whd_hi) = block_whds::<true>(
                 row.as_ptr().add(k0),
                 valid,
@@ -1469,37 +1914,15 @@ mod x86 {
                 score_words,
                 neq_masks,
             );
-            let (excl_lo, excl_hi) = exclusive_minima(whd_lo, whd_hi, &mut carry);
-            let (pruned, below) = block_verdicts(valid, whd_lo, whd_hi, excl_lo, excl_hi);
+            let excl = exclusive_minima(whd_lo, whd_hi, &mut carry);
+            let (pruned, below) = block_verdicts(valid, whd_lo, whd_hi, excl.0, excl.1);
             out.offsets_pruned += u64::from(pruned.count_ones());
             if below != 0 {
                 out.min_offset = k0 + 63 - below.leading_zeros() as usize;
             }
-            // Pass 2: each base charges an accumulation to the offsets
-            // still scanning where it mismatches, then a visit to those
-            // whose running sum has not passed the budget. A pruned
-            // offset's stop base is charged by the popcount after the
-            // loop. `P <= total < 0xFFFF` and `E <= 0xFFFF`, so the `u16`
-            // compare is exact.
-            //
-            // SAFETY: mask word `b < n` was written by this block's pass 1
-            // above, and score word `b` by the expansion.
-            let (mut sum_lo, mut sum_hi) = (zero, zero);
-            let mut live = valid;
-            for b in 0..n {
-                let neq = *neq_masks.add(b);
-                out.accumulations += u64::from((neq & live).count_ones());
-                let score = _mm512_set1_epi32(*score_words.add(b) as i32);
-                sum_lo = _mm512_mask_add_epi16(sum_lo, neq as u32, sum_lo, score);
-                sum_hi = _mm512_mask_add_epi16(sum_hi, (neq >> 32) as u32, sum_hi, score);
-                live = u64::from(_mm512_mask_cmple_epu16_mask(valid_lo, sum_lo, excl_lo))
-                    | u64::from(_mm512_mask_cmple_epu16_mask(valid_hi, sum_hi, excl_hi)) << 32;
-                out.visited += u64::from(live.count_ones());
-                if live == 0 {
-                    break;
-                }
-            }
-            out.visited += u64::from(pruned.count_ones());
+            let stops = block_stops::<true, false>(neq_masks, valid, n, score_words, excl);
+            out.accumulations += stops.accumulations;
+            out.visited += stops.visited + u64::from(pruned.count_ones());
             k0 += 64;
         }
         // Offset 0 always exists and sits below 0xFFFF, so the carry is
@@ -1624,6 +2047,19 @@ mod aarch64 {
         super::serial_sweep_generic(row, row_len, read, scores, |w, r| unsafe {
             mask_neon(w, r)
         })
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support NEON. Lengths checked by the safe
+    /// dispatcher.
+    #[target_feature(enable = "neon")]
+    pub unsafe fn serial_range_neon(
+        range: &super::SerialRangeArgs,
+        whds: &mut [u16],
+        visits: Option<&mut [u16]>,
+    ) -> super::SerialRange {
+        range.generic(whds, visits, |w, r| unsafe { mask_neon(w, r) })
     }
 
     /// # Safety
@@ -1809,18 +2245,83 @@ mod tests {
         splits: &[usize],
     ) -> DenseSweep {
         let mut whds = vec![0u16; max_k + 1];
-        let mut cuts: Vec<usize> = splits.iter().map(|&c| c.min(max_k + 1)).collect();
-        cuts.push(0);
-        cuts.push(max_k + 1);
-        cuts.sort_unstable();
-        for w in cuts.windows(2) {
-            whd_range(kind, row, w[0], read, scores, &mut whds[w[0]..w[1]]);
+        let mut words = ReadWords::new();
+        let read = PreparedRead::new(kind, read, scores, read.len(), &mut words);
+        for w in cut_points(max_k + 1, splits).windows(2) {
+            whd_range(&read, row, w[0], &mut whds[w[0]..w[1]]);
         }
         fold_whds(kind, &whds)
     }
 
-    /// Every available kind's serial sweep, asserted equal to the
-    /// longhand reference.
+    /// `0`, the `splits` clamped to `offsets`, and `offsets`, in order.
+    fn cut_points(offsets: usize, splits: &[usize]) -> Vec<usize> {
+        let mut cuts: Vec<usize> = splits.iter().map(|&c| c.min(offsets)).collect();
+        cuts.push(0);
+        cuts.push(offsets);
+        cuts.sort_unstable();
+        cuts
+    }
+
+    /// The serial sweep of `read` along all of `row` through the range
+    /// kernel: [`serial_range`] in the pieces `splits` cuts the offsets
+    /// into, each continuing the running minimum the last one returned,
+    /// then [`fold_whds`] over the entries and the sum of the visits.
+    /// Returns the [`SerialSweep`] fields the entries determine, with
+    /// `accumulations` copied from `want`.
+    fn serial_via_ranges(
+        kind: KernelKind,
+        row: &[u8],
+        read: &[u8],
+        scores: &[u8],
+        splits: &[usize],
+        want: SerialSweep,
+    ) -> SerialSweep {
+        let offsets = row.len() - read.len() + 1;
+        let mut words = ReadWords::new();
+        let prepared = PreparedRead::new(kind, read, scores, read.len(), &mut words);
+        let (mut whds, mut visits) = (vec![0u16; offsets], vec![0u16; offsets]);
+        let mut range = SerialRange {
+            carry: u16::MAX,
+            visited: 0,
+        };
+        for w in cut_points(offsets, splits).windows(2) {
+            let (lo, hi) = (w[0], w[1]);
+            let (whds, visits) = (&mut whds[lo..hi], &mut visits[lo..hi]);
+            let next = serial_range(&prepared, row, lo, range.carry, whds, Some(&mut *visits));
+            let mut bare = vec![0u16; hi - lo];
+            let unvisited = serial_range(&prepared, row, lo, range.carry, &mut bare, None);
+            assert_eq!(
+                (unvisited, &bare[..]),
+                (next, &whds[..]),
+                "{kind}: without visits"
+            );
+            let visited: u64 = visits.iter().map(|&v| u64::from(v)).sum();
+            assert_eq!(next.visited, visited, "{kind}: visited of {lo}..{hi}");
+            range = SerialRange {
+                carry: next.carry,
+                visited: range.visited + visited,
+            };
+        }
+        let fold = fold_whds(kind, &whds);
+        assert_eq!(u64::from(range.carry), fold.min_whd, "{kind}: carry out");
+        SerialSweep {
+            min_whd: fold.min_whd,
+            min_offset: fold.min_offset,
+            visited: range.visited,
+            accumulations: want.accumulations,
+            offsets_pruned: fold.offsets_above_min,
+        }
+    }
+
+    /// Whether [`serial_range`] takes the read.
+    fn range_takes(read: &[u8], scores: &[u8]) -> bool {
+        let total: u64 = scores.iter().map(|&s| u64::from(s)).sum();
+        read.len() <= PARALLEL_MAX_BASES && total < WHD_U16_LIMIT
+    }
+
+    /// Every available kind's serial sweep, whole and (for a read the
+    /// range kernel takes) through ranges cut at block-straddling points,
+    /// asserted equal to the longhand reference.
     fn serial_all_kinds(row: &[u8], read: &[u8], scores: &[u8]) -> SerialSweep {
         let want = serial_sweep_reference(row, read, scores);
         for kind in KernelKind::available() {
@@ -1829,6 +2330,12 @@ mod tests {
                 want,
                 "{kind}"
             );
+            if range_takes(read, scores) {
+                for splits in [&[][..], &[1, 63], &[40, 107, 108]] {
+                    let got = serial_via_ranges(kind, row, read, scores, splits, want);
+                    assert_eq!(got, want, "{kind} {splits:?}");
+                }
+            }
         }
         want
     }
@@ -2175,14 +2682,28 @@ mod tests {
     #[should_panic(expected = "overflows a u16 WHD")]
     fn whd_range_rejects_a_total_past_the_u16_bound() {
         let (row, read, scores) = bound_fixture(255);
-        whd_range(
-            KernelKind::Scalar,
-            &row,
-            0,
-            &read,
-            &scores,
-            &mut [0u16; 151],
-        );
+        let mut words = ReadWords::new();
+        let read = PreparedRead::new(KernelKind::Scalar, &read, &scores, 257, &mut words);
+        whd_range(&read, &row, 0, &mut [0u16; 151]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a u16 WHD")]
+    fn serial_range_rejects_a_total_past_the_u16_bound() {
+        let (row, read, scores) = bound_fixture(255);
+        let mut words = ReadWords::new();
+        let read = PreparedRead::new(KernelKind::Scalar, &read, &scores, 257, &mut words);
+        serial_range(&read, &row, 0, u16::MAX, &mut [0; 151], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "too long for u16 visit counts")]
+    fn serial_range_rejects_a_read_past_the_parallel_bound() {
+        let n = PARALLEL_MAX_BASES + 1;
+        let (row, read, scores) = (vec![1u8; n], vec![1u8; n], vec![1u8; n]);
+        let mut words = ReadWords::new();
+        let read = PreparedRead::new(KernelKind::Scalar, &read, &scores, n, &mut words);
+        serial_range(&read, &row, 0, u16::MAX, &mut [0], None);
     }
 
     #[test]
@@ -2242,7 +2763,8 @@ mod tests {
             }
 
             /// Every available kernel's serial immediate-prune sweep is
-            /// the scalar sweep, counts included: reads up to 320 bases
+            /// the scalar sweep, counts included, whole and through the
+            /// range kernel cut wherever `splits` says: reads up to 320 bases
             /// (so the 64-base chunk carry is crossed), up to 200 offsets
             /// of slack (four 64-offset blocks) and the full score range.
             /// Reads are cut from the row with sparse substitutions, so
@@ -2259,6 +2781,7 @@ mod tests {
                 cut_frac in 0.0f64..=1.0,
                 subs in prop::collection::vec((0usize..320, 1u8..=5), 0..=12),
                 pad in 0usize..=70,
+                splits in prop::collection::vec(0usize..=200, 0..=3),
             ) {
                 let row_len = n + slack;
                 let cut = (slack as f64 * cut_frac) as usize;
@@ -2284,6 +2807,11 @@ mod tests {
                         "{}",
                         kind
                     );
+                    if range_takes(&read, scores) {
+                        let row = &row[..row_len];
+                        let got = serial_via_ranges(kind, row, &read, scores, &splits, want);
+                        prop_assert_eq!(got, want, "{} ranges {:?}", kind, &splits);
+                    }
                 }
             }
 

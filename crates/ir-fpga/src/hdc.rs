@@ -22,8 +22,10 @@
 //! structure-of-arrays batch layout ([`ir_core::batch`]) — same
 //! [`PairRun`] per candidate, bit for bit, for every [`KernelKind`].
 
+use std::cell::RefCell;
+
 use ir_core::batch::{CandidateBlock, SweepRead};
-use ir_core::kernel::{self, DenseSweep, KernelKind};
+use ir_core::kernel::{self, DenseSweep, KernelKind, ReadWords};
 use ir_core::MinWhd;
 use ir_genome::{Qual, Sequence};
 
@@ -209,9 +211,14 @@ pub fn run_read_sweep(
     kind: KernelKind,
     cfg: HdcConfig,
 ) -> Vec<PairRun> {
+    thread_local! {
+        /// The calling thread's sweep scratch: zeroing a fresh one (20
+        /// KiB) would cost about as much as sweeping a short read.
+        static SCRATCH: RefCell<WhdBuffers> = RefCell::new(WhdBuffers::new());
+    }
     let mut runs = Vec::with_capacity(block.num_candidates());
-    sweep_block(block, read, kind, cfg, &mut WhdBuffers::new(), |_, run| {
-        runs.push(run)
+    SCRATCH.with_borrow_mut(|scratch| {
+        sweep_block(block, read, kind, cfg, scratch, |_, run| runs.push(run));
     });
     runs
 }
@@ -220,35 +227,58 @@ pub fn run_read_sweep(
 /// a hardware-sized target (consensuses of at most 2,048 bases).
 const INLINE_OFFSETS: usize = 2_049;
 
-/// The two `u16` WHD buffers of a dense read sweep: the reference row's,
-/// kept for the alternatives to copy from, and the row being assembled.
-/// One serves every read of a target. Rows of up to [`INLINE_OFFSETS`]
-/// offsets use the inline array, so sweeping a hardware-sized target
-/// allocates nothing beyond its packing; longer rows spill to the heap.
+/// The scratch of a reusing read sweep ([`sweep_block`]): the arrays of
+/// [`RowBuffers`] and the read's kernel expansion. One serves every read
+/// of a target. Rows of up to [`INLINE_OFFSETS`] offsets use the inline
+/// array, so sweeping a hardware-sized target allocates nothing beyond
+/// its packing; longer rows spill to the heap.
 #[derive(Debug)]
 pub(crate) struct WhdBuffers {
-    inline: [u16; 2 * INLINE_OFFSETS],
+    inline: [u16; 3 * INLINE_OFFSETS],
     spill: Vec<u16>,
+    words: ReadWords,
+}
+
+/// A reusing sweep's arrays, each with room for the longest row. An
+/// entry is an offset's WHD or, under the serial shape, if the offset is
+/// pruned, a value above its budget ([`kernel::serial_range`]).
+struct RowBuffers<'a> {
+    /// The reference's entries.
+    ref_whds: &'a mut [u16],
+    /// Serial: the reference's visit counts.
+    ref_visits: &'a mut [u16],
+    /// The entries of the row being assembled.
+    whds: &'a mut [u16],
 }
 
 impl WhdBuffers {
     pub(crate) fn new() -> Self {
         WhdBuffers {
-            inline: [0; 2 * INLINE_OFFSETS],
+            inline: [0; 3 * INLINE_OFFSETS],
             spill: Vec::new(),
+            words: ReadWords::new(),
         }
     }
 
-    /// The two buffers, each with room for `offsets` WHDs.
-    fn split(&mut self, offsets: usize) -> (&mut [u16], &mut [u16]) {
+    /// The arrays for rows of up to `offsets` offsets, and the expansion
+    /// scratch.
+    fn split(&mut self, offsets: usize) -> (RowBuffers<'_>, &mut ReadWords) {
         let buf = if offsets <= INLINE_OFFSETS {
             &mut self.inline[..]
         } else {
-            self.spill.resize(2 * offsets, 0);
+            self.spill.resize(3 * offsets, 0);
             &mut self.spill[..]
         };
-        let (reference, row) = buf.split_at_mut(buf.len() / 2);
-        (&mut reference[..offsets], &mut row[..offsets])
+        let mut parts = buf
+            .chunks_exact_mut(buf.len() / 3)
+            .map(|part| &mut part[..offsets]);
+        let mut part = || parts.next().expect("three arrays");
+        let buffers = RowBuffers {
+            ref_whds: part(),
+            ref_visits: part(),
+            whds: part(),
+        };
+        (buffers, &mut self.words)
     }
 }
 
@@ -261,25 +291,42 @@ fn is_serial(cfg: HdcConfig) -> bool {
 /// handing `emit` each candidate's index and [`PairRun`] in row order.
 /// The run of candidate `i` is exactly `run_pair(candidate_i, read, …)`.
 ///
-/// When every offset folds the whole read (the dense shape,
-/// [`HdcConfig::scans_in_full`]) and the read's score total fits a `u16`
-/// WHD, the rows share their WHDs: row 0 (the reference) is swept in
-/// full into one of `whds`' buffers, and each later row's is assembled
-/// from three parts, using the prefix and suffix
+/// Under the dense shape (every offset folds the whole read,
+/// [`HdcConfig::scans_in_full`]) and the serial immediate-prune shape,
+/// for a read whose score total fits a `u16` WHD (and, serial, of at most
+/// [`kernel::PARALLEL_MAX_BASES`] bases), the rows share their entries.
+/// The read is prepared once ([`SweepRead::prepare`]), row 0 (the
+/// reference) is swept in full, and each later row's entries are
+/// assembled in three parts, using the prefix and suffix
 /// [`CandidateBlock::shared_with_reference`] measured at packing:
 ///
-/// - windows inside the shared prefix copy the reference's WHD at the
-///   same offset;
-/// - windows inside the shared suffix copy it `len(0) - len(i)` offsets
-///   on;
-/// - only the windows that straddle the difference are swept
-///   ([`kernel::whd_range`]).
+/// - windows inside the shared prefix copy the reference's entry at the
+///   same offset: the same window, and (serial) the same budget, since
+///   every offset before it lies in the prefix too;
+/// - the windows that straddle the difference are swept
+///   ([`kernel::whd_range`], or [`kernel::serial_range`] from the
+///   prefix's running minimum);
+/// - windows inside the shared suffix copy the reference's entry
+///   `len(0) - len(i)` offsets on. Serial, that needs the budgets to
+///   agree too. A suffix offset's budget is the minimum of the row's
+///   running minimum where the suffix starts (`C_alt`, and `C_ref` for
+///   the reference) and the WHDs of the suffix offsets before it, which
+///   the two rows share. So the budgets agree from the start of the
+///   suffix if `C_alt == C_ref`, and otherwise from just past the first
+///   suffix offset whose WHD is at most `min(C_alt, C_ref)` (`conv`);
+///   from there on the two running minima are equal. The sweep goes on
+///   in 64-offset blocks (a partial block costs the AVX-512 kernel a
+///   whole one) and stops at the first block end in the suffix where the
+///   row's running minimum equals the reference's, the first block end
+///   at or past `conv`; the rest is copied.
 ///
-/// A window's WHD depends only on its bases and the read, so the
-/// assembled buffer is the row's own, and [`kernel::fold_whds`] over it
-/// gives the minimum, its first offset and the offsets above the running
-/// minimum exactly (DESIGN.md §4f). Every other shape scans each pair on
-/// its own ([`run_pair_codes`]).
+/// Each entry is its offset's WHD, or (serial, pruned) a value above
+/// that offset's budget, so [`kernel::fold_whds`] over the assembled
+/// buffer gives the minimum, its first offset and the offsets above the
+/// running minimum (the pruned offsets) exactly, and a serial row visits
+/// the bases its swept ranges report plus the reference's over the
+/// copied offsets (DESIGN.md §4f). Every other shape and read scans each
+/// pair on its own ([`run_pair_codes`]).
 ///
 /// # Panics
 ///
@@ -289,15 +336,17 @@ pub(crate) fn sweep_block(
     read: &SweepRead,
     kind: KernelKind,
     cfg: HdcConfig,
-    whds: &mut WhdBuffers,
+    scratch: &mut WhdBuffers,
     mut emit: impl FnMut(usize, PairRun),
 ) {
     let n = read.len();
-    if block.is_empty()
-        || is_serial(cfg)
-        || !cfg.scans_in_full(n)
-        || read.score_total() >= kernel::WHD_U16_LIMIT
-    {
+    let serial = is_serial(cfg);
+    let shares = if serial {
+        n <= kernel::PARALLEL_MAX_BASES
+    } else {
+        cfg.scans_in_full(n)
+    };
+    if block.is_empty() || !shares || read.score_total() >= kernel::WHD_U16_LIMIT {
         for i in 0..block.num_candidates() {
             emit(
                 i,
@@ -306,31 +355,104 @@ pub(crate) fn sweep_block(
         }
         return;
     }
-    let (codes, scores) = (read.codes_padded(), read.scores_padded());
     let ref_len = block.len(0);
     assert!(n <= ref_len, "read longer than consensus");
-    let (reference, row_buf) = whds.split(block.max_len() - n + 1);
-    let reference = &mut reference[..ref_len - n + 1];
-    kernel::whd_range(kind, block.row_padded(0), 0, codes, scores, reference);
-    emit(
-        0,
-        dense_run(cfg, ref_len, n, kernel::fold_whds(kind, reference)),
-    );
+    let (buffers, words) = scratch.split(block.max_len() - n + 1);
+    let read = read.prepare(kind, words);
+    let ref_offsets = ref_len - n + 1;
+    let ref_whds = &mut buffers.ref_whds[..ref_offsets];
+    let ref_visits = &mut buffers.ref_visits[..ref_offsets];
+    let ref_row = block.row_padded(0);
+    if serial {
+        let visits = Some(&mut *ref_visits);
+        let swept = kernel::serial_range(&read, ref_row, 0, u16::MAX, ref_whds, visits);
+        emit(0, serial_run(cfg, kind, ref_whds, swept.visited));
+    } else {
+        kernel::whd_range(&read, ref_row, 0, ref_whds);
+        emit(
+            0,
+            dense_run(cfg, ref_len, n, kernel::fold_whds(kind, ref_whds)),
+        );
+    }
+    let (ref_whds, ref_visits) = (&*ref_whds, &*ref_visits);
     for i in 1..block.num_candidates() {
         let len = block.len(i);
         assert!(n <= len, "read longer than consensus");
         let offsets = len - n + 1;
         let (prefix, suffix) = block.shared_with_reference(i);
         // Offsets `k + n <= prefix` lie in the prefix; offsets
-        // `k >= len - suffix` in the suffix.
+        // `k >= len - suffix` in the suffix, at reference offset
+        // `k + ref_len - len`.
         let fresh_lo = (prefix + 1).saturating_sub(n).min(offsets);
         let fresh_hi = (len - suffix).clamp(fresh_lo, offsets);
-        let row = &mut row_buf[..offsets];
-        row[..fresh_lo].copy_from_slice(&reference[..fresh_lo]);
-        let fresh = &mut row[fresh_lo..fresh_hi];
-        kernel::whd_range(kind, block.row_padded(i), fresh_lo, codes, scores, fresh);
-        row[fresh_hi..].copy_from_slice(&reference[fresh_hi + ref_len - len..]);
-        emit(i, dense_run(cfg, len, n, kernel::fold_whds(kind, row)));
+        let to_ref = |k: usize| k + ref_len - len;
+        let whds = &mut buffers.whds[..offsets];
+        let row = block.row_padded(i);
+        whds[..fresh_lo].copy_from_slice(&ref_whds[..fresh_lo]);
+        if !serial {
+            kernel::whd_range(&read, row, fresh_lo, &mut whds[fresh_lo..fresh_hi]);
+            whds[fresh_hi..].copy_from_slice(&ref_whds[to_ref(fresh_hi)..]);
+            emit(i, dense_run(cfg, len, n, kernel::fold_whds(kind, whds)));
+            continue;
+        }
+        let mut carry = running_min(&ref_whds[..fresh_lo]);
+        let mut visited = sum_visits(&ref_visits[..fresh_lo]);
+        // The reference's running minimum before its offset `ref_at`.
+        let (mut ref_carry, mut ref_at) = (u16::MAX, 0);
+        // The first range covers the straddling windows, rounded up to
+        // whole blocks; then one block at a time.
+        let mut k = fresh_lo;
+        let mut end = (fresh_lo + (fresh_hi - fresh_lo).next_multiple_of(64)).min(offsets);
+        loop {
+            let swept = kernel::serial_range(&read, row, k, carry, &mut whds[k..end], None);
+            (carry, k) = (swept.carry, end);
+            visited += swept.visited;
+            if k == offsets {
+                break;
+            }
+            // `k >= fresh_hi`: the first range ends past the straddle.
+            ref_carry = ref_carry.min(running_min(&ref_whds[ref_at..to_ref(k)]));
+            ref_at = to_ref(k);
+            if carry == ref_carry {
+                break;
+            }
+            end = (k + 64).min(offsets);
+        }
+        whds[k..].copy_from_slice(&ref_whds[to_ref(k)..]);
+        visited += sum_visits(&ref_visits[to_ref(k)..]);
+        emit(i, serial_run(cfg, kind, whds, visited));
+    }
+}
+
+/// The minimum of `whds`, `u16::MAX` (no completed offset) if empty. On
+/// a serial row's entries it is the running minimum past them: the
+/// first offset to reach the minimum is never pruned, and every pruned
+/// entry lies above its own budget, so above the minimum.
+fn running_min(whds: &[u16]) -> u16 {
+    whds.iter().fold(u16::MAX, |min, &whd| min.min(whd))
+}
+
+/// The sum of `visits`, in `u32` chunks the compiler vectorizes (a chunk
+/// of 2^15 counts of at most 1,024 bases cannot overflow).
+fn sum_visits(visits: &[u16]) -> u64 {
+    visits
+        .chunks(1 << 15)
+        .map(|chunk| u64::from(chunk.iter().map(|&v| u32::from(v)).sum::<u32>()))
+        .sum()
+}
+
+/// The serial-shape [`PairRun`] of a row from its assembled entries and
+/// its visited bases.
+fn serial_run(cfg: HdcConfig, kind: KernelKind, whds: &[u16], visited: u64) -> PairRun {
+    let fold = kernel::fold_whds(kind, whds);
+    PairRun {
+        min: MinWhd {
+            whd: fold.min_whd,
+            offset: fold.min_offset,
+        },
+        cycles: cfg.pair_overhead_cycles + visited,
+        comparisons: visited,
+        offsets_pruned: fold.offsets_above_min,
     }
 }
 

@@ -221,7 +221,9 @@ impl IrUnit {
     }
 
     /// Executes the configured target, returning the functional result and
-    /// cycle breakdown, and returns the unit to the idle state.
+    /// cycle breakdown, and returns the unit to the idle state. The target
+    /// runs through [`simulate_target_fast`], the path the schedulers,
+    /// the oracle and the serve shards run.
     ///
     /// # Errors
     ///
@@ -238,7 +240,7 @@ impl IrUnit {
         }
         self.check_shape(target)?;
 
-        let run = simulate_target(target, params);
+        let run = simulate_target_fast(target, params);
         self.started = false;
         self.config = UnitConfig::default();
         self.targets_completed += 1;
@@ -329,11 +331,13 @@ pub fn simulate_target(target: &RealignmentTarget, params: &FpgaParams) -> UnitR
 /// each read, and each read is swept against every candidate by the same
 /// runtime-dispatched explicit-SIMD path as
 /// [`crate::hdc::run_read_sweep`] (under the dense shape, each
-/// alternative reuses the reference's WHDs wherever the two share a
-/// window), each pair's result written straight into the grid. Returns a bitwise-identical [`UnitRun`]; only host wall-clock
-/// differs. This is the path the scheduler core, the `IR_THREADS`
-/// parallel sweeps, the functional oracle and the serve shards all
-/// execute.
+/// alternative reuses the reference's entries wherever the two share a
+/// window, under the dense and the serial shapes), each pair's result
+/// written straight into the grid. Returns a bitwise-identical
+/// [`UnitRun`]; only host wall-clock differs. This is the path the
+/// scheduler core, the `IR_THREADS` parallel sweeps, the functional
+/// oracle, the serve shards and [`IrUnit::execute`] (so the
+/// [`HostDriver`](crate::HostDriver)) all execute.
 pub fn simulate_target_fast(target: &RealignmentTarget, params: &FpgaParams) -> UnitRun {
     simulate_target_fast_with(target, params, kernel::active())
 }

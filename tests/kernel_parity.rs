@@ -318,9 +318,10 @@ fn shrinking_reads_reuse_the_sweep_buffer_exactly() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-consensus WHD reuse: under the dense shape each alternative copies
-// the reference's WHDs on the windows inside their shared prefix and
-// suffix and sweeps only the windows straddling the difference.
+// Cross-consensus reuse: under the dense and serial shapes each alternative
+// copies the reference's entries on the windows inside their shared prefix
+// and (serial: once the two running minima agree) suffix, and sweeps only
+// the rest.
 // ---------------------------------------------------------------------------
 
 /// A deterministic pseudo-random `len`-base sequence over `alphabet`.
@@ -349,11 +350,13 @@ fn read_of(bases: &[Base], scores: &[u8]) -> Read {
     Read::new("r", bases.iter().copied().collect(), quals, 0).unwrap()
 }
 
-/// Every HDC config that takes the dense shape on reads of at most 96
-/// bases: the IR ACC design (its comparator's verdict lands after the
-/// last block) and both designs without a comparator.
-fn dense_configs() -> [HdcConfig; 3] {
+/// Every HDC config whose rows share entries: the serial design, and the
+/// configs that take the dense shape on reads of at most 96 bases (the IR
+/// ACC design, whose comparator's verdict lands after the last block, and
+/// both designs without a comparator).
+fn reuse_configs() -> [HdcConfig; 4] {
     [
+        HdcConfig::serial(),
         HdcConfig::data_parallel(),
         HdcConfig {
             pruning: false,
@@ -375,14 +378,14 @@ fn every_kind() -> Vec<KernelKind> {
 
 /// The reuse identities on `target`, under every kernel: each read's
 /// [`run_read_sweep`] row equals the per-pair reference `run_pair`
-/// under every dense config, and [`simulate_target_fast_with`] equals
+/// under every reusing config, and [`simulate_target_fast_with`] equals
 /// [`simulate_target`] under the IR ACC, comparator-free and serial
 /// parameters.
 fn assert_reuse_exact(target: &RealignmentTarget) {
     let block = CandidateBlock::from_target(target);
     for read in target.reads() {
         let sweep_read = SweepRead::new(read.bases().bases(), read.quals());
-        for cfg in dense_configs() {
+        for cfg in reuse_configs() {
             let want: Vec<_> = target
                 .consensuses()
                 .iter()
@@ -648,4 +651,234 @@ proptest! {
     fn reuse_matches_reference_on_random_indels(target in indel_targets()) {
         assert_reuse_exact(&target);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Serial reuse: where the suffix's running minima meet.
+// ---------------------------------------------------------------------------
+
+/// How an alternative's serial entries rejoin the reference's in their
+/// shared suffix, for one read, from the longhand WHDs: `C_alt` and
+/// `C_ref` are the two rows' running minima where the suffix starts, and
+/// the budgets agree from `conv` on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SuffixShape {
+    /// `C_alt == C_ref`: the suffix is copied from its first offset.
+    EqualMinima,
+    /// The first suffix WHD is below `min(C_alt, C_ref)`.
+    FirstOffset,
+    /// The WHD at `conv - 1`, past the first suffix offset, ties the
+    /// smaller minimum, and that is the alternative's.
+    TieAltLower,
+    /// As [`SuffixShape::TieAltLower`], the reference's minimum smaller.
+    TieRefLower,
+    /// No suffix WHD reaches the smaller minimum: every suffix offset is
+    /// swept.
+    Never,
+    /// Anything else (a suffix converging later without a tie, or no
+    /// suffix).
+    Other,
+}
+
+/// The suffix shape of `read` on `target`'s alternative `i`, with the
+/// prefix and suffix bounds the reusing sweep computes.
+fn suffix_shape(target: &RealignmentTarget, i: usize, read: &Read) -> SuffixShape {
+    let block = CandidateBlock::from_target(target);
+    let (n, len, ref_len) = (read.len(), block.len(i), block.len(0));
+    let offsets = len - n + 1;
+    let (prefix, suffix) = block.shared_with_reference(i);
+    let fresh_lo = (prefix + 1).saturating_sub(n).min(offsets);
+    let fresh_hi = (len - suffix).clamp(fresh_lo, offsets);
+    if fresh_hi == offsets {
+        return SuffixShape::Other;
+    }
+    let alt = whds_longhand(target.consensus(i), read);
+    let reference = whds_longhand(target.consensus(0), read);
+    let min_of = |w: &[u64]| w.iter().copied().min().unwrap_or(u64::MAX);
+    let c_alt = min_of(&alt[..fresh_hi]);
+    let c_ref = min_of(&reference[..fresh_hi + ref_len - len]);
+    if c_alt == c_ref {
+        return SuffixShape::EqualMinima;
+    }
+    let floor = c_alt.min(c_ref);
+    match alt[fresh_hi..].iter().position(|&w| w <= floor) {
+        None => SuffixShape::Never,
+        Some(0) if alt[fresh_hi] < floor => SuffixShape::FirstOffset,
+        Some(p) if p > 0 && alt[fresh_hi + p] == floor => {
+            if c_alt < c_ref {
+                SuffixShape::TieAltLower
+            } else {
+                SuffixShape::TieRefLower
+            }
+        }
+        Some(_) => SuffixShape::Other,
+    }
+}
+
+/// A reference over `A`/`C` (so windows tie often), an alternative with
+/// one insertion or deletion, and reads cut from either row with a few
+/// substitutions, every score 10: target `salt` of a deterministic
+/// family.
+fn tie_prone_target(salt: u64) -> RealignmentTarget {
+    const AC: [Base; 2] = [Base::A, Base::C];
+    let reference = scrambled(140, salt, &AC);
+    let at = 20 + (salt as usize * 7) % 100;
+    let indel = 1 + (salt as usize / 3) % 9;
+    let alt = if salt.is_multiple_of(2) {
+        [
+            &reference[..at],
+            &scrambled(indel, salt + 1, &AC)[..],
+            &reference[at..],
+        ]
+        .concat()
+    } else {
+        [&reference[..at], &reference[at + indel..]].concat()
+    };
+    let n = 12 + (salt as usize % 5) * 4;
+    let reads = (0..4u64)
+        .map(|r| {
+            let row = if r.is_multiple_of(2) {
+                &reference
+            } else {
+                &alt
+            };
+            let start = (salt.wrapping_mul(31).wrapping_add(r * 17) as usize) % (row.len() - n + 1);
+            let mut bases = row[start..start + n].to_vec();
+            for s in 0..=r as usize {
+                let pos = (salt as usize + 5 * s) % n;
+                bases[pos] = if bases[pos] == Base::A {
+                    Base::G
+                } else {
+                    Base::A
+                };
+            }
+            read_of(&bases, &vec![10; n])
+        })
+        .collect();
+    target_of(&[seq_of(&[&reference]), seq_of(&[&alt])], reads)
+}
+
+/// Every way an alternative's serial entries can rejoin the reference's:
+/// the running minima equal where the suffix starts, meeting at the first
+/// suffix offset, a tie with the smaller minimum at the meeting offset
+/// (the alternative's, then the reference's), and never meeting. The
+/// cases come from a deterministic family of tie-prone targets; each
+/// shape must occur, and every target found must reuse exactly.
+#[test]
+fn serial_reuse_matches_reference_at_every_suffix_shape() {
+    let wanted = [
+        SuffixShape::EqualMinima,
+        SuffixShape::FirstOffset,
+        SuffixShape::TieAltLower,
+        SuffixShape::TieRefLower,
+        SuffixShape::Never,
+    ];
+    let mut found = Vec::new();
+    for salt in 0..400u64 {
+        let target = tie_prone_target(salt);
+        let shapes: Vec<_> = target
+            .reads()
+            .iter()
+            .map(|read| suffix_shape(&target, 1, read))
+            .filter(|shape| wanted.contains(shape) && !found.contains(shape))
+            .collect();
+        if !shapes.is_empty() {
+            assert_reuse_exact(&target);
+            for shape in shapes {
+                if !found.contains(&shape) {
+                    found.push(shape);
+                }
+            }
+        }
+        if found.len() == wanted.len() {
+            break;
+        }
+    }
+    for shape in wanted {
+        assert!(
+            found.contains(&shape),
+            "no target with {shape:?}: {found:?}"
+        );
+    }
+}
+
+/// The sweep checks whether the running minima have met at block ends.
+/// Here the straddling windows span exactly one block, so the first
+/// check falls on the first suffix offset, where both rows' running
+/// minima are 20 but the reference's last straddling window (offset
+/// `p`, one mismatch) drops its minimum to 10 right before its matching
+/// offset. The suffix then holds a window at 20 whose two mismatches are
+/// its first two bases: the alternative completes it (a tie with its
+/// minimum) where the reference stops after two bases, so it must be
+/// swept, not copied.
+#[test]
+fn serial_reuse_checks_the_minima_at_the_reference_offset_itself() {
+    let n = 65;
+    let a_run = |len: usize| vec![Base::A; len];
+    let mut head = scrambled(80, 5, &CGT);
+    *head.last_mut().unwrap() = Base::G;
+    let p = head.len();
+    let reference = [
+        &head[..],
+        &[Base::A, Base::C],
+        &a_run(63),
+        &[Base::G],
+        &scrambled(30, 6, &CGT),
+        &[Base::C, Base::G],
+        &a_run(63),
+        &scrambled(10, 7, &CGT),
+    ]
+    .concat();
+    // Delete the `A` at `p`: the straddling offsets are `p - 64..p`.
+    let alt = [&reference[..p], &reference[p + 1..]].concat();
+    let read = read_of(&a_run(n), &[10; 65]);
+    let target = target_of(
+        &[seq_of(&[&reference]), seq_of(&[&alt])],
+        vec![read.clone()],
+    );
+    let block = CandidateBlock::from_target(&target);
+    assert_eq!(block.shared_with_reference(1), (p, alt.len() - p));
+    let (ref_whds, alt_whds) = (
+        whds_longhand(target.consensus(0), &read),
+        whds_longhand(target.consensus(1), &read),
+    );
+    let min_of = |w: &[u64]| w.iter().copied().min().unwrap();
+    assert_eq!((min_of(&alt_whds[..p]), min_of(&ref_whds[..p])), (20, 20));
+    assert_eq!((ref_whds[p], min_of(&ref_whds)), (10, 10));
+    assert_eq!(min_of(&alt_whds[p..]), 20, "the minima never meet");
+    assert_reuse_exact(&target);
+}
+
+/// Reads whose score total reaches the `u16` bound (720 bases at Phred
+/// 93) take the per-pair path under every shape; a 1,025-base read, past
+/// the serial range kernel's visit counts, does too.
+#[test]
+fn reads_past_the_reuse_bounds_take_the_per_pair_path() {
+    let reference = scrambled(1_200, 8, &ACGT);
+    let alt = [&reference[..600], &reference[603..]].concat();
+    let mut reads = Vec::new();
+    for (n, score) in [(720, 93u8), (1_025, 20)] {
+        let mut bases = reference[40..40 + n].to_vec();
+        bases[n / 2] = if bases[n / 2] == Base::A {
+            Base::C
+        } else {
+            Base::A
+        };
+        reads.push(read_of(&bases, &vec![score; n]));
+    }
+    let total: u64 = reads[0]
+        .quals()
+        .scores()
+        .iter()
+        .map(|&s| u64::from(s))
+        .sum();
+    assert!(total >= kernel::WHD_U16_LIMIT);
+    let target = RealignmentTarget::builder(1_000)
+        .limits(TargetLimits::UNBOUNDED)
+        .reference(seq_of(&[&reference]))
+        .consensus(seq_of(&[&alt]))
+        .reads(reads)
+        .build()
+        .unwrap();
+    assert_reuse_exact(&target);
 }
