@@ -371,12 +371,6 @@ impl HostDriver {
             });
         }
 
-        // A prior failed attempt can strand a stale or duplicate
-        // response; drain the queue before dispatching.
-        while self.hub.poll_response().is_some() {
-            report.stale_responses += 1;
-        }
-
         // Step 3: configure and start through the MMIO queues.
         for cmd in IrUnit::command_sequence(target, unit_id as u8) {
             let step: Result<(), FpgaError> = (|| {
@@ -411,16 +405,15 @@ impl HostDriver {
             plan,
         );
 
-        // Step 4: poll for this unit's response; anything else in the
-        // queue is stale. A dropped response means the work completed but
+        // Step 4: poll for the response, then drain the queue: anything
+        // left, a duplicate included, is stale and counted as it arrives,
+        // so every attempt leaves the queue empty and the next one polls
+        // only its own. A dropped response means the work completed but
         // the result is stranded — the watchdog expires.
-        let response = loop {
-            match self.hub.poll_response() {
-                Some(r) if r.unit_id == unit_id => break Some(r),
-                Some(_) => report.stale_responses += 1,
-                None => break None,
-            }
-        };
+        let response = self.hub.poll_response();
+        while self.hub.poll_response().is_some() {
+            report.stale_responses += 1;
+        }
         let Some(response) = response else {
             return Err(AttemptFailure {
                 error: FpgaError::Timeout {

@@ -128,6 +128,23 @@ impl PairRun {
 /// pair; the block structure only affects *when* pruning can stop a scan,
 /// never the result.
 ///
+/// This is the HDC's one cycle-level reference: each pass of the inner
+/// loop is one clock, so the cycle count is built the way the datapath
+/// spends it. The loop charges
+///
+/// - one cycle per issued block of `lanes` bases,
+/// - after a prune verdict, the `prune_latency_blocks` blocks still in
+///   flight before the stop takes effect,
+/// - and `pair_overhead_cycles` once per pair.
+///
+/// The unit tests pin those rules (`unpruned_*_cycle_count_*`,
+/// `pruned_offset_drains_the_blocks_in_flight`,
+/// `pair_overhead_is_charged_once`,
+/// `serial_comparisons_match_golden_pruned_counts`); the production
+/// sweep ([`run_read_sweep`], [`crate::unit::simulate_target_fast`]) is
+/// checked against it pair by pair, and `tests/target_digests.rs` pins
+/// whole unit runs of both over every workload shape family.
+///
 /// # Panics
 ///
 /// Panics if the read is longer than the consensus, if `quals` is shorter
@@ -750,6 +767,32 @@ mod tests {
             },
         );
         assert_eq!(with_overhead.cycles, base.cycles + 7);
+    }
+
+    #[test]
+    fn pruned_offset_drains_the_blocks_in_flight() {
+        // Offset 0 matches; offset k ≥ 1 first mismatches at base 6 − k,
+        // so its verdict lands after block 7 − k of 6.
+        let cons: Sequence = "AAAAAACCCCCC".parse().unwrap();
+        let read: Sequence = "AAAAAA".parse().unwrap();
+        let quals = Qual::uniform(10, 6).unwrap();
+        let cfg = |prune_latency_blocks| HdcConfig {
+            pair_overhead_cycles: 0,
+            prune_latency_blocks,
+            ..HdcConfig::serial()
+        };
+        let immediate = run_pair(&cons, &read, &quals, cfg(0));
+        // 6 for offset 0, then 6 + 5 + 4 + 3 + 2 + 1.
+        assert_eq!(immediate.cycles, 27);
+        // Two more blocks issue after each verdict, up to the read's end:
+        // 6 + 6 + 6 + 6 + 5 + 4 + 3.
+        let late = run_pair(&cons, &read, &quals, cfg(2));
+        assert_eq!(late.cycles, 36);
+        for run in [immediate, late] {
+            assert_eq!(run.comparisons, run.cycles);
+            assert_eq!(run.offsets_pruned, 6);
+            assert_eq!(run.min, MinWhd { whd: 0, offset: 0 });
+        }
     }
 
     #[test]

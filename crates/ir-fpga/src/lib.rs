@@ -68,7 +68,6 @@ pub mod bram;
 pub mod dma;
 pub mod driver;
 pub mod fault;
-pub mod fsm;
 pub mod hdc;
 pub mod hls;
 pub mod isa;

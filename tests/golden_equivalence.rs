@@ -124,26 +124,6 @@ proptest! {
     }
 
     #[test]
-    fn steppable_fsm_matches_closed_form_model(target in target_strategy()) {
-        use ir_system::fpga::fsm::HdcFsm;
-        use ir_system::fpga::hdc::{run_pair, HdcConfig};
-        for cfg in [HdcConfig::serial(), HdcConfig::data_parallel()] {
-            for i in 0..target.num_consensuses() {
-                for j in 0..target.num_reads() {
-                    let cons = target.consensus(i);
-                    let read = target.read(j);
-                    let expected = run_pair(cons, read.bases(), read.quals(), cfg);
-                    let mut fsm = HdcFsm::new(cons, read.bases(), read.quals(), cfg);
-                    while fsm.step() {}
-                    prop_assert_eq!(fsm.result(), Some(expected.min));
-                    prop_assert_eq!(fsm.cycles(), expected.cycles);
-                    prop_assert_eq!(fsm.comparisons(), expected.comparisons);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn naive_work_matches_shape_formula(target in target_strategy()) {
         let naive = IndelRealigner::with_pruning(PruningMode::Off).realign(&target);
         prop_assert_eq!(

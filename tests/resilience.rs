@@ -164,19 +164,23 @@ fn default_rate_faults_driver_batch_completes() {
 
 /// Each failure counts once, by where it happened: a failed DMA
 /// transfer is a DMA fault (never also a response timeout or a corrupt
-/// read-back), and a watchdog timeout is a dropped response. On one unit
-/// both the functional driver and the timing model reconcile their
-/// detection counters with the injected faults, seed by seed.
+/// read-back), a watchdog timeout is a dropped response, and a stale
+/// response is a duplicated one, even the duplicate of a batch's last
+/// response. On one unit both the functional driver and the timing model
+/// reconcile their detection counters with the injected faults, seed by
+/// seed, and their whole reports are equal. (On more units the driver's
+/// rerouting and the schedulers' dispatch order differ, so only the
+/// identities would hold.)
 #[test]
 fn dma_faults_and_timeouts_reconcile_with_the_injected_faults() {
-    let targets = workload(6);
+    let targets = workload(64);
     let params = FpgaParams {
         num_units: 1,
         ..FpgaParams::iracc()
     };
     let policy = ResiliencePolicy::default();
     let system = AcceleratedSystem::new(params, Scheduling::SynchronousUnsorted).expect("fits");
-    let mut dma_faults = 0;
+    let (mut dma_faults, mut duplicates) = (0, 0);
     for seed in 0..40u64 {
         let mut driver = HostDriver::new(params).expect("fits");
         let mut plan = FaultPlan::seeded(seed, FaultRates::uniform(0.02));
@@ -196,10 +200,17 @@ fn dma_faults_and_timeouts_reconcile_with_the_injected_faults() {
                 "{side}, seed {seed}"
             );
             assert_eq!(r.timeouts, f.responses_dropped, "{side}, seed {seed}");
+            assert_eq!(
+                r.stale_responses, f.responses_duplicated,
+                "{side}, seed {seed}"
+            );
         }
+        assert_eq!(driver_report, model_report, "seed {seed}");
         dma_faults += driver_report.dma_faults;
+        duplicates += driver_report.faults.responses_duplicated;
     }
     assert!(dma_faults > 0, "the seeds must inject DMA faults");
+    assert!(duplicates > 0, "the seeds must duplicate responses");
 }
 
 fn base_strategy() -> impl Strategy<Value = Base> {
