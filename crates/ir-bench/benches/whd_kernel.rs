@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use ir_bench::bench_workload;
 use ir_core::batch::{CandidateBlock, SweepRead};
-use ir_core::kernel::{self, ReadWords};
+use ir_core::kernel::{self, DenseSweep, ReadWords};
 use ir_core::{calc_whd, calc_whd_bounded, KernelKind};
 use ir_fpga::hdc::{run_pair, run_read_sweep, HdcConfig};
 use ir_fpga::unit::simulate_target_fast_with;
@@ -234,7 +234,7 @@ fn bench_kernel_mix(c: &mut Criterion) {
                     whds.resize(block.len(i) - read.len() + 1, 0u16);
                     let prepared = read.prepare(kind, &mut words);
                     kernel::whd_range(&prepared, block.row_padded(i), 0, &mut whds);
-                    black_box(kernel::fold_whds(kind, &whds));
+                    black_box(kernel::fold_whds(kind, DenseSweep::START, 0, &whds));
                 }
             })
         });

@@ -812,19 +812,21 @@ fn whd_range_generic(
 }
 
 /// The serial immediate-prune sweep of offsets `k0..k0 + whds.len()`,
-/// continued from `carry`: the minimum WHD of the completed offsets
-/// before `k0` (`u16::MAX` before offset 0, above every WHD of a read
-/// this takes). `whds[j]` receives offset `k0 + j`'s WHD or, if the
-/// offset is pruned, a lower bound on its WHD strictly above its budget
-/// (the per-offset kinds store the running sum at the stop base; AVX-512
-/// stores the WHD). `visits`, if given, receives each offset's visited
+/// continued from `from`: the fold of the offsets before `k0`
+/// ([`DenseSweep::START`] before offset 0), whose minimum is the running
+/// minimum the range's budgets start from. `whds[j]` receives offset
+/// `k0 + j`'s WHD or, if the offset is pruned, a lower bound on its WHD
+/// strictly above its budget (the per-offset kinds store the running sum
+/// at the stop base; AVX-512 stores the WHD, or the partial sum where
+/// pass 1 stopped). `visits`, if given, receives each offset's visited
 /// bases, its stop base included.
 ///
-/// Returns the running minimum after the range and the range's visited
+/// Returns the fold continued over the range and the range's visited
 /// bases. Since each entry is its offset's WHD or a value above that
-/// offset's budget, [`fold_whds`] over a buffer of such entries gives the
-/// serial sweep's minimum, its first offset and its pruned offsets
-/// exactly (DESIGN.md §4f).
+/// offset's budget, the fold of the entries ([`fold_whds`]) is the serial
+/// sweep's: its minimum, its first offset and the pruned offsets, which
+/// are exactly the offsets above the running minimum (DESIGN.md §4f).
+/// The range folds its entries as it sweeps them.
 ///
 /// # Panics
 ///
@@ -836,7 +838,7 @@ pub fn serial_range(
     read: &PreparedRead,
     row: &[u8],
     k0: usize,
-    carry: u16,
+    from: DenseSweep,
     whds: &mut [u16],
     visits: Option<&mut [u16]>,
 ) -> SerialRange {
@@ -852,7 +854,10 @@ pub fn serial_range(
         "score total overflows a u16 WHD"
     );
     if whds.is_empty() {
-        return SerialRange { carry, visited: 0 };
+        return SerialRange {
+            sweep: from,
+            visited: 0,
+        };
     }
     assert!(
         k0 + whds.len() - 1 + read.len <= row.len(),
@@ -864,7 +869,7 @@ pub fn serial_range(
         k0,
         read: codes,
         scores,
-        carry,
+        from,
     };
     match read.kind {
         KernelKind::Scalar => range.generic(whds, visits, mask_scalar),
@@ -879,7 +884,7 @@ pub fn serial_range(
         // the bound, expanded it; the asserts above bound every load
         // (DESIGN.md §4f).
         KernelKind::Avx512 => unsafe {
-            x86::serial_range_avx512(row, k0, read, carry, whds, visits)
+            x86::serial_range_avx512(row, k0, read, from, whds, visits)
         },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: as for AVX2, for NEON.
@@ -892,9 +897,9 @@ pub fn serial_range(
 /// What [`serial_range`] returns about its range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SerialRange {
-    /// The running minimum after the range: the minimum WHD of the
-    /// completed offsets up to its end, carried in included.
-    pub carry: u16,
+    /// The fold of the offsets up to the range's end, carried in
+    /// included; its minimum is the running minimum after the range.
+    pub sweep: DenseSweep,
     /// The bases the range's offsets visit, stop bases included.
     pub visited: u64,
 }
@@ -905,7 +910,7 @@ struct SerialRangeArgs<'a> {
     k0: usize,
     read: &'a [u8],
     scores: &'a [u8],
-    carry: u16,
+    from: DenseSweep,
 }
 
 impl SerialRangeArgs<'_> {
@@ -923,40 +928,44 @@ impl SerialRangeArgs<'_> {
     ) -> SerialRange {
         let n = self.read.len();
         let mut out = SerialRange {
-            carry: self.carry,
+            sweep: self.from,
             visited: 0,
         };
         for (j, whd) in whds.iter_mut().enumerate() {
             let k = self.k0 + j;
             let win = &self.row[k..k + n];
-            let budget = u64::from(out.carry);
+            let budget = out.sweep.min_whd;
             let scan = scan_offset(win, self.read, self.scores, budget, &mask_chunk);
             *whd = scan.whd as u16;
             if let Some(visits) = visits.as_deref_mut() {
                 visits[j] = scan.visited as u16;
             }
             out.visited += scan.visited as u64;
-            if !scan.stopped {
-                out.carry = out.carry.min(*whd);
-            }
+            // A stopped scan's sum lies above the budget, the running
+            // minimum: it folds as an offset above it.
+            out.sweep.push(k, scan.whd);
         }
         out
     }
 }
 
-/// Folds the WHDs of offsets `0..whds.len()` in order into their
-/// minimum, its first offset and the offsets above the running minimum:
-/// the second half of the dense sweep, exactly [`DenseSweep::push`] over
-/// the buffer. AVX-512 folds 32 offsets per step with a lane prefix
-/// minimum; the other kinds fold one offset at a time. An empty buffer
-/// folds to [`DenseSweep::START`].
+/// Folds the WHDs of offsets `k0..k0 + whds.len()` in order into
+/// `from`, the state after the offsets before `k0`: the minimum, its
+/// first offset and the offsets above the running minimum, exactly
+/// [`DenseSweep::push`] over the buffer. The second half of the dense
+/// sweep is its [`DenseSweep::START`]/0 case. Since the state is all a
+/// fold carries, folding a buffer cut anywhere piece by piece equals one
+/// fold over the whole, so a caller can continue from a saved state
+/// instead of folding the offsets before it again. AVX-512 folds 64
+/// offsets per step with a lane prefix minimum; the other kinds fold one
+/// offset at a time. An empty buffer returns `from`.
 ///
 /// # Panics
 ///
 /// Panics if `kind` cannot run on this CPU.
-pub fn fold_whds(kind: KernelKind, whds: &[u16]) -> DenseSweep {
+pub fn fold_whds(kind: KernelKind, from: DenseSweep, k0: usize, whds: &[u16]) -> DenseSweep {
     if whds.is_empty() {
-        return DenseSweep::START;
+        return from;
     }
     match kind {
         #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
@@ -964,12 +973,20 @@ pub fn fold_whds(kind: KernelKind, whds: &[u16]) -> DenseSweep {
             assert_available(kind);
             // SAFETY: `assert_available` verified AVX-512F/BW and POPCNT
             // at runtime; the fold's masked loads stay inside `whds`.
-            unsafe { x86::fold_whds_avx512(whds) }
+            let mut out = unsafe { x86::fold_whds_avx512(from, k0, whds) };
+            // The vector fold carries the minimum in `u16` lanes, at most
+            // 0xFFFF: from a larger minimum (nothing folded yet), entries
+            // that all tie 0xFFFF leave it unmoved, and the first of them
+            // is the minimum.
+            if from.min_whd > 0xFFFF && out.min_whd == 0xFFFF {
+                out.min_offset = k0;
+            }
+            out
         }
         other => {
             assert_available(other);
-            let mut out = DenseSweep::START;
-            for (k, &whd) in whds.iter().enumerate() {
+            let mut out = from;
+            for (k, &whd) in (k0..).zip(whds) {
                 out.push(k, u64::from(whd));
             }
             out
@@ -1474,7 +1491,8 @@ mod x86 {
             let (whd_lo, whd_hi) = block_whds::<false>(
                 row.as_ptr().add(k0 + j),
                 valid,
-                read.extent,
+                0..read.extent,
+                block_start(valid),
                 words.code.as_ptr(),
                 words.score.as_ptr(),
                 std::ptr::null_mut(),
@@ -1505,26 +1523,26 @@ mod x86 {
     /// `k0 + whds.len() - 1 + read.len <= row.len()` (checked by the safe
     /// dispatcher).
     ///
-    /// The serial sweep of offsets `k0..k0 + whds.len()` from the carried
-    /// running minimum `carry_in`, 64 offsets to a block: pass 1
-    /// ([`block_whds`]) stores each offset's WHD `W` and keeps each base's
-    /// mismatch mask, the exclusive running minima `E`
-    /// ([`exclusive_minima`], skipped when no lane drops below the carry)
-    /// give the pruned lanes `W > E`, and only those replay the masks
-    /// ([`block_stops`]) for their stop base. Every other lane visits the
-    /// whole read.
+    /// The serial sweep of offsets `k0..k0 + whds.len()` continued from
+    /// the fold `from`, 64 offsets to a block: pass 1 ([`block_whds`])
+    /// stores each offset's WHD `W` and keeps each base's mismatch mask,
+    /// the exclusive running minima `E` ([`exclusive_minima`], skipped
+    /// when no lane drops below the carry) give the pruned lanes `W > E`
+    /// and the new minimum ([`block_verdicts`]), and only the pruned lanes
+    /// replay the masks ([`block_stops`]) for their stop base. Every other
+    /// lane visits the whole read.
     #[target_feature(enable = "avx512f,avx512bw,popcnt")]
     pub unsafe fn serial_range_avx512(
         row: &[u8],
         k0: usize,
         read: &super::PreparedRead,
-        carry_in: u16,
+        from: super::DenseSweep,
         whds: &mut [u16],
         visits: Option<&mut [u16]>,
     ) -> super::SerialRange {
         match visits {
-            Some(visits) => serial_range_blocks::<true>(row, k0, read, carry_in, whds, visits),
-            None => serial_range_blocks::<false>(row, k0, read, carry_in, whds, &mut []),
+            Some(visits) => serial_range_blocks::<true>(row, k0, read, from, whds, visits),
+            None => serial_range_blocks::<false>(row, k0, read, from, whds, &mut []),
         }
     }
 
@@ -1541,7 +1559,7 @@ mod x86 {
         row: &[u8],
         k0: usize,
         read: &super::PreparedRead,
-        carry_in: u16,
+        from: super::DenseSweep,
         whds: &mut [u16],
         visits: &mut [u16],
     ) -> super::SerialRange {
@@ -1551,26 +1569,46 @@ mod x86 {
         let neq_masks = neq_masks.as_mut_ptr().cast::<u64>();
         let (n, extent) = (read.len, read.extent);
         let whole = _mm512_set1_epi16(n as i16);
-        let mut carry = _mm512_set1_epi16(carry_in as i16);
-        let mut visited = 0u64;
+        // The running minimum in every lane; 0xFFFF, above every entry of
+        // a read this takes, before offset 0.
+        let mut carry = _mm512_set1_epi16(from.min_whd.min(0xFFFF) as u16 as i16);
+        let mut out = super::SerialRange {
+            sweep: from,
+            visited: 0,
+        };
         let (whd_dst, visit_dst) = (whds.as_mut_ptr(), visits.as_mut_ptr());
         let mut j = 0usize;
         while j < whds.len() {
             let valid = tail_mask(whds.len() - j);
+            // Pass 1, stopped early once every valid lane's partial sum
+            // exceeds the carried-in minimum: each lane is then pruned
+            // (its exclusive minimum is at most the carry), and its
+            // partial sum is a valid entry, a bound above its budget.
             // SAFETY: lane i loads `row[k0 + j + i + b]` only when
             // `j + i < whds.len()`, and `b < extent <= read.len`, so every
             // byte read is below `k0 + whds.len() - 1 + read.len <=
-            // row.len()`; mask word `b < extent` is written before the
-            // stop pass reads it, and the stores write only the lanes
+            // row.len()`; mask words `b < kept` are written before the
+            // stop pass reads them, and the stores write only the lanes
             // `j + i < whds.len()`.
-            let (whd_lo, whd_hi) = block_whds::<true>(
-                row.as_ptr().add(k0 + j),
-                valid,
-                extent,
-                code_words,
-                score_words,
-                neq_masks,
-            );
+            let win = row.as_ptr().add(k0 + j);
+            let mut sums = block_start(valid);
+            let mut kept = 0;
+            while kept < extent {
+                let bases = kept..(kept + EXIT_STRIDE).min(extent);
+                kept = bases.end;
+                sums =
+                    block_whds::<true>(win, valid, bases, sums, code_words, score_words, neq_masks);
+                let above = u64::from(_mm512_mask_cmpgt_epu16_mask(valid as u32, sums.0, carry))
+                    | u64::from(_mm512_mask_cmpgt_epu16_mask(
+                        (valid >> 32) as u32,
+                        sums.1,
+                        carry,
+                    )) << 32;
+                if above == valid {
+                    break;
+                }
+            }
+            let (whd_lo, whd_hi) = sums;
             let drops =
                 _mm512_cmplt_epu16_mask(whd_lo, carry) | _mm512_cmplt_epu16_mask(whd_hi, carry);
             let excl = if drops == 0 {
@@ -1578,15 +1616,18 @@ mod x86 {
             } else {
                 exclusive_minima(whd_lo, whd_hi, &mut carry)
             };
-            let (pruned, _) = block_verdicts(valid, whd_lo, whd_hi, excl.0, excl.1);
+            let (pruned, below) = block_verdicts(valid, whd_lo, whd_hi, excl.0, excl.1);
+            out.sweep.offsets_above_min += u64::from(pruned.count_ones());
+            if below != 0 {
+                out.sweep.min_offset = k0 + j + 63 - below.leading_zeros() as usize;
+            }
             // Unpruned offsets visit the whole read, pruned ones up to
             // and including their stop base.
-            visited += n as u64 * u64::from((valid & !pruned).count_ones());
+            out.visited += n as u64 * u64::from((valid & !pruned).count_ones());
             let mut lanes = (whole, whole);
             if pruned != 0 {
-                let stops =
-                    block_stops::<false, LANES>(neq_masks, pruned, extent, score_words, excl);
-                visited += stops.visited + u64::from(pruned.count_ones());
+                let stops = block_stops::<false, LANES>(neq_masks, pruned, kept, score_words, excl);
+                out.visited += stops.visited + u64::from(pruned.count_ones());
                 if LANES {
                     let one = _mm512_set1_epi16(1);
                     lanes = (
@@ -1601,42 +1642,43 @@ mod x86 {
             }
             j += 64;
         }
-        super::SerialRange {
-            carry: lane0_epu16(carry),
-            visited,
-        }
+        out.sweep.min_whd = u64::from(lane0_epu16(carry));
+        out
     }
 
     /// # Safety
     ///
-    /// The CPU must support AVX-512F, AVX-512BW and POPCNT, and `whds`
-    /// must be non-empty (checked by the safe dispatcher).
+    /// The CPU must support AVX-512F, AVX-512BW and POPCNT.
     ///
-    /// The fold half of the offset-parallel sweep: each 64-offset block
-    /// of `whds` is loaded with 0xFFFF in the lanes past the end (above
-    /// or tied with every running minimum, so they flag nothing), and
-    /// its exclusive running minima ([`exclusive_minima`]) give the
-    /// offsets above the minimum and the new minimum ([`block_verdicts`]).
-    /// Most blocks hold no offset below the running minimum; then every
-    /// exclusive minimum is the carry itself, and the prefix minimum is
-    /// skipped.
+    /// The fold half of the offset-parallel sweep, continued from `from`
+    /// at offset `k0`: each 64-offset block of `whds` is loaded with
+    /// 0xFFFF in the lanes past the end (above or tied with every running
+    /// minimum, so they flag nothing), and its exclusive running minima
+    /// ([`exclusive_minima`]) give the offsets above the minimum and the
+    /// new minimum ([`block_verdicts`]). Most blocks hold no offset below
+    /// the running minimum; then every exclusive minimum is the carry
+    /// itself, and the prefix minimum is skipped.
     #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-    pub unsafe fn fold_whds_avx512(whds: &[u16]) -> super::DenseSweep {
+    pub unsafe fn fold_whds_avx512(
+        from: super::DenseSweep,
+        k0: usize,
+        whds: &[u16],
+    ) -> super::DenseSweep {
         let ones = _mm512_set1_epi16(-1);
-        // The running minimum in every lane; 0xFFFF before offset 0.
-        let mut carry = ones;
-        let mut out = super::DenseSweep::START;
+        // The running minimum in every lane, 0xFFFF if larger.
+        let mut carry = _mm512_set1_epi16(from.min_whd.min(0xFFFF) as u16 as i16);
+        let mut out = from;
         let src = whds.as_ptr();
-        let mut k0 = 0usize;
-        while k0 < whds.len() {
-            let valid = tail_mask(whds.len() - k0);
-            // SAFETY: the masked loads read only the lanes `k0 + i <
+        let mut j = 0usize;
+        while j < whds.len() {
+            let valid = tail_mask(whds.len() - j);
+            // SAFETY: the masked loads read only the lanes `j + i <
             // whds.len()` (`wrapping_add` as in `store_lanes`).
-            let whd_lo = _mm512_mask_loadu_epi16(ones, valid as u32, src.add(k0).cast());
+            let whd_lo = _mm512_mask_loadu_epi16(ones, valid as u32, src.add(j).cast());
             let whd_hi = _mm512_mask_loadu_epi16(
                 ones,
                 (valid >> 32) as u32,
-                src.wrapping_add(k0 + 32).cast(),
+                src.wrapping_add(j + 32).cast(),
             );
             let drops =
                 _mm512_cmplt_epu16_mask(whd_lo, carry) | _mm512_cmplt_epu16_mask(whd_hi, carry);
@@ -1648,13 +1690,16 @@ mod x86 {
             let (above, below) = block_verdicts(valid, whd_lo, whd_hi, excl_lo, excl_hi);
             out.offsets_above_min += u64::from(above.count_ones());
             if below != 0 {
-                out.min_offset = k0 + 63 - below.leading_zeros() as usize;
+                out.min_offset = k0 + j + 63 - below.leading_zeros() as usize;
             }
-            k0 += 64;
+            j += 64;
         }
         out.min_whd = u64::from(lane0_epu16(carry));
         out
     }
+
+    /// Bases between two of [`serial_range_avx512`]'s pass-1 exit checks.
+    const EXIT_STRIDE: usize = 8;
 
     /// Lane 0 of `x`'s `u16` lanes.
     #[inline]
@@ -1698,33 +1743,45 @@ mod x86 {
         }
     }
 
+    /// The sums [`block_whds`] starts a block from: 0 in the `valid`
+    /// lanes, 0xFFFF in the rest.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn block_start(valid: u64) -> (__m512i, __m512i) {
+        let ones = _mm512_set1_epi16(-1);
+        (
+            _mm512_maskz_mov_epi16(!(valid as u32), ones),
+            _mm512_maskz_mov_epi16(!((valid >> 32) as u32), ones),
+        )
+    }
+
     /// # Safety
     ///
-    /// Words `0..n` of both buffers were written by [`expand_read`], every
-    /// lane `i` set in `valid` may load `win[i + b]` for `b < n`, and
-    /// with `KEEP` the mask buffer has room for `n` words.
+    /// Words `bases` of both buffers were written by [`expand_read`],
+    /// every lane `i` set in `valid` may load `win[i + b]` for `b` in
+    /// `bases`, and with `KEEP` the mask buffer has room for those words.
     ///
-    /// **Pass 1** over one block of 64 consecutive offsets: walk the read
-    /// one base `b` at a time — one masked load of `win[b..]`, one compare
-    /// against the broadcast read code, two masked `u16` adds of the
-    /// broadcast score — so lane `i` (of `lo` then `hi`) ends holding the
-    /// WHD of the window at `win + i`. Lanes outside `valid` hold 0xFFFF.
-    /// With `KEEP`, base `b`'s 64-offset mismatch mask goes to
-    /// `neq_masks[b]` for the stop pass.
+    /// **Pass 1** over one block of 64 consecutive offsets, continuing the
+    /// sums `(whd_lo, whd_hi)` ([`block_start`] before base 0): walk the
+    /// read one base `b` at a time — one masked load of `win[b..]`, one
+    /// compare against the broadcast read code, two masked `u16` adds of
+    /// the broadcast score — so lane `i` (of `lo` then `hi`) ends holding
+    /// the sum over `bases` of the window at `win + i`; over the whole
+    /// read, its WHD. Lanes outside `valid` hold 0xFFFF. With `KEEP`,
+    /// base `b`'s 64-offset mismatch mask goes to `neq_masks[b]` for the
+    /// stop pass.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
     unsafe fn block_whds<const KEEP: bool>(
         win: *const u8,
         valid: u64,
-        n: usize,
+        bases: std::ops::Range<usize>,
+        (mut whd_lo, mut whd_hi): (__m512i, __m512i),
         code_words: *const u32,
         score_words: *const u32,
         neq_masks: *mut u64,
     ) -> (__m512i, __m512i) {
-        let ones = _mm512_set1_epi16(-1);
-        let mut whd_lo = _mm512_maskz_mov_epi16(!(valid as u32), ones);
-        let mut whd_hi = _mm512_maskz_mov_epi16(!((valid >> 32) as u32), ones);
-        for b in 0..n {
+        for b in bases {
             let bases = _mm512_maskz_loadu_epi8(valid, win.add(b).cast());
             let code = _mm512_set1_epi32(*code_words.add(b) as i32);
             let neq = _mm512_mask_cmpneq_epi8_mask(valid, bases, code);
@@ -1909,7 +1966,8 @@ mod x86 {
             let (whd_lo, whd_hi) = block_whds::<true>(
                 row.as_ptr().add(k0),
                 valid,
-                n,
+                0..n,
+                block_start(valid),
                 code_words,
                 score_words,
                 neq_masks,
@@ -2235,7 +2293,7 @@ mod tests {
     /// The dense sweep of offsets `0..=max_k` through the two kernel
     /// halves: [`whd_range`] in the pieces `splits` cuts the offsets
     /// into (so ranges that start mid-row and mid-block are covered),
-    /// then [`fold_whds`] over the assembled buffer.
+    /// each folded with [`fold_whds`] from the state the last one left.
     fn dense_via_ranges(
         kind: KernelKind,
         row: &[u8],
@@ -2247,10 +2305,13 @@ mod tests {
         let mut whds = vec![0u16; max_k + 1];
         let mut words = ReadWords::new();
         let read = PreparedRead::new(kind, read, scores, read.len(), &mut words);
+        let mut sweep = DenseSweep::START;
         for w in cut_points(max_k + 1, splits).windows(2) {
-            whd_range(&read, row, w[0], &mut whds[w[0]..w[1]]);
+            let whds = &mut whds[w[0]..w[1]];
+            whd_range(&read, row, w[0], whds);
+            sweep = fold_whds(kind, sweep, w[0], whds);
         }
-        fold_whds(kind, &whds)
+        sweep
     }
 
     /// `0`, the `splits` clamped to `offsets`, and `offsets`, in order.
@@ -2264,9 +2325,10 @@ mod tests {
 
     /// The serial sweep of `read` along all of `row` through the range
     /// kernel: [`serial_range`] in the pieces `splits` cuts the offsets
-    /// into, each continuing the running minimum the last one returned,
-    /// then [`fold_whds`] over the entries and the sum of the visits.
-    /// Returns the [`SerialSweep`] fields the entries determine, with
+    /// into, each continuing the fold the last one returned, and the sum
+    /// of the visits. Each range's fold must equal [`fold_whds`] over its
+    /// entries from the same state (the entry invariant). Returns the
+    /// [`SerialSweep`] fields the entries determine, with
     /// `accumulations` copied from `want`.
     fn serial_via_ranges(
         kind: KernelKind,
@@ -2281,15 +2343,15 @@ mod tests {
         let prepared = PreparedRead::new(kind, read, scores, read.len(), &mut words);
         let (mut whds, mut visits) = (vec![0u16; offsets], vec![0u16; offsets]);
         let mut range = SerialRange {
-            carry: u16::MAX,
+            sweep: DenseSweep::START,
             visited: 0,
         };
         for w in cut_points(offsets, splits).windows(2) {
             let (lo, hi) = (w[0], w[1]);
             let (whds, visits) = (&mut whds[lo..hi], &mut visits[lo..hi]);
-            let next = serial_range(&prepared, row, lo, range.carry, whds, Some(&mut *visits));
+            let next = serial_range(&prepared, row, lo, range.sweep, whds, Some(&mut *visits));
             let mut bare = vec![0u16; hi - lo];
-            let unvisited = serial_range(&prepared, row, lo, range.carry, &mut bare, None);
+            let unvisited = serial_range(&prepared, row, lo, range.sweep, &mut bare, None);
             assert_eq!(
                 (unvisited, &bare[..]),
                 (next, &whds[..]),
@@ -2297,19 +2359,19 @@ mod tests {
             );
             let visited: u64 = visits.iter().map(|&v| u64::from(v)).sum();
             assert_eq!(next.visited, visited, "{kind}: visited of {lo}..{hi}");
+            let folded = fold_whds(kind, range.sweep, lo, whds);
+            assert_eq!(next.sweep, folded, "{kind}: fold of {lo}..{hi}");
             range = SerialRange {
-                carry: next.carry,
+                sweep: next.sweep,
                 visited: range.visited + visited,
             };
         }
-        let fold = fold_whds(kind, &whds);
-        assert_eq!(u64::from(range.carry), fold.min_whd, "{kind}: carry out");
         SerialSweep {
-            min_whd: fold.min_whd,
-            min_offset: fold.min_offset,
+            min_whd: range.sweep.min_whd,
+            min_offset: range.sweep.min_offset,
             visited: range.visited,
             accumulations: want.accumulations,
-            offsets_pruned: fold.offsets_above_min,
+            offsets_pruned: range.sweep.offsets_above_min,
         }
     }
 
@@ -2693,7 +2755,7 @@ mod tests {
         let (row, read, scores) = bound_fixture(255);
         let mut words = ReadWords::new();
         let read = PreparedRead::new(KernelKind::Scalar, &read, &scores, 257, &mut words);
-        serial_range(&read, &row, 0, u16::MAX, &mut [0; 151], None);
+        serial_range(&read, &row, 0, DenseSweep::START, &mut [0; 151], None);
     }
 
     #[test]
@@ -2703,7 +2765,7 @@ mod tests {
         let (row, read, scores) = (vec![1u8; n], vec![1u8; n], vec![1u8; n]);
         let mut words = ReadWords::new();
         let read = PreparedRead::new(KernelKind::Scalar, &read, &scores, n, &mut words);
-        serial_range(&read, &row, 0, u16::MAX, &mut [0], None);
+        serial_range(&read, &row, 0, DenseSweep::START, &mut [0], None);
     }
 
     #[test]
@@ -2718,21 +2780,25 @@ mod tests {
         whds[65] = 3;
         whds[129] = 0xFFFF;
         for kind in KernelKind::available() {
-            let got = fold_whds(kind, &whds);
+            let got = fold_whds(kind, DenseSweep::START, 0, &whds);
             assert_eq!((got.min_whd, got.min_offset), (3, 64), "{kind}");
             // 9 at 0..31 only ties offset 0; every later 9 and the 0xFFFF
             // sit above, 32 and 63 tie 31, 65 ties 64.
             assert_eq!(got.offsets_above_min, 130 - 31 - 5, "{kind}");
-            assert_eq!(fold_whds(kind, &[]), DenseSweep::START, "{kind}");
-            assert_eq!(
-                fold_whds(kind, &[0xFFFF]),
-                DenseSweep {
-                    min_whd: 0xFFFF,
-                    min_offset: 0,
-                    offsets_above_min: 0
-                },
-                "{kind}"
-            );
+            assert_eq!(fold_whds(kind, got, 7, &[]), got, "{kind}");
+            // A first offset at 0xFFFF is a new minimum wherever the fold
+            // starts; a second one ties it.
+            for k0 in [0, 5] {
+                assert_eq!(
+                    fold_whds(kind, DenseSweep::START, k0, &[0xFFFF, 0xFFFF]),
+                    DenseSweep {
+                        min_whd: 0xFFFF,
+                        min_offset: k0,
+                        offsets_above_min: 0
+                    },
+                    "{kind}"
+                );
+            }
         }
     }
 
@@ -2883,7 +2949,43 @@ mod tests {
                     want.push(k, u64::from(w));
                 }
                 for kind in KernelKind::available() {
-                    prop_assert_eq!(fold_whds(kind, &whds), want, "{}", kind);
+                    prop_assert_eq!(fold_whds(kind, DenseSweep::START, 0, &whds), want, "{}", kind);
+                }
+            }
+
+            /// Folding a buffer piece by piece, each piece continuing from
+            /// the state the last one left at its own base offset, is one
+            /// fold over the whole buffer on every kind: cuts anywhere
+            /// (mid-block, on block edges, empty pieces), and with
+            /// `tie_at_cut` each piece's first entry set to the running
+            /// minimum before it, so the first-on-ties rule crosses a cut.
+            #[test]
+            fn fold_whds_piecewise_matches_one_fold(
+                len in 0usize..=300,
+                raw in prop::collection::vec(0u16..=0xFFFF, 300),
+                spread in prop_oneof![Just(0xFFFFu16), Just(5u16)],
+                splits in prop::collection::vec(0usize..=300, 0..=6),
+                tie_at_cut in any::<bool>(),
+            ) {
+                let mut whds: Vec<u16> = raw[..len]
+                    .iter()
+                    .map(|&w| if spread == 0xFFFF { w } else { w % spread + 0xFFFA })
+                    .collect();
+                let cuts = cut_points(len, &splits);
+                if tie_at_cut {
+                    for &c in &cuts[1..] {
+                        if 0 < c && c < len {
+                            whds[c] = *whds[..c].iter().min().unwrap();
+                        }
+                    }
+                }
+                for kind in KernelKind::available() {
+                    let want = fold_whds(kind, DenseSweep::START, 0, &whds);
+                    let mut got = DenseSweep::START;
+                    for w in cuts.windows(2) {
+                        got = fold_whds(kind, got, w[0], &whds[w[0]..w[1]]);
+                    }
+                    prop_assert_eq!(got, want, "{} cuts {:?}", kind, &cuts);
                 }
             }
 

@@ -25,7 +25,7 @@
 use std::cell::RefCell;
 
 use ir_core::batch::{CandidateBlock, SweepRead};
-use ir_core::kernel::{self, DenseSweep, KernelKind, ReadWords};
+use ir_core::kernel::{self, DenseSweep, KernelKind, PreparedRead, ReadWords};
 use ir_core::MinWhd;
 use ir_genome::{Qual, Sequence};
 
@@ -228,32 +228,62 @@ pub fn run_read_sweep(
     kind: KernelKind,
     cfg: HdcConfig,
 ) -> Vec<PairRun> {
-    thread_local! {
-        /// The calling thread's sweep scratch: zeroing a fresh one (20
-        /// KiB) would cost about as much as sweeping a short read.
-        static SCRATCH: RefCell<WhdBuffers> = RefCell::new(WhdBuffers::new());
-    }
     let mut runs = Vec::with_capacity(block.num_candidates());
-    SCRATCH.with_borrow_mut(|scratch| {
+    with_scratch(|scratch| {
         sweep_block(block, read, kind, cfg, scratch, |_, run| runs.push(run));
     });
     runs
+}
+
+/// Runs `f` on the calling thread's [`sweep_block`] scratch. Zeroing a
+/// fresh one (about 21 KiB) costs about as much as sweeping a short read,
+/// so each thread keeps one.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut WhdBuffers) -> R) -> R {
+    thread_local! {
+        static SCRATCH: RefCell<WhdBuffers> = RefCell::new(WhdBuffers::new());
+    }
+    SCRATCH.with_borrow_mut(f)
 }
 
 /// Offsets per row [`WhdBuffers`] holds without allocating: every row of
 /// a hardware-sized target (consensuses of at most 2,048 bases).
 const INLINE_OFFSETS: usize = 2_049;
 
+/// Offsets between two of the reference's fold checkpoints: one AVX-512
+/// block.
+const MARK_STRIDE: usize = 64;
+
+/// Checkpoints of a row of [`INLINE_OFFSETS`] offsets, both ends included.
+const INLINE_MARKS: usize = INLINE_OFFSETS.div_ceil(MARK_STRIDE) + 1;
+
 /// The scratch of a reusing read sweep ([`sweep_block`]): the arrays of
-/// [`RowBuffers`] and the read's kernel expansion. One serves every read
-/// of a target. Rows of up to [`INLINE_OFFSETS`] offsets use the inline
-/// array, so sweeping a hardware-sized target allocates nothing beyond
+/// [`RowBuffers`] and the read's kernel expansion. One per thread
+/// ([`with_scratch`]) serves every read of every target. Rows of up to [`INLINE_OFFSETS`] offsets use the inline
+/// arrays, so sweeping a hardware-sized target allocates nothing beyond
 /// its packing; longer rows spill to the heap.
 #[derive(Debug)]
 pub(crate) struct WhdBuffers {
     inline: [u16; 3 * INLINE_OFFSETS],
     spill: Vec<u16>,
+    marks: [Mark; INLINE_MARKS],
+    marks_spill: Vec<Mark>,
     words: ReadWords,
+}
+
+/// The serial fold of a row's first offsets: their [`DenseSweep`] state
+/// and the bases they visit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Mark {
+    sweep: DenseSweep,
+    visited: u64,
+}
+
+impl Mark {
+    /// Before offset 0.
+    const START: Mark = Mark {
+        sweep: DenseSweep::START,
+        visited: 0,
+    };
 }
 
 /// A reusing sweep's arrays, each with room for the longest row. An
@@ -264,8 +294,11 @@ struct RowBuffers<'a> {
     ref_whds: &'a mut [u16],
     /// Serial: the reference's visit counts.
     ref_visits: &'a mut [u16],
-    /// The entries of the row being assembled.
+    /// Dense: the entries of the row being assembled. Serial: those of
+    /// an alternative's swept range.
     whds: &'a mut [u16],
+    /// Serial: the reference's fold checkpoints ([`RefFold`]).
+    marks: &'a mut [Mark],
 }
 
 impl WhdBuffers {
@@ -273,6 +306,8 @@ impl WhdBuffers {
         WhdBuffers {
             inline: [0; 3 * INLINE_OFFSETS],
             spill: Vec::new(),
+            marks: [Mark::START; INLINE_MARKS],
+            marks_spill: Vec::new(),
             words: ReadWords::new(),
         }
     }
@@ -280,11 +315,13 @@ impl WhdBuffers {
     /// The arrays for rows of up to `offsets` offsets, and the expansion
     /// scratch.
     fn split(&mut self, offsets: usize) -> (RowBuffers<'_>, &mut ReadWords) {
-        let buf = if offsets <= INLINE_OFFSETS {
-            &mut self.inline[..]
+        let (buf, marks) = if offsets <= INLINE_OFFSETS {
+            (&mut self.inline[..], &mut self.marks[..])
         } else {
             self.spill.resize(3 * offsets, 0);
-            &mut self.spill[..]
+            let marks = offsets.div_ceil(MARK_STRIDE) + 1;
+            self.marks_spill.resize(marks, Mark::START);
+            (&mut self.spill[..], &mut self.marks_spill[..])
         };
         let mut parts = buf
             .chunks_exact_mut(buf.len() / 3)
@@ -294,8 +331,98 @@ impl WhdBuffers {
             ref_whds: part(),
             ref_visits: part(),
             whds: part(),
+            marks,
         };
         (buffers, &mut self.words)
+    }
+}
+
+/// The reference row under the serial shape, swept and folded one
+/// [`MARK_STRIDE`]-offset block at a time with a checkpoint at every
+/// block boundary, so the fold of any prefix of the row costs one
+/// checkpoint and at most one partial block.
+struct RefFold<'a> {
+    kind: KernelKind,
+    whds: &'a [u16],
+    /// Each offset's visited bases.
+    visits: &'a [u16],
+    /// `marks[b]` is the fold of offsets `0..b * MARK_STRIDE`; the last
+    /// is the whole row's.
+    marks: &'a [Mark],
+}
+
+impl<'a> RefFold<'a> {
+    /// Sweeps `read` along the reference `row` into `whds` and `visits`,
+    /// one block at a time, recording the fold after each block in
+    /// `marks`.
+    fn sweep(
+        read: &PreparedRead,
+        row: &[u8],
+        kind: KernelKind,
+        whds: &'a mut [u16],
+        visits: &'a mut [u16],
+        marks: &'a mut [Mark],
+    ) -> Self {
+        let mut mark = Mark::START;
+        marks[0] = mark;
+        for (b, k0) in (0..whds.len()).step_by(MARK_STRIDE).enumerate() {
+            let end = (k0 + MARK_STRIDE).min(whds.len());
+            let visits = Some(&mut visits[k0..end]);
+            let swept = kernel::serial_range(read, row, k0, mark.sweep, &mut whds[k0..end], visits);
+            mark = Mark {
+                sweep: swept.sweep,
+                visited: mark.visited + swept.visited,
+            };
+            marks[b + 1] = mark;
+        }
+        let marks = &marks[..whds.len().div_ceil(MARK_STRIDE) + 1];
+        RefFold {
+            kind,
+            whds,
+            visits,
+            marks,
+        }
+    }
+
+    /// The fold of the whole row.
+    fn whole(&self) -> Mark {
+        self.marks[self.marks.len() - 1]
+    }
+
+    /// The fold of offsets `0..r`: the checkpoint before it, continued
+    /// over the rest of its block ([`kernel::fold_whds`]) and the visits
+    /// summed.
+    fn before(&self, r: usize) -> Mark {
+        let lo = r - r % MARK_STRIDE;
+        let mark = self.marks[lo / MARK_STRIDE];
+        if lo == r {
+            return mark;
+        }
+        let visited: u64 = self.visits[lo..r].iter().map(|&v| u64::from(v)).sum();
+        Mark {
+            sweep: kernel::fold_whds(self.kind, mark.sweep, lo, &self.whds[lo..r]),
+            visited: mark.visited + visited,
+        }
+    }
+
+    /// Completes `row`, the fold of an alternative's offsets before `k`,
+    /// whose running minimum equals that of `at`, the reference's fold
+    /// before its matching offset `r`; offsets from `k` on lie in the
+    /// shared suffix, offset `k + j` on reference offset `r + j`. From
+    /// there the budgets agree, so the rest of the alternative has the
+    /// reference's entries against the same running minimum: the same
+    /// verdicts and visits. It adds the tail's tallies (the whole row's
+    /// less `at`'s), and a new minimum in the tail is the reference's, at
+    /// `from_ref` of its offset.
+    fn rejoin(&self, mut row: Mark, at: Mark, from_ref: impl Fn(usize) -> usize) -> Mark {
+        let end = self.whole();
+        row.sweep.offsets_above_min += end.sweep.offsets_above_min - at.sweep.offsets_above_min;
+        row.visited += end.visited - at.visited;
+        if end.sweep.min_whd < at.sweep.min_whd {
+            row.sweep.min_whd = end.sweep.min_whd;
+            row.sweep.min_offset = from_ref(end.sweep.min_offset);
+        }
+        row
     }
 }
 
@@ -312,38 +439,43 @@ fn is_serial(cfg: HdcConfig) -> bool {
 /// [`HdcConfig::scans_in_full`]) and the serial immediate-prune shape,
 /// for a read whose score total fits a `u16` WHD (and, serial, of at most
 /// [`kernel::PARALLEL_MAX_BASES`] bases), the rows share their entries.
-/// The read is prepared once ([`SweepRead::prepare`]), row 0 (the
-/// reference) is swept in full, and each later row's entries are
-/// assembled in three parts, using the prefix and suffix
-/// [`CandidateBlock::shared_with_reference`] measured at packing:
+/// The read is prepared once ([`SweepRead::prepare`]) and row 0 (the
+/// reference) is swept in full. Each entry is its offset's WHD or
+/// (serial, pruned) a value above that offset's budget, so a fold of the
+/// entries ([`kernel::fold_whds`]) gives the minimum, its first offset
+/// and the offsets above the running minimum (the pruned offsets)
+/// exactly (DESIGN.md §4f). Each later row uses the prefix and suffix
+/// [`CandidateBlock::shared_with_reference`] measured at packing: the
+/// windows inside the shared prefix are the reference's at the same
+/// offsets, those inside the shared suffix the reference's `len(0) -
+/// len(i)` offsets on, and only the windows that straddle the difference
+/// are swept.
 ///
-/// - windows inside the shared prefix copy the reference's entry at the
-///   same offset: the same window, and (serial) the same budget, since
-///   every offset before it lies in the prefix too;
-/// - the windows that straddle the difference are swept
-///   ([`kernel::whd_range`], or [`kernel::serial_range`] from the
-///   prefix's running minimum);
-/// - windows inside the shared suffix copy the reference's entry
-///   `len(0) - len(i)` offsets on. Serial, that needs the budgets to
-///   agree too. A suffix offset's budget is the minimum of the row's
-///   running minimum where the suffix starts (`C_alt`, and `C_ref` for
-///   the reference) and the WHDs of the suffix offsets before it, which
-///   the two rows share. So the budgets agree from the start of the
-///   suffix if `C_alt == C_ref`, and otherwise from just past the first
-///   suffix offset whose WHD is at most `min(C_alt, C_ref)` (`conv`);
-///   from there on the two running minima are equal. The sweep goes on
-///   in 64-offset blocks (a partial block costs the AVX-512 kernel a
-///   whole one) and stops at the first block end in the suffix where the
-///   row's running minimum equals the reference's, the first block end
-///   at or past `conv`; the rest is copied.
+/// - **Dense.** An entry depends only on its window, so the row's
+///   entries are assembled from the reference's prefix and suffix
+///   entries and the swept ones ([`kernel::whd_range`]) and folded whole.
+/// - **Serial.** An entry also depends on its budget, the running
+///   minimum before it, and a fold carries nothing but that state. The
+///   reference is swept and folded a block at a time with a checkpoint
+///   at every [`MARK_STRIDE`] offsets ([`RefFold`]), and each row's run
+///   is composed, costing only the offsets it sweeps:
+///   1. a prefix offset has the reference's budget too, since every
+///      offset before it lies in the prefix, so the row starts from the
+///      reference's fold and visits before `fresh_lo`, the first
+///      straddling offset, read from the checkpoints;
+///   2. the straddling windows, rounded up to whole 64-offset blocks (a
+///      partial block costs the AVX-512 kernel a whole one), are swept
+///      and folded on from that state ([`kernel::serial_range`]), then
+///      the suffix one block at a time;
+///   3. after each block in the suffix, the row's running minimum is
+///      compared with the reference's before the matching offset. Once
+///      they are equal the budgets agree from there on (DESIGN.md §4f),
+///      so the rest of the row adds the reference's tail tallies: the
+///      whole reference's fold and visits less its checkpointed state
+///      there ([`RefFold::rejoin`]).
 ///
-/// Each entry is its offset's WHD, or (serial, pruned) a value above
-/// that offset's budget, so [`kernel::fold_whds`] over the assembled
-/// buffer gives the minimum, its first offset and the offsets above the
-/// running minimum (the pruned offsets) exactly, and a serial row visits
-/// the bases its swept ranges report plus the reference's over the
-/// copied offsets (DESIGN.md §4f). Every other shape and read scans each
-/// pair on its own ([`run_pair_codes`]).
+/// Every other shape and read scans each pair on its own
+/// ([`run_pair_codes`]).
 ///
 /// # Panics
 ///
@@ -375,101 +507,90 @@ pub(crate) fn sweep_block(
     let ref_len = block.len(0);
     assert!(n <= ref_len, "read longer than consensus");
     let (buffers, words) = scratch.split(block.max_len() - n + 1);
+    let RowBuffers {
+        ref_whds,
+        ref_visits,
+        whds,
+        marks,
+    } = buffers;
     let read = read.prepare(kind, words);
     let ref_offsets = ref_len - n + 1;
-    let ref_whds = &mut buffers.ref_whds[..ref_offsets];
-    let ref_visits = &mut buffers.ref_visits[..ref_offsets];
+    let (ref_whds, ref_visits) = (&mut ref_whds[..ref_offsets], &mut ref_visits[..ref_offsets]);
     let ref_row = block.row_padded(0);
-    if serial {
-        let visits = Some(&mut *ref_visits);
-        let swept = kernel::serial_range(&read, ref_row, 0, u16::MAX, ref_whds, visits);
-        emit(0, serial_run(cfg, kind, ref_whds, swept.visited));
-    } else {
-        kernel::whd_range(&read, ref_row, 0, ref_whds);
-        emit(
-            0,
-            dense_run(cfg, ref_len, n, kernel::fold_whds(kind, ref_whds)),
-        );
-    }
-    let (ref_whds, ref_visits) = (&*ref_whds, &*ref_visits);
-    for i in 1..block.num_candidates() {
+    // Row `i`'s length, offsets and straddling offsets `fresh_lo..fresh_hi`:
+    // offsets `k + n <= prefix` lie in the prefix, offsets
+    // `k >= len - suffix` in the suffix.
+    let bounds = |i: usize| {
         let len = block.len(i);
         assert!(n <= len, "read longer than consensus");
         let offsets = len - n + 1;
         let (prefix, suffix) = block.shared_with_reference(i);
-        // Offsets `k + n <= prefix` lie in the prefix; offsets
-        // `k >= len - suffix` in the suffix, at reference offset
-        // `k + ref_len - len`.
         let fresh_lo = (prefix + 1).saturating_sub(n).min(offsets);
         let fresh_hi = (len - suffix).clamp(fresh_lo, offsets);
-        let to_ref = |k: usize| k + ref_len - len;
-        let whds = &mut buffers.whds[..offsets];
-        let row = block.row_padded(i);
-        whds[..fresh_lo].copy_from_slice(&ref_whds[..fresh_lo]);
-        if !serial {
-            kernel::whd_range(&read, row, fresh_lo, &mut whds[fresh_lo..fresh_hi]);
-            whds[fresh_hi..].copy_from_slice(&ref_whds[to_ref(fresh_hi)..]);
-            emit(i, dense_run(cfg, len, n, kernel::fold_whds(kind, whds)));
-            continue;
+        (len, offsets, fresh_lo, fresh_hi)
+    };
+    if !serial {
+        kernel::whd_range(&read, ref_row, 0, ref_whds);
+        let fold = kernel::fold_whds(kind, DenseSweep::START, 0, ref_whds);
+        emit(0, dense_run(cfg, ref_len, n, fold));
+        for i in 1..block.num_candidates() {
+            let (len, offsets, fresh_lo, fresh_hi) = bounds(i);
+            let whds = &mut whds[..offsets];
+            whds[..fresh_lo].copy_from_slice(&ref_whds[..fresh_lo]);
+            let fresh = &mut whds[fresh_lo..fresh_hi];
+            kernel::whd_range(&read, block.row_padded(i), fresh_lo, fresh);
+            whds[fresh_hi..].copy_from_slice(&ref_whds[fresh_hi + ref_len - len..]);
+            let fold = kernel::fold_whds(kind, DenseSweep::START, 0, whds);
+            emit(i, dense_run(cfg, len, n, fold));
         }
-        let mut carry = running_min(&ref_whds[..fresh_lo]);
-        let mut visited = sum_visits(&ref_visits[..fresh_lo]);
-        // The reference's running minimum before its offset `ref_at`.
-        let (mut ref_carry, mut ref_at) = (u16::MAX, 0);
+        return;
+    }
+    let reference = RefFold::sweep(&read, ref_row, kind, ref_whds, ref_visits, marks);
+    emit(0, serial_run(cfg, reference.whole()));
+    for i in 1..block.num_candidates() {
+        let (len, offsets, fresh_lo, fresh_hi) = bounds(i);
+        // Offset `k` of the suffix is the reference's `to_ref(k)`.
+        let to_ref = |k: usize| k + ref_len - len;
+        let from_ref = |r: usize| r + len - ref_len;
+        let row = block.row_padded(i);
+        let mut fold = reference.before(fresh_lo);
         // The first range covers the straddling windows, rounded up to
         // whole blocks; then one block at a time.
         let mut k = fresh_lo;
         let mut end = (fresh_lo + (fresh_hi - fresh_lo).next_multiple_of(64)).min(offsets);
         loop {
-            let swept = kernel::serial_range(&read, row, k, carry, &mut whds[k..end], None);
-            (carry, k) = (swept.carry, end);
-            visited += swept.visited;
+            let swept = kernel::serial_range(&read, row, k, fold.sweep, &mut whds[..end - k], None);
+            fold = Mark {
+                sweep: swept.sweep,
+                visited: fold.visited + swept.visited,
+            };
+            k = end;
             if k == offsets {
                 break;
             }
             // `k >= fresh_hi`: the first range ends past the straddle.
-            ref_carry = ref_carry.min(running_min(&ref_whds[ref_at..to_ref(k)]));
-            ref_at = to_ref(k);
-            if carry == ref_carry {
+            let at = reference.before(to_ref(k));
+            if fold.sweep.min_whd == at.sweep.min_whd {
+                fold = reference.rejoin(fold, at, from_ref);
                 break;
             }
             end = (k + 64).min(offsets);
         }
-        whds[k..].copy_from_slice(&ref_whds[to_ref(k)..]);
-        visited += sum_visits(&ref_visits[to_ref(k)..]);
-        emit(i, serial_run(cfg, kind, whds, visited));
+        emit(i, serial_run(cfg, fold));
     }
 }
 
-/// The minimum of `whds`, `u16::MAX` (no completed offset) if empty. On
-/// a serial row's entries it is the running minimum past them: the
-/// first offset to reach the minimum is never pruned, and every pruned
-/// entry lies above its own budget, so above the minimum.
-fn running_min(whds: &[u16]) -> u16 {
-    whds.iter().fold(u16::MAX, |min, &whd| min.min(whd))
-}
-
-/// The sum of `visits`, in `u32` chunks the compiler vectorizes (a chunk
-/// of 2^15 counts of at most 1,024 bases cannot overflow).
-fn sum_visits(visits: &[u16]) -> u64 {
-    visits
-        .chunks(1 << 15)
-        .map(|chunk| u64::from(chunk.iter().map(|&v| u32::from(v)).sum::<u32>()))
-        .sum()
-}
-
-/// The serial-shape [`PairRun`] of a row from its assembled entries and
-/// its visited bases.
-fn serial_run(cfg: HdcConfig, kind: KernelKind, whds: &[u16], visited: u64) -> PairRun {
-    let fold = kernel::fold_whds(kind, whds);
+/// The serial-shape [`PairRun`] of a row from its fold and its visited
+/// bases.
+fn serial_run(cfg: HdcConfig, fold: Mark) -> PairRun {
     PairRun {
         min: MinWhd {
-            whd: fold.min_whd,
-            offset: fold.min_offset,
+            whd: fold.sweep.min_whd,
+            offset: fold.sweep.min_offset,
         },
-        cycles: cfg.pair_overhead_cycles + visited,
-        comparisons: visited,
-        offsets_pruned: fold.offsets_above_min,
+        cycles: cfg.pair_overhead_cycles + fold.visited,
+        comparisons: fold.visited,
+        offsets_pruned: fold.sweep.offsets_above_min,
     }
 }
 

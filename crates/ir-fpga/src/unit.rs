@@ -12,7 +12,7 @@ use ir_core::{MinWhd, MinWhdGrid, ReadOutcome};
 use ir_genome::RealignmentTarget;
 
 use crate::fault::FaultPlan;
-use crate::hdc::{run_pair, sweep_block, HdcConfig, PairRun, WhdBuffers};
+use crate::hdc::{run_pair, sweep_block, with_scratch, HdcConfig, PairRun};
 use crate::isa::{BufferIndex, IrCommand};
 use crate::mem;
 use crate::params::FpgaParams;
@@ -359,19 +359,20 @@ pub fn simulate_target_fast_with(
     let num_reads = target.num_reads();
     let mut cells = vec![MinWhd { whd: 0, offset: 0 }; target.num_consensuses() * num_reads];
     let mut sweep_read = SweepRead::default();
-    let mut whds = WhdBuffers::new();
     let mut hdc_cycles = 0u64;
     let mut comparisons = 0u64;
     let mut offsets_pruned = 0u64;
-    for (j, read) in target.reads().iter().enumerate() {
-        sweep_read.refill(read.bases().bases(), read.quals());
-        sweep_block(&block, &sweep_read, kind, hdc_cfg, &mut whds, |i, pair| {
-            hdc_cycles += pair.cycles;
-            comparisons += pair.comparisons;
-            offsets_pruned += pair.offsets_pruned;
-            cells[i * num_reads + j] = pair.min;
-        });
-    }
+    with_scratch(|scratch| {
+        for (j, read) in target.reads().iter().enumerate() {
+            sweep_read.refill(read.bases().bases(), read.quals());
+            sweep_block(&block, &sweep_read, kind, hdc_cfg, scratch, |i, pair| {
+                hdc_cycles += pair.cycles;
+                comparisons += pair.comparisons;
+                offsets_pruned += pair.offsets_pruned;
+                cells[i * num_reads + j] = pair.min;
+            });
+        }
+    });
     finish_run(
         target,
         params,

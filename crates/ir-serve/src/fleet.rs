@@ -1290,8 +1290,9 @@ impl FleetReport {
         }
     }
 
-    /// Nearest-rank latency percentile in seconds over every completed
-    /// response in the fleet (`p` in 0..=100).
+    /// Latency percentile in seconds over every completed response in
+    /// the fleet (`p` in 0..=100): the sorted latency at rank
+    /// `round(p / 100 · (n − 1))`, counting from 0.
     ///
     /// # Errors
     ///

@@ -60,7 +60,8 @@ impl ServiceReport {
         }
     }
 
-    /// Nearest-rank latency percentile in seconds (`p` in 0..=100).
+    /// Latency percentile in seconds (`p` in 0..=100): the sorted
+    /// latency at rank `round(p / 100 · (n − 1))`, counting from 0.
     ///
     /// # Errors
     ///
