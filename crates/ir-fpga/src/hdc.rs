@@ -989,6 +989,41 @@ mod tests {
         }
     }
 
+    /// The reference's checkpointed fold ([`RefFold::before`]) at every
+    /// offset, block edges and the row's end included, equals one serial
+    /// range over the offsets before it, fold and visits, on every kind.
+    #[test]
+    fn checkpoint_lookups_equal_a_prefix_fold() {
+        let cons: Sequence = (0..300)
+            .map(|i| ir_genome::Base::from_index((i * 7 + i / 13) % 4))
+            .collect();
+        let read = cons.slice(131, 131 + 40);
+        let quals =
+            Qual::from_raw_scores(&(0..40).map(|i| 5 + i % 23).collect::<Vec<u8>>()).unwrap();
+        let block = CandidateBlock::from_bases_rows(&[cons.bases()]);
+        let sweep_read = SweepRead::new(read.bases(), &quals);
+        let offsets = cons.len() - read.len() + 1;
+        for kind in KernelKind::available() {
+            let mut words = ReadWords::new();
+            let prepared = sweep_read.prepare(kind, &mut words);
+            let (mut whds, mut visits) = (vec![0u16; offsets], vec![0u16; offsets]);
+            let mut marks = vec![Mark::START; offsets.div_ceil(MARK_STRIDE) + 1];
+            let row = block.row_padded(0);
+            let fold = RefFold::sweep(&prepared, row, kind, &mut whds, &mut visits, &mut marks);
+            for r in 0..=offsets {
+                let mut scratch = vec![0u16; r];
+                let swept =
+                    kernel::serial_range(&prepared, row, 0, DenseSweep::START, &mut scratch, None);
+                let want = Mark {
+                    sweep: swept.sweep,
+                    visited: swept.visited,
+                };
+                assert_eq!(fold.before(r), want, "{kind} offset {r}");
+            }
+            assert_eq!(fold.whole(), fold.before(offsets), "{kind}");
+        }
+    }
+
     #[test]
     fn zero_length_read_sweeps_cleanly() {
         let cons: Sequence = "ACGTACGT".parse().unwrap();
