@@ -882,3 +882,37 @@ fn reads_past_the_reuse_bounds_take_the_per_pair_path() {
         .unwrap();
     assert_reuse_exact(&target);
 }
+
+/// The AVX-512 serial range stops pass 1 once every lane's partial sum
+/// exceeds the carried-in minimum. Here the carry into the alternative's
+/// first swept block is 10 (the read's hit in the shared prefix, one
+/// mismatch), and one window of that block mismatches the read on its
+/// first base and again on base 20: its partial sum equals the carry,
+/// not above it, at every check before base 20, so the block must not
+/// stop there; the window is pruned at base 20.
+#[test]
+fn serial_exit_waits_for_a_lane_equal_to_the_carry() {
+    let n = 40;
+    let reference = scrambled(200, 11, &ACGT);
+    let flip = |b: Base| if b == Base::A { Base::C } else { Base::A };
+    let mut bases = reference[20..20 + n].to_vec();
+    bases[0] = flip(bases[0]);
+    let read = read_of(&bases, &[10; 40]);
+    let other = |b: Base| if b == Base::G { Base::T } else { Base::G };
+    let mut tie = bases.clone();
+    tie[0] = other(tie[0]);
+    tie[20] = other(tie[20]);
+    let alt = [&reference[..100], &tie[..], &reference[100..]].concat();
+    let target = target_of(
+        &[seq_of(&[&reference]), seq_of(&[&alt])],
+        vec![read.clone()],
+    );
+    let alt_whds = whds_longhand(target.consensus(1), &read);
+    let block = CandidateBlock::from_target(&target);
+    let (prefix, _) = block.shared_with_reference(1);
+    let fresh_lo = prefix + 1 - n;
+    assert!(fresh_lo <= 100 && 100 < fresh_lo + 64, "{prefix}");
+    assert_eq!(*alt_whds[..fresh_lo].iter().min().unwrap(), 10);
+    assert_eq!(alt_whds[100], 20);
+    assert_reuse_exact(&target);
+}
