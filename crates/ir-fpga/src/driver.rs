@@ -62,7 +62,10 @@ pub struct ResiliencePolicy {
     /// quarantined.
     pub quarantine_threshold: u32,
     /// Realign targets that exhaust hardware retries with the `ir-core`
-    /// software path, so a run always completes.
+    /// software path, so a run always completes. When off, the driver
+    /// returns the last hardware error instead. The timing model
+    /// ([`AcceleratedSystem::run_resilient`](crate::AcceleratedSystem::run_resilient))
+    /// has no error path and falls back either way.
     pub software_fallback: bool,
 }
 
@@ -99,7 +102,9 @@ pub struct ResilienceReport {
     pub stale_responses: u64,
     /// Hardware retries issued.
     pub retries: u64,
-    /// Targets that fell back to the software path.
+    /// Targets whose hardware attempts all failed. They fall back to the
+    /// software path; with [`ResiliencePolicy::software_fallback`] off the
+    /// driver returns the error instead, after counting them here.
     pub fallbacks: u64,
     /// Units quarantined during the run.
     pub quarantined_units: Vec<usize>,
@@ -116,6 +121,25 @@ impl ResilienceReport {
     /// Whether the run saw no faults and took no recovery action.
     pub fn is_clean(&self) -> bool {
         self == &ResilienceReport::default()
+    }
+
+    /// The first reconciliation identity this report breaks, if any. Each
+    /// failed transfer, dropped response, duplicated response and hang
+    /// that [`Self::faults`] says was injected is counted once, by where
+    /// it happened.
+    pub fn broken_identity(&self) -> Option<&'static str> {
+        let f = &self.faults;
+        if self.dma_faults != f.dma_timeouts + f.dma_truncations {
+            Some("dma_faults == faults.dma_timeouts + faults.dma_truncations")
+        } else if self.timeouts != f.responses_dropped {
+            Some("timeouts == faults.responses_dropped")
+        } else if self.stale_responses != f.responses_duplicated {
+            Some("stale_responses == faults.responses_duplicated")
+        } else if self.unit_hangs != f.unit_hangs {
+            Some("unit_hangs == faults.unit_hangs")
+        } else {
+            None
+        }
     }
 
     /// Folds another report into this one (summing every tally and
@@ -188,32 +212,284 @@ impl ResilienceReport {
     }
 }
 
-/// How one failed hardware attempt is handled.
-struct AttemptFailure {
-    error: FpgaError,
-    /// Cycles burned by the failed attempt (watchdog wait, discarded
-    /// compute).
-    lost_cycles: u64,
-    /// Whether the failure is attributed to the unit (counts toward its
-    /// quarantine threshold).
-    unit_at_fault: bool,
-    /// Deterministic failures (a target that cannot fit) skip the retry
-    /// loop and go straight to the fallback decision.
-    permanent: bool,
-    /// The PCIe transfer failed: counted as a DMA fault, not by its
-    /// error's kind.
-    dma: bool,
+/// Why one hardware attempt at a target failed; [`Recovery::resolve`]
+/// does all the accounting that follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Failure {
+    /// The PCIe transfer timed out or delivered short (not the unit's
+    /// fault).
+    Dma,
+    /// The unit's FSM hung; the watchdog burns its whole budget noticing.
+    Hung,
+    /// The completion response was lost: `cycles` of finished compute
+    /// are stranded and the watchdog expires.
+    Dropped { cycles: u64 },
+    /// The read-back was rejected: `cycles` of compute are discarded.
+    Corrupt { cycles: u64 },
+    /// The target can never run as configured: no retry.
+    Permanent,
+}
+
+/// What became of one target after [`Recovery::resolve`].
+#[derive(Debug)]
+pub(crate) enum Resolved<T> {
+    /// An attempt on the fabric succeeded.
+    Hardware(T),
+    /// Every attempt failed and [`ResiliencePolicy::software_fallback`]
+    /// sends the target to the software path.
+    Software,
+    /// Every attempt failed and the policy forbids the software path.
+    Failed,
+}
+
+/// The host's recovery state machine, one per sea of units, shared by
+/// [`HostDriver`] and the timing model
+/// ([`AcceleratedSystem::run_resilient`](crate::AcceleratedSystem::run_resilient)).
+/// It owns the per-unit failure counts and quarantine flags, and it is
+/// the only reader of the retry, backoff, quarantine and fallback knobs
+/// of [`ResiliencePolicy`]. Each side brings only its own attempt.
+#[derive(Debug)]
+pub(crate) struct Recovery {
+    failures: Vec<u32>,
+    quarantined: Vec<bool>,
+}
+
+impl Recovery {
+    pub(crate) fn new(units: usize) -> Self {
+        Recovery {
+            failures: vec![0; units],
+            quarantined: vec![false; units],
+        }
+    }
+
+    /// Whether `unit` may still receive targets.
+    pub(crate) fn healthy(&self, unit: usize) -> bool {
+        !self.quarantined[unit]
+    }
+
+    /// First healthy unit at or after `preferred`, wrapping. There always
+    /// is one: the last healthy unit is never quarantined.
+    pub(crate) fn first_healthy(&self, preferred: usize) -> usize {
+        let n = self.quarantined.len();
+        (0..n)
+            .map(|k| (preferred + k) % n)
+            .find(|&u| self.healthy(u))
+            .expect("the last healthy unit is never quarantined")
+    }
+
+    /// Plays the recovery loop for one target: up to `1 + max_retries`
+    /// attempts, each on the unit `pick` names. `attempt` runs one try on
+    /// a unit and returns its value and compute cycles, or why it failed
+    /// (it counts stale responses itself).
+    ///
+    /// - A success clears the unit's failure count and, after a retry,
+    ///   counts a recovered target and its cycles.
+    /// - A failure is counted by kind and charges its lost cycles: the
+    ///   watchdog budget for a hang or a dropped response, plus the
+    ///   stranded or discarded compute. A hang, a dropped response or a
+    ///   corrupt read-back blames the unit, which is quarantined at
+    ///   `quarantine_threshold` failures unless it is already quarantined
+    ///   or the last healthy unit. Unless the failure is permanent, retry
+    ///   *k* waits `backoff_base_cycles << k`.
+    /// - A target whose attempts all fail counts one fallback whatever
+    ///   the policy; [`ResiliencePolicy::software_fallback`] picks
+    ///   between [`Resolved::Software`] and [`Resolved::Failed`].
+    pub(crate) fn resolve<T>(
+        &mut self,
+        policy: &ResiliencePolicy,
+        report: &mut ResilienceReport,
+        mut pick: impl FnMut(&Self) -> usize,
+        mut attempt: impl FnMut(usize, &mut ResilienceReport) -> Result<(T, u64), Failure>,
+    ) -> Resolved<T> {
+        for retry in 0..=policy.max_retries {
+            let unit = pick(self);
+            let failure = match attempt(unit, report) {
+                Ok((value, cycles)) => {
+                    self.failures[unit] = 0;
+                    if retry > 0 {
+                        report.recovered_targets += 1;
+                        report.recovered_cycles += cycles;
+                    }
+                    return Resolved::Hardware(value);
+                }
+                Err(failure) => failure,
+            };
+            let watchdog = policy.watchdog_cycles;
+            let (count, lost) = match failure {
+                Failure::Dma => (&mut report.dma_faults, 0),
+                Failure::Hung => (&mut report.unit_hangs, watchdog),
+                Failure::Dropped { cycles } => (&mut report.timeouts, cycles + watchdog),
+                Failure::Corrupt { cycles } => (&mut report.corrupt_detected, cycles),
+                Failure::Permanent => break,
+            };
+            *count += 1;
+            report.lost_cycles += lost;
+            if failure != Failure::Dma {
+                self.failures[unit] += 1;
+                let healthy = self.quarantined.iter().filter(|&&q| !q).count();
+                if self.failures[unit] >= policy.quarantine_threshold
+                    && self.healthy(unit)
+                    && healthy > 1
+                {
+                    self.quarantined[unit] = true;
+                    report.quarantined_units.push(unit);
+                }
+            }
+            if retry < policy.max_retries {
+                report.retries += 1;
+                report.lost_cycles += policy.backoff_base_cycles << retry;
+            }
+        }
+        report.fallbacks += 1;
+        if policy.software_fallback {
+            Resolved::Software
+        } else {
+            Resolved::Failed
+        }
+    }
+}
+
+/// Reads `outcomes`, computed in `cycles`, back through the output
+/// images of a target at `start`, where the plan may flip one bit.
+/// Returns `None` for an intact image, the corrupt decode of a flipped
+/// image that ships undetected, or [`Failure::Corrupt`] for one the host
+/// rejects: it no longer decodes, or the golden-model check samples it at
+/// `verify_rate`. A flipped image never equals the golden one and an
+/// intact one always does, so the check's coin
+/// ([`FaultPlan::sample_verify`]) is drawn only for a flipped image that
+/// decodes, the one read-back whose verdict depends on it.
+pub(crate) fn read_back(
+    plan: &mut FaultPlan,
+    verify_rate: f64,
+    outcomes: &[ReadOutcome],
+    start: u64,
+    cycles: u64,
+) -> Result<Option<Vec<ReadOutcome>>, Failure> {
+    let (mut flags, mut positions) = encode_outputs(outcomes, start);
+    if !plan.corrupt_outputs(&mut flags, &mut positions) {
+        return Ok(None);
+    }
+    match decode_outputs(&flags, &positions, outcomes.len(), start) {
+        Ok(corrupt) if !plan.sample_verify(verify_rate) => Ok(Some(corrupt)),
+        _ => Err(Failure::Corrupt { cycles }),
+    }
+}
+
+/// The hardware one driver commands: the units behind one MMIO hub and
+/// the PCIe DMA path.
+#[derive(Debug)]
+struct Fabric {
+    params: FpgaParams,
+    hub: MmioHub,
+    units: Vec<IrUnit>,
+    dma: DmaParams,
+}
+
+impl Fabric {
+    /// One hardware attempt on `unit_id`: build the buffer images, send
+    /// them over DMA, issue the RoCC command sequence through the MMIO hub
+    /// and router, execute, poll the response and read back the output
+    /// buffers, with every fault-injection site of `plan` armed. A hung
+    /// unit is reset. A failure carries its kind and the error it raised.
+    fn attempt(
+        &mut self,
+        unit_id: usize,
+        target: &RealignmentTarget,
+        plan: &mut FaultPlan,
+        policy: &ResiliencePolicy,
+        report: &mut ResilienceReport,
+    ) -> Result<DriverRun, (Failure, FpgaError)> {
+        let permanent = |error| (Failure::Permanent, error);
+
+        // Steps 1–2: host arrays and the PCIe DMA transfer, which can
+        // time out or truncate.
+        let buffers = HostBuffers::from_target(target);
+        buffers.check_fit().map_err(permanent)?;
+        self.dma
+            .transfer_time_checked(buffers.payload_bytes(), plan)
+            .map_err(|error| (Failure::Dma, error))?;
+
+        // Step 3: configure and start through the MMIO command queue; the
+        // router pops and dispatches to the addressed unit.
+        for cmd in IrUnit::command_sequence(target, unit_id as u8) {
+            self.hub.push_command(cmd.encode()).map_err(permanent)?;
+            let wire = self
+                .hub
+                .pop_command()
+                .ok_or(FpgaError::NotConfigured("command queue empty at dispatch"))
+                .map_err(permanent)?;
+            let decoded = IrCommand::decode(wire).map_err(permanent)?;
+            self.units[unit_id].apply(decoded).map_err(permanent)?;
+        }
+
+        // Execute; the FSM can hang stuck-busy, and the host resets it
+        // once the watchdog fires.
+        let run = match self.units[unit_id].execute_with_faults(target, &self.params, plan) {
+            Ok(run) => run,
+            Err(error @ FpgaError::UnitHung { .. }) => {
+                self.units[unit_id].reset();
+                return Err((Failure::Hung, error));
+            }
+            Err(error) => return Err(permanent(error)),
+        };
+        let cycles = run.cycles.total();
+
+        // The hub can drop or duplicate the completion response.
+        self.hub
+            .push_response_faulty(UnitResponse { unit_id, cycles }, plan);
+
+        // Step 4: poll for the response, then drain the queue: anything
+        // left, a duplicate included, is stale and counted as it arrives,
+        // so every attempt leaves the queue empty and the next one polls
+        // only its own. A dropped response means the work completed but
+        // the result is stranded — the watchdog expires.
+        let response = self.hub.poll_response();
+        while self.hub.poll_response().is_some() {
+            report.stale_responses += 1;
+        }
+        let Some(response) = response else {
+            let waited_s = policy.watchdog_cycles as f64 * self.params.cycle_time_s();
+            return Err((
+                Failure::Dropped { cycles },
+                FpgaError::Timeout {
+                    site: "mmio response queue",
+                    waited_s,
+                },
+            ));
+        };
+
+        // Read back and decode the output buffers.
+        let start = target.start_pos();
+        let outcomes = match read_back(plan, policy.verify_rate, &run.outcomes, start, cycles) {
+            Ok(Some(undetected)) => undetected,
+            Ok(None) => {
+                let (flags, positions) = encode_outputs(&run.outcomes, start);
+                decode_outputs(&flags, &positions, target.num_reads(), start)
+                    .map_err(|error| (Failure::Corrupt { cycles }, error))?
+            }
+            Err(failure) => {
+                let error = FpgaError::CorruptOutput {
+                    detail: "read-back differs from the golden model",
+                    observed: response.unit_id as u64,
+                };
+                return Err((failure, error));
+            }
+        };
+
+        Ok(DriverRun {
+            unit_id: response.unit_id,
+            outcomes,
+            cycles: run.cycles,
+            via_fallback: false,
+        })
+    }
 }
 
 /// A host driver bound to a sea of units through one MMIO hub.
 #[derive(Debug)]
 pub struct HostDriver {
-    params: FpgaParams,
-    hub: MmioHub,
-    units: Vec<IrUnit>,
-    dma: DmaParams,
-    failures: Vec<u32>,
-    quarantined: Vec<bool>,
+    fabric: Fabric,
+    recovery: Recovery,
 }
 
 impl HostDriver {
@@ -226,29 +502,38 @@ impl HostDriver {
     pub fn new(params: FpgaParams) -> Result<Self, FpgaError> {
         crate::resources::validate(&params)?;
         let num_units = params.num_units;
-        let units = (0..num_units).map(IrUnit::new).collect();
         Ok(HostDriver {
-            params,
-            hub: MmioHub::new(64),
-            units,
-            dma: DmaParams::default(),
-            failures: vec![0; num_units],
-            quarantined: vec![false; num_units],
+            fabric: Fabric {
+                params,
+                hub: MmioHub::new(64),
+                units: (0..num_units).map(IrUnit::new).collect(),
+                dma: DmaParams::default(),
+            },
+            recovery: Recovery::new(num_units),
         })
     }
 
     /// Number of units under this driver.
     pub fn num_units(&self) -> usize {
-        self.units.len()
+        self.fabric.units.len()
     }
 
     /// Units currently quarantined by the resilience layer.
     pub fn quarantined_units(&self) -> Vec<usize> {
-        self.quarantined
-            .iter()
-            .enumerate()
-            .filter_map(|(u, &q)| q.then_some(u))
+        (0..self.num_units())
+            .filter(|&u| !self.recovery.healthy(u))
             .collect()
+    }
+
+    fn check_unit(&self, unit_id: usize) -> Result<(), FpgaError> {
+        if unit_id < self.num_units() {
+            Ok(())
+        } else {
+            Err(FpgaError::NoSuchUnit {
+                unit: unit_id,
+                available: self.num_units(),
+            })
+        }
     }
 
     /// Drives one target end to end on `unit_id`: build buffer images,
@@ -266,47 +551,16 @@ impl HostDriver {
         unit_id: usize,
         target: &RealignmentTarget,
     ) -> Result<DriverRun, FpgaError> {
-        if unit_id >= self.units.len() {
-            return Err(FpgaError::NoSuchUnit {
-                unit: unit_id,
-                available: self.units.len(),
-            });
-        }
-        // Step 1–2: host arrays and the DMA image.
-        let buffers = HostBuffers::from_target(target);
-        buffers.check_fit()?;
-
-        // Step 3: configure and start through the MMIO command queue; the
-        // router pops and dispatches to the addressed unit.
-        for cmd in IrUnit::command_sequence(target, unit_id as u8) {
-            self.hub.push_command(cmd.encode())?;
-            let wire = self
-                .hub
-                .pop_command()
-                .ok_or(FpgaError::NotConfigured("command queue empty at dispatch"))?;
-            let decoded = IrCommand::decode(wire)?;
-            self.units[unit_id].apply(decoded)?;
-        }
-
-        // Execute; the unit posts its completion response.
-        let run = self.units[unit_id].execute(target, &self.params)?;
-        self.hub.push_response(UnitResponse {
-            unit_id,
-            cycles: run.cycles.total(),
-        });
-
-        // Step 4: poll the response, then read back and decode the output
-        // buffers.
-        let response = self.hub.poll_response().ok_or(FpgaError::NoResponse)?;
-        let (flags, positions) = encode_outputs(&run.outcomes, target.start_pos());
-        let outcomes = decode_outputs(&flags, &positions, target.num_reads(), target.start_pos())?;
-
-        Ok(DriverRun {
-            unit_id: response.unit_id,
-            outcomes,
-            cycles: run.cycles,
-            via_fallback: false,
-        })
+        self.check_unit(unit_id)?;
+        self.fabric
+            .attempt(
+                unit_id,
+                target,
+                &mut FaultPlan::none(),
+                &ResiliencePolicy::default(),
+                &mut ResilienceReport::default(),
+            )
+            .map_err(|(_, error)| error)
     }
 
     /// Drives a batch of targets round-robin across all units.
@@ -321,151 +575,17 @@ impl HostDriver {
         targets
             .iter()
             .enumerate()
-            .map(|(i, t)| self.run_target(i % self.units.len(), t))
+            .map(|(i, t)| self.run_target(i % self.num_units(), t))
             .collect()
-    }
-
-    /// First non-quarantined unit at or after `preferred` (wrapping), or
-    /// `None` if the whole sea is quarantined.
-    fn pick_unit(&self, preferred: usize) -> Option<usize> {
-        let n = self.units.len();
-        (0..n)
-            .map(|k| (preferred + k) % n)
-            .find(|&u| !self.quarantined[u])
-    }
-
-    /// One hardware attempt: the full functional path of
-    /// [`Self::run_target`] with every fault-injection site armed and
-    /// every read-back integrity-checked.
-    fn attempt_target(
-        &mut self,
-        unit_id: usize,
-        target: &RealignmentTarget,
-        plan: &mut FaultPlan,
-        policy: &ResiliencePolicy,
-        report: &mut ResilienceReport,
-    ) -> Result<DriverRun, AttemptFailure> {
-        let permanent = |error| AttemptFailure {
-            error,
-            lost_cycles: 0,
-            unit_at_fault: false,
-            permanent: true,
-            dma: false,
-        };
-        let watchdog = policy.watchdog_cycles;
-
-        // Steps 1–2: host arrays and the PCIe DMA transfer, which can
-        // time out or truncate.
-        let buffers = HostBuffers::from_target(target);
-        buffers.check_fit().map_err(permanent)?;
-        if let Err(error) = self
-            .dma
-            .transfer_time_checked(buffers.payload_bytes(), plan)
-        {
-            return Err(AttemptFailure {
-                error,
-                lost_cycles: 0,
-                unit_at_fault: false,
-                permanent: false,
-                dma: true,
-            });
-        }
-
-        // Step 3: configure and start through the MMIO queues.
-        for cmd in IrUnit::command_sequence(target, unit_id as u8) {
-            let step: Result<(), FpgaError> = (|| {
-                self.hub.push_command(cmd.encode())?;
-                let wire = self
-                    .hub
-                    .pop_command()
-                    .ok_or(FpgaError::NotConfigured("command queue empty at dispatch"))?;
-                self.units[unit_id].apply(IrCommand::decode(wire)?)
-            })();
-            step.map_err(permanent)?;
-        }
-
-        // Execute; the FSM can hang stuck-busy (the watchdog burns its
-        // whole budget noticing).
-        let run = self.units[unit_id]
-            .execute_with_faults(target, &self.params, plan)
-            .map_err(|error| AttemptFailure {
-                error,
-                lost_cycles: watchdog,
-                unit_at_fault: true,
-                permanent: false,
-                dma: false,
-            })?;
-
-        // The hub can drop or duplicate the completion response.
-        self.hub.push_response_faulty(
-            UnitResponse {
-                unit_id,
-                cycles: run.cycles.total(),
-            },
-            plan,
-        );
-
-        // Step 4: poll for the response, then drain the queue: anything
-        // left, a duplicate included, is stale and counted as it arrives,
-        // so every attempt leaves the queue empty and the next one polls
-        // only its own. A dropped response means the work completed but
-        // the result is stranded — the watchdog expires.
-        let response = self.hub.poll_response();
-        while self.hub.poll_response().is_some() {
-            report.stale_responses += 1;
-        }
-        let Some(response) = response else {
-            return Err(AttemptFailure {
-                error: FpgaError::Timeout {
-                    site: "mmio response queue",
-                    waited_s: watchdog as f64 * self.params.cycle_time_s(),
-                },
-                lost_cycles: run.cycles.total() + watchdog,
-                unit_at_fault: true,
-                permanent: false,
-                dma: false,
-            });
-        };
-
-        // Read back the output buffers, which can come back with flipped
-        // bits; decode rejects structurally invalid images, and the
-        // sampled golden-model check catches the rest.
-        let (mut flags, mut positions) = encode_outputs(&run.outcomes, target.start_pos());
-        plan.corrupt_outputs(&mut flags, &mut positions);
-        let corrupt = |error| AttemptFailure {
-            error,
-            lost_cycles: run.cycles.total(),
-            unit_at_fault: true,
-            permanent: false,
-            dma: false,
-        };
-        let outcomes = decode_outputs(&flags, &positions, target.num_reads(), target.start_pos())
-            .map_err(corrupt)?;
-        if plan.sample_verify(policy.verify_rate) {
-            let golden = IndelRealigner::new().realign_outcomes(target);
-            let (want_flags, want_positions) = encode_outputs(&golden, target.start_pos());
-            if flags != want_flags || positions != want_positions {
-                return Err(corrupt(FpgaError::CorruptOutput {
-                    detail: "read-back differs from the golden model",
-                    observed: response.unit_id as u64,
-                }));
-            }
-        }
-
-        Ok(DriverRun {
-            unit_id: response.unit_id,
-            outcomes,
-            cycles: run.cycles,
-            via_fallback: false,
-        })
     }
 
     /// Drives one target with the full resilience policy: bounded retry
     /// with exponential backoff, watchdog recovery of hung units and
     /// lost responses, integrity-checked read-back, quarantine of
     /// repeatedly failing units, and (if enabled) software fallback so
-    /// the target always completes. Recovery actions accumulate into
-    /// `report`.
+    /// the target always completes. Each attempt goes to the first
+    /// healthy unit at or after `unit_id`. Recovery actions accumulate
+    /// into `report`.
     ///
     /// With [`FaultPlan::none`] this is functionally identical to
     /// [`Self::run_target`] and the report stays clean.
@@ -474,7 +594,8 @@ impl HostDriver {
     ///
     /// Only when every hardware retry failed *and*
     /// [`ResiliencePolicy::software_fallback`] is off (the last hardware
-    /// error is returned), or for out-of-range `unit_id`.
+    /// error is returned, and the target is counted in
+    /// [`ResilienceReport::fallbacks`]), or for out-of-range `unit_id`.
     pub fn run_target_resilient(
         &mut self,
         unit_id: usize,
@@ -483,72 +604,35 @@ impl HostDriver {
         policy: &ResiliencePolicy,
         report: &mut ResilienceReport,
     ) -> Result<DriverRun, FpgaError> {
-        if unit_id >= self.units.len() {
-            return Err(FpgaError::NoSuchUnit {
-                unit: unit_id,
-                available: self.units.len(),
-            });
-        }
-        let mut last_unit = unit_id;
-        let mut last_error = None;
-        for attempt in 0..=policy.max_retries {
-            let Some(unit) = self.pick_unit(unit_id) else {
-                break; // the whole sea is quarantined
-            };
-            last_unit = unit;
-            match self.attempt_target(unit, target, plan, policy, report) {
+        self.check_unit(unit_id)?;
+        let HostDriver { fabric, recovery } = self;
+        let mut last_failure = None;
+        let resolved = recovery.resolve(
+            policy,
+            report,
+            |r| r.first_healthy(unit_id),
+            |unit, report| match fabric.attempt(unit, target, plan, policy, report) {
                 Ok(run) => {
-                    self.failures[unit] = 0;
-                    if attempt > 0 {
-                        report.recovered_targets += 1;
-                        report.recovered_cycles += run.cycles.total();
-                    }
-                    return Ok(run);
+                    let cycles = run.cycles.total();
+                    Ok((run, cycles))
                 }
-                Err(failure) => {
-                    // A DMA failure surfaces as a `Timeout` or
-                    // `CorruptOutput` too; it counts once, as a DMA fault.
-                    match &failure.error {
-                        _ if failure.dma => report.dma_faults += 1,
-                        FpgaError::Timeout { .. } => report.timeouts += 1,
-                        FpgaError::CorruptOutput { .. } => report.corrupt_detected += 1,
-                        FpgaError::UnitHung { .. } => report.unit_hangs += 1,
-                        _ => {}
-                    }
-                    report.lost_cycles += failure.lost_cycles;
-                    if matches!(failure.error, FpgaError::UnitHung { .. }) {
-                        self.units[unit].reset();
-                    }
-                    if failure.unit_at_fault {
-                        self.failures[unit] += 1;
-                        let healthy = self.quarantined.iter().filter(|&&q| !q).count();
-                        if self.failures[unit] >= policy.quarantine_threshold && healthy > 1 {
-                            self.quarantined[unit] = true;
-                            report.quarantined_units.push(unit);
-                        }
-                    }
-                    let permanent = failure.permanent;
-                    last_error = Some(failure.error);
-                    if permanent {
-                        break;
-                    }
-                    if attempt < policy.max_retries {
-                        report.retries += 1;
-                        report.lost_cycles += policy.backoff_base_cycles << attempt;
-                    }
+                Err((failure, error)) => {
+                    last_failure = Some((unit, error));
+                    Err(failure)
                 }
-            }
-        }
-        if policy.software_fallback {
-            report.fallbacks += 1;
-            return Ok(DriverRun {
-                unit_id: last_unit,
+            },
+        );
+        match (resolved, last_failure) {
+            (Resolved::Hardware(run), _) => Ok(run),
+            (Resolved::Software, Some((unit_id, _))) => Ok(DriverRun {
+                unit_id,
                 outcomes: IndelRealigner::new().realign_outcomes(target),
                 cycles: UnitCycles::default(),
                 via_fallback: true,
-            });
+            }),
+            (Resolved::Failed, Some((_, error))) => Err(error),
+            (_, None) => unreachable!("an exhausted target failed at least once"),
         }
-        Err(last_error.unwrap_or(FpgaError::NoResponse))
     }
 
     /// Drives a batch of targets round-robin with the resilience policy.
@@ -569,7 +653,7 @@ impl HostDriver {
         let mut report = ResilienceReport::default();
         let mut runs = Vec::with_capacity(targets.len());
         for (i, target) in targets.iter().enumerate() {
-            let preferred = i % self.units.len();
+            let preferred = i % self.num_units();
             runs.push(self.run_target_resilient(preferred, target, plan, policy, &mut report)?);
         }
         report.faults = plan.counts();
@@ -636,7 +720,7 @@ mod tests {
         let runs = driver.run_batch(&targets).unwrap();
         let units: Vec<usize> = runs.iter().map(|r| r.unit_id).collect();
         assert_eq!(units, vec![0, 1, 2, 3, 0, 1]);
-        for unit in &driver.units[..2] {
+        for unit in &driver.fabric.units[..2] {
             assert_eq!(unit.targets_completed(), 2);
         }
     }
@@ -664,28 +748,6 @@ mod tests {
         let run = driver.run_target(0, &figure4_target()).unwrap();
         assert!(run.cycles.total() > 0);
         assert!(run.cycles.hdc > run.cycles.selector);
-    }
-
-    #[test]
-    fn resilient_run_with_inert_plan_matches_plain_run() {
-        let target = figure4_target();
-        let mut plain = HostDriver::new(FpgaParams::iracc()).unwrap();
-        let want = plain.run_target(3, &target).unwrap();
-
-        let mut driver = HostDriver::new(FpgaParams::iracc()).unwrap();
-        let mut plan = FaultPlan::none();
-        let mut report = ResilienceReport::default();
-        let got = driver
-            .run_target_resilient(
-                3,
-                &target,
-                &mut plan,
-                &ResiliencePolicy::default(),
-                &mut report,
-            )
-            .unwrap();
-        assert_eq!(got, want);
-        assert!(report.is_clean(), "clean run, clean report: {report:?}");
     }
 
     #[test]
@@ -775,35 +837,6 @@ mod tests {
             IndelRealigner::new().realign_outcomes(&target)
         );
         assert!(report.corrupt_detected > 0);
-    }
-
-    #[test]
-    fn batch_completes_under_moderate_fault_rates() {
-        use crate::fault::FaultRates;
-        let params = FpgaParams {
-            num_units: 4,
-            ..FpgaParams::iracc()
-        };
-        let mut driver = HostDriver::new(params).unwrap();
-        let targets = vec![figure4_target(); 24];
-        let mut plan = FaultPlan::seeded(5, FaultRates::uniform(0.05));
-        let (runs, report) = driver
-            .run_batch_resilient(&targets, &mut plan, &ResiliencePolicy::default())
-            .unwrap();
-        assert_eq!(runs.len(), targets.len());
-        // Byte-identical to the golden model: compare the encoded output
-        // images (decode does not transmit offsets of non-realigned
-        // reads, so the images are the canonical representation).
-        let golden = IndelRealigner::new().realign_outcomes(&targets[0]);
-        let want = encode_outputs(&golden, targets[0].start_pos());
-        for run in &runs {
-            assert_eq!(
-                encode_outputs(&run.outcomes, targets[0].start_pos()),
-                want,
-                "no silent corruption, ever"
-            );
-        }
-        assert_eq!(report.faults, plan.counts());
     }
 
     #[test]

@@ -129,30 +129,6 @@ fn evaluate(
     }
 }
 
-/// Plays the recovery state machine over one dispatched target when a
-/// fault plan drives the run. Returns the extra cycles the unit burned
-/// and whether this dispatch quarantined the unit.
-fn resolve(
-    fault: &mut Option<&mut FaultState<'_>>,
-    target: &RealignmentTarget,
-    run: &mut Arc<UnitRun>,
-    unit: usize,
-) -> (u64, bool) {
-    match fault.as_deref_mut() {
-        Some(fs) => {
-            let was = fs.quarantined[unit];
-            let extra = fs.resolve(target, run, unit);
-            (extra, !was && fs.quarantined[unit])
-        }
-        None => (0, false),
-    }
-}
-
-/// Whether `unit` may still receive targets.
-fn healthy(fault: &Option<&mut FaultState<'_>>, unit: usize) -> bool {
-    fault.as_ref().is_none_or(|fs| !fs.quarantined[unit])
-}
-
 /// The order targets are dispatched in. The asynchronous scheduler and
 /// [`Scheduling::SynchronousByWorstCase`] take the largest worst-case
 /// work first; [`Scheduling::Synchronous`] sorts by read and consensus
@@ -180,7 +156,7 @@ fn dispatch_order(scheduling: Scheduling, targets: &[RealignmentTarget]) -> Vec<
 pub(crate) fn run(
     sys: &AcceleratedSystem,
     targets: &[RealignmentTarget],
-    fault: Option<&mut FaultState<'_>>,
+    fault: &mut FaultState<'_>,
     oracle: Option<&mut FunctionalOracle>,
 ) -> SystemRun {
     let order = dispatch_order(sys.scheduling(), targets);
@@ -196,7 +172,7 @@ fn run_sync(
     sys: &AcceleratedSystem,
     targets: &[RealignmentTarget],
     order: &[usize],
-    mut fault: Option<&mut FaultState<'_>>,
+    fault: &mut FaultState<'_>,
     mut oracle: Option<&mut FunctionalOracle>,
 ) -> SystemRun {
     let p = sys.params();
@@ -205,7 +181,9 @@ fn run_sync(
     let mut now_s = 0.0;
     let mut rest = order;
     while !rest.is_empty() {
-        let units: Vec<usize> = (0..p.num_units).filter(|&u| healthy(&fault, u)).collect();
+        let units: Vec<usize> = (0..p.num_units)
+            .filter(|&u| fault.recovery.healthy(u))
+            .collect();
         let (batch, tail) = rest.split_at(rest.len().min(units.len()));
         rest = tail;
 
@@ -227,7 +205,7 @@ fn run_sync(
             let cfg = sys.config_time_s(target);
             ledger.command_s += cfg;
             let mut run = evaluate(&mut oracle, target, t, sys);
-            let (extra, newly_quarantined) = resolve(&mut fault, target, &mut run, unit);
+            let (extra, newly_quarantined) = fault.resolve(target, &mut run, unit);
             let busy = (run.cycles.total() + extra) as f64 * p.cycle_time_s();
             let start = now_s + cfg;
             let end = start + busy;
@@ -284,7 +262,7 @@ fn run_async(
     sys: &AcceleratedSystem,
     targets: &[RealignmentTarget],
     order: &[usize],
-    mut fault: Option<&mut FaultState<'_>>,
+    fault: &mut FaultState<'_>,
     mut oracle: Option<&mut FunctionalOracle>,
 ) -> SystemRun {
     let p = sys.params();
@@ -325,7 +303,7 @@ fn run_async(
         let cfg = sys.config_time_s(target);
         ledger.command_s += cfg;
         let mut run = evaluate(&mut oracle, target, t, sys);
-        let (extra, newly_quarantined) = resolve(&mut fault, target, &mut run, unit);
+        let (extra, newly_quarantined) = fault.resolve(target, &mut run, unit);
         let busy = (run.cycles.total() + extra) as f64 * p.cycle_time_s();
         let start = free.max(dma_done[t]) + cfg;
         let dma_wait = (dma_done[t] - free).max(0.0);
@@ -364,7 +342,7 @@ fn run_async(
             );
         }
         ledger.record_run(unit, t, busy, run);
-        if healthy(&fault, unit) {
+        if fault.recovery.healthy(unit) {
             free_units.push(
                 SimTime::from_seconds(from_ps(to_ps(end))),
                 unit as u64,

@@ -43,8 +43,6 @@ pub enum FpgaError {
     /// The accelerator was started before all required configuration
     /// commands were issued.
     NotConfigured(&'static str),
-    /// Response queue polled while empty.
-    NoResponse,
     /// A hardware interaction exceeded its cycle/time budget (DMA chain
     /// that never completed, response that never arrived).
     Timeout {
@@ -118,7 +116,6 @@ impl fmt::Display for FpgaError {
             FpgaError::NotConfigured(what) => {
                 write!(f, "accelerator started before configuring {what}")
             }
-            FpgaError::NoResponse => write!(f, "response queue is empty"),
             FpgaError::Timeout { site, waited_s } => {
                 write!(
                     f,
@@ -171,7 +168,6 @@ mod tests {
                 capacity: 65_536,
             },
             FpgaError::NotConfigured("buffer addresses"),
-            FpgaError::NoResponse,
             FpgaError::Timeout {
                 site: "pcie dma",
                 waited_s: 0.004,

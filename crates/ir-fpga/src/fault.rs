@@ -10,10 +10,11 @@
 //! [`crate::unit`], [`crate::layout`]).
 //!
 //! The host-side recovery machinery that turns these faults back into
-//! correct runs lives in [`crate::driver`] (functional path) and
-//! [`crate::system`] (timing path). `FaultPlan::none()` is inert: it draws
-//! nothing from any RNG, so fault-free runs are bit-identical to runs that
-//! never heard of this module (asserted by `tests/resilience.rs`).
+//! correct runs is one state machine in [`crate::driver`], run by the
+//! functional path there and by the timing path in [`crate::system`].
+//! `FaultPlan::none()` is inert: it draws nothing from any RNG, so
+//! fault-free runs are bit-identical to runs that never heard of this
+//! module (asserted by `tests/resilience.rs`).
 
 use std::fmt;
 

@@ -10,10 +10,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::arbiter::{contention_stats, ArbiterStats};
 use crate::dma::DmaParams;
-use crate::driver::{ResiliencePolicy, ResilienceReport};
+use crate::driver::{read_back, Failure, Recovery, ResiliencePolicy, ResilienceReport, Resolved};
 use crate::fault::{FaultPlan, ResponseFault};
 use crate::isa::IrCommand;
-use crate::layout::{decode_outputs, encode_outputs};
 use crate::mem::{burst_stats, BurstStats};
 use crate::oracle::FunctionalOracle;
 use crate::params::FpgaParams;
@@ -137,130 +136,89 @@ impl SystemRun {
     }
 }
 
-/// Per-run recovery state threaded through the schedulers when
-/// [`AcceleratedSystem::run_resilient`] is driving. It mirrors the
-/// [`crate::driver::HostDriver`] policy machinery at the timing level:
-/// instead of replaying transfers through queues it charges the cycles
-/// each recovery action costs to the unit that paid them.
+/// The timing model's side of the host recovery loop, threaded through
+/// the schedulers: the fault plan and policy of a
+/// [`AcceleratedSystem::run_resilient`] run (no plan for a fault-free
+/// run), the [`Recovery`] state machine the functional
+/// [`crate::driver::HostDriver`] runs too, and the run's report. Only the
+/// attempt is its own: it draws the driver's fault sites in the driver's
+/// order and charges what each costs in cycles to the dispatched unit,
+/// instead of replaying transfers through queues.
 pub(crate) struct FaultState<'a> {
-    pub(crate) plan: &'a mut FaultPlan,
-    pub(crate) policy: &'a ResiliencePolicy,
-    pub(crate) report: ResilienceReport,
-    pub(crate) failures: Vec<u32>,
-    pub(crate) quarantined: Vec<bool>,
+    plan: Option<&'a mut FaultPlan>,
+    policy: ResiliencePolicy,
+    report: ResilienceReport,
+    pub(crate) recovery: Recovery,
 }
 
 impl FaultState<'_> {
-    fn healthy_count(&self) -> usize {
-        self.quarantined.iter().filter(|&&q| !q).count()
+    /// The state of a fault-free run: nothing ever fails.
+    pub(crate) fn none(units: usize) -> Self {
+        FaultState {
+            plan: None,
+            policy: ResiliencePolicy::default(),
+            report: ResilienceReport::default(),
+            recovery: Recovery::new(units),
+        }
     }
 
-    /// Plays the recovery state machine for one dispatched target and
-    /// returns the extra cycles (watchdog waits, discarded attempts,
-    /// backoff) the executing unit burned beyond the successful compute.
+    /// Plays the recovery loop for one target dispatched to `unit`, which
+    /// makes every attempt and pays for it. Returns the cycles the unit
+    /// burned beyond the successful compute (failed attempts, watchdog
+    /// waits, backoff) and whether this target quarantined the unit.
     ///
-    /// Side effects mirror the driver: counters accumulate into the
-    /// report, repeated unit-attributed failures quarantine the unit
-    /// (never the last healthy one), a target that exhausts its retries
-    /// falls back to the software result (cycles zeroed — the fabric
-    /// never finished it), and a corrupt read-back that escapes sampled
-    /// verification replaces `run.outcomes` with the corrupt decode. Both
-    /// changes copy `run` on write, so a shared oracle entry never sees
-    /// them.
+    /// A corrupt read-back that escapes sampled verification replaces
+    /// `run.outcomes` with the corrupt decode. A target whose attempts all
+    /// fail keeps the golden outcomes already in `run`, with its cycles
+    /// and comparisons zeroed: the fabric never finished it, so its work
+    /// happened on host cores. Both changes copy `run` on write, so a
+    /// shared oracle entry never sees them.
     pub(crate) fn resolve(
         &mut self,
         target: &RealignmentTarget,
         run: &mut Arc<UnitRun>,
         unit: usize,
-    ) -> u64 {
-        let policy = *self.policy;
-        let mut extra = 0u64;
-        let mut succeeded = false;
-        for attempt in 0..=policy.max_retries {
-            let mut failed = false;
-            let mut unit_at_fault = false;
-            if self.plan.dma_fault(target.input_bytes()).is_some() {
-                // Per-target re-transfer; not attributed to the unit.
-                self.report.dma_faults += 1;
-                failed = true;
-            } else if self.plan.unit_hangs() {
-                self.report.unit_hangs += 1;
-                extra += policy.watchdog_cycles;
-                failed = true;
-                unit_at_fault = true;
-            } else {
-                match self.plan.response_fault() {
-                    ResponseFault::Dropped => {
-                        // The work completed but the completion vanished:
-                        // the compute is stranded and the host waits out
-                        // its watchdog before re-dispatching.
-                        self.report.timeouts += 1;
-                        extra += run.cycles.total() + policy.watchdog_cycles;
-                        failed = true;
-                        unit_at_fault = true;
-                    }
-                    ResponseFault::Duplicated => self.report.stale_responses += 1,
+    ) -> (u64, bool) {
+        let Some(plan) = self.plan.as_deref_mut() else {
+            return (0, false);
+        };
+        let verify_rate = self.policy.verify_rate;
+        let (lost_before, was_healthy) = (self.report.lost_cycles, self.recovery.healthy(unit));
+        let resolved = self.recovery.resolve(
+            &self.policy,
+            &mut self.report,
+            |_| unit,
+            |_, report| {
+                let cycles = run.cycles.total();
+                if plan.dma_fault(target.input_bytes()).is_some() {
+                    return Err(Failure::Dma);
+                }
+                if plan.unit_hangs() {
+                    return Err(Failure::Hung);
+                }
+                match plan.response_fault() {
+                    ResponseFault::Dropped => return Err(Failure::Dropped { cycles }),
+                    ResponseFault::Duplicated => report.stale_responses += 1,
                     ResponseFault::Delivered => {}
                 }
-                if !failed {
-                    let (mut flags, mut positions) =
-                        encode_outputs(&run.outcomes, target.start_pos());
-                    if self.plan.corrupt_outputs(&mut flags, &mut positions) {
-                        let decoded = decode_outputs(
-                            &flags,
-                            &positions,
-                            run.outcomes.len(),
-                            target.start_pos(),
-                        );
-                        if decoded.is_err() || self.plan.sample_verify(policy.verify_rate) {
-                            self.report.corrupt_detected += 1;
-                            extra += run.cycles.total();
-                            failed = true;
-                            unit_at_fault = true;
-                        } else if let Ok(corrupt) = decoded {
-                            // Undetected single-bit flip: the corrupt
-                            // outcomes ship. This is exactly what
-                            // `verify_rate < 1` risks.
-                            Arc::make_mut(run).outcomes = corrupt;
-                        }
-                    }
+                let start = target.start_pos();
+                if let Some(corrupt) = read_back(plan, verify_rate, &run.outcomes, start, cycles)? {
+                    Arc::make_mut(run).outcomes = corrupt;
                 }
-            }
-            if !failed {
-                if attempt > 0 {
-                    self.report.recovered_targets += 1;
-                    self.report.recovered_cycles += run.cycles.total();
-                }
-                self.failures[unit] = 0;
-                succeeded = true;
-                break;
-            }
-            if unit_at_fault {
-                self.failures[unit] += 1;
-                if self.failures[unit] >= policy.quarantine_threshold
-                    && !self.quarantined[unit]
-                    && self.healthy_count() > 1
-                {
-                    self.quarantined[unit] = true;
-                    self.report.quarantined_units.push(unit);
-                }
-            }
-            if attempt < policy.max_retries {
-                self.report.retries += 1;
-                extra += policy.backoff_base_cycles << attempt;
-            }
-        }
-        if !succeeded {
-            // Software fallback: the golden outcomes already in `run`
-            // stand, but the fabric never finished this target — its
-            // cycles and comparisons happened on host cores instead.
-            self.report.fallbacks += 1;
+                Ok(((), cycles))
+            },
+        );
+        // With `software_fallback` off the target is realigned in software
+        // all the same: `run_resilient` has no error path.
+        if !matches!(resolved, Resolved::Hardware(())) {
             let run = Arc::make_mut(run);
             run.cycles = crate::unit::UnitCycles::default();
             run.comparisons = 0;
         }
-        self.report.lost_cycles += extra;
-        extra
+        (
+            self.report.lost_cycles - lost_before,
+            was_healthy && !self.recovery.healthy(unit),
+        )
     }
 }
 
@@ -730,7 +688,12 @@ impl AcceleratedSystem {
     /// trace, timeline) is attached iff [`Self::with_telemetry`] enabled
     /// it.
     pub fn run(&self, targets: &[RealignmentTarget]) -> SystemRun {
-        crate::engine::run(self, targets, None, None)
+        crate::engine::run(
+            self,
+            targets,
+            &mut FaultState::none(self.params.num_units),
+            None,
+        )
     }
 
     /// [`Self::run`] with a shared [`FunctionalOracle`], so replays of the
@@ -741,7 +704,12 @@ impl AcceleratedSystem {
         targets: &[RealignmentTarget],
         oracle: &mut FunctionalOracle,
     ) -> SystemRun {
-        crate::engine::run(self, targets, None, Some(oracle))
+        crate::engine::run(
+            self,
+            targets,
+            &mut FaultState::none(self.params.num_units),
+            Some(oracle),
+        )
     }
 
     /// Runs `targets` with fault injection and the host resilience
@@ -751,7 +719,10 @@ impl AcceleratedSystem {
     /// failed attempt's cycles are charged to the executing unit, so the
     /// wall clock shows the price of recovery. The run always completes —
     /// targets that exhaust hardware retries keep the golden software
-    /// result — and [`SystemRun::resilience`] records what happened.
+    /// result and count as fallbacks, even with
+    /// [`ResiliencePolicy::software_fallback`] off, since this path has
+    /// no error to return — and [`SystemRun::resilience`] records what
+    /// happened.
     ///
     /// With [`FaultPlan::none`] the output is bit-identical to
     /// [`Self::run`] except for an all-zero report (asserted by
@@ -796,18 +767,18 @@ impl AcceleratedSystem {
         oracle: Option<&mut FunctionalOracle>,
     ) -> SystemRun {
         let mut state = FaultState {
-            plan,
-            policy,
+            plan: Some(&mut *plan),
+            policy: *policy,
             report: ResilienceReport::default(),
-            failures: vec![0; self.params.num_units],
-            quarantined: vec![false; self.params.num_units],
+            recovery: Recovery::new(self.params.num_units),
         };
-        let mut run = crate::engine::run(self, targets, Some(&mut state), oracle);
-        state.report.faults = state.plan.counts();
+        let mut run = crate::engine::run(self, targets, &mut state, oracle);
+        let mut report = state.report;
+        report.faults = plan.counts();
         if let Some(snapshot) = run.telemetry.as_mut() {
-            state.report.record_into(&mut snapshot.counters);
+            report.record_into(&mut snapshot.counters);
         }
-        run.resilience = Some(state.report);
+        run.resilience = Some(report);
         run
     }
 
@@ -1031,52 +1002,6 @@ mod tests {
         assert_eq!(run.wall_time_s, 0.0);
         assert!(run.results.is_empty());
         assert_eq!(run.utilization(), 0.0);
-    }
-
-    #[test]
-    fn resilient_run_with_inert_plan_is_bit_identical() {
-        use crate::driver::ResiliencePolicy;
-        use crate::fault::FaultPlan;
-        let targets = small_workload();
-        for sched in [Scheduling::Synchronous, Scheduling::Asynchronous] {
-            let system = AcceleratedSystem::new(FpgaParams::iracc(), sched).unwrap();
-            let plain = system.run(&targets);
-            let mut plan = FaultPlan::none();
-            let resilient = system.run_resilient(&targets, &mut plan, &ResiliencePolicy::default());
-            assert_eq!(resilient.wall_time_s, plain.wall_time_s, "{sched:?}");
-            assert_eq!(resilient.results.len(), plain.results.len());
-            for (a, b) in resilient.results.iter().zip(plain.results.iter()) {
-                assert_eq!(a.outcomes, b.outcomes);
-                assert_eq!(a.cycles, b.cycles);
-            }
-            assert_eq!(resilient.unit_busy_s, plain.unit_busy_s);
-            assert_eq!(resilient.compute_cycles, plain.compute_cycles);
-            let report = resilient.resilience.expect("report attached");
-            assert!(report.is_clean(), "{report:?}");
-        }
-    }
-
-    #[test]
-    fn resilient_run_completes_under_default_fault_rates() {
-        use crate::driver::ResiliencePolicy;
-        use crate::fault::{FaultPlan, FaultRates};
-        let targets = small_workload();
-        let golden: Vec<_> = targets
-            .iter()
-            .map(|t| IndelRealigner::new().realign(t))
-            .collect();
-        for sched in [Scheduling::Synchronous, Scheduling::Asynchronous] {
-            let system = AcceleratedSystem::new(FpgaParams::iracc(), sched).unwrap();
-            let mut plan = FaultPlan::seeded(11, FaultRates::default_rates());
-            let run = system.run_resilient(&targets, &mut plan, &ResiliencePolicy::default());
-            assert_eq!(run.results.len(), targets.len());
-            for (got, want) in run.results.iter().zip(golden.iter()) {
-                // verify_rate = 1.0: no silent corruption is possible.
-                assert_eq!(got.outcomes, want.outcomes());
-            }
-            let report = run.resilience.expect("report attached");
-            assert_eq!(report.faults, plan.counts());
-        }
     }
 
     #[test]

@@ -450,6 +450,13 @@ fn engine_stage(input: &FuzzInput, h: &mut Fnv, out: &mut Vec<Mismatch>) {
             Some(Ok(fa)) => {
                 telemetry_invariants(&fa, num_units, out);
                 let report = fa.resilience.as_ref().expect("resilient runs report");
+                if let Some(identity) = report.broken_identity() {
+                    out.push(Mismatch {
+                        stage: "engine",
+                        signature: "engine/fault-report-identity".to_string(),
+                        detail: format!("{identity} does not hold (report: {report:?})"),
+                    });
+                }
                 // The clean run's functional results must survive faults.
                 if let Some(clean) = &run_a {
                     let diverged = clean
