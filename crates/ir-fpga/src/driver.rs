@@ -349,30 +349,48 @@ impl Recovery {
     }
 }
 
-/// Reads `outcomes`, computed in `cycles`, back through the output
-/// images of a target at `start`, where the plan may flip one bit.
-/// Returns `None` for an intact image, the corrupt decode of a flipped
-/// image that ships undetected, or [`Failure::Corrupt`] for one the host
-/// rejects: it no longer decodes, or the golden-model check samples it at
-/// `verify_rate`. A flipped image never equals the golden one and an
-/// intact one always does, so the check's coin
-/// ([`FaultPlan::sample_verify`]) is drawn only for a flipped image that
-/// decodes, the one read-back whose verdict depends on it.
+/// A target's output images as the host accepted them from [`read_back`].
+pub(crate) enum ReadBack {
+    /// The flag and position images as the unit wrote them.
+    Intact(Vec<u8>, Vec<u8>),
+    /// The decode of a flipped image that sampled verification missed.
+    Undetected(Vec<ReadOutcome>),
+}
+
+/// Reads `outcomes` back through the output images of a target at
+/// `start`, where the plan may flip one bit. A flipped image never equals
+/// the golden one and an intact one always does, so sampled verification
+/// draws its coin ([`FaultPlan::sample_verify`]) only for a flipped image
+/// that decodes, the one read-back whose verdict depends on it.
+///
+/// # Errors
+///
+/// A flipped image the host rejects: the decode error of one that no
+/// longer decodes, or [`FpgaError::CorruptOutput`] naming the first
+/// flipped read of one that sampled verification catches at
+/// `verify_rate`.
 pub(crate) fn read_back(
     plan: &mut FaultPlan,
     verify_rate: f64,
     outcomes: &[ReadOutcome],
     start: u64,
-    cycles: u64,
-) -> Result<Option<Vec<ReadOutcome>>, Failure> {
+) -> Result<ReadBack, FpgaError> {
     let (mut flags, mut positions) = encode_outputs(outcomes, start);
     if !plan.corrupt_outputs(&mut flags, &mut positions) {
-        return Ok(None);
+        return Ok(ReadBack::Intact(flags, positions));
     }
-    match decode_outputs(&flags, &positions, outcomes.len(), start) {
-        Ok(corrupt) if !plan.sample_verify(verify_rate) => Ok(Some(corrupt)),
-        _ => Err(Failure::Corrupt { cycles }),
+    let corrupt = decode_outputs(&flags, &positions, outcomes.len(), start)?;
+    if !plan.sample_verify(verify_rate) {
+        return Ok(ReadBack::Undetected(corrupt));
     }
+    let (want_flags, want_positions) = encode_outputs(outcomes, start);
+    let flipped = (0..outcomes.len()).find(|&j| {
+        flags[j] != want_flags[j] || positions[4 * j..][..4] != want_positions[4 * j..][..4]
+    });
+    Err(FpgaError::CorruptOutput {
+        detail: "sampled verification caught a flipped read",
+        observed: flipped.unwrap_or_default() as u64,
+    })
 }
 
 /// The hardware one driver commands: the units behind one MMIO hub and
@@ -460,21 +478,14 @@ impl Fabric {
 
         // Read back and decode the output buffers.
         let start = target.start_pos();
-        let outcomes = match read_back(plan, policy.verify_rate, &run.outcomes, start, cycles) {
-            Ok(Some(undetected)) => undetected,
-            Ok(None) => {
-                let (flags, positions) = encode_outputs(&run.outcomes, start);
+        let outcomes = match read_back(plan, policy.verify_rate, &run.outcomes, start) {
+            Ok(ReadBack::Intact(flags, positions)) => {
                 decode_outputs(&flags, &positions, target.num_reads(), start)
-                    .map_err(|error| (Failure::Corrupt { cycles }, error))?
             }
-            Err(failure) => {
-                let error = FpgaError::CorruptOutput {
-                    detail: "read-back differs from the golden model",
-                    observed: response.unit_id as u64,
-                };
-                return Err((failure, error));
-            }
-        };
+            Ok(ReadBack::Undetected(corrupt)) => Ok(corrupt),
+            Err(error) => Err(error),
+        }
+        .map_err(|error| (Failure::Corrupt { cycles }, error))?;
 
         Ok(DriverRun {
             unit_id: response.unit_id,
@@ -751,6 +762,28 @@ mod tests {
     }
 
     #[test]
+    fn resilient_run_with_inert_plan_matches_plain_run() {
+        let target = figure4_target();
+        let mut plain = HostDriver::new(FpgaParams::iracc()).unwrap();
+        let want = plain.run_target(3, &target).unwrap();
+
+        let mut driver = HostDriver::new(FpgaParams::iracc()).unwrap();
+        let mut plan = FaultPlan::none();
+        let mut report = ResilienceReport::default();
+        let got = driver
+            .run_target_resilient(
+                3,
+                &target,
+                &mut plan,
+                &ResiliencePolicy::default(),
+                &mut report,
+            )
+            .unwrap();
+        assert_eq!(got, want);
+        assert!(report.is_clean(), "clean run, clean report: {report:?}");
+    }
+
+    #[test]
     fn permanent_hangs_fall_back_to_software() {
         use crate::fault::FaultRates;
         let target = figure4_target();
@@ -837,6 +870,87 @@ mod tests {
             IndelRealigner::new().realign_outcomes(&target)
         );
         assert!(report.corrupt_detected > 0);
+    }
+
+    #[test]
+    fn read_back_rejects_a_flip_by_decode_or_by_sampled_verification() {
+        use crate::fault::FaultRates;
+        let target = figure4_target();
+        let golden = IndelRealigner::new().realign_outcomes(&target);
+        let start = target.start_pos();
+        let rates = FaultRates {
+            output_bit_flip: 1.0,
+            ..FaultRates::none()
+        };
+        let (mut decode, mut sampled) = (0, 0);
+        for seed in 0..64 {
+            let checked = read_back(&mut FaultPlan::seeded(seed, rates), 1.0, &golden, start);
+            let unchecked = read_back(&mut FaultPlan::seeded(seed, rates), 0.0, &golden, start);
+            match (checked, unchecked) {
+                (
+                    Err(FpgaError::CorruptOutput {
+                        detail: "realign flag byte out of range",
+                        observed,
+                    }),
+                    Err(_),
+                ) => {
+                    assert!(observed > 1);
+                    decode += 1;
+                }
+                (
+                    Err(FpgaError::CorruptOutput {
+                        detail: "sampled verification caught a flipped read",
+                        observed,
+                    }),
+                    Ok(ReadBack::Undetected(_)),
+                ) => {
+                    // Replay the seed's flip to find the read it hit.
+                    let want = encode_outputs(&golden, start);
+                    let (mut flags, mut positions) = want.clone();
+                    FaultPlan::seeded(seed, rates).corrupt_outputs(&mut flags, &mut positions);
+                    let byte =
+                        |got: &[u8], want: &[u8]| got.iter().zip(want).position(|(a, b)| a != b);
+                    let flipped =
+                        byte(&flags, &want.0).or(byte(&positions, &want.1).map(|b| b / 4));
+                    assert_eq!(Some(observed as usize), flipped, "seed {seed}");
+                    sampled += 1;
+                }
+                _ => panic!("seed {seed}: a flipped image was accepted or misreported"),
+            }
+        }
+        assert!(
+            decode > 0 && sampled > 0,
+            "{decode} decode, {sampled} sampled"
+        );
+    }
+
+    #[test]
+    fn batch_completes_under_moderate_fault_rates() {
+        use crate::fault::FaultRates;
+        let params = FpgaParams {
+            num_units: 4,
+            ..FpgaParams::iracc()
+        };
+        let mut driver = HostDriver::new(params).unwrap();
+        let targets = vec![figure4_target(); 24];
+        let mut plan = FaultPlan::seeded(5, FaultRates::uniform(0.05));
+        let (runs, report) = driver
+            .run_batch_resilient(&targets, &mut plan, &ResiliencePolicy::default())
+            .unwrap();
+        assert_eq!(runs.len(), targets.len());
+        // Byte-identical to the golden model: compare the encoded output
+        // images (decode does not transmit offsets of non-realigned
+        // reads, so the images are the canonical representation).
+        let golden = IndelRealigner::new().realign_outcomes(&targets[0]);
+        let want = encode_outputs(&golden, targets[0].start_pos());
+        for run in &runs {
+            assert_eq!(
+                encode_outputs(&run.outcomes, targets[0].start_pos()),
+                want,
+                "no silent corruption, ever"
+            );
+        }
+        assert_eq!(report.faults, plan.counts());
     }
 
     #[test]

@@ -10,7 +10,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::arbiter::{contention_stats, ArbiterStats};
 use crate::dma::DmaParams;
-use crate::driver::{read_back, Failure, Recovery, ResiliencePolicy, ResilienceReport, Resolved};
+use crate::driver::{
+    read_back, Failure, ReadBack, Recovery, ResiliencePolicy, ResilienceReport, Resolved,
+};
 use crate::fault::{FaultPlan, ResponseFault};
 use crate::isa::IrCommand;
 use crate::mem::{burst_stats, BurstStats};
@@ -202,8 +204,10 @@ impl FaultState<'_> {
                     ResponseFault::Delivered => {}
                 }
                 let start = target.start_pos();
-                if let Some(corrupt) = read_back(plan, verify_rate, &run.outcomes, start, cycles)? {
-                    Arc::make_mut(run).outcomes = corrupt;
+                match read_back(plan, verify_rate, &run.outcomes, start) {
+                    Ok(ReadBack::Intact(..)) => {}
+                    Ok(ReadBack::Undetected(corrupt)) => Arc::make_mut(run).outcomes = corrupt,
+                    Err(_) => return Err(Failure::Corrupt { cycles }),
                 }
                 Ok(((), cycles))
             },
@@ -1002,6 +1006,52 @@ mod tests {
         assert_eq!(run.wall_time_s, 0.0);
         assert!(run.results.is_empty());
         assert_eq!(run.utilization(), 0.0);
+    }
+
+    #[test]
+    fn resilient_run_with_inert_plan_is_bit_identical() {
+        use crate::driver::ResiliencePolicy;
+        use crate::fault::FaultPlan;
+        let targets = small_workload();
+        for sched in [Scheduling::Synchronous, Scheduling::Asynchronous] {
+            let system = AcceleratedSystem::new(FpgaParams::iracc(), sched).unwrap();
+            let plain = system.run(&targets);
+            let mut plan = FaultPlan::none();
+            let resilient = system.run_resilient(&targets, &mut plan, &ResiliencePolicy::default());
+            assert_eq!(resilient.wall_time_s, plain.wall_time_s, "{sched:?}");
+            assert_eq!(resilient.results.len(), plain.results.len());
+            for (a, b) in resilient.results.iter().zip(plain.results.iter()) {
+                assert_eq!(a.outcomes, b.outcomes);
+                assert_eq!(a.cycles, b.cycles);
+            }
+            assert_eq!(resilient.unit_busy_s, plain.unit_busy_s);
+            assert_eq!(resilient.compute_cycles, plain.compute_cycles);
+            let report = resilient.resilience.expect("report attached");
+            assert!(report.is_clean(), "{report:?}");
+        }
+    }
+
+    #[test]
+    fn resilient_run_completes_under_default_fault_rates() {
+        use crate::driver::ResiliencePolicy;
+        use crate::fault::{FaultPlan, FaultRates};
+        let targets = small_workload();
+        let golden: Vec<_> = targets
+            .iter()
+            .map(|t| IndelRealigner::new().realign(t))
+            .collect();
+        for sched in [Scheduling::Synchronous, Scheduling::Asynchronous] {
+            let system = AcceleratedSystem::new(FpgaParams::iracc(), sched).unwrap();
+            let mut plan = FaultPlan::seeded(11, FaultRates::default_rates());
+            let run = system.run_resilient(&targets, &mut plan, &ResiliencePolicy::default());
+            assert_eq!(run.results.len(), targets.len());
+            for (got, want) in run.results.iter().zip(golden.iter()) {
+                // verify_rate = 1.0: no silent corruption is possible.
+                assert_eq!(got.outcomes, want.outcomes());
+            }
+            let report = run.resilience.expect("report attached");
+            assert_eq!(report.faults, plan.counts());
+        }
     }
 
     #[test]
