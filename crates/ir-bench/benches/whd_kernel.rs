@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use ir_bench::bench_workload;
-use ir_core::batch::{CandidateBlock, SweepRead};
+use ir_core::batch::{sweep_block, CandidateBlock, SweepRead, SweepShape};
 use ir_core::kernel::{self, DenseSweep, ReadWords};
 use ir_core::{calc_whd, calc_whd_bounded, KernelKind};
 use ir_fpga::hdc::{run_pair, run_read_sweep, HdcConfig};
@@ -189,9 +189,11 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
 /// serial keys' cold oracles run them, whole targets through
 /// `simulate_target_fast_with`, where each alternative reuses the
 /// reference's entries on the windows they share; and `serial_sweep`,
-/// each pair's whole serial sweep on its own (the shape that dominates
-/// the Figure 9 sweep: 62-base reads, about 96% of offsets pruned). The
-/// throughput is in offsets per sweep.
+/// every read against its target's block through the shared block sweep
+/// under the serial shape (`sweep_block`, what `MinWhdGrid::compute`
+/// runs with pruning, and the shape that dominates the Figure 9 sweep:
+/// 62-base reads, about 96% of offsets pruned). The throughput is in
+/// offsets per sweep.
 fn bench_kernel_mix(c: &mut Criterion) {
     let targets: Vec<_> = bench_workload(5e-4)
         .autosomes()
@@ -249,14 +251,12 @@ fn bench_kernel_mix(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("serial_sweep", kind), &(), |b, ()| {
             b.iter(|| {
-                for &(block, i, read) in &pairs {
-                    black_box(kernel::serial_sweep(
-                        kind,
-                        block.row_padded(i),
-                        block.len(i),
-                        read.codes(),
-                        read.scores(),
-                    ));
+                for (block, reads) in &mix {
+                    for read in reads {
+                        sweep_block(block, read, kind, SweepShape::Serial, |_, fold| {
+                            black_box(fold);
+                        });
+                    }
                 }
             })
         });

@@ -1,4 +1,11 @@
 //! The minimum-WHD grid (`Min_WHD`, Algorithm 1).
+//!
+//! [`MinWhdGrid::compute`] fills the grid one column (read) at a time
+//! through the block sweep the accelerator model's Hamming Distance
+//! Calculator runs too ([`crate::batch::sweep_block`]), so the software
+//! realigner and the simulated hardware share one implementation of
+//! Algorithm 1; the scalar [`crate::calc_whd_bounded`] loop is the
+//! reference both are tested against.
 
 use serde::{Deserialize, Serialize};
 
@@ -63,11 +70,13 @@ impl MinWhdGrid {
     ///
     /// Internally the evaluations run on the batched structure-of-arrays
     /// engine ([`CandidateBlock`]): every consensus is transposed into
-    /// one contiguous code block, each read is prepared once
-    /// ([`SweepRead`]), and one sweep per read produces a whole grid
-    /// column through the runtime-dispatched SIMD fold kernel
-    /// ([`crate::kernel::active`]). Every kernel is bit-for-bit the
-    /// scalar [`crate::calc_whd_bounded`] (same grid, same `OpCounts`);
+    /// one contiguous code block, each read is prepared once in one
+    /// refilled [`SweepRead`], and one block sweep per read
+    /// ([`CandidateBlock::sweep`]) produces a whole grid column on the
+    /// runtime-dispatched SIMD kernels ([`crate::kernel::active`]),
+    /// each alternative reusing the reference's work on the windows they
+    /// share. Every kernel is bit-for-bit the scalar
+    /// [`crate::calc_whd_bounded`] loop (same grid, same `OpCounts`);
     /// the equivalence is pinned by the differential proptests in
     /// [`crate::batch`].
     pub fn compute(target: &RealignmentTarget, pruning: bool, ops: &mut OpCounts) -> Self {
@@ -93,9 +102,10 @@ impl MinWhdGrid {
             };
             num_consensuses * num_reads
         ];
+        let mut sweep_read = SweepRead::default();
         for j in 0..num_reads {
             let read = target.read(j);
-            let sweep_read = SweepRead::new(read.bases().bases(), read.quals());
+            sweep_read.refill(read.bases().bases(), read.quals());
             let column = block.sweep(&sweep_read, pruning, kind, ops);
             for (i, min) in column.into_iter().enumerate() {
                 cells[i * num_reads + j] = min;

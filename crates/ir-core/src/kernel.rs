@@ -40,15 +40,17 @@
 //! 16 lanes; SWAR 8 lanes per `u64` with the classic has-zero-byte trick.
 //!
 //! The offset sweeps live here too, so the per-ISA work inlines into the
-//! offset loop: [`serial_sweep`] (per-base pruning, every count of a
-//! whole pair) and three range kernels over a [`PreparedRead`]:
+//! offset loop: three range kernels over a [`PreparedRead`] —
 //! [`whd_range`] (the WHDs of an offset range into a `u16` buffer),
 //! [`serial_range`] (the same under per-base pruning from a carried-in
 //! running minimum, plus each offset's visited bases) and [`fold_whds`]
 //! (a buffer into its minimum and the offsets above the running
-//! minimum). The split lets a caller copy the entries of windows two
-//! candidates share instead of sweeping them again. AVX-512 runs them
-//! offset-parallel, the diagram transposed, on one shared pass 1:
+//! minimum) — and [`serial_sweep`], the per-offset serial loop for the
+//! reads past the range kernels' `u16` bounds. The split lets the block
+//! sweep ([`crate::batch::sweep_block`]) copy the entries of windows two
+//! candidates share instead of sweeping them again. AVX-512 runs the
+//! range kernels offset-parallel, the diagram transposed, on one shared
+//! pass 1:
 //!
 //! ```text
 //! lane j = offset k0 + j                   64 consecutive offsets per block
@@ -321,212 +323,11 @@ pub fn fold_whd(kind: KernelKind, win: &[u8], read: &[u8], scores: &[u8]) -> u64
     }
 }
 
-/// [`fold_whd`] plus the mismatch count: `(Σ scores[i], #{i})` over the
-/// mismatching positions — the pair the bounded sweeps need to charge
-/// exact `accumulations`. Every [`KernelKind`] returns the same values.
-///
-/// # Panics
-///
-/// As [`fold_whd`].
-pub fn fold_whd_counted(kind: KernelKind, win: &[u8], read: &[u8], scores: &[u8]) -> (u64, u64) {
-    assert_eq!(win.len(), read.len(), "window/read length mismatch");
-    assert_eq!(scores.len(), read.len(), "scores/read length mismatch");
-    match kind {
-        KernelKind::Scalar => fold_scalar_counted(win, read, scores),
-        KernelKind::Swar => fold_swar_counted(win, read, scores),
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        KernelKind::Avx2 => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified AVX2 at runtime.
-            unsafe { x86::fold_avx2_counted(win, read, scores) }
-        }
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        KernelKind::Avx512 => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified AVX-512F/BW at runtime.
-            unsafe { x86::fold_avx512_counted(win, read, scores) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        KernelKind::Neon => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified NEON at runtime.
-            unsafe { aarch64::fold_neon_counted(win, read, scores) }
-        }
-        #[allow(unreachable_patterns)]
-        other => unavailable(other),
-    }
-}
-
-/// Bitmask of mismatching positions over a window of at most 64 bases:
-/// bit `i` is set iff `win[i] != read[i]`. The serial immediate-prune
-/// sweep uses this instead of [`fold_whd`] on every kind but AVX-512,
-/// and there for reads outside the `u16` offset-parallel sweep's reach —
-/// one vector compare yields the mismatch set, and the caller
-/// accumulates scores bit by bit in ascending position with an exact
-/// per-base bound check, the pruning semantics of the per-base
-/// reference.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ, exceed 64, or `kind` cannot run
-/// on this CPU.
-pub fn mismatch_mask(kind: KernelKind, win: &[u8], read: &[u8]) -> u64 {
-    assert_eq!(win.len(), read.len(), "window/read length mismatch");
-    assert!(read.len() <= 64, "mismatch window wider than 64 bases");
-    match kind {
-        KernelKind::Scalar => mask_scalar(win, read),
-        KernelKind::Swar => mask_swar(win, read),
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        KernelKind::Avx2 => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified AVX2 at runtime.
-            unsafe { x86::mask_avx2(win, read) }
-        }
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        KernelKind::Avx512 => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified AVX-512F/BW at runtime.
-            unsafe { x86::mask_avx512(win, read) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        KernelKind::Neon => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified NEON at runtime.
-            unsafe { aarch64::mask_neon(win, read) }
-        }
-        #[allow(unreachable_patterns)]
-        other => unavailable(other),
-    }
-}
-
-/// Aggregate result of [`serial_sweep`]: the jump-to-outcome summary of
-/// a full serial immediate-prune offset sweep. An offset is pruned iff
-/// its full WHD exceeds the minimum WHD over the offsets before it, and
-/// it stops at the first base where its running sum does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SerialSweep {
-    /// Minimum WHD over all completed offsets.
-    pub min_whd: u64,
-    /// Offset achieving `min_whd` (first on ties).
-    pub min_offset: usize,
-    /// Total bases visited across every offset, each pruned offset's
-    /// stop base included — the pruned scans' cycle and comparison
-    /// charge.
-    pub visited: u64,
-    /// Total score accumulations across every offset: the mismatches up
-    /// to and including each pruned offset's stop base, and every
-    /// mismatch of a completed offset.
-    pub accumulations: u64,
-    /// Offsets abandoned by pruning.
-    pub offsets_pruned: u64,
-}
-
-/// The full serial immediate-prune offset sweep of one (candidate,
-/// read) pair: for each offset `k in 0..=row_len - n`, scan the read
-/// base by base, accumulate the quality score at each mismatch, and
-/// stop the offset as soon as the running sum exceeds the best
-/// completed minimum — per-base pruning semantics, bit-exact with the
-/// scalar reference.
-///
-/// The whole sweep lives here (rather than a per-offset primitive) so
-/// the per-ISA work inlines into the offset loop, which runs hundreds of
-/// offsets per pair. Offsets do not stop early in their scan: on the
-/// figure-9 workload an offset visits about 32 bases and ~24 mismatches
-/// before it is pruned. The scalar, SWAR, AVX2 and NEON kinds walk the
-/// mismatches one dependent add-compare-branch at a time. AVX-512 sweeps
-/// 64 offsets per vector instead: a pruned offset's WHD exceeds the
-/// minimum it is compared against, so it never lowers that minimum, and
-/// offset `k`'s budget is exactly the minimum WHD over offsets `0..k`.
-/// One dense pass 1 therefore gives every offset's budget, and a stop
-/// pass recomputes the compares to find each stop base.
-///
-/// `row` is the candidate row (commonly a padded [`CandidateBlock`]
-/// row); only `row[..row_len]` is read. `read` and `scores` must have
-/// equal lengths `n <= row_len`.
-///
-/// [`CandidateBlock`]: crate::batch::CandidateBlock
-///
-/// # Panics
-///
-/// Panics if `read`/`scores` lengths differ, `n > row_len`,
-/// `row_len > row.len()`, or `kind` cannot run on this CPU.
-pub fn serial_sweep(
-    kind: KernelKind,
-    row: &[u8],
-    row_len: usize,
-    read: &[u8],
-    scores: &[u8],
-) -> SerialSweep {
-    assert_eq!(scores.len(), read.len(), "scores/read length mismatch");
-    assert!(row_len <= row.len(), "row_len beyond the candidate row");
-    assert!(read.len() <= row_len, "read longer than consensus");
-    match kind {
-        KernelKind::Scalar => serial_sweep_generic(row, row_len, read, scores, mask_scalar),
-        KernelKind::Swar => serial_sweep_generic(row, row_len, read, scores, mask_swar),
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        KernelKind::Avx2 => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified AVX2 at runtime.
-            unsafe { x86::serial_sweep_avx2(row, row_len, read, scores) }
-        }
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        KernelKind::Avx512 => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified AVX-512F/BW and POPCNT
-            // at runtime; the asserts above bound every load (DESIGN.md §4f).
-            unsafe { x86::serial_sweep_avx512(row, row_len, read, scores) }
-        }
-        #[cfg(target_arch = "aarch64")]
-        KernelKind::Neon => {
-            assert_available(kind);
-            // SAFETY: `assert_available` verified NEON at runtime.
-            unsafe { aarch64::serial_sweep_neon(row, row_len, read, scores) }
-        }
-        #[allow(unreachable_patterns)]
-        other => unavailable(other),
-    }
-}
-
-/// The offset loop shared by every ISA, monomorphized over the 64-base
-/// mismatch-mask primitive so it inlines (the `#[target_feature]`
-/// wrappers instantiate it with their ISA's mask inside the feature
-/// scope).
-#[inline(always)]
-fn serial_sweep_generic(
-    row: &[u8],
-    row_len: usize,
-    read: &[u8],
-    scores: &[u8],
-    mask_chunk: impl Fn(&[u8], &[u8]) -> u64,
-) -> SerialSweep {
-    let n = read.len();
-    let mut out = SerialSweep::START;
-    for k in 0..=row_len - n {
-        let scan = scan_offset(&row[k..k + n], read, scores, out.min_whd, &mask_chunk);
-        out.visited += scan.visited as u64;
-        out.accumulations += scan.accumulations;
-        if scan.stopped {
-            out.offsets_pruned += 1;
-        } else if scan.whd < out.min_whd {
-            out.min_whd = scan.whd;
-            out.min_offset = k;
-        }
-    }
-    out
-}
-
-/// One offset's serial scan: its running sum at the stop base, or its
-/// whole WHD when it completes.
-struct OffsetScan {
-    whd: u64,
-    visited: usize,
-    accumulations: u64,
-    stopped: bool,
-}
-
 /// Scans one window base by base against `budget`, walking each 64-base
 /// chunk's mismatch mask, and stops at the first base where the running
-/// sum exceeds the budget.
+/// sum exceeds the budget. Returns the running sum there (the whole WHD
+/// when the scan completes) and the bases visited, the stop base
+/// included.
 #[inline(always)]
 fn scan_offset(
     win: &[u8],
@@ -534,43 +335,24 @@ fn scan_offset(
     scores: &[u8],
     budget: u64,
     mask_chunk: &impl Fn(&[u8], &[u8]) -> u64,
-) -> OffsetScan {
+) -> (u64, usize) {
     let n = read.len();
-    let mut scan = OffsetScan {
-        whd: 0,
-        visited: 0,
-        accumulations: 0,
-        stopped: false,
-    };
-    while scan.visited < n {
-        let start = scan.visited;
-        let end = (start + 64).min(n);
-        let mut mask = mask_chunk(&win[start..end], &read[start..end]);
+    let mut whd = 0u64;
+    let mut visited = 0;
+    while visited < n {
+        let end = (visited + 64).min(n);
+        let mut mask = mask_chunk(&win[visited..end], &read[visited..end]);
         while mask != 0 {
-            let idx = start + mask.trailing_zeros() as usize;
-            scan.whd += u64::from(scores[idx]);
-            scan.accumulations += 1;
-            if scan.whd > budget {
-                scan.visited = idx + 1;
-                scan.stopped = true;
-                return scan;
+            let idx = visited + mask.trailing_zeros() as usize;
+            whd += u64::from(scores[idx]);
+            if whd > budget {
+                return (whd, idx + 1);
             }
             mask &= mask - 1;
         }
-        scan.visited = end;
+        visited = end;
     }
-    scan
-}
-
-impl SerialSweep {
-    /// The state before offset 0: no completed offset, nothing charged.
-    const START: SerialSweep = SerialSweep {
-        min_whd: u64::MAX,
-        min_offset: 0,
-        visited: 0,
-        accumulations: 0,
-        offsets_pruned: 0,
-    };
+    (whd, n)
 }
 
 /// Score totals from this one up overflow a `u16` WHD: the range
@@ -580,7 +362,7 @@ pub const WHD_U16_LIMIT: u64 = 0xFFFF;
 /// Read bases the AVX-512 offset-parallel sweeps expand into a
 /// [`ReadWords`] (a multiple of the 16-base expansion step), and the
 /// longest read [`serial_range`] takes, so every visit count fits its
-/// `u16`. Longer reads keep the per-offset loops.
+/// `u16`. Longer reads take [`serial_sweep`].
 pub const PARALLEL_MAX_BASES: usize = 1024;
 
 /// Scratch for a [`PreparedRead`]'s expansion: on AVX-512, each base's
@@ -794,8 +576,8 @@ pub fn whd_range(read: &PreparedRead, row: &[u8], k0: usize, out: &mut [u16]) {
 }
 
 /// The per-offset range loop shared by every ISA, monomorphized over the
-/// fold like [`serial_sweep_generic`]. The score total is below
-/// [`WHD_U16_LIMIT`], so every WHD fits its `u16`.
+/// fold so it inlines into each `#[target_feature]` wrapper. The score
+/// total is below [`WHD_U16_LIMIT`], so every WHD fits its `u16`.
 #[inline(always)]
 fn whd_range_generic(
     row: &[u8],
@@ -853,45 +635,25 @@ pub fn serial_range(
         read.total < WHD_U16_LIMIT,
         "score total overflows a u16 WHD"
     );
-    if whds.is_empty() {
-        return SerialRange {
-            sweep: from,
-            visited: 0,
-        };
-    }
-    assert!(
-        k0 + whds.len() - 1 + read.len <= row.len(),
-        "window beyond the candidate row"
-    );
-    let (codes, scores) = (&read.codes[..read.len], &read.scores[..read.len]);
-    let range = SerialRangeArgs {
-        row,
-        k0,
-        read: codes,
-        scores,
-        from,
-    };
-    match read.kind {
-        KernelKind::Scalar => range.generic(whds, visits, mask_scalar),
-        KernelKind::Swar => range.generic(whds, visits, mask_swar),
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: `PreparedRead::new` verified AVX2 at runtime; the
-        // asserts above keep every window inside `row`.
-        KernelKind::Avx2 => unsafe { x86::serial_range_avx2(&range, whds, visits) },
-        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
-        // SAFETY: `PreparedRead::new` verified AVX-512F/BW and POPCNT at
-        // runtime and, the read being short enough and its total below
-        // the bound, expanded it; the asserts above bound every load
-        // (DESIGN.md §4f).
-        KernelKind::Avx512 => unsafe {
-            x86::serial_range_avx512(row, k0, read, from, whds, visits)
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: as for AVX2, for NEON.
-        KernelKind::Neon => unsafe { aarch64::serial_range_neon(&range, whds, visits) },
-        #[allow(unreachable_patterns)]
-        other => unavailable(other),
-    }
+    let range = SerialRangeArgs::new(read, row, k0, whds.len(), from);
+    range.run(read, Some(whds), visits)
+}
+
+/// The serial immediate-prune sweep of offsets `0..offsets` for any read,
+/// one offset at a time with the kind's mismatch masks and `u64` sums:
+/// each offset stops at the first base where its running sum exceeds the
+/// minimum WHD of the offsets before it. Returns the fold of every
+/// offset (a stopped offset folds as one above the running minimum) and
+/// the bases they visit, stop bases included — what [`serial_range`]
+/// returns from [`DenseSweep::START`], for the reads past its `u16`
+/// bounds.
+///
+/// # Panics
+///
+/// Panics if `offsets - 1` plus the read length exceeds `row.len()`.
+pub fn serial_sweep(read: &PreparedRead, row: &[u8], offsets: usize) -> SerialRange {
+    let range = SerialRangeArgs::new(read, row, 0, offsets, DenseSweep::START);
+    range.run(read, None, None)
 }
 
 /// What [`serial_range`] returns about its range.
@@ -904,25 +666,86 @@ pub struct SerialRange {
     pub visited: u64,
 }
 
-/// A [`serial_range`] call's inputs, unpadded, for the per-offset loop.
+/// A serial range's inputs, unpadded, for the per-offset loop.
 struct SerialRangeArgs<'a> {
     row: &'a [u8],
     k0: usize,
+    offsets: usize,
     read: &'a [u8],
     scores: &'a [u8],
     from: DenseSweep,
 }
 
-impl SerialRangeArgs<'_> {
-    /// The per-offset serial range loop shared by every ISA but AVX-512,
-    /// monomorphized over the mask primitive like
-    /// [`serial_sweep_generic`]. The score total is below
-    /// [`WHD_U16_LIMIT`] and the read at most [`PARALLEL_MAX_BASES`] long,
-    /// so every entry fits its `u16`.
+impl<'a> SerialRangeArgs<'a> {
+    /// Offsets `k0..k0 + offsets` of `read` along `row`, from `from`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last window runs past `row`.
+    fn new(
+        read: &PreparedRead<'a>,
+        row: &'a [u8],
+        k0: usize,
+        offsets: usize,
+        from: DenseSweep,
+    ) -> Self {
+        assert!(
+            offsets == 0 || k0 + offsets - 1 + read.len <= row.len(),
+            "window beyond the candidate row"
+        );
+        SerialRangeArgs {
+            row,
+            k0,
+            offsets,
+            read: &read.codes[..read.len],
+            scores: &read.scores[..read.len],
+            from,
+        }
+    }
+
+    /// Runs the range on `read`'s kind, storing each offset's entry in
+    /// `whds` and its visits in `visits` where given.
+    fn run(
+        &self,
+        read: &PreparedRead,
+        whds: Option<&mut [u16]>,
+        visits: Option<&mut [u16]>,
+    ) -> SerialRange {
+        if self.offsets == 0 {
+            return SerialRange {
+                sweep: self.from,
+                visited: 0,
+            };
+        }
+        match read.kind {
+            KernelKind::Scalar => self.generic(whds, visits, mask_scalar),
+            KernelKind::Swar => self.generic(whds, visits, mask_swar),
+            #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+            // SAFETY: `PreparedRead::new` verified AVX2 at runtime; `new`
+            // keeps every window inside `row`.
+            KernelKind::Avx2 => unsafe { x86::serial_range_avx2(self, whds, visits) },
+            #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+            // SAFETY: `PreparedRead::new` verified AVX-512F/BW and POPCNT at
+            // runtime and expanded every read `serial_range` takes; `new`
+            // bounds every load (DESIGN.md §4f).
+            KernelKind::Avx512 => unsafe { x86::serial_range_avx512(self, read, whds, visits) },
+            #[cfg(target_arch = "aarch64")]
+            // SAFETY: as for AVX2, for NEON.
+            KernelKind::Neon => unsafe { aarch64::serial_range_neon(self, whds, visits) },
+            #[allow(unreachable_patterns)]
+            other => unavailable(other),
+        }
+    }
+
+    /// The per-offset serial loop, monomorphized over the mask primitive
+    /// so it inlines into each `#[target_feature]` wrapper. Entries are
+    /// stored only for reads [`serial_range`] takes (score total below
+    /// [`WHD_U16_LIMIT`], at most [`PARALLEL_MAX_BASES`] bases), so each
+    /// fits its `u16`.
     #[inline(always)]
     fn generic(
         &self,
-        whds: &mut [u16],
+        mut whds: Option<&mut [u16]>,
         mut visits: Option<&mut [u16]>,
         mask_chunk: impl Fn(&[u8], &[u8]) -> u64,
     ) -> SerialRange {
@@ -931,19 +754,21 @@ impl SerialRangeArgs<'_> {
             sweep: self.from,
             visited: 0,
         };
-        for (j, whd) in whds.iter_mut().enumerate() {
+        for j in 0..self.offsets {
             let k = self.k0 + j;
             let win = &self.row[k..k + n];
             let budget = out.sweep.min_whd;
-            let scan = scan_offset(win, self.read, self.scores, budget, &mask_chunk);
-            *whd = scan.whd as u16;
-            if let Some(visits) = visits.as_deref_mut() {
-                visits[j] = scan.visited as u16;
+            let (whd, visited) = scan_offset(win, self.read, self.scores, budget, &mask_chunk);
+            if let Some(whds) = whds.as_deref_mut() {
+                whds[j] = whd as u16;
             }
-            out.visited += scan.visited as u64;
+            if let Some(visits) = visits.as_deref_mut() {
+                visits[j] = visited as u16;
+            }
+            out.visited += visited as u64;
             // A stopped scan's sum lies above the budget, the running
             // minimum: it folds as an offset above it.
-            out.sweep.push(k, scan.whd);
+            out.sweep.push(k, whd);
         }
         out
     }
@@ -1019,17 +844,6 @@ fn fold_scalar(win: &[u8], read: &[u8], scores: &[u8]) -> u64 {
     sum
 }
 
-fn fold_scalar_counted(win: &[u8], read: &[u8], scores: &[u8]) -> (u64, u64) {
-    let mut sum = 0u64;
-    let mut count = 0u64;
-    for i in 0..read.len() {
-        let neq = u64::from(win[i] != read[i]);
-        sum += neq * u64::from(scores[i]);
-        count += neq;
-    }
-    (sum, count)
-}
-
 fn mask_scalar(win: &[u8], read: &[u8]) -> u64 {
     let mut mask = 0u64;
     for i in 0..read.len() {
@@ -1042,16 +856,15 @@ fn mask_scalar(win: &[u8], read: &[u8]) -> u64 {
 // SWAR: 8 byte-lanes per u64, no platform intrinsics.
 // ---------------------------------------------------------------------------
 
-const SWAR_LO: u64 = 0x0101_0101_0101_0101;
 const SWAR_HI: u64 = 0x8080_8080_8080_8080;
 
-/// One 8-lane step: `(score sum, mismatch count)` for the byte group.
-/// Lane `i` mismatches when byte `i` of `x = a ^ b` is non-zero; a
-/// carry-free per-byte non-zero test marks those lanes, a shift-subtract
-/// spreads the marks to full-byte masks, and the multiply folds sum the
-/// selected score bytes (≤ 8 × 255, no carry between the u16 lanes).
+/// One 8-lane step: the score sum of the byte group's mismatches. Lane
+/// `i` mismatches when byte `i` of `x = a ^ b` is non-zero; a carry-free
+/// per-byte non-zero test marks those lanes, a shift-subtract spreads the
+/// marks to full-byte masks, and the multiply folds sum the selected
+/// score bytes (≤ 8 × 255, no carry between the u16 lanes).
 #[inline]
-fn swar_group(a: u64, b: u64, s: u64) -> (u64, u64) {
+fn swar_group(a: u64, b: u64, s: u64) -> u64 {
     let x = a ^ b;
     // Per-byte non-zero, with no cross-byte borrows (unlike the classic
     // has-zero-byte subtract): adding 0x7F to the low 7 bits sets bit 7
@@ -1065,9 +878,7 @@ fn swar_group(a: u64, b: u64, s: u64) -> (u64, u64) {
     let mask = (marks << 8).wrapping_sub(marks);
     let sel = s & mask;
     let pairs = (sel & 0x00FF_00FF_00FF_00FF) + ((sel >> 8) & 0x00FF_00FF_00FF_00FF);
-    let sum = pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48;
-    let count = marks.wrapping_mul(SWAR_LO) >> 56;
-    (sum, count)
+    pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48
 }
 
 #[inline]
@@ -1076,31 +887,18 @@ fn le_word(bytes: &[u8]) -> u64 {
 }
 
 fn fold_swar(win: &[u8], read: &[u8], scores: &[u8]) -> u64 {
-    fold_swar_counted(win, read, scores).0
-}
-
-fn fold_swar_counted(win: &[u8], read: &[u8], scores: &[u8]) -> (u64, u64) {
     let n = read.len();
     let mut sum = 0u64;
-    let mut count = 0u64;
     let mut i = 0usize;
     while i + 8 <= n {
-        let (s, c) = swar_group(
+        sum += swar_group(
             le_word(&win[i..i + 8]),
             le_word(&read[i..i + 8]),
             le_word(&scores[i..i + 8]),
         );
-        sum += s;
-        count += c;
         i += 8;
     }
-    while i < n {
-        let neq = u64::from(win[i] != read[i]);
-        sum += neq * u64::from(scores[i]);
-        count += neq;
-        i += 1;
-    }
-    (sum, count)
+    sum + fold_scalar(&win[i..], &read[i..], &scores[i..])
 }
 
 fn mask_swar(win: &[u8], read: &[u8]) -> u64 {
@@ -1181,46 +979,6 @@ mod x86 {
         sum + super::fold_swar(&win[i..], &read[i..], &scores[i..])
     }
 
-    /// # Safety
-    ///
-    /// As [`fold_avx2`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fold_avx2_counted(win: &[u8], read: &[u8], scores: &[u8]) -> (u64, u64) {
-        let n = read.len();
-        let zero = _mm256_setzero_si256();
-        let ones = _mm256_set1_epi8(1);
-        let mut acc = zero;
-        let mut cnt = zero;
-        let mut i = 0usize;
-        while i + 32 <= n {
-            let a = _mm256_loadu_si256(win.as_ptr().add(i).cast());
-            let b = _mm256_loadu_si256(read.as_ptr().add(i).cast());
-            let s = _mm256_loadu_si256(scores.as_ptr().add(i).cast());
-            let eq = _mm256_cmpeq_epi8(a, b);
-            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(_mm256_andnot_si256(eq, s), zero));
-            cnt = _mm256_add_epi64(cnt, _mm256_sad_epu8(_mm256_andnot_si256(eq, ones), zero));
-            i += 32;
-        }
-        let mut sum = hsum_epi64(acc);
-        let mut count = hsum_epi64(cnt);
-        if i + 16 <= n {
-            let z = _mm_setzero_si128();
-            let ones128 = _mm_set1_epi8(1);
-            let a = _mm_loadu_si128(win.as_ptr().add(i).cast());
-            let b = _mm_loadu_si128(read.as_ptr().add(i).cast());
-            let s = _mm_loadu_si128(scores.as_ptr().add(i).cast());
-            let eq = _mm_cmpeq_epi8(a, b);
-            let sad = _mm_sad_epu8(_mm_andnot_si128(eq, s), z);
-            let csad = _mm_sad_epu8(_mm_andnot_si128(eq, ones128), z);
-            sum += (_mm_cvtsi128_si64(sad) as u64).wrapping_add(_mm_extract_epi64(sad, 1) as u64);
-            count +=
-                (_mm_cvtsi128_si64(csad) as u64).wrapping_add(_mm_extract_epi64(csad, 1) as u64);
-            i += 16;
-        }
-        let (tail_sum, tail_count) = super::fold_swar_counted(&win[i..], &read[i..], &scores[i..]);
-        (sum + tail_sum, count + tail_count)
-    }
-
     /// The `k`-lane load mask for a tail of `rem` lanes (all lanes when
     /// `rem >= 64`).
     #[inline]
@@ -1261,33 +1019,8 @@ mod x86 {
 
     /// # Safety
     ///
-    /// As [`fold_avx512`].
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn fold_avx512_counted(win: &[u8], read: &[u8], scores: &[u8]) -> (u64, u64) {
-        let n = read.len();
-        let zero = _mm512_setzero_si512();
-        let mut acc = zero;
-        let mut count = 0u64;
-        let mut i = 0usize;
-        while i < n {
-            let mask = tail_mask(n - i);
-            let a = _mm512_maskz_loadu_epi8(mask, win.as_ptr().add(i).cast());
-            let b = _mm512_maskz_loadu_epi8(mask, read.as_ptr().add(i).cast());
-            let s = _mm512_maskz_loadu_epi8(mask, scores.as_ptr().add(i).cast());
-            let neq = _mm512_cmpneq_epi8_mask(a, b) & mask;
-            let sel = _mm512_maskz_mov_epi8(neq, s);
-            acc = _mm512_add_epi64(acc, _mm512_sad_epu8(sel, zero));
-            // The compare mask *is* the mismatch set: popcount it.
-            count += u64::from(neq.count_ones());
-            i += 64;
-        }
-        (_mm512_reduce_add_epi64(acc) as u64, count)
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. Slice lengths equal and ≤ 64 (checked
-    /// by the safe dispatcher).
+    /// The CPU must support AVX2. Slice lengths equal and ≤ 64 (as the
+    /// per-offset serial loop cuts them).
     #[target_feature(enable = "avx2")]
     pub unsafe fn mask_avx2(win: &[u8], read: &[u8]) -> u64 {
         let n = read.len();
@@ -1317,7 +1050,7 @@ mod x86 {
     /// # Safety
     ///
     /// The CPU must support AVX-512F and AVX-512BW. Slice lengths equal
-    /// and ≤ 64 (checked by the safe dispatcher). The tail uses
+    /// and ≤ 64 (as the per-offset serial loop cuts them). The tail uses
     /// fault-suppressing masked loads, so no out-of-bounds byte is ever
     /// touched; masked-out lanes load zero on both sides and compare
     /// equal.
@@ -1327,24 +1060,6 @@ mod x86 {
         let a = _mm512_maskz_loadu_epi8(lanes, win.as_ptr().cast());
         let b = _mm512_maskz_loadu_epi8(lanes, read.as_ptr().cast());
         _mm512_cmpneq_epi8_mask(a, b) & lanes
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. Lengths checked by the safe
-    /// dispatcher.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn serial_sweep_avx2(
-        row: &[u8],
-        row_len: usize,
-        read: &[u8],
-        scores: &[u8],
-    ) -> super::SerialSweep {
-        // The closure inherits this function's target features, so the
-        // mask kernel inlines into the offset loop.
-        super::serial_sweep_generic(row, row_len, read, scores, |w, r| unsafe {
-            mask_avx2(w, r)
-        })
     }
 
     /// # Safety
@@ -1373,7 +1088,7 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub unsafe fn serial_range_avx2(
         range: &super::SerialRangeArgs,
-        whds: &mut [u16],
+        whds: Option<&mut [u16]>,
         visits: Option<&mut [u16]>,
     ) -> super::SerialRange {
         // SAFETY: the closure runs inside this function's AVX2 scope, on
@@ -1412,37 +1127,6 @@ mod x86 {
             x = _mm512_min_epu16(x, _mm512_permutexvar_epi16(back, x));
         }
         x
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` and
-    /// `scores` have equal length `n`, and `n <= row_len <= row.len()`
-    /// (checked by the safe dispatcher); see DESIGN.md §4f for why every
-    /// masked load stays inside those slices.
-    ///
-    /// The offset-parallel sweep ([`offset_parallel_sweep`]). A read
-    /// whose score total reaches 0xFFFF, or longer than
-    /// [`PARALLEL_MAX_BASES`], walks each offset's mismatch masks
-    /// instead, as the AVX2 arm does.
-    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-    pub unsafe fn serial_sweep_avx512(
-        row: &[u8],
-        row_len: usize,
-        read: &[u8],
-        scores: &[u8],
-    ) -> super::SerialSweep {
-        let n = read.len();
-        let total: u64 = scores.iter().map(|&s| u64::from(s)).sum();
-        if total >= super::WHD_U16_LIMIT || n > PARALLEL_MAX_BASES {
-            // SAFETY: the closure runs inside this function's AVX-512F/BW
-            // scope, on equal-length windows of at most 64 bases the
-            // generic loop cut from `row` and `read`.
-            return super::serial_sweep_generic(row, row_len, read, scores, |w, r| unsafe {
-                mask_avx512(w, r)
-            });
-        }
-        offset_parallel_sweep(row, row_len - n, read, scores, n)
     }
 
     /// # Safety
@@ -1518,31 +1202,38 @@ mod x86 {
 
     /// # Safety
     ///
-    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. `read` was
-    /// expanded, `whds` is non-empty, `visits` (if any) as long, and
-    /// `k0 + whds.len() - 1 + read.len <= row.len()` (checked by the safe
-    /// dispatcher).
+    /// The CPU must support AVX-512F, AVX-512BW and POPCNT. The range is
+    /// non-empty and its last window inside `row` (checked by
+    /// `SerialRangeArgs::new`); with `whds`, `read` was expanded and
+    /// `whds`, and `visits` if given, hold one entry per offset.
     ///
-    /// The serial sweep of offsets `k0..k0 + whds.len()` continued from
-    /// the fold `from`, 64 offsets to a block: pass 1 ([`block_whds`])
-    /// stores each offset's WHD `W` and keeps each base's mismatch mask,
-    /// the exclusive running minima `E` ([`exclusive_minima`], skipped
-    /// when no lane drops below the carry) give the pruned lanes `W > E`
-    /// and the new minimum ([`block_verdicts`]), and only the pruned lanes
-    /// replay the masks ([`block_stops`]) for their stop base. Every other
-    /// lane visits the whole read.
+    /// With `whds` ([`super::serial_range`]), the serial sweep of the
+    /// range's offsets continued from its fold, 64 offsets to a block:
+    /// pass 1 ([`block_whds`]) stores each offset's WHD `W` and keeps
+    /// each base's mismatch mask, the exclusive running minima `E`
+    /// ([`exclusive_minima`], skipped when no lane drops below the carry)
+    /// give the pruned lanes `W > E` and the new minimum
+    /// ([`block_verdicts`]), and only the pruned lanes replay the masks
+    /// ([`block_stops`]) for their stop base. Every other lane visits the
+    /// whole read. Without ([`super::serial_sweep`], any read), the
+    /// per-offset loop on this kind's mismatch masks.
     #[target_feature(enable = "avx512f,avx512bw,popcnt")]
     pub unsafe fn serial_range_avx512(
-        row: &[u8],
-        k0: usize,
+        range: &super::SerialRangeArgs,
         read: &super::PreparedRead,
-        from: super::DenseSweep,
-        whds: &mut [u16],
+        whds: Option<&mut [u16]>,
         visits: Option<&mut [u16]>,
     ) -> super::SerialRange {
-        match visits {
-            Some(visits) => serial_range_blocks::<true>(row, k0, read, from, whds, visits),
-            None => serial_range_blocks::<false>(row, k0, read, from, whds, &mut []),
+        let (row, k0, from) = (range.row, range.k0, range.from);
+        match (whds, visits) {
+            (Some(whds), Some(visits)) => {
+                serial_range_blocks::<true>(row, k0, read, from, whds, visits)
+            }
+            (Some(whds), None) => serial_range_blocks::<false>(row, k0, read, from, whds, &mut []),
+            // SAFETY: the closure runs inside this function's AVX-512F/BW
+            // scope, on equal-length windows of at most 64 bases the
+            // generic loop cut from `row` and `read`.
+            (None, visits) => range.generic(None, visits, |w, r| unsafe { mask_avx512(w, r) }),
         }
     }
 
@@ -1626,7 +1317,7 @@ mod x86 {
             out.visited += n as u64 * u64::from((valid & !pruned).count_ones());
             let mut lanes = (whole, whole);
             if pruned != 0 {
-                let stops = block_stops::<false, LANES>(neq_masks, pruned, kept, score_words, excl);
+                let stops = block_stops::<LANES>(neq_masks, pruned, kept, score_words, excl);
                 out.visited += stops.visited + u64::from(pruned.count_ones());
                 if LANES {
                     let one = _mm512_set1_epi16(1);
@@ -1799,9 +1490,6 @@ mod x86 {
     struct Stops {
         /// The bases each lane visits before its stop base, summed.
         visited: u64,
-        /// With `COUNT`: the mismatches up to and including each lane's
-        /// stop base (all of them for a lane that never stops).
-        accumulations: u64,
         /// With `LANES`: each lane's visits before its stop base (`lo`,
         /// `hi`).
         lanes: (__m512i, __m512i),
@@ -1820,12 +1508,11 @@ mod x86 {
     /// compare uses the fixed `track`, so no mask is carried from base to
     /// base. `P <= total < 0xFFFF` and `E <= 0xFFFF`, so the `u16`
     /// compare is exact. Each base charges a visit to the lanes still
-    /// live after it (the stop base itself is the caller's to charge),
-    /// and with `COUNT` an accumulation to the lanes it mismatches while
-    /// live. The loop ends once no lane is live.
+    /// live after it (the stop base itself is the caller's to charge).
+    /// The loop ends once no lane is live.
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-    unsafe fn block_stops<const COUNT: bool, const LANES: bool>(
+    unsafe fn block_stops<const LANES: bool>(
         neq_masks: *const u64,
         track: u64,
         n: usize,
@@ -1838,21 +1525,16 @@ mod x86 {
         let (mut sum_lo, mut sum_hi) = (zero, zero);
         let mut stops = Stops {
             visited: 0,
-            accumulations: 0,
             lanes: (zero, zero),
         };
-        let mut live = track;
         for b in 0..n {
             let neq = *neq_masks.add(b);
-            if COUNT {
-                stops.accumulations += u64::from((neq & live).count_ones());
-            }
             let score = _mm512_set1_epi32(*score_words.add(b) as i32);
             sum_lo = _mm512_mask_add_epi16(sum_lo, neq as u32, sum_lo, score);
             sum_hi = _mm512_mask_add_epi16(sum_hi, (neq >> 32) as u32, sum_hi, score);
             let live_lo = _mm512_mask_cmple_epu16_mask(track_lo, sum_lo, excl_lo);
             let live_hi = _mm512_mask_cmple_epu16_mask(track_hi, sum_hi, excl_hi);
-            live = u64::from(live_lo) | u64::from(live_hi) << 32;
+            let live = u64::from(live_lo) | u64::from(live_hi) << 32;
             stops.visited += u64::from(live.count_ones());
             if LANES {
                 let (lo, hi) = stops.lanes;
@@ -1914,80 +1596,6 @@ mod x86 {
             | u64::from(_mm512_cmplt_epu16_mask(whd_hi, excl_hi)) << 32;
         (above, below)
     }
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F, AVX-512BW and POPCNT.
-    /// `read.len() == scores.len() == n`, `n <= PARALLEL_MAX_BASES`,
-    /// `max_k + n <= row.len()`, and `scores` totals below 0xFFFF.
-    ///
-    /// The serial immediate-prune sweep of offsets `0..=max_k`, 64
-    /// consecutive offsets `k0 + j` to a block. Pass 1 ([`block_whds`])
-    /// leaves each offset's WHD `W` in its lane; the exclusive running
-    /// minima `E` ([`exclusive_minima`]) give the offsets with `W > E`
-    /// (pruned) and the new minimum. The `u16` lanes are exact because
-    /// the total stays below 0xFFFF (every read of at most 704 bases at
-    /// Phred ≤ 93).
-    ///
-    /// The stop pass ([`block_stops`]) then charges the serial scan's
-    /// visits and accumulations. A pruned offset's WHD exceeds the
-    /// minimum it is compared against, so it never lowers that minimum:
-    /// the serial budget of offset `k` is exactly `E[k]`. Every valid
-    /// lane takes part, since a completed offset's accumulations are all
-    /// of its mismatches.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,popcnt")]
-    unsafe fn offset_parallel_sweep(
-        row: &[u8],
-        max_k: usize,
-        read: &[u8],
-        scores: &[u8],
-        n: usize,
-    ) -> super::SerialSweep {
-        let mut code_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
-        let mut score_words = std::mem::MaybeUninit::<[u32; PARALLEL_MAX_BASES]>::uninit();
-        let mut neq_masks = std::mem::MaybeUninit::<[u64; PARALLEL_MAX_BASES]>::uninit();
-        let code_words = code_words.as_mut_ptr().cast::<u32>();
-        let score_words = score_words.as_mut_ptr().cast::<u32>();
-        let neq_masks = neq_masks.as_mut_ptr().cast::<u64>();
-        expand_read(read, scores, n, code_words, score_words);
-
-        // The running minimum in every lane; 0xFFFF (above every valid
-        // WHD) before offset 0.
-        let mut carry = _mm512_set1_epi16(-1);
-        let mut out = super::SerialSweep::START;
-        let mut k0 = 0usize;
-        while k0 <= max_k {
-            let valid = tail_mask(max_k + 1 - k0);
-            // SAFETY: lane j loads `row[k0 + j + b]` only when
-            // `k0 + j <= max_k`, and `b < n`, so every byte read is below
-            // `max_k + n <= row.len()`; mask word `b` is written here
-            // before the stop pass reads it.
-            let (whd_lo, whd_hi) = block_whds::<true>(
-                row.as_ptr().add(k0),
-                valid,
-                0..n,
-                block_start(valid),
-                code_words,
-                score_words,
-                neq_masks,
-            );
-            let excl = exclusive_minima(whd_lo, whd_hi, &mut carry);
-            let (pruned, below) = block_verdicts(valid, whd_lo, whd_hi, excl.0, excl.1);
-            out.offsets_pruned += u64::from(pruned.count_ones());
-            if below != 0 {
-                out.min_offset = k0 + 63 - below.leading_zeros() as usize;
-            }
-            let stops = block_stops::<true, false>(neq_masks, valid, n, score_words, excl);
-            out.accumulations += stops.accumulations;
-            out.visited += stops.visited + u64::from(pruned.count_ones());
-            k0 += 64;
-        }
-        // Offset 0 always exists and sits below 0xFFFF, so the carry is
-        // a real WHD.
-        out.min_whd = u64::from(lane0_epu16(carry));
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2026,36 +1634,8 @@ mod aarch64 {
 
     /// # Safety
     ///
-    /// As [`fold_neon`].
-    #[target_feature(enable = "neon")]
-    pub unsafe fn fold_neon_counted(win: &[u8], read: &[u8], scores: &[u8]) -> (u64, u64) {
-        let n = read.len();
-        let ones = vdupq_n_u8(1);
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let a = vld1q_u8(win.as_ptr().add(i));
-            let b = vld1q_u8(read.as_ptr().add(i));
-            let s = vld1q_u8(scores.as_ptr().add(i));
-            let eq = vceqq_u8(a, b);
-            sum += u64::from(vaddlvq_u8(vbicq_u8(s, eq)));
-            count += u64::from(vaddlvq_u8(vbicq_u8(ones, eq)));
-            i += 16;
-        }
-        while i < n {
-            let neq = u64::from(win[i] != read[i]);
-            sum += neq * u64::from(scores[i]);
-            count += neq;
-            i += 1;
-        }
-        (sum, count)
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support NEON. Slice lengths equal and ≤ 64 (checked
-    /// by the safe dispatcher).
+    /// The CPU must support NEON. Slice lengths equal and ≤ 64 (as the
+    /// per-offset serial loop cuts them).
     #[target_feature(enable = "neon")]
     pub unsafe fn mask_neon(win: &[u8], read: &[u8]) -> u64 {
         let n = read.len();
@@ -2096,27 +1676,14 @@ mod aarch64 {
     /// The CPU must support NEON. Lengths checked by the safe
     /// dispatcher.
     #[target_feature(enable = "neon")]
-    pub unsafe fn serial_sweep_neon(
-        row: &[u8],
-        row_len: usize,
-        read: &[u8],
-        scores: &[u8],
-    ) -> super::SerialSweep {
-        super::serial_sweep_generic(row, row_len, read, scores, |w, r| unsafe {
-            mask_neon(w, r)
-        })
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support NEON. Lengths checked by the safe
-    /// dispatcher.
-    #[target_feature(enable = "neon")]
     pub unsafe fn serial_range_neon(
         range: &super::SerialRangeArgs,
-        whds: &mut [u16],
+        whds: Option<&mut [u16]>,
         visits: Option<&mut [u16]>,
     ) -> super::SerialRange {
+        // SAFETY: the closure runs inside this function's NEON scope, on
+        // equal-length windows of at most 64 bases the generic loop cut
+        // from `row` and `read`.
         range.generic(whds, visits, |w, r| unsafe { mask_neon(w, r) })
     }
 
@@ -2212,9 +1779,8 @@ mod tests {
     fn empty_and_singleton_folds() {
         for kind in KernelKind::available() {
             assert_eq!(fold_whd(kind, &[], &[], &[]), 0, "{kind}");
-            assert_eq!(fold_whd_counted(kind, &[], &[], &[]), (0, 0), "{kind}");
             assert_eq!(fold_whd(kind, &[1], &[2], &[40]), 40, "{kind}");
-            assert_eq!(fold_whd_counted(kind, &[1], &[1], &[40]), (0, 0), "{kind}");
+            assert_eq!(fold_whd(kind, &[1], &[1], &[40]), 0, "{kind}");
         }
     }
 
@@ -2227,8 +1793,8 @@ mod tests {
             let scores = vec![255u8; len];
             for kind in KernelKind::available() {
                 assert_eq!(
-                    fold_whd_counted(kind, &win, &read, &scores),
-                    (255 * len as u64, len as u64),
+                    fold_whd(kind, &win, &read, &scores),
+                    255 * len as u64,
                     "{kind} len {len}"
                 );
             }
@@ -2242,10 +1808,13 @@ mod tests {
     }
 
     /// The per-base serial scan written out longhand: the semantics
-    /// every [`serial_sweep`] kind must reproduce.
-    fn serial_sweep_reference(row: &[u8], read: &[u8], scores: &[u8]) -> SerialSweep {
+    /// every kind's [`serial_sweep`] and [`serial_range`] must reproduce.
+    fn serial_sweep_reference(row: &[u8], read: &[u8], scores: &[u8]) -> SerialRange {
         let n = read.len();
-        let mut out = SerialSweep::START;
+        let mut out = SerialRange {
+            sweep: DenseSweep::START,
+            visited: 0,
+        };
         for k in 0..=row.len() - n {
             let mut whd = 0u64;
             let mut stopped = false;
@@ -2253,21 +1822,32 @@ mod tests {
                 out.visited += 1;
                 if row[k + i] != read[i] {
                     whd += u64::from(scores[i]);
-                    out.accumulations += 1;
-                    if whd > out.min_whd {
+                    if whd > out.sweep.min_whd {
                         stopped = true;
                         break;
                     }
                 }
             }
             if stopped {
-                out.offsets_pruned += 1;
-            } else if whd < out.min_whd {
-                out.min_whd = whd;
-                out.min_offset = k;
+                out.sweep.offsets_above_min += 1;
+            } else if whd < out.sweep.min_whd {
+                out.sweep.min_whd = whd;
+                out.sweep.min_offset = k;
             }
         }
         out
+    }
+
+    /// A serial sweep's result, spelled out.
+    fn serial(min_whd: u64, min_offset: usize, visited: u64, pruned: u64) -> SerialRange {
+        SerialRange {
+            sweep: DenseSweep {
+                min_whd,
+                min_offset,
+                offsets_above_min: pruned,
+            },
+            visited,
+        }
     }
 
     /// The dense sweep as a per-offset [`fold_whd`] loop, longhand.
@@ -2327,17 +1907,14 @@ mod tests {
     /// kernel: [`serial_range`] in the pieces `splits` cuts the offsets
     /// into, each continuing the fold the last one returned, and the sum
     /// of the visits. Each range's fold must equal [`fold_whds`] over its
-    /// entries from the same state (the entry invariant). Returns the
-    /// [`SerialSweep`] fields the entries determine, with
-    /// `accumulations` copied from `want`.
+    /// entries from the same state (the entry invariant).
     fn serial_via_ranges(
         kind: KernelKind,
         row: &[u8],
         read: &[u8],
         scores: &[u8],
         splits: &[usize],
-        want: SerialSweep,
-    ) -> SerialSweep {
+    ) -> SerialRange {
         let offsets = row.len() - read.len() + 1;
         let mut words = ReadWords::new();
         let prepared = PreparedRead::new(kind, read, scores, read.len(), &mut words);
@@ -2366,13 +1943,7 @@ mod tests {
                 visited: range.visited + visited,
             };
         }
-        SerialSweep {
-            min_whd: range.sweep.min_whd,
-            min_offset: range.sweep.min_offset,
-            visited: range.visited,
-            accumulations: want.accumulations,
-            offsets_pruned: range.sweep.offsets_above_min,
-        }
+        range
     }
 
     /// Whether [`serial_range`] takes the read.
@@ -2381,20 +1952,20 @@ mod tests {
         read.len() <= PARALLEL_MAX_BASES && total < WHD_U16_LIMIT
     }
 
-    /// Every available kind's serial sweep, whole and (for a read the
-    /// range kernel takes) through ranges cut at block-straddling points,
+    /// Every available kind's serial sweep along all of `row`: the
+    /// per-offset [`serial_sweep`] and, for a read the range kernel
+    /// takes, [`serial_range`] cut at block-straddling points, each
     /// asserted equal to the longhand reference.
-    fn serial_all_kinds(row: &[u8], read: &[u8], scores: &[u8]) -> SerialSweep {
+    fn serial_all_kinds(row: &[u8], read: &[u8], scores: &[u8]) -> SerialRange {
         let want = serial_sweep_reference(row, read, scores);
+        let offsets = row.len() - read.len() + 1;
         for kind in KernelKind::available() {
-            assert_eq!(
-                serial_sweep(kind, row, row.len(), read, scores),
-                want,
-                "{kind}"
-            );
+            let mut words = ReadWords::new();
+            let prepared = PreparedRead::new(kind, read, scores, read.len(), &mut words);
+            assert_eq!(serial_sweep(&prepared, row, offsets), want, "{kind}");
             if range_takes(read, scores) {
                 for splits in [&[][..], &[1, 63], &[40, 107, 108]] {
-                    let got = serial_via_ranges(kind, row, read, scores, splits, want);
+                    let got = serial_via_ranges(kind, row, read, scores, splits);
                     assert_eq!(got, want, "{kind} {splits:?}");
                 }
             }
@@ -2405,21 +1976,15 @@ mod tests {
     #[test]
     fn serial_sweep_clamps_budgets_past_u16() {
         // 300 bases, every score 255 and every base mismatching at every
-        // offset: each offset's WHD is 76,500 > 65,535. Every offset's
-        // first chunk therefore sees a budget no `u16` lane can hold and
-        // takes the clamp; later chunks carry the running sum into the
-        // `u16` compare.
+        // offset: each offset's WHD is 76,500 > 65,535, past every `u16`
+        // lane, so only the per-offset `u64` loop takes the read.
         let row = vec![1u8; 310];
         let read = vec![2u8; 300];
         let scores = vec![255u8; 300];
         let got = serial_all_kinds(&row, &read, &scores);
-        assert_eq!(got.min_whd, 76_500);
-        assert_eq!(got.min_offset, 0);
         // Offsets 1.. reach the minimum only at their last base and never
         // exceed it: they tie and complete.
-        assert_eq!(got.offsets_pruned, 0);
-        assert_eq!(got.visited, 11 * 300);
-        assert_eq!(got.accumulations, 11 * 300);
+        assert_eq!(got, serial(76_500, 0, 11 * 300, 0));
     }
 
     #[test]
@@ -2430,16 +1995,7 @@ mod tests {
         let read = [1u8, 1, 2, 1];
         let scores = [10u8, 10, 30, 10];
         let got = serial_all_kinds(&row, &read, &scores);
-        assert_eq!(
-            got,
-            SerialSweep {
-                min_whd: 30,
-                min_offset: 0,
-                visited: 3 * 4,
-                accumulations: 3,
-                offsets_pruned: 0,
-            }
-        );
+        assert_eq!(got, serial(30, 0, 3 * 4, 0));
     }
 
     #[test]
@@ -2459,16 +2015,7 @@ mod tests {
         scores[68] = 6;
         scores[69] = 20;
         let got = serial_all_kinds(&row, &read, &scores);
-        assert_eq!(
-            got,
-            SerialSweep {
-                min_whd: 20,
-                min_offset: 0,
-                visited: 70 + 69,
-                accumulations: 2 + 2,
-                offsets_pruned: 1,
-            }
-        );
+        assert_eq!(got, serial(20, 0, 70 + 69, 1));
     }
 
     #[test]
@@ -2477,27 +2024,9 @@ mod tests {
         let read = [1u8, 2, 4, 4, 5, 2, 2];
         let scores = [9u8, 8, 7, 6, 5, 4, 3];
         let got = serial_all_kinds(&row, &read, &scores);
-        assert_eq!(
-            got,
-            SerialSweep {
-                min_whd: 11,
-                min_offset: 0,
-                visited: 7,
-                accumulations: 2,
-                offsets_pruned: 0,
-            }
-        );
+        assert_eq!(got, serial(11, 0, 7, 0));
         let got = serial_all_kinds(&row, &[], &[]);
-        assert_eq!(
-            got,
-            SerialSweep {
-                min_whd: 0,
-                min_offset: 0,
-                visited: 0,
-                accumulations: 0,
-                offsets_pruned: 0,
-            }
-        );
+        assert_eq!(got, serial(0, 0, 0, 0));
     }
 
     /// A row of `C`s with `A` runs at `runs`, long enough for `offsets`
@@ -2512,7 +2041,7 @@ mod tests {
     }
 
     /// The serial sweep of [`fixture_row`]'s all-`A` read.
-    fn serial_fixture(offsets: usize, n: usize, runs: &[(usize, usize)]) -> SerialSweep {
+    fn serial_fixture(offsets: usize, n: usize, runs: &[(usize, usize)]) -> SerialRange {
         let row = fixture_row(offsets, n, runs);
         serial_all_kinds(&row, &vec![1u8; n], &vec![10u8; n])
     }
@@ -2523,66 +2052,38 @@ mod tests {
             // The only exact hit is the last offset: every WHD only falls,
             // so nothing is pruned and every offset visits all 8 bases.
             let got = serial_fixture(offsets, 8, &[(offsets - 1, 8)]);
-            assert_eq!((got.min_whd, got.min_offset), (0, offsets - 1), "{offsets}");
-            assert_eq!(got.offsets_pruned, 0, "{offsets}");
-            assert_eq!(got.visited, 8 * offsets as u64, "{offsets}");
+            let visited = 8 * offsets as u64;
+            assert_eq!(got, serial(0, offsets - 1, visited, 0), "{offsets}");
             // The exact hit is offset 0: offset k stops at its first
-            // mismatch, base 8 - k (base 0 from k = 8 on), with one
-            // accumulation.
+            // mismatch, base 8 - k (base 0 from k = 8 on).
             let got = serial_fixture(offsets, 8, &[(0, 8)]);
             let visited: usize = 8
                 + (1..offsets)
                     .map(|k| 8usize.saturating_sub(k) + 1)
                     .sum::<usize>();
-            assert_eq!(
-                got,
-                SerialSweep {
-                    min_whd: 0,
-                    min_offset: 0,
-                    visited: visited as u64,
-                    accumulations: offsets as u64 - 1,
-                    offsets_pruned: offsets as u64 - 1,
-                },
-                "{offsets}"
-            );
+            let pruned = offsets as u64 - 1;
+            assert_eq!(got, serial(0, 0, visited as u64, pruned), "{offsets}");
         }
         // Minimum in lane 63 of block 0; every offset of block 1 sits
         // above it, so only the carry prunes them. Offsets 0..=55 tie at
-        // 80 and 56..=62 fall: none of block 0 is pruned.
+        // 80 and 56..=62 fall: none of block 0 is pruned. Block 0 visits
+        // in full; offset 63 + m stops at base 8 - m for m < 8 and at
+        // base 0 after.
         let got = serial_fixture(128, 8, &[(63, 8)]);
-        assert_eq!(
-            got,
-            SerialSweep {
-                min_whd: 0,
-                min_offset: 63,
-                // Block 0 in full; offset 63 + m stops at base 8 - m for
-                // m < 8 and at base 0 after.
-                visited: 64 * 8 + (1..8).map(|m| 9 - m).sum::<u64>() + 57,
-                accumulations: 56 * 8 + (1..=7).sum::<u64>() + 64,
-                offsets_pruned: 64,
-            }
-        );
+        let visited = 64 * 8 + (1..8).map(|m| 9 - m).sum::<u64>() + 57;
+        assert_eq!(got, serial(0, 63, visited, 64));
         // Minimum in lane 0 of later blocks.
         for start in [64usize, 128] {
             let got = serial_fixture(200, 8, &[(start, 8)]);
-            assert_eq!((got.min_whd, got.min_offset), (0, start), "{start}");
-            assert_eq!(got.offsets_pruned, 199 - start as u64, "{start}");
+            assert_eq!((got.sweep.min_whd, got.sweep.min_offset), (0, start));
+            assert_eq!(got.sweep.offsets_above_min, 199 - start as u64);
         }
         // A tie straddling the block boundary: offset 64 finishes at the
         // minimum, so it is neither pruned nor a new minimum and visits
-        // all 8 bases.
+        // all 8 bases; offset 64 + m stops at base 8 - m for 0 < m < 8.
         let got = serial_fixture(128, 8, &[(63, 9)]);
-        assert_eq!(
-            got,
-            SerialSweep {
-                min_whd: 0,
-                min_offset: 63,
-                // Offset 64 + m stops at base 8 - m for 0 < m < 8.
-                visited: 64 * 8 + 8 + (1..8).map(|m| 9 - m).sum::<u64>() + 56,
-                accumulations: 56 * 8 + (1..=7).sum::<u64>() + 63,
-                offsets_pruned: 63,
-            }
-        );
+        let visited = 64 * 8 + 8 + (1..8).map(|m| 9 - m).sum::<u64>() + 56;
+        assert_eq!(got, serial(0, 63, visited, 63));
     }
 
     #[test]
@@ -2591,11 +2092,11 @@ mod tests {
         // offset 0 completes at `total - scores[0]`, and every later
         // offset mismatches everywhere, so (with `scores[0]` the
         // smallest score) it runs past that budget only at the last base
-        // and is pruned there. Totals of 65,534 (the
-        // largest `u16`-lane total) and 65,535 (the smallest fallback
-        // total), then 1,024 and 1,025 bases at score 1 (the last
-        // offset-parallel read length and the first fallback one), each
-        // over three 64-offset blocks.
+        // and is pruned there. Totals of 65,534 (the largest `u16`-lane
+        // total) and 65,535 (the smallest `u64`-loop total), then 1,024
+        // and 1,025 bases at score 1 (the longest read the range kernel
+        // takes and the shortest it refuses), each over three 64-offset
+        // blocks.
         let mut cases = Vec::new();
         for first in [254u8, 255] {
             let mut scores = vec![255u8; 257];
@@ -2610,17 +2111,9 @@ mod tests {
             let mut row = vec![2u8; n + 150];
             row[0] = 1;
             let got = serial_all_kinds(&row, &vec![1u8; n], &scores);
-            assert_eq!(
-                got,
-                SerialSweep {
-                    min_whd: total - u64::from(scores[0]),
-                    min_offset: 0,
-                    visited: 151 * n as u64,
-                    accumulations: (n - 1) as u64 + 150 * n as u64,
-                    offsets_pruned: 150,
-                },
-                "{n} bases, total {total}"
-            );
+            let min = total - u64::from(scores[0]);
+            let want = serial(min, 0, 151 * n as u64, 150);
+            assert_eq!(got, want, "{n} bases, total {total}");
         }
     }
 
@@ -2821,16 +2314,15 @@ mod tests {
                 let win = &win_raw[..len];
                 let read = &read_raw[..len];
                 let scores = &scores_raw[..len];
-                let want = fold_whd_counted(KernelKind::Scalar, win, read, scores);
+                let want = fold_whd(KernelKind::Scalar, win, read, scores);
                 for kind in KernelKind::available() {
-                    prop_assert_eq!(fold_whd(kind, win, read, scores), want.0, "{} sum", kind);
-                    prop_assert_eq!(fold_whd_counted(kind, win, read, scores), want, "{} counted", kind);
+                    prop_assert_eq!(fold_whd(kind, win, read, scores), want, "{}", kind);
                 }
             }
 
             /// Every available kernel's serial immediate-prune sweep is
-            /// the scalar sweep, counts included, whole and through the
-            /// range kernel cut wherever `splits` says: reads up to 320 bases
+            /// the longhand sweep, visits included, per offset and through
+            /// the range kernel cut wherever `splits` says: reads up to 320 bases
             /// (so the 64-base chunk carry is crossed), up to 200 offsets
             /// of slack (four 64-offset blocks) and the full score range.
             /// Reads are cut from the row with sparse substitutions, so
@@ -2864,18 +2356,15 @@ mod tests {
                     .map(|&s| s.max(score_floor))
                     .collect();
                 let scores = &scores[..];
-                let want = serial_sweep(KernelKind::Scalar, &row, row_len, &read, scores);
-                prop_assert_eq!(want, serial_sweep_reference(&row[..row_len], &read, scores));
+                let want = serial_sweep_reference(&row[..row_len], &read, scores);
                 for kind in KernelKind::available() {
-                    prop_assert_eq!(
-                        serial_sweep(kind, &row, row_len, &read, scores),
-                        want,
-                        "{}",
-                        kind
-                    );
+                    let mut words = ReadWords::new();
+                    let prepared = PreparedRead::new(kind, &read, scores, n, &mut words);
+                    let got = serial_sweep(&prepared, &row, slack + 1);
+                    prop_assert_eq!(got, want, "{}", kind);
                     if range_takes(&read, scores) {
                         let row = &row[..row_len];
-                        let got = serial_via_ranges(kind, row, &read, scores, &splits, want);
+                        let got = serial_via_ranges(kind, row, &read, scores, &splits);
                         prop_assert_eq!(got, want, "{} ranges {:?}", kind, &splits);
                     }
                 }
@@ -3025,7 +2514,9 @@ mod tests {
                 let mut dense_row = serial_row.to_vec();
                 dense_row.resize(slack + n_pad, 0);
                 for kind in KernelKind::available() {
-                    let serial = serial_sweep(kind, serial_row, row_len, &read, &scores);
+                    let mut words = ReadWords::new();
+                    let prepared = PreparedRead::new(kind, &read, &scores, n, &mut words);
+                    let serial = serial_sweep(&prepared, serial_row, slack + 1).sweep;
                     read.resize(n_pad, 0);
                     scores.resize(n_pad, 0);
                     let total: u64 = scores.iter().map(|&s| u64::from(s)).sum();
@@ -3041,28 +2532,7 @@ mod tests {
                     };
                     read.truncate(n);
                     scores.truncate(n);
-                    prop_assert_eq!(
-                        (serial.min_whd, serial.min_offset, serial.offsets_pruned),
-                        (dense.min_whd, dense.min_offset, dense.offsets_above_min),
-                        "{}",
-                        kind
-                    );
-                }
-            }
-
-            /// Every available kernel computes the scalar mismatch
-            /// bitmask exactly, at every window width up to 64.
-            #[test]
-            fn all_kernels_match_scalar_mask(
-                len in 0usize..=64,
-                win_raw in prop::collection::vec(0u8..=5, 64),
-                read_raw in prop::collection::vec(0u8..=5, 64),
-            ) {
-                let win = &win_raw[..len];
-                let read = &read_raw[..len];
-                let want = mismatch_mask(KernelKind::Scalar, win, read);
-                for kind in KernelKind::available() {
-                    prop_assert_eq!(mismatch_mask(kind, win, read), want, "{} mask", kind);
+                    prop_assert_eq!(serial, dense, "{}", kind);
                 }
             }
         }

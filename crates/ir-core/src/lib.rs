@@ -67,7 +67,7 @@ mod realigner;
 pub use batch::{CandidateBlock, SweepRead};
 pub use consensus::{consensuses_from_reads, CandidateConsensus, IndelHypothesis};
 pub use grid::{MinWhd, MinWhdGrid};
-pub use kernel::{fold_whd, fold_whd_counted, KernelError, KernelKind};
+pub use kernel::{fold_whd, KernelError, KernelKind};
 pub use realign::{realign_reads, ReadOutcome};
 pub use realigner::{IndelRealigner, PruningMode, RealignmentResult};
 pub use score::{score_consensuses, score_consensuses_with, select_best, SelectionRule};

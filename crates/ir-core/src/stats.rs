@@ -19,16 +19,14 @@ use serde::{Deserialize, Serialize};
 ///
 /// let mut total = OpCounts::default();
 /// total += OpCounts { base_comparisons: 10, ..OpCounts::default() };
-/// total += OpCounts { base_comparisons: 5, qual_accumulations: 2, ..OpCounts::default() };
+/// total += OpCounts { base_comparisons: 5, whd_pruned: 2, ..OpCounts::default() };
 /// assert_eq!(total.base_comparisons, 15);
-/// assert_eq!(total.qual_accumulations, 2);
+/// assert_eq!(total.whd_pruned, 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct OpCounts {
     /// Base-vs-base comparisons executed (the inner loop of `Calc_WHD`).
     pub base_comparisons: u64,
-    /// Quality-score additions executed (one per mismatching comparison).
-    pub qual_accumulations: u64,
     /// Weighted-Hamming-distance evaluations started (one per `(i, j, k)`
     /// triple reached).
     pub whd_evaluations: u64,
@@ -67,7 +65,6 @@ impl Add for OpCounts {
     fn add(self, rhs: OpCounts) -> OpCounts {
         OpCounts {
             base_comparisons: self.base_comparisons + rhs.base_comparisons,
-            qual_accumulations: self.qual_accumulations + rhs.qual_accumulations,
             whd_evaluations: self.whd_evaluations + rhs.whd_evaluations,
             whd_pruned: self.whd_pruned + rhs.whd_pruned,
             comparisons_saved: self.comparisons_saved + rhs.comparisons_saved,
@@ -96,7 +93,6 @@ mod tests {
     fn addition_is_fieldwise() {
         let a = OpCounts {
             base_comparisons: 1,
-            qual_accumulations: 2,
             whd_evaluations: 3,
             whd_pruned: 4,
             comparisons_saved: 5,
@@ -104,7 +100,6 @@ mod tests {
         };
         let sum = a + a;
         assert_eq!(sum.base_comparisons, 2);
-        assert_eq!(sum.qual_accumulations, 4);
         assert_eq!(sum.whd_evaluations, 6);
         assert_eq!(sum.whd_pruned, 8);
         assert_eq!(sum.comparisons_saved, 10);

@@ -51,8 +51,6 @@ pub struct BoundedWhd {
     pub whd: u64,
     /// Number of base comparisons actually executed.
     pub comparisons: u64,
-    /// Number of quality-score additions executed.
-    pub accumulations: u64,
     /// Whether evaluation stopped early because the running sum exceeded
     /// the bound.
     pub pruned: bool,
@@ -101,17 +99,14 @@ pub fn calc_whd_bounded(
 
     let mut whd = 0u64;
     let mut comparisons = 0u64;
-    let mut accumulations = 0u64;
     for n in 0..bases.len() {
         comparisons += 1;
         if cons[k + n] != bases[n] {
             whd += u64::from(scores[n]);
-            accumulations += 1;
             if whd > bound {
                 return BoundedWhd {
                     whd,
                     comparisons,
-                    accumulations,
                     pruned: true,
                 };
             }
@@ -120,7 +115,6 @@ pub fn calc_whd_bounded(
     BoundedWhd {
         whd,
         comparisons,
-        accumulations,
         pruned: false,
     }
 }
@@ -194,7 +188,6 @@ mod tests {
         assert!(out.pruned);
         assert_eq!(out.comparisons, 2);
         assert_eq!(out.whd, 30);
-        assert_eq!(out.accumulations, 2);
     }
 
     #[test]
@@ -216,7 +209,6 @@ mod tests {
         // All mismatches but all weights zero: whd stays 0, never exceeds 0.
         assert!(!out.pruned);
         assert_eq!(out.whd, 0);
-        assert_eq!(out.accumulations, 4);
     }
 
     #[test]
@@ -245,7 +237,6 @@ mod tests {
         assert!(!bounded.pruned, "u64::MAX bound can never be exceeded");
         assert_eq!(bounded.whd, expected);
         assert_eq!(bounded.comparisons, len as u64);
-        assert_eq!(bounded.accumulations, len as u64);
     }
 
     mod unbounded_equals_full {
@@ -280,8 +271,7 @@ mod tests {
 
             /// A bound of `u64::MAX` can never be exceeded, so the bounded
             /// kernel must degrade to exactly the full evaluation: same
-            /// distance, never pruned, every base visited, one
-            /// accumulation per mismatch.
+            /// distance, never pruned, every base visited.
             #[test]
             fn bound_u64_max_is_the_identity((cons, read, quals, k) in whd_inputs()) {
                 let full = calc_whd(&cons, &read, &quals, k);
@@ -289,12 +279,6 @@ mod tests {
                 prop_assert!(!bounded.pruned);
                 prop_assert_eq!(bounded.whd, full);
                 prop_assert_eq!(bounded.comparisons, read.len() as u64);
-                prop_assert_eq!(
-                    bounded.accumulations,
-                    (0..read.len())
-                        .filter(|&i| cons.bases()[k + i] != read.bases()[i])
-                        .count() as u64
-                );
             }
         }
     }

@@ -12,7 +12,7 @@ use ir_core::{MinWhd, MinWhdGrid, ReadOutcome};
 use ir_genome::RealignmentTarget;
 
 use crate::fault::FaultPlan;
-use crate::hdc::{run_pair, sweep_block, with_scratch, HdcConfig, PairRun};
+use crate::hdc::{run_pair, sweep_runs, HdcConfig, PairRun};
 use crate::isa::{BufferIndex, IrCommand};
 use crate::mem;
 use crate::params::FpgaParams;
@@ -330,10 +330,11 @@ pub fn simulate_target(target: &RealignmentTarget, params: &FpgaParams) -> UnitR
 /// layout ([`CandidateBlock`]), one [`SweepRead`] buffer is refilled for
 /// each read, and each read is swept against every candidate by the same
 /// runtime-dispatched explicit-SIMD path as
-/// [`crate::hdc::run_read_sweep`] (under the dense shape, each
-/// alternative reuses the reference's entries wherever the two share a
-/// window, under the dense and the serial shapes), each pair's result
-/// written straight into the grid. Returns a bitwise-identical
+/// [`crate::hdc::run_read_sweep`] (under the serial and dense shapes,
+/// the block sweep shared with the software realigner,
+/// [`ir_core::batch::sweep_block`], where each alternative reuses the
+/// reference's entries wherever the two share a window), each pair's
+/// result written straight into the grid. Returns a bitwise-identical
 /// [`UnitRun`]; only host wall-clock differs. This is the path the
 /// scheduler core, the `IR_THREADS` parallel sweeps, the functional
 /// oracle, the serve shards and [`IrUnit::execute`] (so the
@@ -362,17 +363,15 @@ pub fn simulate_target_fast_with(
     let mut hdc_cycles = 0u64;
     let mut comparisons = 0u64;
     let mut offsets_pruned = 0u64;
-    with_scratch(|scratch| {
-        for (j, read) in target.reads().iter().enumerate() {
-            sweep_read.refill(read.bases().bases(), read.quals());
-            sweep_block(&block, &sweep_read, kind, hdc_cfg, scratch, |i, pair| {
-                hdc_cycles += pair.cycles;
-                comparisons += pair.comparisons;
-                offsets_pruned += pair.offsets_pruned;
-                cells[i * num_reads + j] = pair.min;
-            });
-        }
-    });
+    for (j, read) in target.reads().iter().enumerate() {
+        sweep_read.refill(read.bases().bases(), read.quals());
+        sweep_runs(&block, &sweep_read, kind, hdc_cfg, |i, pair| {
+            hdc_cycles += pair.cycles;
+            comparisons += pair.comparisons;
+            offsets_pruned += pair.offsets_pruned;
+            cells[i * num_reads + j] = pair.min;
+        });
+    }
     finish_run(
         target,
         params,

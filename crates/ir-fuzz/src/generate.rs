@@ -5,7 +5,9 @@
 //! suites rarely produce — single-base reads, reads exactly as long as
 //! their consensus (one alignment offset), all-`N` sequences, saturated
 //! and zero quality strings, max-depth pileups, boundary backend shapes,
-//! extreme fault rates and bursty arrival patterns. Everything is driven
+//! extreme fault rates and bursty arrival patterns, and alternatives that
+//! are the reference plus one edit at a 64-offset block edge, where the
+//! block sweep reuses the reference's work. Everything is driven
 //! by one [`StdRng`], so a `(seed, iteration)` pair always reproduces the
 //! same case.
 //!
@@ -25,9 +27,18 @@ use crate::input::{FaultSpec, FleetSpec, FuzzInput, ParamsSpec, ServeSpec};
 /// execution in the low milliseconds.
 const MAX_CASE_COMPARISONS: u64 = 2_000_000;
 
-/// Longest consensus the generator emits (well under the 2048 hardware
+/// Longest consensus of the usual draws (well under the 2048 hardware
 /// bound — length extremes cost time without adding new control flow).
 const MAX_CONS_LEN: usize = 192;
+
+/// Longest consensus of the long-row draw: the hardware bound, where a
+/// 1-base read has 2,048 offsets, the most the block sweep's inline
+/// buffers hold (2,049 would spill, but no hardware-sized target, and so
+/// no case the `irfuzz v1` codec reads, has that many).
+const LONG_ROW_LEN: usize = 2_048;
+
+/// Longest read of a long-row target, keeping it inside the case budget.
+const LONG_ROW_READ: usize = 64;
 
 const SCHEDULINGS: [Scheduling; 4] = [
     Scheduling::Synchronous,
@@ -75,25 +86,77 @@ fn quals(rng: &mut StdRng, len: usize) -> Qual {
     Qual::from_raw_scores(&scores).expect("scores are in range by construction")
 }
 
+/// `reference` with one insertion or deletion of up to 8 bases, or one
+/// substituted base, placed half the time at a 64-offset block edge
+/// (one base before, on or after it), where the block sweep's
+/// straddling windows and checkpoints meet. Stays non-empty and inside
+/// the hardware bound.
+fn edited(rng: &mut StdRng, reference: &Sequence) -> Sequence {
+    let mut bases = reference.bases().to_vec();
+    let len = bases.len();
+    let at = if rng.random_bool(0.5) {
+        let edge = 64 * rng.random_range(0..=len / 64);
+        (edge + rng.random_range(0..3usize))
+            .saturating_sub(1)
+            .min(len)
+    } else {
+        rng.random_range(0..=len)
+    };
+    let span = rng.random_range(1..=8usize);
+    match rng.random_range(0..3u32) {
+        0 if len + span <= LONG_ROW_LEN => {
+            let insert: Vec<Base> = (0..span).map(|_| random_base(rng)).collect();
+            bases.splice(at..at, insert);
+        }
+        1 if len > span => {
+            bases.drain(at.min(len - span)..at.min(len - span) + span);
+        }
+        _ if at < len => {
+            bases[at] = if bases[at] == Base::A {
+                Base::C
+            } else {
+                Base::A
+            }
+        }
+        _ => {}
+    }
+    Sequence::new(bases)
+}
+
 /// One adversarial target. `max_reads` caps pileup depth so the overall
 /// case budget holds.
 fn target(rng: &mut StdRng, max_reads: usize) -> RealignmentTarget {
+    // A long row now and then: few, short reads keep it in budget.
+    let long = rng.random_bool(0.05);
     let cons_len = match rng.random_range(0..4u32) {
+        _ if long => rng.random_range(MAX_CONS_LEN..=LONG_ROW_LEN),
         0 => 1,
         1 => rng.random_range(2..16),
         2 => rng.random_range(16..64),
         _ => rng.random_range(64..=MAX_CONS_LEN),
     };
+    let max_reads = if long { 2 } else { max_reads };
     let num_alts = rng.random_range(0..4usize);
     let reference = sequence(rng, cons_len);
     let alts: Vec<Sequence> = (0..num_alts)
         .map(|_| {
-            // Alternative consensuses may be longer than the reference but
-            // never shorter than the longest read we will emit.
-            let len = rng.random_range(cons_len..=(cons_len + 8).min(MAX_CONS_LEN));
+            if rng.random_bool(0.5) {
+                return edited(rng, &reference);
+            }
+            // An independent alternative, as long as the reference or a
+            // little longer.
+            let len = rng.random_range(cons_len..=(cons_len + 8).min(MAX_CONS_LEN).max(cons_len));
             sequence(rng, len)
         })
         .collect();
+    let rows: Vec<&Sequence> = std::iter::once(&reference).chain(&alts).collect();
+    // Every read fits every consensus.
+    let shortest = rows.iter().map(|c| c.len()).min().unwrap_or(cons_len);
+    let longest_read = if long {
+        shortest.min(LONG_ROW_READ)
+    } else {
+        shortest
+    };
     let num_reads = match rng.random_range(0..3u32) {
         0 => 1,
         1 => rng.random_range(2..8usize).min(max_reads.max(1)),
@@ -101,15 +164,29 @@ fn target(rng: &mut StdRng, max_reads: usize) -> RealignmentTarget {
     };
     let reads: Vec<Read> = (0..num_reads)
         .map(|i| {
-            // Read-length menu: single base, exactly consensus-length (one
-            // alignment offset), or anywhere in between.
+            // Read-length menu: single base, exactly as long as the
+            // shortest consensus (one alignment offset there), or
+            // anywhere in between.
             let len = match rng.random_range(0..3u32) {
                 0 => 1,
-                1 => cons_len,
-                _ => rng.random_range(1..=cons_len),
+                1 => longest_read,
+                _ => rng.random_range(1..=longest_read),
             };
             let offset = rng.random_range(0..cons_len as u64);
-            Read::new(format!("f{i}"), sequence(rng, len), quals(rng, len), offset)
+            // Random bases, or a window of one of the consensuses with a
+            // couple of substitutions, whose minimum the sweep must find.
+            let bases = if rng.random_bool(0.5) {
+                sequence(rng, len)
+            } else {
+                let row = rows[rng.random_range(0..rows.len())].bases();
+                let start = rng.random_range(0..=row.len() - len);
+                let mut bases = row[start..start + len].to_vec();
+                for _ in 0..rng.random_range(0..3u32) {
+                    bases[rng.random_range(0..len)] = random_base(rng);
+                }
+                Sequence::new(bases)
+            };
+            Read::new(format!("f{i}"), bases, quals(rng, len), offset)
                 .expect("generated reads are non-empty")
         })
         .collect();

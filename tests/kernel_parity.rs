@@ -449,73 +449,6 @@ fn target_of(consensuses: &[Sequence], reads: Vec<Read>) -> RealignmentTarget {
         .unwrap()
 }
 
-/// Alternatives sharing only a prefix, only a suffix, or both (an
-/// insertion and a deletion), identical to the reference, sharing a
-/// prefix shorter than the read, and much shorter than the reference.
-#[test]
-fn reuse_matches_reference_on_every_kind_of_alternative() {
-    let reference = scrambled(220, 1, &ACGT);
-    let other = scrambled(220, 2, &ACGT);
-    let n = 48;
-    let alternatives: Vec<(&str, Vec<Base>, usize)> = vec![
-        (
-            "prefix only",
-            [&reference[..130], &other[..70]].concat(),
-            130,
-        ),
-        (
-            "suffix only",
-            [&other[..90], &reference[100..]].concat(),
-            90,
-        ),
-        (
-            "insertion",
-            [&reference[..110], &other[..7], &reference[110..]].concat(),
-            110,
-        ),
-        (
-            "deletion",
-            [&reference[..110], &reference[113..]].concat(),
-            110,
-        ),
-        ("identical", reference.clone(), 110),
-        (
-            "prefix shorter than the read",
-            [&reference[..20], &other[..9], &reference[20..]].concat(),
-            20,
-        ),
-        (
-            "suffix shorter than the read",
-            [&reference[..180], &other[..9], &reference[180..]].concat(),
-            180,
-        ),
-        (
-            "long deletion",
-            [&reference[..60], &reference[150..]].concat(),
-            60,
-        ),
-    ];
-    for (name, alt, at) in &alternatives {
-        let consensuses = [seq_of(&[&reference]), seq_of(&[alt])];
-        let reads = reads_around(&[&reference, alt], *at, n);
-        let target = target_of(&consensuses, reads);
-        let block = CandidateBlock::from_target(&target);
-        let (prefix, suffix) = block.shared_with_reference(1);
-        if *name == "identical" {
-            assert_eq!((prefix, suffix), (220, 220));
-        } else {
-            assert!(prefix < 220 && suffix < 220, "{name}: {prefix}, {suffix}");
-        }
-        assert_reuse_exact(&target);
-    }
-    // All of them in one target: rows after the first reuse the same
-    // reference buffer.
-    let mut consensuses = vec![seq_of(&[&reference])];
-    consensuses.extend(alternatives.iter().map(|(_, alt, _)| seq_of(&[alt])));
-    let reads = reads_around(&[&reference], 110, n);
-    assert_reuse_exact(&target_of(&consensuses, reads));
-}
-
 /// Rows past the hardware's 2,048 bases, whose WHD buffers no longer
 /// fit inline.
 #[test]
@@ -596,16 +529,44 @@ fn reuse_keeps_first_on_ties_across_the_reuse_boundary() {
     assert_reuse_exact(&target);
 }
 
+/// An alternative consensus: `reference` with one edit at `at` of `len`
+/// bases — an insertion of `fill`'s first `len` bases, a deletion, a
+/// substitution of one base, or everything after (or before) `at`
+/// replaced by `fill`, so that it shares only a prefix (or a suffix)
+/// with the reference.
+fn edit(reference: &[Base], kind: u8, at: usize, len: usize, fill: &[Base]) -> Vec<Base> {
+    let end = (at + len).min(reference.len());
+    match kind {
+        0 => [&reference[..at], &fill[..len], &reference[at..]].concat(),
+        1 => [&reference[..at], &reference[end..]].concat(),
+        2 => {
+            let mut row = reference.to_vec();
+            if at < row.len() {
+                row[at] = if row[at] == Base::A { Base::C } else { Base::A };
+            }
+            row
+        }
+        3 => [&reference[..at], fill].concat(),
+        _ => [fill, &reference[at..]].concat(),
+    }
+}
+
 prop_compose! {
-    /// A reference with 1–3 alternatives, each the reference with one
-    /// random insertion or deletion (possibly empty, so identical to
-    /// the reference), and reads of 1–110 bases cut from random rows at
-    /// random places with a few substitutions: the reads of at most 96
-    /// bases take the dense shape under IR ACC, the rest the block loop.
+    /// A reference with 1–5 alternatives, each the reference with one
+    /// random edit ([`edit`]: an insertion, a deletion of up to 90
+    /// bases, a substitution, or a replaced tail or head; possibly
+    /// empty, so identical to the reference), half of them at a
+    /// 64-offset block edge, and reads of 1–110 bases cut from random
+    /// rows at random places with a few substitutions: the reads of at
+    /// most 96 bases take the dense shape under IR ACC, the rest the
+    /// block loop.
     fn indel_targets()(
         ref_len in 110usize..=260,
         ref_salt in any::<u64>(),
-        indels in prop::collection::vec((0usize..260, 0usize..=12, any::<bool>(), any::<u64>()), 1..=3),
+        edits in prop::collection::vec(
+            (0u8..5, 0usize..260, any::<bool>(), 0usize..=90, any::<u64>()),
+            1..=5,
+        ),
         reads in prop::collection::vec(
             (1usize..=110, 0usize..8, any::<u64>(), prop::collection::vec((0usize..110, 0u8..=4), 0..=4)),
             1..=4,
@@ -614,14 +575,15 @@ prop_compose! {
     ) -> RealignmentTarget {
         let reference = scrambled(ref_len, ref_salt, &ACGT);
         let mut rows = vec![reference.clone()];
-        for &(at, len, insert, salt) in &indels {
-            let at = at % ref_len;
-            rows.push(if insert {
-                [&reference[..at], &scrambled(len, salt, &ACGT)[..], &reference[at..]].concat()
+        for &(kind, at, edge, len, salt) in &edits {
+            let at = if edge {
+                (at / 64 * 64 + len % 3).saturating_sub(1).min(ref_len)
             } else {
-                let end = (at + len).min(ref_len);
-                [&reference[..at], &reference[end..]].concat()
-            });
+                at % ref_len
+            };
+            // Insertions of up to 12 bases; deletions up to 90.
+            let len = if kind == 0 { len % 13 } else { len };
+            rows.push(edit(&reference, kind, at, len, &scrambled(70.max(len), salt, &ACGT)));
         }
         let shortest = rows.iter().map(Vec::len).min().unwrap();
         let reads = reads
@@ -645,7 +607,7 @@ prop_compose! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_env(48))]
 
-    /// Reference-plus-random-INDEL targets: the reusing sweep equals the
+    /// Reference-plus-edit targets: the reusing sweep equals the
     /// per-pair reference on every kernel.
     #[test]
     fn reuse_matches_reference_on_random_indels(target in indel_targets()) {
